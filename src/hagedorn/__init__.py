@@ -87,7 +87,6 @@ from .gridsolver import (
     GridPropagation,
     discretize_hamiltonian,
     number_operator_check,
-    overlap,
     propagate_grid,
 )
 from .cli import (

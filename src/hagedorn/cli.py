@@ -528,13 +528,6 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> int:
         max_sympl <= sympl_tol,
         f"max |SᵀΩS − Ω| {max_sympl:.3e} (tol {sympl_tol:.3e})",
     )
-    max_beta_defect = max((st.beta_defect for st in states), default=0.0)
-    beta_tol = max(1e-8, 100 * config.ode_tol)
-    checks.add(
-        "beta_normalizer_consistency",
-        max_beta_defect <= beta_tol,
-        f"max |beta − ½ log det N| defect {max_beta_defect:.3e} (tol {beta_tol:.3e})",
-    )
 
     # positivity / horizon accounting
     if config.expect_horizon:

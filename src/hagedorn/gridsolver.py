@@ -36,7 +36,7 @@ from .errors import (
 )
 from .polynomials import validate_multi_index
 from .symplectic import SymplecticMetricPair, frame_from_metric
-from .wavepackets import Grid, WavepacketParams, eval_excited, grid_inner, grid_norm
+from .wavepackets import Grid, WavepacketParams, eval_excited, grid_norm
 
 DT_DEFAULT = 1e-3
 GRID_TOL_DEFAULT = 1e-8  # Richardson estimate per unit time
@@ -177,11 +177,6 @@ def propagate_grid(
         f"after {max_halvings} halvings",
         estimate=estimate,
     )
-
-
-def overlap(f: np.ndarray, g: np.ndarray, grid: Grid) -> complex:
-    """Trapezoidal ⟨f, g⟩, conjugate-linear in the first argument."""
-    return grid_inner(f, g, grid)
 
 
 def number_operator_check(G, eps: float, grid: Grid, alpha) -> float:

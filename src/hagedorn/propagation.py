@@ -1,16 +1,26 @@
 """Non-Hermitian time evolution of Hagedorn wavepackets.
 
-One augmented adaptive-RK state carries the flow matrix S_t (Ṡ = ΩH_tS),
-the Riccati metric G_t, the real center z_t, the gain/loss exponent
-β_t = ¼∫tr(G_τ⁻¹Im H_τ)dτ (checked against ½ log det N_t, so that
-e^β_t = det(N_t)^{1/2} as in the metaplectic formula), the complex action
-α_t = ∫(q̇·p − ℋ_τ(z_τ))dτ, and the continuously tracked log det Q of the
-un-normalized frame S_tZ₀.
-Per output time the frame is re-normalized, Z_t = S_tZ₀N_t with
-N_t = ((1/2i)(S_tZ₀)*Ω(S_tZ₀))^{−1/2}, and the recursion matrices
-M_t = ¼(S_tZ̄₀)ᵀG_t(S_tZ̄₀) and M̃_t = M_t + N_tQ_t⁻¹Q̄_tN̄_t are assembled.
-Positivity of the evolved frame is monitored by a terminal event; breakdown
-raises PositivityLost with the horizon time.
+For a quadratic Hamiltonian the whole packet is an algebraic function of the
+linear flow S_t, Ṡ = ΩH_tS with S_0 = Id.  For constant H, S_t = expm(tΩH);
+otherwise one DOP853 integration of the linear system runs per output
+interval, restarted at the knots of a sampled H.  At every output time, with W = S_tZ₀ = (W_P; W_Q) and the complex
+centre (π, ξ) = S_tz₀:
+
+- N_t = ((1/2i)W*ΩW)^{−1/2}, the frame Z_t = WN_t = (P_t; Q_t), its metric
+  G_t, M_t = ¼(S_tZ̄₀)ᵀG_t(S_tZ̄₀) and M̃_t = M_t + N_tQ_t⁻¹Q̄_tN̄_t;
+- the gain exponent β_t = ½ log det N_t, so e^β_t = det(N_t)^{1/2} as in the
+  metaplectic formula;
+- the real centre (p, q), which solves p − B_tq = π − B_tξ with B_t = P_tQ_t⁻¹;
+- the complex action α_t = ½(π·ξ − p₀·q₀) + ½dᵀB_td + π·d with d = q − ξ.
+
+One scan of λ_min((1/2i)W*ΩW) and arg det W_Q over the flow's samples gives
+both the positivity horizon and the continuous branch of log det Q_t.  The
+samples are equal steps with step·‖ΩH‖₂ ≤ ¼ for constant H, the integrator's
+accepted steps otherwise, and always include the output times.  The horizon
+is the first sign change, refined by a bracketing root-find; breakdown raises
+PositivityLost with the horizon time.  The branch unwraps arg det W_Q from
+one sample to the next, one eigenvalue of W_Q(t_prev)⁻¹W_Q(t) at a time.  evolve_metric_riccati and center_dynamics integrate
+the Riccati metric and the centre ODE independently, as cross-checks.
 
 The polynomial recursion with M_t, composed with x → N_t x, yields the
 activation coefficients a_k (only |k| ≤ |α| with |α|−|k| even appear), so
@@ -25,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from .errors import (
     ConsistencyError,
@@ -33,7 +44,7 @@ from .errors import (
     PositivityLost,
     StepSizeUnderflow,
 )
-from .polynomials import MultiPoly, poly_recursion, validate_multi_index
+from .polynomials import poly_recursion, validate_multi_index
 from .symplectic import (
     POS_TOL,
     TOL_FRAME,
@@ -41,20 +52,14 @@ from .symplectic import (
     NormalisedFrame,
     SymplecticMetricPair,
     gram_matrix,
-    hermitian_inv_sqrt,
     metric_and_structure,
     normalise_frame,
     omega,
+    siegel_matrix,
 )
-from .wavepackets import ALPHA_MAX, Grid, WavepacketParams, eval_excited, eval_ground
+from .wavepackets import ALPHA_MAX, Grid, WavepacketParams, eval_ground
 
 ODE_TOL = 1e-10
-
-# Failsafe floor for the joint integration near a positivity breakdown: the
-# Riccati block grows like 1/min_eig there and its rhs roundoff like |G|², so
-# the stepper stalls once min_eig drops to roughly ode_tol/machine_eps.  The
-# horizon itself is located by the regular flow-only scan, not by this event.
-HORIZON_EIG_FLOOR = 1e-4
 
 
 def _check_symmetric(H: np.ndarray, label: str = "H") -> np.ndarray:
@@ -148,7 +153,6 @@ class PropagatedState:
     eps: float
     symplectic_defect: float
     min_positivity: float
-    beta_defect: float
 
     @property
     def log_prefactor(self) -> complex:
@@ -176,98 +180,135 @@ def symplectic_defect(S: np.ndarray) -> float:
     return float(np.max(np.abs(S.T @ om @ S - om)))
 
 
+# -- the linear flow S_t ---------------------------------------------------------
+
+class _LinearFlow:
+    """S_t with Ṡ = ΩH_tS: expm(tΩH) for constant H, DOP853 otherwise."""
+
+    def __init__(self, H: QuadraticHamiltonian, ode_tol: float):
+        self.H = H
+        self.ode_tol = ode_tol
+        self.n2 = 2 * H.n
+        self.generator = omega(H.n) @ H(0.0) if H.is_constant else None
+        # expm samples per unit time, so that step·‖ΩH‖₂ ≤ ¼
+        self.rate = 4.0 * np.linalg.norm(self.generator, 2) if H.is_constant else 0.0
+        # a sampled H has kinks at its knots; the integration restarts there
+        self.knots = H.data[0] if H.kind == "sampled" else np.empty(0)
+
+    def segments(self, times):
+        """Yield (sample times, flows) on (t_prev, t] for each output time t.
+
+        t_prev is the previous output time, 0 before the first; every segment
+        ends at its t unless it is empty.  For constant H all samples come
+        from one batched expm call: called once per matrix, scipy's expm
+        stalls for milliseconds per call when its BLAS threads compete for
+        the cores (200 samples on 2 busy cores: 800 ms against 90 ms).
+        """
+        starts = np.concatenate([[0.0], times[:-1]])
+        if self.generator is None:
+            S = np.eye(self.n2, dtype=complex)
+            for t0, t1 in zip(starts, times):
+                ts, flows = self._integrate(t0, S, t1)
+                S = flows[-1] if len(flows) else S
+                yield ts, flows
+            return
+        grids = [self._grid(t0, t1) for t0, t1 in zip(starts, times)]
+        ts = np.concatenate(grids)
+        flows = expm(ts[:, None, None] * self.generator)
+        yield from zip(grids, np.split(flows, np.cumsum([len(g) for g in grids])[:-1]))
+
+    def at(self, t0: float, S0: np.ndarray, t1: float) -> np.ndarray:
+        """S(t1) given S(t0) = S0."""
+        if self.generator is not None:
+            return expm((t1 - t0) * self.generator) @ S0
+        return self._integrate(t0, S0, t1)[1][-1] if t1 > t0 else S0
+
+    def _grid(self, t0: float, t1: float) -> np.ndarray:
+        if t1 <= t0:
+            return np.empty(0)
+        count = max(1, math.ceil((t1 - t0) * self.rate))
+        ts = t0 + (t1 - t0) * np.arange(1, count + 1) / count
+        ts[-1] = t1
+        return ts
+
+    def _integrate(self, t0: float, S0: np.ndarray, t1: float):
+        """Accepted steps (times, flows) on (t0, t1] of one DOP853 run per smooth piece."""
+        if t1 <= t0:
+            return np.empty(0), np.empty((0, self.n2, self.n2), dtype=complex)
+        n2, H = self.n2, self.H
+        om = omega(n2 // 2)
+
+        def rhs(t, y):
+            return (om @ H(t) @ y.reshape(n2, n2)).reshape(-1)
+
+        inner = self.knots[(self.knots > t0) & (self.knots < t1)]
+        bounds = [t0, *inner, t1]
+        ts, flows = [], []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            sol = solve_ivp(rhs, (lo, hi), S0.reshape(-1), method="DOP853",
+                            rtol=self.ode_tol, atol=self.ode_tol)
+            if not sol.success:
+                raise StepSizeUnderflow(f"flow integration failed: {sol.message}")
+            ts.append(sol.t[1:])
+            flows.append(sol.y[:, 1:].T.reshape(-1, n2, n2))
+            S0 = flows[-1][-1]
+        return np.concatenate(ts), np.concatenate(flows)
+
+
 def flow(H: QuadraticHamiltonian, t0: float, t1: float, ode_tol: float = ODE_TOL):
     """Flow matrix S with Ṡ = ΩH_tS, S(t0) = Id, evaluated at t1."""
     if t1 < t0:
         raise DimensionMismatch("t1 must be ≥ t0")
-    n = H.n
-    om = omega(n)
-    if H.is_constant:
-        return expm((t1 - t0) * (om @ H(0.0)))
-    if t1 == t0:
-        return np.eye(2 * n, dtype=complex)
-
-    def rhs(t, y):
-        S = y.reshape(2 * n, 2 * n)
-        return (om @ H(t) @ S).reshape(-1)
-
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        np.eye(2 * n, dtype=complex).reshape(-1),
-        method="RK45",
-        rtol=ode_tol,
-        atol=ode_tol,
-    )
-    if not sol.success:
-        raise StepSizeUnderflow(f"flow integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(2 * n, 2 * n)
+    return _LinearFlow(H, ode_tol).at(t0, np.eye(2 * H.n, dtype=complex), t1)
 
 
-# -- augmented propagation state ---------------------------------------------
-
-def _pack(S, G, z, beta, action, logdetQ0, n):
-    return np.concatenate(
-        [
-            S.reshape(-1).view(float),
-            G.reshape(-1),
-            z,
-            [beta, action.real, action.imag, logdetQ0.real, logdetQ0.imag],
-        ]
-    )
+def _positivity_margin(W: np.ndarray, pos_tol: float) -> float:
+    """λ_min of the Gram matrix of W above the floor that normalise_frame applies."""
+    gram = gram_matrix(W)
+    floor = pos_tol * max(1.0, float(np.max(np.abs(gram))))
+    return float(np.linalg.eigvalsh(gram)[0]) - floor
 
 
-def _unpack(y, n):
-    n2 = 2 * n
-    size_s = 2 * n2 * n2
-    S = y[:size_s].view(complex).reshape(n2, n2)
-    off = size_s
-    G = y[off : off + n2 * n2].reshape(n2, n2)
-    off += n2 * n2
-    z = y[off : off + n2]
-    off += n2
-    beta = y[off]
-    action = complex(y[off + 1], y[off + 2])
-    logdetQ0 = complex(y[off + 3], y[off + 4])
-    return S, G, z, beta, action, logdetQ0
+def _scan(Z0: NormalisedFrame, H: QuadraticHamiltonian, times, ode_tol, pos_tol):
+    """Yield (t, S_t, log det W_Q) with W = S_tZ₀ at each output time.
+
+    Every sample of the flow is checked for positivity and carries log det W_Q
+    over from the previous sample by the principal logs of the eigenvalues of
+    W_Q(t_prev)⁻¹W_Q(t), so it starts on the principal branch and stays
+    continuous as long as no eigenvalue turns by π within one step.  At the
+    first sample that fails, brentq locates the crossing inside the last step
+    and PositivityLost(t*) is raised.
+    """
+    linear = _LinearFlow(H, ode_tol)
+    n, W0 = Z0.n, Z0.entries
+    t_prev, S_prev, W_prev = 0.0, np.eye(2 * n, dtype=complex), W0
+    margin_prev = _positivity_margin(W0, pos_tol)
+    log_det_q = complex(np.log(complex(np.linalg.det(Z0.Q))))
+    for t_out, (ts, flows) in zip(times, linear.segments(times)):
+        for t, S in zip(ts, flows):
+            W = S @ W0
+            margin = _positivity_margin(W, pos_tol)
+            if margin <= 0:
+                raise PositivityLost(_crossing(
+                    lambda s: _positivity_margin(linear.at(t_prev, S_prev, s) @ W0, pos_tol),
+                    t_prev, t, margin_prev, margin,
+                ))
+            step = np.linalg.solve(W_prev[n:], W[n:])
+            log_det_q += complex(np.sum(np.log(np.linalg.eigvals(step))))
+            t_prev, S_prev, W_prev, margin_prev = t, S, W, margin
+        yield float(t_out), S_prev, log_det_q
 
 
-def _propagation_rhs(H: QuadraticHamiltonian, Z0: np.ndarray, n: int):
-    om = omega(n)
+def _crossing(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Root of f in [lo, hi] given f(lo) > 0 ≥ f(hi), reusing the known end values."""
+    def g(t):
+        if t == lo:
+            return f_lo
+        if t == hi:
+            return f_hi
+        return f(t)
 
-    def rhs(t, y):
-        if not np.all(np.isfinite(y)):
-            return np.full_like(y, np.nan)
-        S, G, z, _, _, _ = _unpack(y, n)
-        Ht = H(t)
-        re_h = Ht.real
-        im_h = Ht.imag
-        G = 0.5 * (G + G.T)
-        try:
-            # trial stages past a positivity breakdown can make G singular;
-            # NaN makes the step controller reject and shrink instead of crash
-            Ginv = np.linalg.inv(G)
-            W = S @ Z0
-            dW = om @ Ht @ W
-            dlogdetq = complex(np.trace(np.linalg.solve(W[n:, :].T, dW[n:, :].T)))
-        except np.linalg.LinAlgError:
-            return np.full_like(y, np.nan)
-
-        dS = om @ Ht @ S
-        dG = re_h @ om @ G - G @ om @ re_h - im_h - G @ om @ im_h @ om @ G
-        dz = om @ re_h @ z + Ginv @ im_h @ z
-        dbeta = 0.25 * float(np.trace(Ginv @ im_h))
-        q_dot = dz[n:]
-        p = z[:n]
-        hamil = 0.5 * complex(z @ Ht @ z)
-        daction = complex(q_dot @ p) - hamil
-        return _pack(dS, dG, dz, dbeta, daction, dlogdetq, n)
-
-    return rhs
-
-
-def _min_positivity(S: np.ndarray, Z0: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(gram_matrix(S @ Z0))[0])
+    return float(brentq(g, lo, hi))
 
 
 def propagate(
@@ -300,100 +341,65 @@ def propagate(
     if times[0] < 0:
         raise DimensionMismatch("times must start at t ≥ 0")
 
-    # Locate any breakdown with the flow-only linear system first: it stays
-    # regular through the horizon, unlike the joint system whose Riccati
-    # block has a pole there.
-    horizon = positivity_horizon(Z0, H, float(times[-1]), ode_tol, pos_tol)
-
-    Z0_entries = Z0.entries
-    om = omega(n)
-    G0 = metric_and_structure(Z0).G
-    rhs = _propagation_rhs(H, Z0_entries, n)
-    logdetq0 = complex(np.log(complex(np.linalg.det(Z0.Q))))
-
-    def positivity_event(t, y):
-        S = _unpack(y, n)[0]
-        return _min_positivity(S, Z0_entries) - max(pos_tol, HORIZON_EIG_FLOOR)
-
-    positivity_event.terminal = True
-    positivity_event.direction = -1
-
-    y = _pack(
-        np.eye(2 * n, dtype=complex), G0, z0.copy(), 0.0, 0j, logdetq0, n
-    )
     states: list[PropagatedState] = []
-    t_prev = 0.0
-    for t_out in times:
-        if t_out >= horizon:
-            raise PositivityLost(horizon, states)
-        if t_out > t_prev:
-            sol = solve_ivp(
-                rhs,
-                (t_prev, t_out),
-                y,
-                method="RK45",
-                rtol=ode_tol,
-                atol=ode_tol,
-                events=positivity_event,
-                dense_output=False,
-            )
-            if sol.status == 1 or not sol.success:
-                # an output time lies so close under the horizon that the
-                # Riccati block cannot be integrated up to it
-                t_star = horizon if math.isfinite(horizon) else (
-                    float(sol.t_events[0][0]) if sol.status == 1 else None
-                )
-                if t_star is not None:
-                    raise PositivityLost(t_star, states)
-                raise StepSizeUnderflow(f"propagation failed: {sol.message}")
-            y = sol.y[:, -1]
-            t_prev = t_out
-        states.append(_assemble_state(t_out, y, Z0_entries, om, n, eps, ode_tol))
+    try:
+        for t, S, log_det_wq in _scan(Z0, H, times, ode_tol, pos_tol):
+            states.append(_assemble_state(t, S, Z0.entries, z0, log_det_wq, eps))
+    except PositivityLost as exc:
+        raise PositivityLost(exc.t_star, states) from None
     return states
 
 
-def _assemble_state(t, y, Z0_entries, om, n, eps, ode_tol) -> PropagatedState:
-    S, G_riccati, z, beta, action, logdetQ0 = _unpack(y, n)
-    W = S @ Z0_entries
+def _assemble_state(t, S, Z0, z0, log_det_wq, eps) -> PropagatedState:
+    W = S @ Z0
     frame, N = normalise_frame(W)
     pair = metric_and_structure(frame)
     G = pair.G
 
-    W_bar_flow = S @ np.conj(Z0_entries)
+    W_bar_flow = S @ np.conj(Z0)
     M = 0.25 * (W_bar_flow.T @ G @ W_bar_flow)
     M = 0.5 * (M + M.T)
     Q = frame.Q
     Mtilde = M + N @ np.linalg.solve(Q, np.conj(Q)) @ np.conj(N)
     Mtilde = 0.5 * (Mtilde + Mtilde.T)
 
-    sign, logabsdet = np.linalg.slogdet(N)
     # N is Hermitian positive definite, so det N > 0 and the log is real
-    log_det_n = float(logabsdet)
-    logdetQ = logdetQ0 + log_det_n
-    beta_defect = abs(beta - 0.5 * log_det_n)
-    threshold = max(1e-8, 100.0 * ode_tol)
-    if beta_defect > threshold:
-        raise ConsistencyError(
-            f"β = {beta:.12g} disagrees with ½ log det N = {0.5 * log_det_n:.12g}"
-        )
+    log_det_n = float(np.linalg.slogdet(N)[1])
+    z, action = _centre_and_action(S, z0, siegel_matrix(frame).B)
     return PropagatedState(
-        t=float(t),
+        t=t,
         S=S.copy(),
         Z=frame,
         N=N,
-        beta=float(beta),
-        z=z.copy(),
+        beta=0.5 * log_det_n,
+        z=z,
         action=action,
         M=M,
         Mtilde=Mtilde,
         G=G,
         J=pair.J,
-        logdetQ=logdetQ,
+        logdetQ=log_det_wq + log_det_n,
         eps=float(eps),
         symplectic_defect=symplectic_defect(S),
-        min_positivity=_min_positivity(S, Z0_entries),
-        beta_defect=beta_defect,
+        min_positivity=_positivity_margin(W, 0.0),
     )
+
+
+def _centre_and_action(S, z0, B):
+    """Real centre and complex action from the complex centre (π, ξ) = S_tz₀.
+
+    (p, q) solves p − Bq = π − Bξ over the reals, and
+    α_t = ½(π·ξ − p₀·q₀) + ½dᵀBd + π·d with d = q − ξ.
+    """
+    n = B.shape[0]
+    w = S @ z0
+    pi, xi = w[:n], w[n:]
+    c = pi - B @ xi
+    q = -np.linalg.solve(B.imag, c.imag)
+    p = c.real + B.real @ q
+    d = q - xi
+    action = 0.5 * (pi @ xi - z0[:n] @ z0[n:]) + 0.5 * (d @ B @ d) + pi @ d
+    return np.concatenate([p, q]), complex(action)
 
 
 def evolve_metric_riccati(
@@ -581,32 +587,16 @@ def positivity_horizon(
     """First time in (0, t_max] where the evolved frame stops being positive.
 
     Returns math.inf when positivity survives the whole window.  The crossing
-    is located by the integrator's event refinement (well under 1e-8 in time).
+    is the root of λ_min((1/2i)W*ΩW) − pos_tol inside the first flow sample
+    step where it changes sign, located to brentq's default tolerance (~1e-12).
     """
     if not isinstance(Z0, NormalisedFrame):
         Z0 = NormalisedFrame(LagrangianFrame(np.asarray(Z0)))
-    n = Z0.n
-    if H.n != n:
+    if H.n != Z0.n:
         raise DimensionMismatch("Hamiltonian and frame dimensions differ")
-    om = omega(n)
-    Z0_entries = Z0.entries
-
-    def rhs(t, y):
-        S = y.view(complex).reshape(2 * n, 2 * n)
-        return (om @ H(t) @ S).reshape(-1).view(float)
-
-    def event(t, y):
-        S = y.view(complex).reshape(2 * n, 2 * n)
-        return _min_positivity(S, Z0_entries) - pos_tol
-
-    event.terminal = True
-    event.direction = -1
-
-    y0 = np.eye(2 * n, dtype=complex).reshape(-1).view(float).copy()
-    sol = solve_ivp(rhs, (0.0, float(t_max)), y0, method="RK45",
-                    rtol=ode_tol, atol=ode_tol, events=event)
-    if not sol.success and sol.status != 1:
-        raise StepSizeUnderflow(f"horizon scan failed: {sol.message}")
-    if sol.status == 1 and len(sol.t_events[0]):
-        return float(sol.t_events[0][0])
+    try:
+        for _ in _scan(Z0, H, [float(t_max)], ode_tol, pos_tol):
+            pass
+    except PositivityLost as exc:
+        return exc.t_star
     return math.inf

@@ -31,8 +31,7 @@ from .symplectic import (
     metric_and_structure,
     omega,
 )
-
-ALPHA_MAX = 32
+from .wavepackets import ALPHA_MAX
 
 L0 = np.array([1.0, -1.0j])
 

@@ -10,6 +10,7 @@ first argument. A frame is normalised when Z*ΩZ = 2i·Id.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,11 +29,14 @@ POS_TOL = 1e-12
 COND_MAX = 1e12
 
 
+@lru_cache(maxsize=None)
 def omega(n: int) -> np.ndarray:
-    """The 2n×2n symplectic form [[0, −Id], [Id, 0]]."""
+    """The 2n×2n symplectic form [[0, −Id], [Id, 0]], built once per n (read-only)."""
     ident = np.eye(n)
     zero = np.zeros((n, n))
-    return np.block([[zero, -ident], [ident, zero]])
+    om = np.block([[zero, -ident], [ident, zero]])
+    om.flags.writeable = False
+    return om
 
 
 def _scale(a: np.ndarray) -> float:

@@ -22,10 +22,9 @@ from .errors import (
     GridMismatch,
     NonDecayingGaussian,
     SingularC,
-    SingularQ,
 )
 from .polynomials import MultiPoly, poly_recursion, validate_multi_index
-from .symplectic import COND_MAX, NormalisedFrame, omega
+from .symplectic import COND_MAX, NormalisedFrame, omega, siegel_matrix
 
 ALPHA_MAX = 32
 
@@ -134,20 +133,14 @@ class WavepacketParams:
 
 
 def _siegel_and_logdet(params: WavepacketParams):
-    Q = params.frame.Q
-    P = params.frame.P
-    if np.linalg.cond(Q) > COND_MAX:
-        raise SingularQ("Q block is singular or too ill-conditioned")
-    B = np.linalg.solve(Q.T, P.T).T
-    B = 0.5 * (B + B.T)
-    im_b = 0.5 * (B - B.conj().T) / 1j
-    if np.linalg.eigvalsh(im_b)[0] <= 0:
+    siegel = siegel_matrix(params.frame)
+    if siegel.im_min_eig <= 0:
         raise NonDecayingGaussian("Im(PQ⁻¹) is not positive definite")
     if params.log_det_q is None:
-        log_det_q = complex(np.log(complex(np.linalg.det(Q))))
+        log_det_q = complex(np.log(complex(np.linalg.det(params.frame.Q))))
     else:
         log_det_q = complex(params.log_det_q)
-    return B, log_det_q
+    return siegel.B, log_det_q
 
 
 def eval_ground(params: WavepacketParams, grid: Grid) -> np.ndarray:

@@ -15,12 +15,11 @@ from hagedorn.errors import (
 from hagedorn.gridsolver import (
     discretize_hamiltonian,
     number_operator_check,
-    overlap,
     propagate_grid,
 )
 from hagedorn.swanson import L0, SwansonParams
 from hagedorn.symplectic import LagrangianFrame, NormalisedFrame
-from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, eval_ground
+from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, eval_ground, grid_inner
 
 GRID = Grid(bounds=[(-12.0, 12.0)], counts=[1024])
 GRID_SMALL = Grid(bounds=[(-12.0, 12.0)], counts=[512])
@@ -36,7 +35,7 @@ def packet(alpha, grid):
 
 
 def norm(f, grid):
-    return math.sqrt(overlap(f, f, grid).real)
+    return math.sqrt(grid_inner(f, f, grid).real)
 
 
 # -- discretization ------------------------------------------------------------
@@ -151,13 +150,13 @@ def test_damping_leaves_resolved_window_alone():
 
 def test_overlap_orthonormality():
     phi0, phi1 = packet([0], GRID), packet([1], GRID)
-    assert abs(overlap(phi0, phi0, GRID) - 1.0) < 1e-8
-    assert abs(overlap(phi0, phi1, GRID)) < 1e-8
+    assert abs(grid_inner(phi0, phi0, GRID) - 1.0) < 1e-8
+    assert abs(grid_inner(phi0, phi1, GRID)) < 1e-8
     # conjugate-linear in the first slot, linear in the second
-    assert abs(overlap(2j * phi0, phi1, GRID) + 2j * overlap(phi0, phi1, GRID)) < 1e-12
-    assert abs(overlap(phi0, 2j * phi1, GRID) - 2j * overlap(phi0, phi1, GRID)) < 1e-12
+    assert abs(grid_inner(2j * phi0, phi1, GRID) + 2j * grid_inner(phi0, phi1, GRID)) < 1e-12
+    assert abs(grid_inner(phi0, 2j * phi1, GRID) - 2j * grid_inner(phi0, phi1, GRID)) < 1e-12
     with pytest.raises(GridMismatch):
-        overlap(phi0, packet([0], GRID_SMALL), GRID)
+        grid_inner(phi0, packet([0], GRID_SMALL), GRID)
 
 
 def test_number_operator_standard_metric():

