@@ -188,23 +188,27 @@ class ScenarioConfig:
     raw: dict
 
 
+def _finite_positive(val) -> bool:
+    """A JSON number (not a bool) that is finite and > 0."""
+    return (
+        isinstance(val, (int, float))
+        and not isinstance(val, bool)
+        and math.isfinite(val)
+        and val > 0
+    )
+
+
 def validate_config(raw: dict) -> list[Diagnostic]:
     """All schema diagnostics for a raw config dict; empty iff runnable."""
     bad: list[Diagnostic] = []
     if not isinstance(raw, dict):
         return [Diagnostic("BadConfig", "config root must be a JSON object")]
 
-    eps = raw.get("eps", 1.0)
-    if not isinstance(eps, (int, float)) or isinstance(eps, bool) or not (
-        math.isfinite(eps) and eps > 0
-    ):
+    if not _finite_positive(raw.get("eps", 1.0)):
         bad.append(Diagnostic("BadEps", "eps must be a finite positive number"))
 
     for key, default in (("ode_tol", ODE_TOL), ("tol_frame", TOL_FRAME)):
-        val = raw.get(key, default)
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or not (
-            math.isfinite(val) and val > 0
-        ):
+        if not _finite_positive(raw.get(key, default)):
             bad.append(Diagnostic("BadTolerance", f"{key} must be a finite positive number"))
 
     swanson = raw.get("swanson")
@@ -294,10 +298,10 @@ def validate_config(raw: dict) -> list[Diagnostic]:
         if hamiltonian is not None and not hamiltonian.is_constant:
             bad.append(Diagnostic("BadOracle", "the grid oracle supports constant H only"))
         otimes = oracle.get("times")
-        if not isinstance(otimes, list) or not otimes or not all(
-            isinstance(t, (int, float)) and t > 0 for t in otimes
-        ):
-            bad.append(Diagnostic("BadOracle", "oracle.times must be a list of positive times"))
+        if not isinstance(otimes, list) or not otimes or not all(map(_finite_positive, otimes)):
+            bad.append(
+                Diagnostic("BadOracle", "oracle.times must be a list of finite positive times")
+            )
         grid = oracle.get("grid", {})
         try:
             lo, hi, count = float(grid["lo"]), float(grid["hi"]), int(grid["count"])
@@ -305,10 +309,9 @@ def validate_config(raw: dict) -> list[Diagnostic]:
                 raise ValueError("need hi > lo and count ≥ 16")
         except (KeyError, TypeError, ValueError) as exc:
             bad.append(Diagnostic("BadOracle", f"oracle.grid invalid: {exc}"))
-        for key in ("dt", "grid_tol"):
-            val = oracle.get(key, 1e-3 if key == "dt" else GRID_TOL_DEFAULT)
-            if not isinstance(val, (int, float)) or not val > 0:
-                bad.append(Diagnostic("BadOracle", f"oracle.{key} must be positive"))
+        for key, default in (("dt", 1e-3), ("grid_tol", GRID_TOL_DEFAULT)):
+            if not _finite_positive(oracle.get(key, default)):
+                bad.append(Diagnostic("BadOracle", f"oracle.{key} must be finite and positive"))
 
     if not isinstance(raw.get("expect_horizon", False), bool):
         bad.append(Diagnostic("BadConfig", "expect_horizon must be a boolean"))

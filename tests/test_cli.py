@@ -86,6 +86,19 @@ def test_run_rejects_broken_config(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+@pytest.mark.parametrize("key", ["times", "dt", "grid_tol"])
+@pytest.mark.parametrize("value", [math.inf, True])
+def test_run_rejects_bad_oracle_numbers(tmp_path, capsys, key, value):
+    # the file holds `Infinity` or `true`, as a hand-written config would
+    raw = mini_config()
+    raw["oracle"][key] = [value] if key == "times" else value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "BadOracle" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_presets_list(capsys):
     assert main(["presets", "list"]) == 0
     out = capsys.readouterr().out

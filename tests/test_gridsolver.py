@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
+from hagedorn import gridsolver
 from hagedorn.errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -13,6 +15,7 @@ from hagedorn.errors import (
     UnsupportedDimension,
 )
 from hagedorn.gridsolver import (
+    _damping_matrix,
     discretize_hamiltonian,
     number_operator_check,
     propagate_grid,
@@ -143,6 +146,43 @@ def test_damping_leaves_resolved_window_alone():
     damped = propagate_grid(psi0, op, 0.1, grid_tol=1e-5).field
     plain = propagate_grid(psi0, op, 0.1, grid_tol=1e-5, stabilize=False).field
     assert np.max(np.abs(damped - plain)) < 1e-12
+
+
+def test_cayley_step_matches_lu_solve_reference():
+    # Crank–Nicolson as two triangular solves per step, independent of the
+    # cached Cayley matrix: one LU of Id + iτ/2 F, then lu_solve per step
+    op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
+    psi0 = packet([1], GRID_SMALL)
+    t, steps = 0.25, 500  # the fine run of dt = 1e-3
+    stepping = op.matrix - 1j * _damping_matrix(GRID_SMALL, 1.0)
+    ident = np.eye(GRID_SMALL.counts[0])
+    factor = 1j * (t / steps) / 2
+    lu = lu_factor(ident + factor * stepping)
+    explicit = ident - factor * stepping
+    psi = psi0
+    for _ in range(steps):
+        psi = lu_solve(lu, explicit @ psi)
+    res = propagate_grid(psi0, op, t, dt=1e-3, grid_tol=np.inf, max_halvings=0)
+    assert np.max(np.abs(res.field - psi)) / np.max(np.abs(psi)) < 1e-12
+
+
+def test_one_factorisation_per_step_size(monkeypatch):
+    calls = []
+
+    def counting_lu_factor(*args, **kwargs):
+        calls.append(1)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(gridsolver, "lu_factor", counting_lu_factor)
+    op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
+    for alpha in ([0], [1], [2]):
+        for t in (0.25, 0.5):
+            propagate_grid(packet(alpha, GRID_SMALL), op, t, dt=1e-3, grid_tol=np.inf)
+    # step sizes 1e-3 (coarse runs) and 5e-4 (fine runs) for every case
+    assert len(calls) == 2
+    fresh = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
+    propagate_grid(packet([0], GRID_SMALL), fresh, 0.25, dt=1e-3, grid_tol=np.inf)
+    assert len(calls) == 4
 
 
 # -- overlaps and the number operator ---------------------------------------------
