@@ -1,10 +1,10 @@
-"""Multivariate Appell-type polynomial recursion and coefficient algebra.
+"""Multivariate Appell-type polynomial recursion on dense coefficient arrays.
 
-Polynomials are stored sparsely as {multi-index tuple: complex coefficient}
-with no explicit zeros.  Multi-indices are plain tuples of non-negative
-integers.  The family r_α(x; M) is generated by
+A MultiPoly holds {multi-index tuple: complex coefficient} with no explicit
+zeros; the recursion and the substitution x → Ax run on dense arrays, where
+x_j shifts the coefficients one place along axis j.  r_α(x; M) is given by
 
-    r_{α+e_j} = x_j r_α − Σ_k M_{jk} α_k r_{α−e_k},    r_0 = 1,
+    r_{γ+e_j} = x_j r_γ − Σ_k M_{jk} γ_k r_{γ−e_k},    r_0 = 1,
 
 for a symmetric matrix M; its members satisfy ∂_j r_α = α_j r_{α−e_j}
 exactly at coefficient level, and contain only the degrees |α|, |α|−2, ….
@@ -14,26 +14,49 @@ polynomials.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AsymmetricM, DimensionMismatch
 
-COEFF_TOL = 0.0  # coefficients are exact rational combinations; drop only true zeros
+ALPHA_MAX = 32  # cap on |α| for every multi-index the package accepts
 
 
 def validate_multi_index(alpha, n: int | None = None) -> tuple[int, ...]:
-    """Coerce alpha to a tuple of non-negative ints, checking the mode count."""
+    """Return alpha as n non-negative ints with |α| ≤ ALPHA_MAX; bools and
+    non-integral values raise DimensionMismatch instead of being truncated."""
     try:
-        idx = tuple(int(a) for a in alpha)
+        idx = tuple(alpha)
     except TypeError:
-        idx = (int(alpha),)
-    if any(a < 0 for a in idx):
+        idx = (alpha,)
+    if not all(type(a) is int for a in idx):
+        try:
+            exact = tuple(int(a) for a in idx)
+        except (TypeError, ValueError, OverflowError):
+            exact = None
+        if exact != idx or any(isinstance(a, (bool, np.bool_)) for a in idx):
+            raise DimensionMismatch(f"multi-index entries must be integers, got {idx!r}")
+        idx = exact
+    if idx and min(idx) < 0:
         raise DimensionMismatch(f"multi-index must be non-negative, got {idx}")
     if n is not None and len(idx) != n:
         raise DimensionMismatch(f"multi-index {idx} does not have {n} components")
+    if sum(idx) > ALPHA_MAX:
+        raise DimensionMismatch(f"|alpha| exceeds the cap {ALPHA_MAX}")
     return idx
+
+
+@functools.cache
+def _shift(j: int, n: int) -> tuple[tuple, tuple]:
+    """Index pair (target, source) multiplying trailing-n-axis coefficients by x_j."""
+    target = [slice(None)] * n
+    source = [slice(None)] * n
+    target[j] = slice(1, None)
+    source[j] = slice(None, -1)
+    return (Ellipsis, *target), (Ellipsis, *source)
 
 
 @dataclass(frozen=True)
@@ -51,6 +74,13 @@ class MultiPoly:
             if value != 0:
                 clean[key] = clean.get(key, 0) + value
         object.__setattr__(self, "coeffs", clean)
+
+    @classmethod
+    def from_dense(cls, array: np.ndarray) -> "MultiPoly":
+        """Polynomial whose coefficient of x^k is array[k]."""
+        nonzero = np.nonzero(array)
+        keys = zip(*(axis.tolist() for axis in nonzero))
+        return cls(array.ndim, dict(zip(keys, array[nonzero].tolist())))
 
     @property
     def degree(self) -> int:
@@ -88,55 +118,43 @@ class MultiPoly:
             out[tuple(new)] = out.get(tuple(new), 0) + value * key[j]
         return MultiPoly(self.n, out)
 
-    def multiply(self, other: "MultiPoly") -> "MultiPoly":
-        if other.n != self.n:
-            raise DimensionMismatch("cannot multiply polynomials in different variables")
-        out: dict = {}
-        for ka, va in self.coeffs.items():
-            for kb, vb in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(ka, kb))
-                out[key] = out.get(key, 0) + va * vb
-        return MultiPoly(self.n, out)
-
-    def scale(self, factor: complex) -> "MultiPoly":
-        return MultiPoly(self.n, {k: v * factor for k, v in self.coeffs.items()})
-
-    def add(self, other: "MultiPoly") -> "MultiPoly":
-        if other.n != self.n:
-            raise DimensionMismatch("cannot add polynomials in different variables")
-        out = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            out[key] = out.get(key, 0) + value
-        return MultiPoly(self.n, out)
-
     def compose_linear(self, A: np.ndarray) -> "MultiPoly":
-        """Return p(Ax) for a square matrix A (same variable count)."""
+        """Return p(Ax) for a square matrix A (same variable count) by nested Horner
+        in y = Ax, last variable first, on dense arrays; y_i·acc is n shifts of acc."""
+        n = self.n
         A = np.asarray(A, dtype=complex)
-        if A.shape != (self.n, self.n):
-            raise DimensionMismatch(f"linear map must be {self.n}×{self.n}")
-        # images of the variables: y_i = Σ_j A_ij x_j
-        images = [
-            MultiPoly(self.n, {tuple(int(i == j) for i in range(self.n)): A[row, j]
-                                for j in range(self.n)})
-            for row in range(self.n)
-        ]
-        out = MultiPoly(self.n, {})
-        one = MultiPoly(self.n, {(0,) * self.n: 1.0})
+        if A.shape != (n, n):
+            raise DimensionMismatch(f"linear map must be {n}×{n}")
+        dense = np.zeros(np.max([*self.coeffs, (0,) * n], axis=0) + 1, dtype=complex)
         for key, value in self.coeffs.items():
-            term = one.scale(value)
-            for j, power in enumerate(key):
-                for _ in range(power):
-                    term = term.multiply(images[j])
-            out = out.add(term)
-        return out
+            dense[key] = value
+        shifts = [_shift(j, n) for j in range(n)]
+        top = self.degree + 1  # no partial sum exceeds the degree: higher x-powers stay 0
+        block = dense.reshape(dense.shape + (1,) * n)  # y-exponents + x-coefficients
+        for i in reversed(range(n)):
+            if dense.shape[i] == 1:
+                block = block[(slice(None),) * i + (0,)]
+                continue
+            size = min(block.shape[-1] + dense.shape[i] - 1, top)
+            acc = np.zeros(dense.shape[:i] + (size,) * n, dtype=complex)
+            old = (Ellipsis,) + (slice(block.shape[-1]),) * n
+            for k in reversed(range(dense.shape[i])):  # acc ← y_i·acc + p_k
+                if k < dense.shape[i] - 1:
+                    product = np.zeros_like(acc)
+                    for a, (target, source) in zip(A[i], shifts):
+                        product[target] += a * acc[source]
+                    acc = product
+                acc[old] += block[(slice(None),) * i + (k,)]
+            block = acc
+        return MultiPoly.from_dense(block)
 
 
 def poly_recursion(M: np.ndarray, alpha) -> MultiPoly:
     """r_α(x; M) with unit leading coefficient on x^α.
 
-    Built by graded induction over the box {γ : γ ≤ α componentwise}; the
-    recursion is step-order independent (the gradient identity guarantees
-    consistency), so the first nonzero component is stepped each time.
+    r_γ has degree ≤ γ_j in x_j, so table[γ], γ ≤ α, holds it in shape α+1.
+    Lexicographic order fills each γ − e_k before γ; the first nonzero
+    component is stepped (the gradient identity makes the order irrelevant).
     """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     n = M.shape[0]
@@ -147,33 +165,21 @@ def poly_recursion(M: np.ndarray, alpha) -> MultiPoly:
     M = 0.5 * (M + M.T)
     alpha = validate_multi_index(alpha, n)
 
-    table: dict[tuple[int, ...], MultiPoly] = {}
-    zero = (0,) * n
-    table[zero] = MultiPoly(n, {zero: 1.0})
-
-    def unit(j):
-        return tuple(int(i == j) for i in range(n))
-
-    # graded-lex enumeration of the box below alpha
-    box = [()]
-    for a in alpha:
-        box = [prefix + (c,) for prefix in box for c in range(a + 1)]
-    box.sort(key=lambda g: (sum(g), g))
-    for gamma in box:
-        if gamma == zero:
-            continue
-        j = next(i for i, g in enumerate(gamma) if g > 0)
-        prev = tuple(g - int(i == j) for i, g in enumerate(gamma))
-        base = table[prev]
-        xj = MultiPoly(n, {unit(j): 1.0})
-        result = xj.multiply(base)
-        for k in range(n):
+    shape = tuple(a + 1 for a in alpha)
+    table = np.zeros(shape + shape, dtype=complex)
+    table[(0,) * (2 * n)] = 1.0
+    for gamma in list(itertools.product(*map(range, shape)))[1:]:
+        j = next(i for i, g in enumerate(gamma) if g)
+        prev = gamma[:j] + (gamma[j] - 1,) + gamma[j + 1 :]
+        result = table[gamma]
+        target, source = _shift(j, n)
+        result[target] = table[prev][source]
+        for k in range(j, n):  # prev has no nonzero component before j
             if prev[k] == 0 or M[j, k] == 0:
                 continue
-            lower = tuple(g - int(i == k) for i, g in enumerate(prev))
-            result = result.add(table[lower].scale(-M[j, k] * prev[k]))
-        table[gamma] = result
-    return table[alpha]
+            lower = prev[:k] + (prev[k] - 1,) + prev[k + 1 :]
+            result -= M[j, k] * prev[k] * table[lower]
+    return MultiPoly.from_dense(table[alpha])
 
 
 def poly_gradient(p: MultiPoly, alpha=None):

@@ -57,7 +57,7 @@ from .symplectic import (
     omega,
     siegel_matrix,
 )
-from .wavepackets import ALPHA_MAX, Grid, WavepacketParams, eval_ground
+from .wavepackets import Grid, WavepacketParams, eval_ground
 
 ODE_TOL = 1e-10
 
@@ -535,15 +535,13 @@ def hagedorn_coefficients(state: PropagatedState, alpha) -> HagedornExpansion:
     """
     n = state.Z.n
     alpha = validate_multi_index(alpha, n)
-    if sum(alpha) > ALPHA_MAX:
-        raise DimensionMismatch(f"|alpha| exceeds the cap {ALPHA_MAX}")
     poly = poly_recursion(state.M, alpha)
     composed = poly.compose_linear(state.N)
     fact_alpha = math.sqrt(math.prod(math.factorial(a) for a in alpha))
-    coeffs = {}
-    for k, c in composed.coeffs.items():
-        fact_k = math.sqrt(math.prod(math.factorial(x) for x in k))
-        coeffs[k] = c * fact_k / fact_alpha
+    coeffs = {
+        k: c * math.sqrt(math.prod(math.factorial(x) for x in k)) / fact_alpha
+        for k, c in composed.coeffs.items()
+    }
     return HagedornExpansion(coefficients=coeffs, log_prefactor=state.log_prefactor)
 
 
@@ -556,8 +554,6 @@ def evolved_state_on_grid(state: PropagatedState, alpha, eps: float, grid: Grid)
     """
     n = state.Z.n
     alpha = validate_multi_index(alpha, n)
-    if sum(alpha) > ALPHA_MAX:
-        raise DimensionMismatch(f"|alpha| exceeds the cap {ALPHA_MAX}")
     params = WavepacketParams(
         frame=state.Z,
         center=state.z,

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OutsideHorizon
+from .polynomials import ALPHA_MAX
 from .symplectic import (
     LagrangianFrame,
     NormalisedFrame,
@@ -31,7 +32,6 @@ from .symplectic import (
     metric_and_structure,
     omega,
 )
-from .wavepackets import ALPHA_MAX
 
 L0 = np.array([1.0, -1.0j])
 

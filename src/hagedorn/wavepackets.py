@@ -23,10 +23,8 @@ from .errors import (
     NonDecayingGaussian,
     SingularC,
 )
-from .polynomials import MultiPoly, poly_recursion, validate_multi_index
+from .polynomials import poly_recursion, validate_multi_index
 from .symplectic import COND_MAX, NormalisedFrame, omega, siegel_matrix
-
-ALPHA_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -161,8 +159,6 @@ def eval_excited(params: WavepacketParams, alpha, grid: Grid) -> np.ndarray:
     """Sample φ_α = p_α(√(2/ε) Q⁻¹(x−q); Q⁻¹Q̄) φ₀ / √α!."""
     n = params.n
     alpha = validate_multi_index(alpha, n)
-    if sum(alpha) > ALPHA_MAX:
-        raise DimensionMismatch(f"|alpha| exceeds the cap {ALPHA_MAX}")
     ground = eval_ground(params, grid)
     if sum(alpha) == 0:
         return ground
@@ -253,8 +249,6 @@ def expansion_overlap(Z: NormalisedFrame, C: np.ndarray, alpha, beta) -> complex
         raise SingularC("C is singular")
     alpha = validate_multi_index(alpha, n)
     beta = validate_multi_index(beta, n)
-    if sum(alpha) > ALPHA_MAX or sum(beta) > ALPHA_MAX:
-        raise DimensionMismatch(f"|alpha|, |beta| exceed the cap {ALPHA_MAX}")
     if sum(alpha) != sum(beta):
         return 0j
     total = 0j

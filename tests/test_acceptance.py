@@ -260,11 +260,11 @@ def test_criterion_6_algebraic_properties():
         grads = poly_gradient(p, alpha=alpha)
         scale = max(abs(c) for c in p.coeffs.values())
         for j in range(n):
-            expected = poly_recursion(M, tuple(
+            lower = poly_recursion(M, tuple(
                 a - 1 if i == j else a for i, a in enumerate(alpha)
-            )).scale(alpha[j])
-            diff = grads[j].add(expected.scale(-1.0))
-            gap = max((abs(c) for c in diff.coeffs.values()), default=0.0)
+            ))
+            keys = set(grads[j].coeffs) | set(lower.coeffs)
+            gap = max((abs(grads[j][k] - alpha[j] * lower[k]) for k in keys), default=0.0)
             worst_grad = max(worst_grad, gap / scale)
     assert worst_grad <= 1e-12
 

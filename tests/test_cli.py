@@ -99,6 +99,19 @@ def test_run_rejects_bad_oracle_numbers(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("alpha", [[1.7], [True], [40]])
+def test_run_rejects_bad_alpha(tmp_path, capsys, alpha):
+    # truncating 1.7 or true to an int, or failing on |α| = 40 only after
+    # trajectory.csv is written, would both hide the bad entry
+    raw = copy.deepcopy(PRESETS["hermitian-sanity"])
+    raw["alphas"] = [alpha]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "BadAlpha" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_presets_list(capsys):
     assert main(["presets", "list"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Recursion polynomials: monomial limits, Hermite values, gradient identity."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from hagedorn.errors import AsymmetricM, DimensionMismatch
 from hagedorn.polynomials import (
+    ALPHA_MAX,
     MultiPoly,
     poly_gradient,
     poly_recursion,
@@ -27,6 +30,20 @@ def test_validate_multi_index():
         validate_multi_index((-1,))
     with pytest.raises(DimensionMismatch):
         validate_multi_index((1, 2), n=3)
+    # integral values of any integer type pass; nothing is truncated
+    assert validate_multi_index(np.array([2, 1], dtype=np.int64)) == (2, 1)
+    assert validate_multi_index([np.int32(3)], n=1) == (3,)
+    assert validate_multi_index([2.0]) == (2,)
+    assert all(type(a) is int for a in validate_multi_index(np.arange(3)))
+    for bad in ([1.7], [True], True, [np.bool_(True)], ["3"], [math.nan], [math.inf], [1j]):
+        with pytest.raises(DimensionMismatch):
+            validate_multi_index(bad)
+    # one |α| cap for every caller
+    assert validate_multi_index((ALPHA_MAX - 1, 1)) == (ALPHA_MAX - 1, 1)
+    with pytest.raises(DimensionMismatch):
+        validate_multi_index((ALPHA_MAX, 1))
+    with pytest.raises(DimensionMismatch):
+        validate_multi_index([40], n=1)
 
 
 def test_multipoly_canonical_form():
@@ -38,10 +55,9 @@ def test_multipoly_canonical_form():
 
 
 def test_multipoly_arithmetic():
-    x = MultiPoly(1, {(1,): 1.0})
-    one = MultiPoly(1, {(0,): 1.0})
-    p = x.multiply(x).add(one.scale(-1.0))  # x² − 1
-    assert p[(2,)] == 1.0 and p[(0,)] == -1.0
+    p = MultiPoly.from_dense(np.array([-1.0, 0.0, 1.0]))  # x² − 1
+    assert p.coeffs == {(2,): 1.0, (0,): -1.0}
+    assert MultiPoly(1, {(2,): 1.0, (0,): -1.0, (1,): 0.0}).coeffs == p.coeffs
     assert p.differentiate(0).coeffs == {(1,): 2.0}
     pts = np.array([[0.5], [2.0], [-1.0]])
     assert np.allclose(p.evaluate(pts), [-0.75, 3.0, 0.0])
@@ -84,7 +100,7 @@ def test_gradient_hermite_example():
     r3 = poly_recursion(np.eye(1), (3,))
     r2 = poly_recursion(np.eye(1), (2,))
     (grad,) = poly_gradient(r3, alpha=(3,))
-    assert grad.coeffs == r2.scale(3.0).coeffs
+    assert grad.coeffs == {k: 3.0 * v for k, v in r2.coeffs.items()}
 
 
 @given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]))
@@ -102,10 +118,10 @@ def test_gradient_identity_random(seed, n):
             assert grads[j].coeffs == {}
             continue
         lower = tuple(a - int(i == j) for i, a in enumerate(alpha))
-        expected = poly_recursion(M, lower).scale(alpha[j])
+        expected = poly_recursion(M, lower)
         keys = set(grads[j].coeffs) | set(expected.coeffs)
         for key in keys:
-            assert abs(grads[j][key] - expected[key]) < 1e-12 * max(1.0, scale)
+            assert abs(grads[j][key] - alpha[j] * expected[key]) < 1e-12 * max(1.0, scale)
 
 
 @given(st.integers(0, 10_000), st.sampled_from([1, 2]))
@@ -122,10 +138,11 @@ def test_degree_parity_structure(seed, n):
         assert (sum(alpha) - sum(key)) % 2 == 0
 
 
-@given(st.integers(0, 10_000), st.sampled_from([1, 2]))
-def test_compose_linear_matches_pointwise(seed, n):
+@given(st.integers(0, 10_000), st.sampled_from([1, 2, 3, 4]), st.integers(0, 8))
+def test_compose_linear_matches_pointwise(seed, n, order):
     rng = np.random.default_rng(seed)
-    p = poly_recursion(random_symmetric(rng, n), (2,) * n)
+    alpha = tuple(int(a) for a in rng.multinomial(order, [1 / n] * n))
+    p = poly_recursion(random_symmetric(rng, n), alpha)
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     composed = p.compose_linear(A)
     pts = rng.standard_normal((7, n))

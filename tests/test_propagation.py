@@ -418,6 +418,28 @@ def test_evolved_grid_norm_and_expansion_consistency(ds_quarter_state):
     assert np.max(np.abs(acc - field)) < 1e-8
 
 
+def test_evolved_grid_matches_expansion_mode_mixed_2d():
+    # non-Hermitian H that couples both modes, so M_t and N_t are full and the
+    # coefficients mix the two indices; the prefactor route never composes
+    H = QuadraticHamiltonian.constant(seeded_matrix(2, 2))
+    center = np.array([0.3, -0.2, 0.1, 0.4])
+    state = propagate(standard_frame(2), center, H, np.array([0.0, 2.5]))[-1]
+    for coupling in (state.M, state.N, state.N - state.N.T):
+        assert np.max(np.abs(coupling - np.diag(np.diag(coupling)))) > 0.3
+    grid = Grid(bounds=[(-8.0, 8.0), (-8.0, 8.0)], counts=[96, 96])
+    basis = WavepacketParams(
+        frame=state.Z, center=state.z, eps=1.0, phase=state.log_prefactor,
+        log_det_q=state.logdetQ,
+    )
+    worst = 0.0
+    for alpha in [(a, order - a) for order in range(5) for a in range(order + 1)]:
+        field = evolved_state_on_grid(state, alpha, 1.0, grid)
+        exp = hagedorn_coefficients(state, alpha)
+        acc = sum(a * eval_excited(basis, list(k), grid) for k, a in exp.coefficients.items())
+        worst = max(worst, np.max(np.abs(acc - field)) / np.max(np.abs(field)))
+    assert worst < 1e-10
+
+
 # -- ladder recombination ---------------------------------------------------------
 
 
