@@ -1,7 +1,7 @@
 """Scenario runner: JSON config in, CSV/JSON artifacts out.
 
 A scenario propagates one wavepacket family under a quadratic Hamiltonian and
-writes four kinds of artifact into the output directory:
+writes these artifacts into the output directory:
 
   trajectory.csv        t, beta, norm_predicted, re_action, im_action, p, q,
                         det_defect_symplectic, min_eig_positivity
@@ -22,6 +22,7 @@ identical configs produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -43,12 +44,7 @@ from .propagation import (
     propagate,
 )
 from .swanson import SwansonParams, ds_norm, ds_positivity_time
-from .symplectic import (
-    TOL_FRAME,
-    LagrangianFrame,
-    NormalisedFrame,
-    frame_from_metric,
-)
+from .symplectic import LagrangianFrame, NormalisedFrame, frame_from_metric
 from .wavepackets import Grid, WavepacketParams, eval_excited, grid_inner, grid_norm
 
 FIDELITY_TOL = 1e-5
@@ -69,67 +65,87 @@ class Diagnostic:
 
 # ---------------------------------------------------------------------------
 # config parsing
+#
+# One parse builds every ScenarioConfig field once.  Each scalar goes through
+# one of the typed readers below, which raise ValueError naming what they got;
+# _Findings turns every failure into a Diagnostic and carries on, so a config
+# reports all its faults at once.
+
+_KEYS = frozenset(
+    "name eps ode_tol swanson hamiltonian initial center times alphas oracle expect_horizon out_dir"
+    .split()
+)
+_ORACLE_KEYS = frozenset("enabled times grid dt grid_tol".split())
+_NOT_AN_OBJECT = Diagnostic("BadConfig", "config root must be a JSON object")
+# what malformed JSON raises in a reader; OverflowError is a 400-digit integer
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError, OverflowError)
 
 
-def _as_complex(entry):
-    if isinstance(entry, bool):
-        raise ValueError("boolean is not a number")
-    if isinstance(entry, (int, float)):
-        return complex(entry)
+def _real(val) -> float:
+    """A JSON number (not a bool) that is finite."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+        raise ValueError(f"expected a finite number, got {val!r}")
+    return float(val)
+
+
+def _positive(val) -> float:
+    """A JSON number (not a bool) that is finite and > 0."""
+    if not _real(val) > 0:
+        raise ValueError(f"expected a positive number, got {val!r}")
+    return float(val)
+
+
+def _count(val) -> int:
+    """An integral JSON number (not a bool); 5.0 reads as 5, 5.7 is rejected."""
+    if isinstance(val, float) and val.is_integer():
+        val = int(val)
+    if type(val) is not int:
+        raise ValueError(f"expected an integer, got {val!r}")
+    return val
+
+
+def _flag(val) -> bool:
+    if not isinstance(val, bool):
+        raise ValueError(f"expected true or false, got {val!r}")
+    return val
+
+
+def _text(val) -> str:
+    if not isinstance(val, str):
+        raise ValueError(f"expected a string, got {val!r}")
+    return val
+
+
+def _list(val, item) -> tuple:
+    """A non-empty JSON list, each entry read by `item`."""
+    if not isinstance(val, list) or not val:
+        raise ValueError(f"expected a non-empty list, got {val!r}")
+    return tuple(item(v) for v in val)
+
+
+def _complex(entry) -> complex:
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        re, im = entry
-        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
-            return complex(re, im)
-    raise ValueError(f"expected a number or [re, im] pair, got {entry!r}")
+        return complex(_real(entry[0]), _real(entry[1]))
+    return complex(_real(entry))
 
 
-def _as_matrix(rows):
-    return np.array([[_as_complex(e) for e in row] for row in rows], dtype=complex)
+def _matrix(rows, entry) -> np.ndarray:
+    return np.array([[entry(e) for e in row] for row in rows])
 
 
-def _swanson_matrix_entries(omega0: float, delta: float):
-    return [
-        [[omega0, 0.0], [0.0, -delta]],
-        [[0.0, -delta], [omega0, 0.0]],
-    ]
+def _swanson(block) -> SwansonParams:
+    return SwansonParams(_positive(block["omega0"]), _positive(block["delta"]))
 
 
-def _infer_n(raw: dict):
-    ham = raw.get("hamiltonian")
-    if isinstance(ham, dict):
-        mat = None
-        if ham.get("type", "constant") == "constant":
-            mat = ham.get("matrix")
-        elif ham.get("type") == "sampled":
-            mats = ham.get("matrices")
-            mat = mats[0] if isinstance(mats, list) and mats else None
-        elif ham.get("type") == "polynomial":
-            coeffs = ham.get("coefficients")
-            mat = coeffs[0] if isinstance(coeffs, list) and coeffs else None
-        if isinstance(mat, list) and len(mat) % 2 == 0 and mat:
-            return len(mat) // 2
-    initial = raw.get("initial")
-    if isinstance(initial, dict):
-        if isinstance(initial.get("entries"), list) and len(initial["entries"]) % 2 == 0:
-            return len(initial["entries"]) // 2
-        if isinstance(initial.get("metric"), list) and len(initial["metric"]) % 2 == 0:
-            return len(initial["metric"]) // 2
-    if "swanson" in raw:
-        return 1
-    return None
-
-
-def _build_hamiltonian(ham: dict, n: int) -> QuadraticHamiltonian:
-    kind = ham.get("type", "constant")
+def _hamiltonian(block: dict) -> QuadraticHamiltonian:
+    kind = block.get("type", "constant")
     if kind == "constant":
-        return QuadraticHamiltonian.constant(_as_matrix(ham["matrix"]))
+        return QuadraticHamiltonian.constant(_matrix(block["matrix"], _complex))
     if kind == "sampled":
-        times = np.asarray(ham["times"], dtype=float)
-        matrices = [_as_matrix(m) for m in ham["matrices"]]
-        return QuadraticHamiltonian.sampled(times, matrices)
+        matrices = [_matrix(m, _complex) for m in block["matrices"]]
+        return QuadraticHamiltonian.sampled(_list(block["times"], _real), matrices)
     if kind == "polynomial":
-        coefficients = [_as_matrix(m) for m in ham["coefficients"]]
-        return QuadraticHamiltonian.polynomial(coefficients)
+        return QuadraticHamiltonian.polynomial([_matrix(m, _complex) for m in block["coefficients"]])
     raise ValueError(f"unknown hamiltonian type {kind!r}")
 
 
@@ -139,227 +155,387 @@ def standard_frame(n: int) -> NormalisedFrame:
     return NormalisedFrame(LagrangianFrame(np.vstack([1j * ident, ident])))
 
 
-def _build_frame(initial, n: int) -> NormalisedFrame:
+def _frame(initial, n: int | None) -> NormalisedFrame | None:
+    """The initial frame; None for the standard one when n is unknown."""
     if initial is None or initial == "standard":
-        return standard_frame(n)
+        return standard_frame(n) if n is not None else None
     if isinstance(initial, dict) and "metric" in initial:
-        return frame_from_metric(np.array(initial["metric"], dtype=float))
-    if isinstance(initial, dict) and "entries" in initial:
-        return NormalisedFrame(LagrangianFrame(_as_matrix(initial["entries"])))
-    raise ValueError("initial must be \"standard\", {\"metric\": ...}, or {\"entries\": ...}")
+        frame = frame_from_metric(_matrix(initial["metric"], _real))
+    elif isinstance(initial, dict) and "entries" in initial:
+        frame = NormalisedFrame(LagrangianFrame(_matrix(initial["entries"], _complex)))
+    else:
+        raise ValueError('expected "standard", {"metric": ...}, or {"entries": ...}')
+    if n is not None and frame.n != n:
+        raise ValueError(f"frame has n = {frame.n} but the hamiltonian has n = {n}")
+    return frame
 
 
-def _build_times(times) -> np.ndarray:
-    if isinstance(times, dict):
-        start = float(times["start"])
-        stop = float(times["stop"])
-        count = int(times["count"])
+def _center(val, n: int | None) -> np.ndarray:
+    center = np.array(_list(val, _real))
+    if n is not None and len(center) != 2 * n:
+        raise ValueError(f"expected 2n = {2 * n} reals, got {len(center)}")
+    return center
+
+
+def _times(block) -> np.ndarray:
+    if isinstance(block, dict):
+        start, stop, count = _real(block["start"]), _real(block["stop"]), _count(block["count"])
         if count < 2 or not stop > start:
             raise ValueError("need stop > start and count ≥ 2")
-        return np.linspace(start, stop, count)
-    out = np.asarray(times, dtype=float)
-    if out.ndim != 1 or out.size == 0 or np.any(np.diff(out) <= 0):
-        raise ValueError("times must be strictly increasing")
-    return out
+        times = np.linspace(start, stop, count)
+    else:
+        times = np.array(_list(block, _real))
+        if np.any(np.diff(times) <= 0):
+            raise ValueError("times must be strictly increasing")
+    if times[0] < 0:
+        raise ValueError("times must start at t ≥ 0")
+    return times
+
+
+def _oracle_times(val) -> tuple:
+    return tuple(sorted(set(_list(val, _positive))))
+
+
+def _grid(block) -> Grid:
+    lo, hi, count = _real(block["lo"]), _real(block["hi"]), _count(block["count"])
+    if count < 16:
+        raise ValueError(f"need count ≥ 16, got {count}")
+    return Grid(bounds=((lo, hi),), counts=(count,))
+
+
+class _Findings(list):
+    """The diagnostics of one parse."""
+
+    def add(self, code: str, message: str) -> None:
+        self.append(Diagnostic(code, message))
+
+    def read(self, code: str, what: str, reader, *args):
+        """reader(*args), or None after recording a `code` diagnostic."""
+        try:
+            return reader(*args)
+        except (HagedornError, *_MALFORMED) as exc:
+            self.add(code, f"{what}: {exc}")
+            return None
+
+    def unknown_keys(self, block: dict, known, prefix: str = "") -> None:
+        for key in sorted(map(str, set(block) - known)):
+            self.add("BadConfig", f"unknown key '{prefix}{key}'")
+
+
+@dataclass(frozen=True)
+class OracleConfig:
+    """The grid oracle's output times, 1-D grid and base step."""
+
+    times: tuple
+    grid: Grid
+    dt: float
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A validated, fully resolved scenario."""
+    """A validated, fully resolved scenario; `oracle` is None when it is off.
+
+    `grid_tol` sits outside `oracle` because the manifest reports it either way.
+    """
 
     name: str
-    n: int
     eps: float
     ode_tol: float
-    tol_frame: float
+    grid_tol: float
     hamiltonian: QuadraticHamiltonian
     frame: NormalisedFrame
     center: np.ndarray
     times: np.ndarray
     alphas: tuple
-    oracle_enabled: bool
-    oracle_times: tuple
-    oracle_grid: Grid | None
-    oracle_dt: float
-    oracle_grid_tol: float
+    oracle: OracleConfig | None
     swanson: SwansonParams | None
     expect_horizon: bool
     out_dir: str | None
     raw: dict
 
+    @property
+    def n(self) -> int:
+        return self.hamiltonian.n
 
-def _finite_positive(val) -> bool:
-    """A JSON number (not a bool) that is finite and > 0."""
-    return (
-        isinstance(val, (int, float))
-        and not isinstance(val, bool)
-        and math.isfinite(val)
-        and val > 0
+
+def _parse_config(raw) -> tuple[ScenarioConfig | None, list[Diagnostic]]:
+    """The config and no diagnostics, or None and every diagnostic found."""
+    if not isinstance(raw, dict):
+        return None, [_NOT_AN_OBJECT]
+    bad = _Findings()
+    bad.unknown_keys(raw, _KEYS)
+    name = bad.read("BadConfig", "name", _text, raw.get("name", "scenario"))
+    out_dir = raw.get("out_dir")
+    if out_dir is not None:
+        out_dir = bad.read("BadConfig", "out_dir", _text, out_dir)
+    eps = bad.read("BadEps", "eps", _positive, raw.get("eps", 1.0))
+    ode_tol = bad.read("BadTolerance", "ode_tol", _positive, raw.get("ode_tol", ODE_TOL))
+    expect_horizon = bad.read(
+        "BadConfig", "expect_horizon", _flag, raw.get("expect_horizon", False)
     )
+
+    swanson = None
+    if raw.get("swanson") is not None:
+        swanson = bad.read("BadSwanson", "swanson", _swanson, raw["swanson"])
+
+    hamiltonian = None
+    block = raw.get("hamiltonian")
+    if block is None and swanson is not None:
+        hamiltonian = QuadraticHamiltonian.constant(swanson.matrix())
+    elif block is None:
+        bad.add("MissingHamiltonian", "no hamiltonian block")
+    elif not isinstance(block, dict):
+        bad.add("BadHamiltonian", "hamiltonian must be an object")
+    else:
+        try:
+            hamiltonian = _hamiltonian(block)
+        except HagedornError as exc:
+            bad.add(type(exc).__name__, f"hamiltonian rejected: {exc}")
+        except _MALFORMED as exc:
+            bad.add("BadHamiltonian", f"hamiltonian block invalid: {exc}")
+    n = hamiltonian.n if hamiltonian is not None else None
+    if swanson is not None and hamiltonian is not None and hamiltonian.is_constant:
+        if n != 1 or not np.allclose(hamiltonian(0.0), swanson.matrix(), rtol=0.0, atol=1e-12):
+            bad.add("SwansonMismatch", "swanson block does not match the hamiltonian matrix")
+
+    frame = bad.read("BadFrame", "initial", _frame, raw.get("initial"), n)
+    center = None
+    if "center" in raw:
+        center = bad.read("BadCenter", "center", _center, raw["center"], n)
+    elif n is not None:
+        center = np.zeros(2 * n)
+    times = bad.read("BadTimeGrid", "times", _times, raw.get("times"))
+    alphas = None
+    if "alphas" in raw:
+        alpha = functools.partial(validate_multi_index, n=n)
+        alphas = bad.read("BadAlpha", "alphas", _list, raw["alphas"], alpha)
+    elif n is not None:
+        alphas = ((0,) * n,)
+
+    block = raw.get("oracle") or {}
+    grid_tol, oracle = None, None
+    if not isinstance(block, dict):
+        bad.add("BadOracle", "oracle must be an object")
+    else:
+        bad.unknown_keys(block, _ORACLE_KEYS, "oracle.")
+        grid_tol = bad.read(
+            "BadOracle", "oracle.grid_tol", _positive, block.get("grid_tol", GRID_TOL_DEFAULT)
+        )
+        if bad.read("BadOracle", "oracle.enabled", _flag, block.get("enabled", False)):
+            if n is not None and n != 1:
+                bad.add("BadOracle", "the grid oracle supports n = 1 only")
+            if hamiltonian is not None and not hamiltonian.is_constant:
+                bad.add("BadOracle", "the grid oracle supports constant H only")
+            oracle = OracleConfig(
+                times=bad.read("BadOracle", "oracle.times", _oracle_times, block.get("times")),
+                grid=bad.read("BadOracle", "oracle.grid", _grid, block.get("grid", {})),
+                dt=bad.read("BadOracle", "oracle.dt", _positive, block.get("dt", 1e-3)),
+            )
+
+    if bad:
+        return None, list(bad)
+    config = ScenarioConfig(
+        name=name, eps=eps, ode_tol=ode_tol, grid_tol=grid_tol, hamiltonian=hamiltonian,
+        frame=frame, center=center, times=times, alphas=alphas, oracle=oracle, swanson=swanson,
+        expect_horizon=expect_horizon, out_dir=out_dir, raw=raw,
+    )
+    return config, []
 
 
 def validate_config(raw: dict) -> list[Diagnostic]:
     """All schema diagnostics for a raw config dict; empty iff runnable."""
-    bad: list[Diagnostic] = []
-    if not isinstance(raw, dict):
-        return [Diagnostic("BadConfig", "config root must be a JSON object")]
-
-    if not _finite_positive(raw.get("eps", 1.0)):
-        bad.append(Diagnostic("BadEps", "eps must be a finite positive number"))
-
-    for key, default in (("ode_tol", ODE_TOL), ("tol_frame", TOL_FRAME)):
-        if not _finite_positive(raw.get(key, default)):
-            bad.append(Diagnostic("BadTolerance", f"{key} must be a finite positive number"))
-
-    swanson = raw.get("swanson")
-    sw_params = None
-    if swanson is not None:
-        try:
-            sw_params = SwansonParams(float(swanson["omega0"]), float(swanson["delta"]))
-        except (HagedornError, KeyError, TypeError, ValueError) as exc:
-            bad.append(Diagnostic("BadSwanson", f"swanson block invalid: {exc}"))
-
-    n = _infer_n(raw)
-    if n is None:
-        bad.append(Diagnostic("MissingHamiltonian", "cannot infer dimension: give a hamiltonian"))
-        return bad
-
-    ham_raw = raw.get("hamiltonian")
-    if ham_raw is None and sw_params is not None:
-        ham_raw = {
-            "type": "constant",
-            "matrix": _swanson_matrix_entries(sw_params.omega0, sw_params.delta),
-        }
-    hamiltonian = None
-    if ham_raw is None:
-        bad.append(Diagnostic("MissingHamiltonian", "no hamiltonian block"))
-    else:
-        try:
-            hamiltonian = _build_hamiltonian(ham_raw, n)
-            if hamiltonian.n != n:
-                bad.append(Diagnostic("BadHamiltonian", "coefficient matrix is not 2n×2n"))
-        except HagedornError as exc:
-            code = type(exc).__name__
-            bad.append(Diagnostic(code, f"hamiltonian rejected: {exc}"))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            bad.append(Diagnostic("BadHamiltonian", f"hamiltonian block invalid: {exc}"))
-
-    if sw_params is not None and hamiltonian is not None and hamiltonian.is_constant:
-        expected = sw_params.matrix()
-        if hamiltonian.n != 1 or not np.allclose(
-            hamiltonian(0.0), expected, rtol=0.0, atol=1e-12
-        ):
-            bad.append(
-                Diagnostic(
-                    "SwansonMismatch",
-                    "swanson block does not match the hamiltonian matrix",
-                )
-            )
-
-    try:
-        _build_frame(raw.get("initial"), n)
-    except HagedornError as exc:
-        bad.append(Diagnostic("BadFrame", f"initial frame rejected: {exc}"))
-    except (TypeError, ValueError, IndexError) as exc:
-        bad.append(Diagnostic("BadFrame", f"initial block invalid: {exc}"))
-
-    center = raw.get("center", [0.0] * (2 * n))
-    if (
-        not isinstance(center, list)
-        or len(center) != 2 * n
-        or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in center)
-    ):
-        bad.append(Diagnostic("BadCenter", f"center must be a list of 2n = {2 * n} reals"))
-
-    try:
-        times = _build_times(raw.get("times"))
-        if times[0] < 0:
-            bad.append(Diagnostic("BadTimeGrid", "times must start at t ≥ 0"))
-    except (KeyError, TypeError, ValueError) as exc:
-        bad.append(Diagnostic("BadTimeGrid", f"times block invalid: {exc}"))
-
-    alphas = raw.get("alphas", [[0] * n])
-    if not isinstance(alphas, list) or not alphas:
-        bad.append(Diagnostic("BadAlpha", "alphas must be a non-empty list of multi-indices"))
-    else:
-        for a in alphas:
-            try:
-                validate_multi_index(a, n)
-            except HagedornError as exc:
-                bad.append(Diagnostic("BadAlpha", f"multi-index {a!r} rejected: {exc}"))
-                break
-
-    oracle = raw.get("oracle", {})
-    if oracle and not isinstance(oracle, dict):
-        bad.append(Diagnostic("BadOracle", "oracle must be an object"))
-    elif isinstance(oracle, dict) and oracle.get("enabled", False):
-        if n != 1:
-            bad.append(Diagnostic("BadOracle", "the grid oracle supports n = 1 only"))
-        if hamiltonian is not None and not hamiltonian.is_constant:
-            bad.append(Diagnostic("BadOracle", "the grid oracle supports constant H only"))
-        otimes = oracle.get("times")
-        if not isinstance(otimes, list) or not otimes or not all(map(_finite_positive, otimes)):
-            bad.append(
-                Diagnostic("BadOracle", "oracle.times must be a list of finite positive times")
-            )
-        grid = oracle.get("grid", {})
-        try:
-            lo, hi, count = float(grid["lo"]), float(grid["hi"]), int(grid["count"])
-            if not (hi > lo and count >= 16):
-                raise ValueError("need hi > lo and count ≥ 16")
-        except (KeyError, TypeError, ValueError) as exc:
-            bad.append(Diagnostic("BadOracle", f"oracle.grid invalid: {exc}"))
-        for key, default in (("dt", 1e-3), ("grid_tol", GRID_TOL_DEFAULT)):
-            if not _finite_positive(oracle.get(key, default)):
-                bad.append(Diagnostic("BadOracle", f"oracle.{key} must be finite and positive"))
-
-    if not isinstance(raw.get("expect_horizon", False), bool):
-        bad.append(Diagnostic("BadConfig", "expect_horizon must be a boolean"))
-    return bad
+    return _parse_config(raw)[1]
 
 
 def load_config(raw: dict) -> ScenarioConfig:
     """Build a ScenarioConfig, raising ConfigError with all diagnostics."""
-    diagnostics = validate_config(raw)
+    config, diagnostics = _parse_config(raw)
     if diagnostics:
         raise ConfigError(diagnostics)
+    return config
 
-    n = _infer_n(raw)
-    sw = raw.get("swanson")
-    sw_params = SwansonParams(float(sw["omega0"]), float(sw["delta"])) if sw else None
-    ham_raw = raw.get("hamiltonian")
-    if ham_raw is None:
-        ham_raw = {
-            "type": "constant",
-            "matrix": _swanson_matrix_entries(sw_params.omega0, sw_params.delta),
+
+# ---------------------------------------------------------------------------
+# compute
+
+
+@dataclass(frozen=True)
+class _Computed:
+    """What a run derives from its config; lists run over `all_states`."""
+
+    all_states: list  # at the trajectory and oracle times, up to any horizon
+    on_grid: list  # indices into all_states of the trajectory times
+    horizon: float | None  # the detected positivity breakdown, if any
+    expansions: dict  # α → one HagedornExpansion per state
+    norms: dict  # α → the pipeline norm per state
+    closed_norms: dict | None  # α → the closed-form Swanson norm per state
+
+    @property
+    def states(self) -> list:
+        return [self.all_states[i] for i in self.on_grid]
+
+
+def _compute(config: ScenarioConfig) -> _Computed:
+    oracle_times = config.oracle.times if config.oracle is not None else ()
+    all_times = sorted(set(config.times) | set(oracle_times))
+    horizon = None
+    try:
+        all_states = propagate(
+            config.frame, config.center, config.hamiltonian, all_times, config.eps, config.ode_tol
+        )
+    except PositivityLost as exc:
+        horizon = exc.t_star
+        all_states = exc.states
+    grid_times = set(config.times)
+    expansions = {
+        alpha: [hagedorn_coefficients(st, alpha) for st in all_states] for alpha in config.alphas
+    }
+    closed_norms = None
+    if config.swanson is not None:
+        closed_norms = {
+            alpha: [ds_norm(config.swanson, int(alpha[0]), st.t) for st in all_states]
+            for alpha in config.alphas
         }
-    oracle = raw.get("oracle", {}) or {}
-    enabled = bool(oracle.get("enabled", False))
-    grid = None
-    if enabled:
-        g = oracle["grid"]
-        grid = Grid(bounds=((float(g["lo"]), float(g["hi"])),), counts=(int(g["count"]),))
-    return ScenarioConfig(
-        name=str(raw.get("name", "scenario")),
-        n=n,
-        eps=float(raw.get("eps", 1.0)),
-        ode_tol=float(raw.get("ode_tol", ODE_TOL)),
-        tol_frame=float(raw.get("tol_frame", TOL_FRAME)),
-        hamiltonian=_build_hamiltonian(ham_raw, n),
-        frame=_build_frame(raw.get("initial"), n),
-        center=np.asarray(raw.get("center", [0.0] * (2 * n)), dtype=float),
-        times=_build_times(raw.get("times")),
-        alphas=tuple(validate_multi_index(a, n) for a in raw.get("alphas", [[0] * n])),
-        oracle_enabled=enabled,
-        oracle_times=tuple(sorted(set(float(t) for t in oracle.get("times", [])))),
-        oracle_grid=grid,
-        oracle_dt=float(oracle.get("dt", 1e-3)),
-        oracle_grid_tol=float(oracle.get("grid_tol", GRID_TOL_DEFAULT)),
-        swanson=sw_params,
-        expect_horizon=bool(raw.get("expect_horizon", False)),
-        out_dir=raw.get("out_dir"),
-        raw=raw,
+    return _Computed(
+        all_states=all_states,
+        on_grid=[i for i, st in enumerate(all_states) if st.t in grid_times],
+        horizon=horizon,
+        expansions=expansions,
+        norms={alpha: [exp.norm() for exp in exps] for alpha, exps in expansions.items()},
+        closed_norms=closed_norms,
     )
+
+
+# ---------------------------------------------------------------------------
+# checks
+
+
+class _Checks:
+    def __init__(self):
+        self.entries: list[dict] = []
+
+    def add(self, name: str, passed: bool, detail: str) -> None:
+        self.entries.append({"name": name, "passed": bool(passed), "detail": detail})
+
+    @property
+    def all_passed(self) -> bool:
+        return all(e["passed"] for e in self.entries)
+
+
+def _run_oracle(config: ScenarioConfig, run: _Computed) -> list[dict]:
+    """Grid-oracle cases, each against the pipeline's state and norm at its t."""
+    oracle = config.oracle
+    index = {st.t: i for i, st in enumerate(run.all_states)}
+    eps = config.eps
+    operator = discretize_hamiltonian(config.hamiltonian(0.0), eps, oracle.grid)
+    params0 = WavepacketParams(frame=config.frame, center=config.center, eps=eps)
+    cases = []
+    for alpha in config.alphas:
+        psi0 = eval_excited(params0, alpha, oracle.grid)
+        for t in oracle.times:
+            i = index[t]
+            case = {"k": int(alpha[0]) if config.n == 1 else _alpha_label(alpha), "t": t}
+            try:
+                result = propagate_grid(psi0, operator, t, dt=oracle.dt, grid_tol=config.grid_tol)
+            except ConvergenceFailure as exc:
+                cases.append({**case, "error": str(exc)})
+                continue
+            psi_hag = evolved_state_on_grid(run.all_states[i], alpha, eps, oracle.grid)
+            norm_grid = grid_norm(result.field, oracle.grid)
+            norm_hag = grid_norm(psi_hag, oracle.grid)
+            fidelity = abs(grid_inner(result.field, psi_hag, oracle.grid)) / (norm_grid * norm_hag)
+            cases.append(
+                {
+                    **case,
+                    "norm_grid": norm_grid,
+                    "norm_predicted": run.norms[alpha][i],
+                    "fidelity": fidelity,
+                    "richardson_error": result.richardson_error,
+                }
+            )
+    return cases
+
+
+def _check(config: ScenarioConfig, run: _Computed) -> tuple[_Checks, list | None]:
+    """Every verdict on a computed run, and the oracle cases (None with no oracle)."""
+    checks = _Checks()
+    states = run.states
+
+    # propagation health
+    max_sympl = max((st.symplectic_defect for st in states), default=0.0)
+    sympl_tol = max(100 * config.ode_tol, 1e-12)
+    checks.add(
+        "symplectic_defect",
+        max_sympl <= sympl_tol,
+        f"max |SᵀΩS − Ω| {max_sympl:.3e} (tol {sympl_tol:.3e})",
+    )
+
+    # positivity / horizon accounting
+    horizon = run.horizon
+    if config.expect_horizon:
+        if horizon is None:
+            checks.add("horizon", False, "expected a positivity breakdown, none detected")
+        elif config.swanson is not None:
+            closed = ds_positivity_time(config.swanson)
+            err = abs(horizon - closed)
+            checks.add(
+                "horizon",
+                err <= HORIZON_TOL,
+                f"detected {horizon:.9f}, closed form {closed:.9f}, |diff| {err:.3e}",
+            )
+        else:
+            checks.add("horizon", True, f"detected horizon at t = {horizon:.9f}")
+    elif horizon is not None:
+        detail = f"positivity lost at t = {horizon:.9f} but expect_horizon is false"
+        checks.add("positivity", False, detail)
+
+    # closed-form comparison over all computed times
+    if run.closed_norms is not None:
+        pairs = [zip(run.closed_norms[alpha], run.norms[alpha]) for alpha in config.alphas]
+        max_err = max((abs(c - p) for pair in pairs for c, p in pair), default=0.0)
+        checks.add(
+            "closed_form_norms",
+            max_err <= CLOSED_FORM_TOL,
+            f"max |closed − pipeline| {max_err:.3e} (tol {CLOSED_FORM_TOL:.3e})",
+        )
+
+    # Hermitian sanity: with Im H ≡ 0 every norm must stay 1
+    im_h_max = max(float(np.max(np.abs(config.hamiltonian(t).imag))) for t in config.times)
+    if im_h_max == 0.0:
+        norms = [norm for norms in run.norms.values() for norm in norms]
+        norms += [math.exp(st.log_prefactor.real) for st in states]
+        worst = max((abs(norm - 1.0) for norm in norms), default=0.0)
+        checks.add(
+            "hermitian_norms",
+            worst <= HERMITIAN_NORM_TOL,
+            f"max |norm − 1| {worst:.3e} (tol {HERMITIAN_NORM_TOL:.3e})",
+        )
+
+    if config.oracle is None:
+        return checks, None
+    computed = {st.t for st in run.all_states}
+    missing = [t for t in config.oracle.times if t not in computed]
+    if missing:
+        checks.add("oracle_fidelity", False, f"oracle times {missing} beyond the positivity horizon")
+        return checks, []
+    cases = _run_oracle(config, run)
+    errors = [c for c in cases if "error" in c]
+    if errors:
+        checks.add("oracle_fidelity", False, f"{len(errors)} case(s) failed to converge")
+        return checks, cases
+    worst_fid = min(c["fidelity"] for c in cases)
+    worst_norm = max(abs(c["norm_grid"] - c["norm_predicted"]) for c in cases)
+    checks.add(
+        "oracle_fidelity",
+        worst_fid >= 1 - FIDELITY_TOL,
+        f"min fidelity {worst_fid:.12f} (needs ≥ {1 - FIDELITY_TOL})",
+    )
+    checks.add(
+        "oracle_norms",
+        worst_norm <= ORACLE_NORM_TOL,
+        f"max |norm_grid − norm_predicted| {worst_norm:.3e} (tol {ORACLE_NORM_TOL:.3e})",
+    )
+    return checks, cases
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +553,12 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def _write_json(path: Path, data: dict) -> None:
+    with open(path, "w", newline="\n") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _alpha_label(alpha) -> str:
     return "-".join(str(k) for k in alpha)
 
@@ -386,44 +568,29 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _write_trajectory(path: Path, states, eps: float, n: int) -> None:
-    if n == 1:
-        p_cols, q_cols = ["p"], ["q"]
-    else:
-        p_cols = [f"p{i + 1}" for i in range(n)]
-        q_cols = [f"q{i + 1}" for i in range(n)]
-    header = (
-        ["t", "beta", "norm_predicted", "re_action", "im_action"]
-        + p_cols
-        + q_cols
-        + ["det_defect_symplectic", "min_eig_positivity"]
-    )
+def _write_trajectory(path: Path, states, n: int) -> None:
+    centre = ["p", "q"] if n == 1 else [f"{c}{i + 1}" for c in "pq" for i in range(n)]
+    header = ["t", "beta", "norm_predicted", "re_action", "im_action", *centre]
+    header += ["det_defect_symplectic", "min_eig_positivity"]
     rows = []
     for st in states:
-        norm_predicted = math.exp(st.log_prefactor.real)
-        row = [
-            _fmt(st.t),
-            _fmt(st.beta),
-            _fmt(norm_predicted),
-            _fmt(st.action.real),
-            _fmt(st.action.imag),
-        ]
-        row += [_fmt(v) for v in st.z[:n]]
-        row += [_fmt(v) for v in st.z[n:]]
-        row += [_fmt(st.symplectic_defect), _fmt(st.min_positivity)]
-        rows.append(row)
+        values = [st.t, st.beta, math.exp(st.log_prefactor.real), st.action.real, st.action.imag]
+        values += [*st.z, st.symplectic_defect, st.min_positivity]
+        rows.append([_fmt(v) for v in values])
     _write_csv(path, header, rows)
 
 
-def _write_coefficients(out: Path, states, expansions_by_alpha: dict) -> list[str]:
+def _write_coefficients(out: Path, run: _Computed) -> list[str]:
+    """One CSV per initial α, on the trajectory times only."""
     names = []
-    for alpha, expansions in expansions_by_alpha.items():
+    for alpha, expansions in run.expansions.items():
         rows = []
-        for st, exp in zip(states, expansions):
-            for target in sorted(exp.coefficients):
-                a = exp.coefficients[target]
+        for i in run.on_grid:
+            coefficients = expansions[i].coefficients
+            for target in sorted(coefficients):
+                a = coefficients[target]
                 rows.append(
-                    [_fmt(st.t), _alpha_label(target), _fmt(a.real), _fmt(a.imag)]
+                    [_fmt(run.all_states[i].t), _alpha_label(target), _fmt(a.real), _fmt(a.imag)]
                 )
         name = f"coefficients_{_alpha_label(alpha)}.csv"
         _write_csv(out / name, ["t", "multi_index", "re_a", "im_a"], rows)
@@ -431,271 +598,77 @@ def _write_coefficients(out: Path, states, expansions_by_alpha: dict) -> list[st
     return names
 
 
-class _Checks:
-    def __init__(self):
-        self.entries: list[dict] = []
-
-    def add(self, name: str, passed: bool, detail: str) -> None:
-        self.entries.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    @property
-    def all_passed(self) -> bool:
-        return all(e["passed"] for e in self.entries)
-
-
-def _run_oracle(config: ScenarioConfig, predictions: dict) -> list[dict]:
-    """Grid-oracle cases; predictions maps t to (state, {α: pipeline norm})."""
-    grid = config.oracle_grid
-    eps = config.eps
-    operator = discretize_hamiltonian(config.hamiltonian(0.0), eps, grid)
-    params0 = WavepacketParams(frame=config.frame, center=config.center, eps=eps)
-    cases = []
+def _write_norms(path: Path, config: ScenarioConfig, run: _Computed, cases) -> None:
+    """The norm curves over all computed times, with the oracle's where it ran."""
+    oracle = {(c["k"], c["t"]): c["norm_grid"] for c in cases or () if "norm_grid" in c}
+    rows = []
     for alpha in config.alphas:
-        psi0 = eval_excited(params0, alpha, grid)
-        for t in config.oracle_times:
-            state, norms = predictions[t]
-            case: dict = {
-                "k": int(alpha[0]) if config.n == 1 else _alpha_label(alpha),
-                "t": t,
-            }
-            try:
-                result = propagate_grid(
-                    psi0,
-                    operator,
-                    t,
-                    dt=config.oracle_dt,
-                    grid_tol=config.oracle_grid_tol,
-                )
-            except ConvergenceFailure as exc:
-                case["error"] = str(exc)
-                cases.append(case)
-                continue
-            psi_hag = evolved_state_on_grid(state, alpha, eps, grid)
-            norm_grid = grid_norm(result.field, grid)
-            norm_hag = grid_norm(psi_hag, grid)
-            fidelity = abs(grid_inner(result.field, psi_hag, grid)) / (norm_grid * norm_hag)
-            case.update(
-                {
-                    "norm_grid": norm_grid,
-                    "norm_predicted": norms[alpha],
-                    "fidelity": fidelity,
-                    "richardson_error": result.richardson_error,
-                }
+        k = int(alpha[0])
+        for st, closed, pipeline in zip(
+            run.all_states, run.closed_norms[alpha], run.norms[alpha]
+        ):
+            grid = oracle.get((k, st.t))
+            rows.append(
+                [_fmt(st.t), str(k), _fmt(closed), _fmt(pipeline), "" if grid is None else _fmt(grid)]
             )
-            cases.append(case)
-    return cases
+    header = ["t", "k", "norm_closed_form", "norm_general_pipeline", "norm_grid_oracle"]
+    _write_csv(path, header, rows)
 
 
-def run_scenario(config: ScenarioConfig, out_dir: Path) -> int:
-    """Propagate, verify, and write artifacts; 0 iff all checks pass."""
-    out_dir = Path(out_dir)
+def _write_artifacts(
+    config: ScenarioConfig, run: _Computed, checks: _Checks, cases, out_dir: Path
+) -> int:
+    """Write every artifact and the manifest; returns the exit status."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    checks = _Checks()
-    eps = config.eps
-    artifacts: list[str] = []
-
-    horizon_detected = None
-    trajectory_times = list(config.times)
-    oracle_wanted = config.oracle_enabled and bool(config.oracle_times)
-    all_times = sorted(set(trajectory_times) | set(config.oracle_times if oracle_wanted else ()))
-    try:
-        all_states = propagate(
-            config.frame, config.center, config.hamiltonian, all_times, eps, config.ode_tol
-        )
-    except PositivityLost as exc:
-        horizon_detected = exc.t_star
-        all_states = exc.states
-    traj_set = set(trajectory_times)
-    states = [st for st in all_states if st.t in traj_set]
-
-    _write_trajectory(out_dir / "trajectory.csv", states, eps, config.n)
-    artifacts.append("trajectory.csv")
-
-    # expansions at every computed time; CSVs carry the trajectory grid only
-    expansions_by_alpha = {
-        alpha: [hagedorn_coefficients(st, alpha) for st in all_states]
-        for alpha in config.alphas
-    }
-    traj_expansions = {
-        alpha: [exp for st, exp in zip(all_states, expansions_by_alpha[alpha]) if st.t in traj_set]
-        for alpha in config.alphas
-    }
-    artifacts += _write_coefficients(out_dir, states, traj_expansions)
-
-    # propagation health
-    max_sympl = max((st.symplectic_defect for st in states), default=0.0)
-    sympl_tol = max(100 * config.ode_tol, 1e-12)
-    checks.add(
-        "symplectic_defect",
-        max_sympl <= sympl_tol,
-        f"max |SᵀΩS − Ω| {max_sympl:.3e} (tol {sympl_tol:.3e})",
-    )
-
-    # positivity / horizon accounting
-    if config.expect_horizon:
-        if horizon_detected is None:
-            checks.add("horizon", False, "expected a positivity breakdown, none detected")
-        elif config.swanson is not None:
-            closed = ds_positivity_time(config.swanson)
-            err = abs(horizon_detected - closed)
-            checks.add(
-                "horizon",
-                err <= HORIZON_TOL,
-                f"detected {horizon_detected:.9f}, closed form {closed:.9f}, |diff| {err:.3e}",
-            )
-        else:
-            checks.add("horizon", True, f"detected horizon at t = {horizon_detected:.9f}")
-    elif horizon_detected is not None:
-        checks.add(
-            "positivity",
-            False,
-            f"positivity lost at t = {horizon_detected:.9f} but expect_horizon is false",
-        )
-
-    # closed-form comparison and norm curve (over all computed times so the
-    # oracle column lands on real rows)
-    norms_by_alpha = {
-        alpha: [exp.norm() for exp in expansions_by_alpha[alpha]]
-        for alpha in config.alphas
-    }
-    if config.swanson is not None:
-        rows = []
-        max_err = 0.0
-        for alpha in config.alphas:
-            k = int(alpha[0])
-            for st, pipeline in zip(all_states, norms_by_alpha[alpha]):
-                closed = ds_norm(config.swanson, k, st.t)
-                max_err = max(max_err, abs(closed - pipeline))
-                rows.append(
-                    [
-                        _fmt(st.t),
-                        str(k),
-                        _fmt(closed),
-                        _fmt(pipeline),
-                        "",
-                    ]
-                )
-        checks.add(
-            "closed_form_norms",
-            max_err <= CLOSED_FORM_TOL,
-            f"max |closed − pipeline| {max_err:.3e} (tol {CLOSED_FORM_TOL:.3e})",
-        )
-    else:
-        rows = None
-
-    # Hermitian sanity: with Im H ≡ 0 every norm must stay 1
-    im_h_max = max(
-        float(np.max(np.abs(config.hamiltonian(t).imag))) for t in trajectory_times
-    )
-    if im_h_max == 0.0:
-        worst = 0.0
-        for alpha in config.alphas:
-            for norm in norms_by_alpha[alpha]:
-                worst = max(worst, abs(norm - 1.0))
-        for st in states:
-            worst = max(worst, abs(math.exp(st.log_prefactor.real) - 1.0))
-        checks.add(
-            "hermitian_norms",
-            worst <= HERMITIAN_NORM_TOL,
-            f"max |norm − 1| {worst:.3e} (tol {HERMITIAN_NORM_TOL:.3e})",
-        )
-
-    # grid oracle
-    if oracle_wanted:
-        predictions = {
-            st.t: (st, {alpha: norms_by_alpha[alpha][i] for alpha in config.alphas})
-            for i, st in enumerate(all_states)
-        }
-        missing = [t for t in config.oracle_times if t not in predictions]
-        if missing:
-            checks.add(
-                "oracle_fidelity",
-                False,
-                f"oracle times {missing} beyond the positivity horizon",
-            )
-            cases = []
-        else:
-            cases = _run_oracle(config, predictions)
-            errors = [c for c in cases if "error" in c]
-            if errors:
-                checks.add("oracle_fidelity", False, f"{len(errors)} case(s) failed to converge")
-            else:
-                worst_fid = min(c["fidelity"] for c in cases)
-                worst_norm = max(abs(c["norm_grid"] - c["norm_predicted"]) for c in cases)
-                checks.add(
-                    "oracle_fidelity",
-                    worst_fid >= 1 - FIDELITY_TOL,
-                    f"min fidelity {worst_fid:.12f} (needs ≥ {1 - FIDELITY_TOL})",
-                )
-                checks.add(
-                    "oracle_norms",
-                    worst_norm <= ORACLE_NORM_TOL,
-                    f"max |norm_grid − norm_predicted| {worst_norm:.3e} (tol {ORACLE_NORM_TOL:.3e})",
-                )
+    states = run.states
+    _write_trajectory(out_dir / "trajectory.csv", states, config.n)
+    artifacts = ["trajectory.csv", "manifest.json"]
+    artifacts += _write_coefficients(out_dir, run)
+    if run.closed_norms is not None:
+        _write_norms(out_dir / "norms.csv", config, run, cases)
+        artifacts.append("norms.csv")
+    if config.oracle is not None:
+        grid = config.oracle.grid
         report = {
-            "grid": {
-                "lo": config.oracle_grid.bounds[0][0],
-                "hi": config.oracle_grid.bounds[0][1],
-                "count": config.oracle_grid.counts[0],
-            },
-            "dt": config.oracle_dt,
-            "grid_tol": config.oracle_grid_tol,
+            "grid": {"lo": grid.bounds[0][0], "hi": grid.bounds[0][1], "count": grid.counts[0]},
+            "dt": config.oracle.dt,
+            "grid_tol": config.grid_tol,
             "cases": cases,
         }
-        with open(out_dir / "oracle.json", "w", newline="\n") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_dir / "oracle.json", report)
         artifacts.append("oracle.json")
-        if rows is not None and cases:
-            lookup = {
-                (c["k"], c["t"]): _fmt(c["norm_grid"]) for c in cases if "norm_grid" in c
-            }
-            for row in rows:
-                key = (int(row[1]), float(row[0]))
-                if key in lookup:
-                    row[4] = lookup[key]
 
-    if rows is not None:
-        _write_csv(
-            out_dir / "norms.csv",
-            ["t", "k", "norm_closed_form", "norm_general_pipeline", "norm_grid_oracle"],
-            rows,
-        )
-        artifacts.append("norms.csv")
-
+    closed_horizon = ds_positivity_time(config.swanson) if config.swanson is not None else math.inf
     manifest = {
         "name": config.name,
         "config_sha256": config_hash(config.raw),
         "n": config.n,
-        "eps": eps,
-        "tolerances": {
-            "ode_tol": config.ode_tol,
-            "grid_tol": config.oracle_grid_tol,
-            "tol_frame": config.tol_frame,
-        },
+        "eps": config.eps,
+        "tolerances": {"ode_tol": config.ode_tol, "grid_tol": config.grid_tol},
         "times": {
             "count": len(states),
-            "requested": len(trajectory_times),
+            "requested": len(config.times),
             "first": states[0].t if states else None,
             "last": states[-1].t if states else None,
         },
         "horizon": {
             "expected": config.expect_horizon,
-            "detected": horizon_detected,
-            "closed_form": (
-                ds_positivity_time(config.swanson)
-                if config.swanson is not None and math.isfinite(ds_positivity_time(config.swanson))
-                else None
-            ),
+            "detected": run.horizon,
+            "closed_form": closed_horizon if math.isfinite(closed_horizon) else None,
         },
         "checks": checks.entries,
-        "artifacts": sorted(artifacts + ["manifest.json"]),
+        "artifacts": sorted(artifacts),
         "exit_status": 0 if checks.all_passed else 1,
     }
-    with open(out_dir / "manifest.json", "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
     return manifest["exit_status"]
+
+
+def run_scenario(config: ScenarioConfig, out_dir: Path) -> int:
+    """Propagate, verify, and write artifacts; 0 iff all checks pass."""
+    run = _compute(config)
+    checks, cases = _check(config, run)
+    return _write_artifacts(config, run, checks, cases, Path(out_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -703,12 +676,16 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> int:
 
 _OMEGA_FIG1 = math.sqrt(1.25)
 
+
 PRESETS: dict[str, dict] = {
     "swanson-fig1": {
         "name": "swanson-fig1",
         "eps": 1.0,
         "swanson": {"omega0": 1.0, "delta": 0.5},
-        "hamiltonian": {"type": "constant", "matrix": _swanson_matrix_entries(1.0, 0.5)},
+        "hamiltonian": {
+            "type": "constant",
+            "matrix": [[[1.0, 0.0], [0.0, -0.5]], [[0.0, -0.5], [1.0, 0.0]]],
+        },
         "initial": {"entries": [[[1.0, 0.0]], [[0.0, -1.0]]]},
         "center": [0.0, 0.0],
         "times": {"start": 0.0, "stop": 2 * math.pi / _OMEGA_FIG1, "count": 200},
@@ -735,7 +712,10 @@ PRESETS: dict[str, dict] = {
         "name": "horizon",
         "eps": 1.0,
         "swanson": {"omega0": 0.5, "delta": 1.0},
-        "hamiltonian": {"type": "constant", "matrix": _swanson_matrix_entries(0.5, 1.0)},
+        "hamiltonian": {
+            "type": "constant",
+            "matrix": [[[0.5, 0.0], [0.0, -1.0]], [[0.0, -1.0], [0.5, 0.0]]],
+        },
         "initial": {"entries": [[[1.0, 0.0]], [[0.0, -1.0]]]},
         "center": [0.0, 0.0],
         "times": {"start": 0.0, "stop": 2.0, "count": 80},
@@ -777,14 +757,21 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _read_json(path) -> object:
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError([Diagnostic("BadConfig", str(exc))]) from exc
+
+
 def _resolve_raw(args) -> dict:
-    raw: dict = {}
-    if args.preset:
-        raw = PRESETS[args.preset]
+    raw: dict = PRESETS[args.preset] if args.preset else {}
     if args.config:
-        with open(args.config) as fh:
-            user = json.load(fh)
-        raw = _deep_merge(raw, user) if raw else user
+        user = _read_json(args.config)
+        if not isinstance(user, dict):
+            raise ConfigError([_NOT_AN_OBJECT])
+        raw = _deep_merge(raw, user)
     if not raw:
         raise ConfigError([Diagnostic("BadConfig", "give a config path and/or --preset")])
     if args.no_oracle:
@@ -796,26 +783,29 @@ def _resolve_raw(args) -> dict:
     return raw
 
 
-def _resolve_out_dir(args, raw: dict) -> Path:
+def _resolve_out_dir(args, config: ScenarioConfig) -> Path:
     if args.out:
         return Path(args.out)
     env = os.environ.get(OUT_DIR_ENV)
     if env:
         return Path(env)
-    if raw.get("out_dir"):
-        return Path(raw["out_dir"])
-    return Path.cwd() / f"{raw.get('name', 'scenario')}-artifacts"
+    if config.out_dir:
+        return Path(config.out_dir)
+    return Path.cwd() / f"{config.name}-artifacts"
+
+
+def _print_diagnostics(diagnostics, file) -> None:
+    for d in diagnostics:
+        print(f"{d.code}: {d.message}", file=file)
 
 
 def _cmd_run(args) -> int:
     try:
-        raw = _resolve_raw(args)
-        config = load_config(raw)
+        config = load_config(_resolve_raw(args))
     except ConfigError as exc:
-        for d in exc.diagnostics:
-            print(f"{d.code}: {d.message}", file=sys.stderr)
+        _print_diagnostics(exc.diagnostics, sys.stderr)
         return 2
-    out_dir = _resolve_out_dir(args, raw)
+    out_dir = _resolve_out_dir(args, config)
     try:
         status = run_scenario(config, out_dir)
     except HagedornError as exc:
@@ -832,14 +822,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"BadConfig: {exc}", file=sys.stderr)
+        raw = _read_json(args.config)
+    except ConfigError as exc:
+        _print_diagnostics(exc.diagnostics, sys.stderr)
         return 2
     diagnostics = validate_config(raw)
-    for d in diagnostics:
-        print(f"{d.code}: {d.message}")
+    _print_diagnostics(diagnostics, sys.stdout)
     if not diagnostics:
         print("ok")
     return 0 if not diagnostics else 1

@@ -112,6 +112,89 @@ def test_run_rejects_bad_alpha(tmp_path, capsys, alpha):
     assert not (tmp_path / "out").exists()
 
 
+STANDARD_FRAME_2D = [[[0.0, 1.0], 0.0], [0.0, [0.0, 1.0]], [1.0, 0.0], [0.0, 1.0]]
+
+# (id, base config, path to the value, value, diagnostic code); "mini" is
+# mini_config(), anything else a preset.  Each value reaches the runner only
+# if the parse lets it through: a truncated count, an accepted NaN or bool, or
+# a failure inside propagate would all leave an output directory behind.
+REJECTIONS = [
+    ("times-stop-inf", "hermitian-sanity", ("times", "stop"), math.inf, "BadTimeGrid"),
+    ("times-list-inf", "hermitian-sanity", ("times",), [0.0, 1.0, math.inf], "BadTimeGrid"),
+    ("times-list-bool", "hermitian-sanity", ("times",), [0, True, 2], "BadTimeGrid"),
+    ("times-count-fraction", "hermitian-sanity", ("times", "count"), 5.7, "BadTimeGrid"),
+    ("times-count-string", "hermitian-sanity", ("times", "count"), "5", "BadTimeGrid"),
+    ("center-nan", "hermitian-sanity", ("center",), [math.nan, 0.0], "BadCenter"),
+    ("matrix-nan", "hermitian-sanity", ("hamiltonian", "matrix"), [[math.nan, 0.0], [0.0, 1.0]],
+     "BadHamiltonian"),
+    ("eps-overflows-float", "hermitian-sanity", ("eps",), 10**400, "BadEps"),
+    ("grid-lo-inf", "mini", ("oracle", "grid", "lo"), -math.inf, "BadOracle"),
+    ("grid-count-fraction", "mini", ("oracle", "grid", "count"), 512.9, "BadOracle"),
+    ("oracle-enabled-string", "mini", ("oracle", "enabled"), "no", "BadOracle"),
+    ("omega0-bool", "horizon", ("swanson", "omega0"), True, "BadSwanson"),
+    ("omega0-string", "horizon", ("swanson", "omega0"), "1.0", "BadSwanson"),
+    ("metric-bools", "squeezed-metric", ("initial", "metric"), [[True, False], [False, True]],
+     "BadFrame"),
+    # a 2-mode frame under a 1-mode H
+    ("frame-n-differs", "hermitian-sanity", ("initial",), {"entries": STANDARD_FRAME_2D},
+     "BadFrame"),
+    ("unknown-tol-frame", "hermitian-sanity", ("tol_frame",), 1e-10, "BadConfig"),
+    ("unknown-output-dir", "hermitian-sanity", ("output_dir",), "elsewhere", "BadConfig"),
+    ("unknown-oracle-key", "mini", ("oracle", "step"), 1e-3, "BadConfig"),
+]
+
+
+def rejected_config(base, path, value):
+    raw = mini_config() if base == "mini" else copy.deepcopy(PRESETS[base])
+    block = raw
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    return raw
+
+
+def printed_codes(text):
+    return {line.split(":", 1)[0] for line in text.splitlines() if line}
+
+
+@pytest.mark.parametrize(
+    "base, path, value, code", [case[1:] for case in REJECTIONS], ids=[c[0] for c in REJECTIONS]
+)
+def test_run_rejects_malformed_values(tmp_path, capsys, base, path, value, code):
+    # the file holds `Infinity`, `NaN`, `true` or a string, as a hand-written
+    # config would
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(rejected_config(base, path, value)))
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert code in printed_codes(capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "base, path, value, code", [case[1:] for case in REJECTIONS], ids=[c[0] for c in REJECTIONS]
+)
+def test_validate_and_run_report_the_same_codes(tmp_path, capsys, base, path, value, code):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(rejected_config(base, path, value)))
+    assert main(["validate", str(bad)]) == 1
+    validated = printed_codes(capsys.readouterr().out)
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert printed_codes(capsys.readouterr().err) == validated
+    assert code in validated
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+def test_run_rejects_unreadable_config(tmp_path, capsys, content):
+    # a missing file, invalid JSON, and a non-object merged over a preset
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--preset", "hermitian-sanity", "--out", str(out)]) == 2
+    assert "BadConfig" in printed_codes(capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_presets_list(capsys):
     assert main(["presets", "list"]) == 0
     out = capsys.readouterr().out
@@ -127,6 +210,8 @@ def test_hermitian_sanity_preset(tmp_path):
     assert main(["run", "--preset", "hermitian-sanity", "--out", str(out)]) == 0
     manifest = read_manifest(out)
     assert all(c["passed"] for c in manifest["checks"])
+    # only tolerances the run applies: the frame checks use a fixed one
+    assert set(manifest["tolerances"]) == {"ode_tol", "grid_tol"}
     for name in ("trajectory.csv", "coefficients_0.csv", "coefficients_2.csv"):
         assert (out / name).exists()
     rows = read_csv(out / "trajectory.csv")
