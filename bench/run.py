@@ -1,16 +1,24 @@
-"""Per-call time of `hagedorn_coefficients` by (n, |α|), written to BENCH_5.json.
+"""Per-call times of `hagedorn_coefficients` and `propagate`, written to BENCH_7.json.
 
     python3 bench/run.py
 
-Imports the package from ./src of the checkout this script sits in.  For
-n = 3 and 4 it propagates the standard frame under one seeded mode-mixed,
-non-Hermitian H = R + iI (R = XXᵀ/2n + ½Id, I = 0.05(Y + Yᵀ) for Gaussian X,
-Y) to t = 1.5, then calls `hagedorn_coefficients` for every α with |α| = 4,
-6, 8 and 12 at that state.  One run of a row is the mean time per call over
-all those α; the row holds the median of RUNS runs.  The file also records
+Imports the package from ./src of the checkout this script sits in.
+
+- `hagedorn_coefficients` by (n, |α|): for n = 3 and 4 it propagates the
+  standard frame under one seeded mode-mixed, non-Hermitian H = R + iI
+  (R = XXᵀ/2n + ½Id, I = 0.05(Y + Yᵀ) for Gaussian X, Y) to t = 1.5, then
+  calls `hagedorn_coefficients` for every α with |α| = 4, 6, 8 and 12 at that
+  state.  One run of a row is the mean time per call over all those α.
+- `propagate` by case: the n = 1 Swanson oscillator (ω0 = 1, δ = 0.5) from
+  the frame (1; −i), 200 times on [0, 10]; a seeded n = 3 constant H, 150
+  times on [0, 3]; a seeded n = 2 H sampled on 7 knots of [0, 3], 150 times
+  on [0, 3].  The last two start from the standard frame and a seeded
+  centre.  One run of a row is one call, after one warm-up call.
+
+Each row holds the median and the best of RUNS runs.  The file also records
 the machine (nproc, Python, numpy and scipy versions).  A `parent` block
-already in BENCH_5.json (the same rows measured on the parent commit) is
-kept as it is.
+already in BENCH_7.json (the same rows measured on the parent commit, by
+running this script from a checkout of it) is kept as it is.
 """
 
 import json
@@ -34,8 +42,9 @@ from hagedorn.propagation import (  # noqa: E402
     hagedorn_coefficients,
     propagate,
 )
+from hagedorn.swanson import SwansonParams  # noqa: E402
 
-OUT = ROOT / "BENCH_5.json"
+OUT = ROOT / "BENCH_7.json"
 MODES = (3, 4)
 ORDERS = (4, 6, 8, 12)
 RUNS = 5
@@ -50,10 +59,13 @@ def multi_indices(n: int, order: int):
         yield tuple(edges[i + 1] - edges[i] - 1 for i in range(n))
 
 
-def mode_mixed_state(n: int):
-    rng = np.random.default_rng(SEED)
+def mode_mixed_matrix(rng, n: int) -> np.ndarray:
     X, Y = rng.normal(size=(2 * n, 2 * n)), rng.normal(size=(2 * n, 2 * n))
-    H = X @ X.T / (2 * n) + 0.5 * np.eye(2 * n) + 0.05j * (Y + Y.T)
+    return X @ X.T / (2 * n) + 0.5 * np.eye(2 * n) + 0.05j * (Y + Y.T)
+
+
+def mode_mixed_state(n: int):
+    H = mode_mixed_matrix(np.random.default_rng(SEED), n)
     states = propagate(
         standard_frame(n), np.zeros(2 * n), QuadraticHamiltonian.constant(H), [0.0, T]
     )
@@ -67,7 +79,7 @@ def ms_per_call(state, alphas) -> float:
     return (time.perf_counter() - start) / len(alphas) * 1e3
 
 
-def main() -> None:
+def coefficient_rows() -> list:
     rows = []
     for n in MODES:
         state = mode_mixed_state(n)
@@ -75,17 +87,66 @@ def main() -> None:
             alphas = list(multi_indices(n, order))
             ms_per_call(state, alphas[:1])  # warm-up
             runs = [ms_per_call(state, alphas) for _ in range(RUNS)]
-            row = {
-                "n": n,
-                "order": order,
-                "alphas": len(alphas),
+            rows.append(
+                {
+                    "what": "hagedorn_coefficients",
+                    "n": n,
+                    "order": order,
+                    "alphas": len(alphas),
+                    "ms_per_call": statistics.median(runs),
+                    "runs_ms": runs,
+                }
+            )
+            print(json.dumps(rows[-1]), flush=True)
+    return rows
+
+
+def propagate_cases() -> dict:
+    """name → (frame, centre, H, times)."""
+    rng = np.random.default_rng(SEED)
+    swanson = QuadraticHamiltonian.constant(SwansonParams(1.0, 0.5).matrix())
+    frame_1 = np.array([[1.0], [-1.0j]])
+    knots = np.linspace(0.0, 3.0, 7)
+    sampled = QuadraticHamiltonian.sampled(knots, [mode_mixed_matrix(rng, 2) for _ in knots])
+    constant = QuadraticHamiltonian.constant(mode_mixed_matrix(rng, 3))
+    return {
+        "swanson n=1, 200 times on [0, 10]": (frame_1, np.zeros(2), swanson, np.linspace(0.0, 10.0, 200)),
+        "constant n=3, 150 times on [0, 3]": (
+            standard_frame(3), rng.uniform(-1.0, 1.0, 6), constant, np.linspace(0.0, 3.0, 150)
+        ),
+        "sampled n=2, 150 times on [0, 3]": (
+            standard_frame(2), rng.uniform(-1.0, 1.0, 4), sampled, np.linspace(0.0, 3.0, 150)
+        ),
+    }
+
+
+def propagate_rows() -> list:
+    rows = []
+    for name, args in propagate_cases().items():
+        propagate(*args)  # warm-up
+        runs = []
+        for _ in range(RUNS):
+            start = time.perf_counter()
+            propagate(*args)
+            runs.append((time.perf_counter() - start) * 1e3)
+        rows.append(
+            {
+                "what": "propagate",
+                "case": name,
                 "ms_per_call": statistics.median(runs),
+                "best_ms": min(runs),
                 "runs_ms": runs,
             }
-            rows.append(row)
-            print(json.dumps(row), flush=True)
+        )
+        print(json.dumps(rows[-1]), flush=True)
+    return rows
+
+
+def main() -> None:
+    rows = coefficient_rows() + propagate_rows()
     report = {
-        "what": "hagedorn_coefficients ms per call by (n, |alpha|), median of runs",
+        "what": "ms per call of hagedorn_coefficients by (n, |alpha|) and of propagate by case,"
+        " median of runs",
         "machine": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),

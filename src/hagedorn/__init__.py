@@ -49,7 +49,13 @@ from .symplectic import (
     projections,
     siegel_matrix,
 )
-from .polynomials import MultiPoly, poly_gradient, poly_recursion, validate_multi_index
+from .polynomials import (
+    MultiPoly,
+    poly_gradient,
+    poly_recursion,
+    validate_multi_index,
+    validate_recursion_index,
+)
 from .wavepackets import (
     Grid,
     WavepacketParams,
@@ -65,6 +71,7 @@ from .propagation import (
     HagedornExpansion,
     PropagatedState,
     QuadraticHamiltonian,
+    Trajectory,
     center_dynamics,
     evolve_metric_riccati,
     evolved_state_on_grid,

@@ -33,12 +33,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceFailure, HagedornError, PositivityLost
+from .errors import ConfigError, ConvergenceFailure, HagedornError, NonSymmetricH, PositivityLost
 from .gridsolver import GRID_TOL_DEFAULT, discretize_hamiltonian, propagate_grid
-from .polynomials import validate_multi_index
+from .polynomials import validate_recursion_index
 from .propagation import (
     ODE_TOL,
     QuadraticHamiltonian,
+    Trajectory,
     evolved_state_on_grid,
     hagedorn_coefficients,
     propagate,
@@ -76,6 +77,17 @@ _KEYS = frozenset(
     .split()
 )
 _ORACLE_KEYS = frozenset("enabled times grid dt grid_tol".split())
+_NESTED_KEYS = {
+    "times": frozenset("start stop count".split()),
+    "swanson": frozenset("omega0 delta".split()),
+    "initial": frozenset("metric entries".split()),
+    "oracle.grid": frozenset("lo hi count".split()),
+}
+_HAMILTONIAN_KEYS = {
+    "constant": frozenset("type matrix".split()),
+    "sampled": frozenset("type times matrices".split()),
+    "polynomial": frozenset("type coefficients".split()),
+}
 _NOT_AN_OBJECT = Diagnostic("BadConfig", "config root must be a JSON object")
 # what malformed JSON raises in a reader; OverflowError is a 400-digit integer
 _MALFORMED = (KeyError, TypeError, ValueError, IndexError, OverflowError)
@@ -159,6 +171,8 @@ def _frame(initial, n: int | None) -> NormalisedFrame | None:
     """The initial frame; None for the standard one when n is unknown."""
     if initial is None or initial == "standard":
         return standard_frame(n) if n is not None else None
+    if isinstance(initial, dict) and {"metric", "entries"} <= initial.keys():
+        raise ValueError('give one of "metric" and "entries", not both')
     if isinstance(initial, dict) and "metric" in initial:
         frame = frame_from_metric(_matrix(initial["metric"], _real))
     elif isinstance(initial, dict) and "entries" in initial:
@@ -217,7 +231,11 @@ class _Findings(list):
             self.add(code, f"{what}: {exc}")
             return None
 
-    def unknown_keys(self, block: dict, known, prefix: str = "") -> None:
+    def unknown_keys(self, block, known, prefix: str = "") -> None:
+        """One BadConfig per key of `block` not in `known`; a non-object block is
+        left to its reader."""
+        if not isinstance(block, dict):
+            return
         for key in sorted(map(str, set(block) - known)):
             self.add("BadConfig", f"unknown key '{prefix}{key}'")
 
@@ -274,6 +292,8 @@ def _parse_config(raw) -> tuple[ScenarioConfig | None, list[Diagnostic]]:
         "BadConfig", "expect_horizon", _flag, raw.get("expect_horizon", False)
     )
 
+    for block_name in ("times", "swanson", "initial"):
+        bad.unknown_keys(raw.get(block_name), _NESTED_KEYS[block_name], f"{block_name}.")
     swanson = None
     if raw.get("swanson") is not None:
         swanson = bad.read("BadSwanson", "swanson", _swanson, raw["swanson"])
@@ -287,11 +307,14 @@ def _parse_config(raw) -> tuple[ScenarioConfig | None, list[Diagnostic]]:
     elif not isinstance(block, dict):
         bad.add("BadHamiltonian", "hamiltonian must be an object")
     else:
+        kind = block.get("type", "constant")
+        if isinstance(kind, str) and kind in _HAMILTONIAN_KEYS:
+            bad.unknown_keys(block, _HAMILTONIAN_KEYS[kind], "hamiltonian.")
         try:
             hamiltonian = _hamiltonian(block)
-        except HagedornError as exc:
-            bad.add(type(exc).__name__, f"hamiltonian rejected: {exc}")
-        except _MALFORMED as exc:
+        except NonSymmetricH as exc:
+            bad.add("NonSymmetricH", f"hamiltonian rejected: {exc}")
+        except (HagedornError, *_MALFORMED) as exc:
             bad.add("BadHamiltonian", f"hamiltonian block invalid: {exc}")
     n = hamiltonian.n if hamiltonian is not None else None
     if swanson is not None and hamiltonian is not None and hamiltonian.is_constant:
@@ -307,7 +330,7 @@ def _parse_config(raw) -> tuple[ScenarioConfig | None, list[Diagnostic]]:
     times = bad.read("BadTimeGrid", "times", _times, raw.get("times"))
     alphas = None
     if "alphas" in raw:
-        alpha = functools.partial(validate_multi_index, n=n)
+        alpha = functools.partial(validate_recursion_index, n=n)
         alphas = bad.read("BadAlpha", "alphas", _list, raw["alphas"], alpha)
     elif n is not None:
         alphas = ((0,) * n,)
@@ -318,6 +341,7 @@ def _parse_config(raw) -> tuple[ScenarioConfig | None, list[Diagnostic]]:
         bad.add("BadOracle", "oracle must be an object")
     else:
         bad.unknown_keys(block, _ORACLE_KEYS, "oracle.")
+        bad.unknown_keys(block.get("grid"), _NESTED_KEYS["oracle.grid"], "oracle.grid.")
         grid_tol = bad.read(
             "BadOracle", "oracle.grid_tol", _positive, block.get("grid_tol", GRID_TOL_DEFAULT)
         )
@@ -363,7 +387,7 @@ def load_config(raw: dict) -> ScenarioConfig:
 class _Computed:
     """What a run derives from its config; lists run over `all_states`."""
 
-    all_states: list  # at the trajectory and oracle times, up to any horizon
+    all_states: Trajectory  # at the trajectory and oracle times, up to any horizon
     on_grid: list  # indices into all_states of the trajectory times
     horizon: float | None  # the detected positivity breakdown, if any
     expansions: dict  # α → one HagedornExpansion per state

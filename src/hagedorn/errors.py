@@ -58,14 +58,14 @@ class StepSizeUnderflow(HagedornError):
 class PositivityLost(HagedornError):
     """Positivity of the evolved Lagrangian broke down at time t_star.
 
-    Carries the states computed before the breakdown so callers can report a
-    truncated trajectory instead of crashing.
+    Carries the states computed before the breakdown (propagate passes its
+    truncated Trajectory) so callers can report them instead of crashing.
     """
 
     def __init__(self, t_star: float, states=None):
         super().__init__(f"positivity of the evolved frame lost at t = {t_star:.9g}")
         self.t_star = t_star
-        self.states = list(states) if states is not None else []
+        self.states = states if states is not None else []
 
 
 class ConsistencyError(HagedornError):

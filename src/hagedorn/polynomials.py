@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,9 @@ import numpy as np
 from .errors import AsymmetricM, DimensionMismatch
 
 ALPHA_MAX = 32  # cap on |α| for every multi-index the package accepts
+# cap on the Π(α_j+1)² complex entries of poly_recursion's table (64 MiB); the
+# largest table the tests, bench/run.py and the presets build has 65536
+TABLE_MAX = 1 << 22
 
 
 def validate_multi_index(alpha, n: int | None = None) -> tuple[int, ...]:
@@ -46,6 +50,19 @@ def validate_multi_index(alpha, n: int | None = None) -> tuple[int, ...]:
         raise DimensionMismatch(f"multi-index {idx} does not have {n} components")
     if sum(idx) > ALPHA_MAX:
         raise DimensionMismatch(f"|alpha| exceeds the cap {ALPHA_MAX}")
+    return idx
+
+
+def validate_recursion_index(alpha, n: int | None = None) -> tuple[int, ...]:
+    """validate_multi_index for an α that seeds the recursion; also raises
+    DimensionMismatch, before anything is allocated, when its table would
+    exceed TABLE_MAX entries."""
+    idx = validate_multi_index(alpha, n)
+    entries = math.prod(a + 1 for a in idx) ** 2
+    if entries > TABLE_MAX:
+        raise DimensionMismatch(
+            f"multi-index {idx} needs a recursion table of {entries} entries (cap {TABLE_MAX})"
+        )
     return idx
 
 
@@ -163,7 +180,7 @@ def poly_recursion(M: np.ndarray, alpha) -> MultiPoly:
     if np.max(np.abs(M - M.T)) > 1e-10 * max(1.0, float(np.max(np.abs(M)))):
         raise AsymmetricM("recursion matrix is not symmetric")
     M = 0.5 * (M + M.T)
-    alpha = validate_multi_index(alpha, n)
+    alpha = validate_recursion_index(alpha, n)
 
     shape = tuple(a + 1 for a in alpha)
     table = np.zeros(shape + shape, dtype=complex)

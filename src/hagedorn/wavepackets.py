@@ -23,7 +23,7 @@ from .errors import (
     NonDecayingGaussian,
     SingularC,
 )
-from .polynomials import poly_recursion, validate_multi_index
+from .polynomials import poly_recursion, validate_multi_index, validate_recursion_index
 from .symplectic import COND_MAX, NormalisedFrame, omega, siegel_matrix
 
 
@@ -158,7 +158,7 @@ def eval_ground(params: WavepacketParams, grid: Grid) -> np.ndarray:
 def eval_excited(params: WavepacketParams, alpha, grid: Grid) -> np.ndarray:
     """Sample φ_α = p_α(√(2/ε) Q⁻¹(x−q); Q⁻¹Q̄) φ₀ / √α!."""
     n = params.n
-    alpha = validate_multi_index(alpha, n)
+    alpha = validate_recursion_index(alpha, n)
     ground = eval_ground(params, grid)
     if sum(alpha) == 0:
         return ground

@@ -113,6 +113,7 @@ def test_run_rejects_bad_alpha(tmp_path, capsys, alpha):
 
 
 STANDARD_FRAME_2D = [[[0.0, 1.0], 0.0], [0.0, [0.0, 1.0]], [1.0, 0.0], [0.0, 1.0]]
+IDENTITY_2 = [[1.0, 0.0], [0.0, 1.0]]
 
 # (id, base config, path to the value, value, diagnostic code); "mini" is
 # mini_config(), anything else a preset.  Each value reaches the runner only
@@ -141,7 +142,37 @@ REJECTIONS = [
     ("unknown-tol-frame", "hermitian-sanity", ("tol_frame",), 1e-10, "BadConfig"),
     ("unknown-output-dir", "hermitian-sanity", ("output_dir",), "elsewhere", "BadConfig"),
     ("unknown-oracle-key", "mini", ("oracle", "step"), 1e-3, "BadConfig"),
+    # unknown keys inside nested blocks
+    ("unknown-times-key", "hermitian-sanity", ("times", "step"), 0.1, "BadConfig"),
+    ("unknown-hamiltonian-key", "hermitian-sanity", ("hamiltonian", "times"), [0.0, 1.0],
+     "BadConfig"),
+    ("unknown-sampled-key", "hermitian-sanity", ("hamiltonian",),
+     {"type": "sampled", "times": [0.0, 1.0], "matrices": [IDENTITY_2, IDENTITY_2],
+      "coefficients": [IDENTITY_2]}, "BadConfig"),
+    ("unknown-swanson-key", "horizon", ("swanson", "gamma"), 0.1, "BadConfig"),
+    ("unknown-initial-key", "squeezed-metric", ("initial", "metrics"), IDENTITY_2, "BadConfig"),
+    ("unknown-grid-key", "mini", ("oracle", "grid", "points"), 512, "BadConfig"),
+    # a metric and entries at once: neither may silently win
+    ("initial-metric-and-entries", "squeezed-metric", ("initial", "entries"),
+     [[[1.0, 0.0]], [[0.0, -1.0]]], "BadFrame"),
+    # sample times out of order are a fault of the block, not an asymmetric H
+    ("sampled-times-decreasing", "hermitian-sanity", ("hamiltonian",),
+     {"type": "sampled", "times": [1.0, 0.0], "matrices": [IDENTITY_2, IDENTITY_2]},
+     "BadHamiltonian"),
 ]
+
+
+def test_run_rejects_alpha_whose_table_is_too_large(tmp_path, capsys):
+    # |α| = 32 is within the cap, but its recursion table would take 690 MB
+    raw = copy.deepcopy(PRESETS["hermitian-sanity"])
+    raw["hamiltonian"]["matrix"] = [[float(i == j) for j in range(8)] for i in range(8)]
+    raw["center"] = [0.0] * 8
+    raw["alphas"] = [[8, 8, 8, 8]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "BadAlpha" in printed_codes(capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def rejected_config(base, path, value):
@@ -209,6 +240,7 @@ def test_hermitian_sanity_preset(tmp_path):
     out = tmp_path / "herm"
     assert main(["run", "--preset", "hermitian-sanity", "--out", str(out)]) == 0
     manifest = read_manifest(out)
+    assert manifest["name"] == "hermitian-sanity"
     assert all(c["passed"] for c in manifest["checks"])
     # only tolerances the run applies: the frame checks use a fixed one
     assert set(manifest["tolerances"]) == {"ode_tol", "grid_tol"}

@@ -1,6 +1,7 @@
 """Recursion polynomials: monomial limits, Hermite values, gradient identity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from hagedorn.errors import AsymmetricM, DimensionMismatch
 from hagedorn.polynomials import (
     ALPHA_MAX,
+    TABLE_MAX,
     MultiPoly,
     poly_gradient,
     poly_recursion,
     validate_multi_index,
+    validate_recursion_index,
 )
 
 
@@ -84,6 +87,23 @@ def test_cross_coupling_two_modes():
     m = 0.7
     M = np.array([[0.0, m], [m, 0.0]])
     assert poly_recursion(M, (1, 1)).coeffs == {(1, 1): 1.0, (0, 0): -m}
+
+
+def test_recursion_rejects_oversized_table_before_allocating():
+    # |α| = 32 is within ALPHA_MAX, but Π(α_j+1)² = 9⁸ entries would take 690 MB
+    alpha = (8, 8, 8, 8)
+    assert math.prod(a + 1 for a in alpha) ** 2 > TABLE_MAX
+    assert validate_multi_index(alpha) == alpha
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch, match="recursion table"):
+            poly_recursion(np.eye(4), alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the largest table any caller builds today (n = 4, |α| = 12) still passes
+    assert validate_recursion_index((3, 3, 3, 3), n=4) == (3, 3, 3, 3)
 
 
 def test_recursion_rejects_asymmetric():

@@ -67,9 +67,10 @@ def test_hamiltonian_kinds_evaluate():
 def test_hamiltonian_rejects_bad_input():
     with pytest.raises(NonSymmetricH):
         QuadraticHamiltonian.constant(np.array([[1.0, 0.3], [0.2, 1.0]]))
-    with pytest.raises(NonSymmetricH):
+    # bad sample times are a shape fault, not an asymmetric matrix
+    with pytest.raises(DimensionMismatch):
         QuadraticHamiltonian.sampled([0.0], [np.eye(2)])
-    with pytest.raises(NonSymmetricH):
+    with pytest.raises(DimensionMismatch):
         QuadraticHamiltonian.sampled([0.0, 0.0], [np.eye(2), np.eye(2)])
     with pytest.raises(NonSymmetricH):
         QuadraticHamiltonian.constant(np.eye(3))
