@@ -1,4 +1,5 @@
-"""Per-call times of `hagedorn_coefficients` and `propagate`, written to BENCH_7.json.
+"""Per-call times of `hagedorn_coefficients`, `propagate` and grid fields, written
+to BENCH_8.json.
 
     python3 bench/run.py
 
@@ -14,10 +15,16 @@ Imports the package from ./src of the checkout this script sits in.
   times on [0, 3]; a seeded n = 2 H sampled on 7 knots of [0, 3], 150 times
   on [0, 3].  The last two start from the standard frame and a seeded
   centre.  One run of a row is one call, after one warm-up call.
+- Grid fields: `evolved_state_on_grid` for all 45 α with |α| ≤ 8 on a
+  256×256 grid, at the n = 2 state of the mode-mixed H above (one run is
+  all 45 fields); the n = 1 Swanson state at t = 0.5 on a 1024-node grid,
+  one run being the mean per field over k = 0…8.
+- `hagedorn_coefficients` for n = 1, |α| ≤ 2 at that Swanson state: one run
+  is the mean per call over 600 calls cycling k = 0, 1, 2.
 
 Each row holds the median and the best of RUNS runs.  The file also records
 the machine (nproc, Python, numpy and scipy versions).  A `parent` block
-already in BENCH_7.json (the same rows measured on the parent commit, by
+already in BENCH_8.json (the same rows measured on the parent commit, by
 running this script from a checkout of it) is kept as it is.
 """
 
@@ -39,12 +46,14 @@ import scipy  # noqa: E402
 from hagedorn.cli import standard_frame  # noqa: E402
 from hagedorn.propagation import (  # noqa: E402
     QuadraticHamiltonian,
+    evolved_state_on_grid,
     hagedorn_coefficients,
     propagate,
 )
 from hagedorn.swanson import SwansonParams  # noqa: E402
+from hagedorn.wavepackets import Grid  # noqa: E402
 
-OUT = ROOT / "BENCH_7.json"
+OUT = ROOT / "BENCH_8.json"
 MODES = (3, 4)
 ORDERS = (4, 6, 8, 12)
 RUNS = 5
@@ -72,33 +81,76 @@ def mode_mixed_state(n: int):
     return states[-1]
 
 
-def ms_per_call(state, alphas) -> float:
-    start = time.perf_counter()
-    for alpha in alphas:
-        hagedorn_coefficients(state, alpha)
-    return (time.perf_counter() - start) / len(alphas) * 1e3
+def swanson_state():
+    H = QuadraticHamiltonian.constant(SwansonParams(1.0, 0.5).matrix())
+    return propagate(np.array([[1.0], [-1.0j]]), np.zeros(2), H, [0.0, 0.5])[-1]
+
+
+def timed_rows(cases) -> list:
+    """One row per (row fields, function, inputs, divisor): the time of one
+    call per input, in ms per run / divisor, after a warm-up run.  No result
+    is kept alive past its call."""
+
+    def run(fn, inputs) -> float:
+        start = time.perf_counter()
+        for x in inputs:
+            fn(x)
+        return (time.perf_counter() - start) * 1e3
+
+    rows = []
+    for fields, fn, inputs, per in cases:
+        run(fn, inputs)
+        runs = [run(fn, inputs) / per for _ in range(RUNS)]
+        rows.append({**fields, "ms_per_call": statistics.median(runs), "best_ms": min(runs),
+                     "runs_ms": runs})
+        print(json.dumps(rows[-1]), flush=True)
+    return rows
+
+
+def field_and_small_coefficient_rows() -> list:
+    state_2 = mode_mixed_state(2)
+    grid_2 = Grid(bounds=[(-8.0, 8.0), (-8.0, 8.0)], counts=[256, 256])
+    state_1 = swanson_state()
+    grid_1 = Grid(bounds=[(-10.0, 10.0)], counts=[1024])
+    small = [(k % 3,) for k in range(600)]
+    return timed_rows([
+        (
+            {"what": "evolved_state_on_grid", "per": "run of 45 fields",
+             "case": "n=2, 256x256, all 45 alpha with |alpha| <= 8"},
+            lambda a: evolved_state_on_grid(state_2, a, 1.0, grid_2),
+            [a for order in range(9) for a in multi_indices(2, order)],
+            1,
+        ),
+        (
+            {"what": "evolved_state_on_grid", "case": "n=1 Swanson, N=1024, k = 0..8",
+             "per": "field"},
+            lambda a: evolved_state_on_grid(state_1, a, 1.0, grid_1),
+            [(k,) for k in range(9)],
+            9,
+        ),
+        (
+            {"what": "hagedorn_coefficients", "case": "n=1 Swanson, |alpha| <= 2",
+             "per": "call"},
+            lambda a: hagedorn_coefficients(state_1, a),
+            small,
+            len(small),
+        ),
+    ])
 
 
 def coefficient_rows() -> list:
-    rows = []
+    cases = []
     for n in MODES:
         state = mode_mixed_state(n)
         for order in ORDERS:
             alphas = list(multi_indices(n, order))
-            ms_per_call(state, alphas[:1])  # warm-up
-            runs = [ms_per_call(state, alphas) for _ in range(RUNS)]
-            rows.append(
-                {
-                    "what": "hagedorn_coefficients",
-                    "n": n,
-                    "order": order,
-                    "alphas": len(alphas),
-                    "ms_per_call": statistics.median(runs),
-                    "runs_ms": runs,
-                }
-            )
-            print(json.dumps(rows[-1]), flush=True)
-    return rows
+            cases.append((
+                {"what": "hagedorn_coefficients", "n": n, "order": order, "alphas": len(alphas)},
+                lambda a, state=state: hagedorn_coefficients(state, a),
+                alphas,
+                len(alphas),
+            ))
+    return timed_rows(cases)
 
 
 def propagate_cases() -> dict:
@@ -121,32 +173,17 @@ def propagate_cases() -> dict:
 
 
 def propagate_rows() -> list:
-    rows = []
-    for name, args in propagate_cases().items():
-        propagate(*args)  # warm-up
-        runs = []
-        for _ in range(RUNS):
-            start = time.perf_counter()
-            propagate(*args)
-            runs.append((time.perf_counter() - start) * 1e3)
-        rows.append(
-            {
-                "what": "propagate",
-                "case": name,
-                "ms_per_call": statistics.median(runs),
-                "best_ms": min(runs),
-                "runs_ms": runs,
-            }
-        )
-        print(json.dumps(rows[-1]), flush=True)
-    return rows
+    return timed_rows(
+        ({"what": "propagate", "case": name}, lambda case: propagate(*case), [args], 1)
+        for name, args in propagate_cases().items()
+    )
 
 
 def main() -> None:
-    rows = coefficient_rows() + propagate_rows()
+    rows = coefficient_rows() + propagate_rows() + field_and_small_coefficient_rows()
     report = {
-        "what": "ms per call of hagedorn_coefficients by (n, |alpha|) and of propagate by case,"
-        " median of runs",
+        "what": "ms per call of hagedorn_coefficients by (n, |alpha|) and of propagate, grid"
+        " fields and small coefficient tables by case, median of runs",
         "machine": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),

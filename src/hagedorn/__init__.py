@@ -86,6 +86,7 @@ from .swanson import (
     SwansonStateScalars,
     ds_flow,
     ds_norm,
+    ds_norms,
     ds_positivity_time,
     ds_scalars,
 )

@@ -44,7 +44,8 @@ from .propagation import (
     hagedorn_coefficients,
     propagate,
 )
-from .swanson import SwansonParams, ds_norm, ds_positivity_time
+from .swanson import SwansonParams, ds_norms, ds_positivity_time
+from .swanson import ds_norm  # noqa: F401  perfbench/tracing.py wraps cli.ds_norm
 from .symplectic import LagrangianFrame, NormalisedFrame, frame_from_metric
 from .wavepackets import Grid, WavepacketParams, eval_excited, grid_inner, grid_norm
 
@@ -242,24 +243,21 @@ class _Findings(list):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """The grid oracle's output times, 1-D grid and base step."""
+    """The grid oracle's output times, 1-D grid, base step and Richardson tolerance."""
 
     times: tuple
     grid: Grid
     dt: float
+    grid_tol: float
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A validated, fully resolved scenario; `oracle` is None when it is off.
-
-    `grid_tol` sits outside `oracle` because the manifest reports it either way.
-    """
+    """A validated, fully resolved scenario; `oracle` is None when it is off."""
 
     name: str
     eps: float
     ode_tol: float
-    grid_tol: float
     hamiltonian: QuadraticHamiltonian
     frame: NormalisedFrame
     center: np.ndarray
@@ -336,12 +334,13 @@ def _parse_config(raw) -> tuple[ScenarioConfig | None, list[Diagnostic]]:
         alphas = ((0,) * n,)
 
     block = raw.get("oracle") or {}
-    grid_tol, oracle = None, None
+    oracle = None
     if not isinstance(block, dict):
         bad.add("BadOracle", "oracle must be an object")
     else:
         bad.unknown_keys(block, _ORACLE_KEYS, "oracle.")
         bad.unknown_keys(block.get("grid"), _NESTED_KEYS["oracle.grid"], "oracle.grid.")
+        # checked also when the oracle is off, so a bad --grid-tol never passes
         grid_tol = bad.read(
             "BadOracle", "oracle.grid_tol", _positive, block.get("grid_tol", GRID_TOL_DEFAULT)
         )
@@ -354,12 +353,13 @@ def _parse_config(raw) -> tuple[ScenarioConfig | None, list[Diagnostic]]:
                 times=bad.read("BadOracle", "oracle.times", _oracle_times, block.get("times")),
                 grid=bad.read("BadOracle", "oracle.grid", _grid, block.get("grid", {})),
                 dt=bad.read("BadOracle", "oracle.dt", _positive, block.get("dt", 1e-3)),
+                grid_tol=grid_tol,
             )
 
     if bad:
         return None, list(bad)
     config = ScenarioConfig(
-        name=name, eps=eps, ode_tol=ode_tol, grid_tol=grid_tol, hamiltonian=hamiltonian,
+        name=name, eps=eps, ode_tol=ode_tol, hamiltonian=hamiltonian,
         frame=frame, center=center, times=times, alphas=alphas, oracle=oracle, swanson=swanson,
         expect_horizon=expect_horizon, out_dir=out_dir, raw=raw,
     )
@@ -416,9 +416,10 @@ def _compute(config: ScenarioConfig) -> _Computed:
     }
     closed_norms = None
     if config.swanson is not None:
+        ks = [alpha[0] for alpha in config.alphas]
+        per_time = [ds_norms(config.swanson, ks, st.t) for st in all_states]
         closed_norms = {
-            alpha: [ds_norm(config.swanson, int(alpha[0]), st.t) for st in all_states]
-            for alpha in config.alphas
+            alpha: [norms[i] for norms in per_time] for i, alpha in enumerate(config.alphas)
         }
     return _Computed(
         all_states=all_states,
@@ -460,7 +461,7 @@ def _run_oracle(config: ScenarioConfig, run: _Computed) -> list[dict]:
             i = index[t]
             case = {"k": int(alpha[0]) if config.n == 1 else _alpha_label(alpha), "t": t}
             try:
-                result = propagate_grid(psi0, operator, t, dt=oracle.dt, grid_tol=config.grid_tol)
+                result = propagate_grid(psi0, operator, t, dt=oracle.dt, grid_tol=oracle.grid_tol)
             except ConvergenceFailure as exc:
                 cases.append({**case, "error": str(exc)})
                 continue
@@ -656,19 +657,22 @@ def _write_artifacts(
         report = {
             "grid": {"lo": grid.bounds[0][0], "hi": grid.bounds[0][1], "count": grid.counts[0]},
             "dt": config.oracle.dt,
-            "grid_tol": config.grid_tol,
+            "grid_tol": config.oracle.grid_tol,
             "cases": cases,
         }
         _write_json(out_dir / "oracle.json", report)
         artifacts.append("oracle.json")
 
     closed_horizon = ds_positivity_time(config.swanson) if config.swanson is not None else math.inf
+    tolerances = {"ode_tol": config.ode_tol}
+    if config.oracle is not None:  # grid_tol only where the grid oracle applies it
+        tolerances["grid_tol"] = config.oracle.grid_tol
     manifest = {
         "name": config.name,
         "config_sha256": config_hash(config.raw),
         "n": config.n,
         "eps": config.eps,
-        "tolerances": {"ode_tol": config.ode_tol, "grid_tol": config.grid_tol},
+        "tolerances": tolerances,
         "times": {
             "count": len(states),
             "requested": len(config.times),

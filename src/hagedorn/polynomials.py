@@ -1,8 +1,10 @@
 """Multivariate Appell-type polynomial recursion on dense coefficient arrays.
 
-A MultiPoly holds {multi-index tuple: complex coefficient} with no explicit
-zeros; the recursion and the substitution x → Ax run on dense arrays, where
-x_j shifts the coefficients one place along axis j.  r_α(x; M) is given by
+A MultiPoly holds a dense array whose entry k is the coefficient of x^k;
+.coeffs is a read-only {multi-index: coefficient} view of its nonzeros.  The
+recursion, the substitution x → Ax, differentiation and nested-Horner
+evaluation all run on the array, where x_j shifts the coefficients one place
+along axis j.  r_α(x; M) is given by
 
     r_{γ+e_j} = x_j r_γ − Σ_k M_{jk} γ_k r_{γ−e_k},    r_0 = 1,
 
@@ -17,7 +19,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -76,37 +79,42 @@ def _shift(j: int, n: int) -> tuple[tuple, tuple]:
     return (Ellipsis, *target), (Ellipsis, *source)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiPoly:
-    """Sparse multivariate polynomial with complex coefficients."""
+    """Multivariate polynomial with complex coefficients: the coefficient of
+    x^k is array[k], so array.ndim is the number of variables.  The array is
+    a read-only copy of the one passed in."""
 
-    n: int
-    coeffs: dict = field(default_factory=dict)
+    array: np.ndarray
 
     def __post_init__(self):
-        clean = {}
-        for key, value in self.coeffs.items():
-            key = validate_multi_index(key, self.n)
-            value = complex(value)
-            if value != 0:
-                clean[key] = clean.get(key, 0) + value
-        object.__setattr__(self, "coeffs", clean)
+        array = np.array(self.array, dtype=complex)
+        if array.ndim == 0:
+            raise DimensionMismatch("a polynomial needs at least one variable")
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
 
-    @classmethod
-    def from_dense(cls, array: np.ndarray) -> "MultiPoly":
-        """Polynomial whose coefficient of x^k is array[k]."""
-        nonzero = np.nonzero(array)
+    @property
+    def n(self) -> int:
+        return self.array.ndim
+
+    @functools.cached_property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only {multi-index: coefficient} view of the nonzero entries."""
+        nonzero = np.nonzero(self.array)
         keys = zip(*(axis.tolist() for axis in nonzero))
-        return cls(array.ndim, dict(zip(keys, array[nonzero].tolist())))
+        return MappingProxyType(dict(zip(keys, self.array[nonzero].tolist())))
 
     @property
     def degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(sum(k) for k in self.coeffs)
+        nonzero = np.nonzero(self.array)
+        return int(sum(nonzero).max()) if nonzero[0].size else 0
 
     def __getitem__(self, key) -> complex:
-        return self.coeffs.get(validate_multi_index(key, self.n), 0j)
+        key = validate_multi_index(key, self.n)
+        if any(k >= size for k, size in zip(key, self.array.shape)):
+            return 0j
+        return complex(self.array[key])
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Evaluate at points of shape (..., n); returns shape (...)."""
@@ -115,25 +123,17 @@ class MultiPoly:
             raise DimensionMismatch(
                 f"points have {x.shape[-1]} components, polynomial has {self.n}"
             )
-        out = np.zeros(x.shape[:-1], dtype=complex)
-        for key, value in self.coeffs.items():
-            term = np.full(x.shape[:-1], value, dtype=complex)
-            for j, power in enumerate(key):
-                if power:
-                    term = term * x[..., j] ** power
-            out += term
+        out = np.empty(x.shape[:-1], dtype=complex)
+        out[...] = _horner(self.array, [x[..., j] for j in range(self.n)])
         return out
 
     def differentiate(self, j: int) -> "MultiPoly":
         """Partial derivative in variable j."""
-        out: dict = {}
-        for key, value in self.coeffs.items():
-            if key[j] == 0:
-                continue
-            new = list(key)
-            new[j] -= 1
-            out[tuple(new)] = out.get(tuple(new), 0) + value * key[j]
-        return MultiPoly(self.n, out)
+        size = self.array.shape[j]
+        if size == 1:
+            return MultiPoly(np.zeros_like(self.array))
+        powers = np.arange(1, size).reshape((-1,) + (1,) * (self.n - 1 - j))
+        return MultiPoly(self.array[(slice(None),) * j + (slice(1, None),)] * powers)
 
     def compose_linear(self, A: np.ndarray) -> "MultiPoly":
         """Return p(Ax) for a square matrix A (same variable count) by nested Horner
@@ -142,9 +142,7 @@ class MultiPoly:
         A = np.asarray(A, dtype=complex)
         if A.shape != (n, n):
             raise DimensionMismatch(f"linear map must be {n}×{n}")
-        dense = np.zeros(np.max([*self.coeffs, (0,) * n], axis=0) + 1, dtype=complex)
-        for key, value in self.coeffs.items():
-            dense[key] = value
+        dense = self.array
         shifts = [_shift(j, n) for j in range(n)]
         top = self.degree + 1  # no partial sum exceeds the degree: higher x-powers stay 0
         block = dense.reshape(dense.shape + (1,) * n)  # y-exponents + x-coefficients
@@ -163,7 +161,23 @@ class MultiPoly:
                     acc = product
                 acc[old] += block[(slice(None),) * i + (k,)]
             block = acc
-        return MultiPoly.from_dense(block)
+        return MultiPoly(block)
+
+
+def _horner(array: np.ndarray, xs: list):
+    """Σ_k array[k] Π_j xs[j]^{k_j} by nested Horner, xs[0] outermost; a
+    scalar when array is 0-d.  Zero sub-arrays add nothing and are skipped."""
+    if array.ndim == 0:
+        return array[()]
+    acc = _horner(array[-1], xs[1:])
+    for k in reversed(range(array.shape[0] - 1)):
+        if k == array.shape[0] - 2:
+            acc = acc * xs[0]  # from here on acc is a full-shape array of its own
+        else:
+            acc *= xs[0]
+        if array[k].any():
+            acc += _horner(array[k], xs[1:])
+    return acc
 
 
 def poly_recursion(M: np.ndarray, alpha) -> MultiPoly:
@@ -177,7 +191,7 @@ def poly_recursion(M: np.ndarray, alpha) -> MultiPoly:
     n = M.shape[0]
     if M.shape != (n, n):
         raise DimensionMismatch("recursion matrix must be square")
-    if np.max(np.abs(M - M.T)) > 1e-10 * max(1.0, float(np.max(np.abs(M)))):
+    if np.abs(M - M.T).max() > 1e-10 * max(1.0, float(np.abs(M).max())):
         raise AsymmetricM("recursion matrix is not symmetric")
     M = 0.5 * (M + M.T)
     alpha = validate_recursion_index(alpha, n)
@@ -196,7 +210,7 @@ def poly_recursion(M: np.ndarray, alpha) -> MultiPoly:
                 continue
             lower = prev[:k] + (prev[k] - 1,) + prev[k + 1 :]
             result -= M[j, k] * prev[k] * table[lower]
-    return MultiPoly.from_dense(table[alpha])
+    return MultiPoly(table[alpha])
 
 
 def poly_gradient(p: MultiPoly, alpha=None):

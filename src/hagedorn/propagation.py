@@ -51,7 +51,7 @@ from .errors import (
     PositivityLost,
     StepSizeUnderflow,
 )
-from .polynomials import poly_recursion, validate_recursion_index
+from .polynomials import ALPHA_MAX, poly_recursion, validate_recursion_index
 from .symplectic import (
     POS_TOL,
     TOL_FRAME,
@@ -70,9 +70,12 @@ from .symplectic import (
     omega,
     siegel_b,
 )
-from .wavepackets import Grid, WavepacketParams, eval_ground
+from .wavepackets import Grid, WavepacketParams, _packet_on_grid
+from .wavepackets import eval_ground  # noqa: F401  perfbench/tracing.py wraps it
 
 ODE_TOL = 1e-10
+# k! for every k a nonzero coefficient can carry; exact in float64 up to 18!
+_FACTORIALS = np.array([math.factorial(k) for k in range(ALPHA_MAX + 1)], dtype=float)
 
 
 def _check_symmetric(H: np.ndarray, label: str = "H") -> np.ndarray:
@@ -640,19 +643,24 @@ def hagedorn_coefficients(state: PropagatedState, alpha) -> HagedornExpansion:
     """Activation coefficients a_k of U(t)φ_α over φ_k(Z_t, z_t).
 
     Builds q_α from the recursion with M_t, substitutes x → N_t x, and scales
-    monomial coefficients c_k to a_k = c_k √(k!)/√(α!).  Only indices with
-    |k| ≤ |α| and |α| − |k| even appear.
+    the nonzero monomial coefficients c_k to a_k = c_k √(k!)/√(α!).  Only
+    indices with |k| ≤ |α| and |α| − |k| even appear.
     """
     n = state.Z.n
     alpha = validate_recursion_index(alpha, n)
-    poly = poly_recursion(state.M, alpha)
-    composed = poly.compose_linear(state.N)
+    composed = poly_recursion(state.M, alpha).compose_linear(state.N).array
+    nonzero = np.nonzero(composed)
+    fact_k = _FACTORIALS[nonzero[0]]
+    for axis in nonzero[1:]:
+        fact_k = fact_k * _FACTORIALS[axis]
     fact_alpha = math.sqrt(math.prod(math.factorial(a) for a in alpha))
-    coeffs = {
-        k: c * math.sqrt(math.prod(math.factorial(x) for x in k)) / fact_alpha
-        for k, c in composed.coeffs.items()
-    }
-    return HagedornExpansion(coefficients=coeffs, log_prefactor=state.log_prefactor)
+    values = composed[nonzero] * np.sqrt(fact_k)
+    values.real /= fact_alpha  # numpy's complex / real multiplies by 1/f; divide exactly
+    values.imag /= fact_alpha
+    keys = zip(*(axis.tolist() for axis in nonzero))
+    return HagedornExpansion(
+        coefficients=dict(zip(keys, values.tolist())), log_prefactor=state.log_prefactor
+    )
 
 
 def evolved_state_on_grid(state: PropagatedState, alpha, eps: float, grid: Grid):
@@ -662,8 +670,7 @@ def evolved_state_on_grid(state: PropagatedState, alpha, eps: float, grid: Grid)
 
     with the continuity-tracked branch of (det Q_t)^{−1/2}.
     """
-    n = state.Z.n
-    alpha = validate_recursion_index(alpha, n)
+    alpha = validate_recursion_index(alpha, state.Z.n)
     params = WavepacketParams(
         frame=state.Z,
         center=state.z,
@@ -671,16 +678,7 @@ def evolved_state_on_grid(state: PropagatedState, alpha, eps: float, grid: Grid)
         phase=state.log_prefactor,
         log_det_q=state.logdetQ,
     )
-    ground = eval_ground(params, grid)
-    if sum(alpha) == 0:
-        return ground
-    poly = poly_recursion(state.Mtilde, alpha)
-    Q = state.Z.Q
-    lin = state.N @ np.linalg.inv(Q)
-    x = grid.points()
-    y = math.sqrt(2.0 / eps) * np.einsum("ij,...j->...i", lin, x - state.z[n:])
-    fact_alpha = math.sqrt(math.prod(math.factorial(a) for a in alpha))
-    return poly.evaluate(y) / fact_alpha * ground
+    return _packet_on_grid(params, grid, alpha, state.Mtilde, state.N @ np.linalg.inv(state.Z.Q))
 
 
 def positivity_horizon(

@@ -117,10 +117,20 @@ def ds_norm(params: SwansonParams, k: int, t: float) -> float:
 
     For k = 0, 1, 2 this reduces to e^β, e^β n, e^β √(n⁴ + |m|²/2).
     """
-    k = int(k)
-    if k < 0 or k > ALPHA_MAX:
-        raise DimensionMismatch(f"k must lie in [0, {ALPHA_MAX}]")
+    return ds_norms(params, [k], t)[0]
+
+
+def ds_norms(params: SwansonParams, ks, t: float) -> list[float]:
+    """ds_norm for every k in ks, from one set of closed-form scalars at t."""
+    ks = [int(k) for k in ks]
+    for k in ks:
+        if k < 0 or k > ALPHA_MAX:
+            raise DimensionMismatch(f"k must lie in [0, {ALPHA_MAX}]")
     scalars = ds_scalars(params, t)
+    return [_norm(scalars, k) for k in ks]
+
+
+def _norm(scalars: SwansonStateScalars, k: int) -> float:
     n, m, beta = scalars.n, scalars.m, scalars.beta
     # monomial coefficients of q_k: q_{j+1} = x q_j − m j q_{j−1}
     prev = {0: 1.0 + 0j}

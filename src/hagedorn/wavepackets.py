@@ -7,13 +7,16 @@ The ground state is
 
 excited states multiply in p_α(√(2/ε) Q⁻¹(x−q); Q⁻¹Q̄)/√α!.  The branch of
 (det Q)^{−1/2} is the principal one unless the caller supplies a continuously
-tracked log det Q (the propagation module does).
+tracked log det Q (the propagation module does).  Fields are built from the
+1-D grid axes by broadcasting, never from a mesh of all nodes (grid
+evaluation in the Hagedorn basis as in Faou, Gradinaru & Lubich, SIAM J. Sci.
+Comput. 31 (2009)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,48 +133,70 @@ class WavepacketParams:
         return self.center[self.n :]
 
 
-def _siegel_and_logdet(params: WavepacketParams):
+def _offsets(params: WavepacketParams, grid: Grid) -> list[np.ndarray]:
+    """d_j = x_j − q_j on grid axis j, shaped to broadcast against the others."""
+    n = params.n
+    if grid.n != n:
+        raise DimensionMismatch(f"grid dimension {grid.n} does not match n = {n}")
+    return [
+        (axis - q).reshape((-1,) + (1,) * (n - 1 - j))
+        for j, (axis, q) in enumerate(zip(grid.axes(), params.q))
+    ]
+
+
+def _packet_on_grid(
+    params: WavepacketParams, grid: Grid, alpha=None, M=None, L=None
+) -> np.ndarray:
+    """e^{phase} φ₀(x) · p_α(√(2/ε) L(x−q); M)/√α! at the grid nodes.
+
+    Built from the 1-D offsets d_j = x_j − q_j by broadcasting: the exponent
+    Σ_i ((i/2ε)B_ii d_i + (i/ε)p_i) d_i + Σ_{i<j} (i/ε)B_ij d_i d_j plus the
+    log of the prefactor takes one exp, and y_i = √(2/ε) Σ_j L_ij d_j feeds
+    the polynomial's nested Horner.  alpha None or zero gives the ground state.
+    """
+    n = params.n
+    d = _offsets(params, grid)
     siegel = siegel_matrix(params.frame)
     if siegel.im_min_eig <= 0:
         raise NonDecayingGaussian("Im(PQ⁻¹) is not positive definite")
+    B = siegel.B
     if params.log_det_q is None:
         log_det_q = complex(np.log(complex(np.linalg.det(params.frame.Q))))
     else:
         log_det_q = complex(params.log_det_q)
-    return siegel.B, log_det_q
+    eps = params.eps
+    log_amp = -0.25 * n * math.log(math.pi * eps) - 0.5 * log_det_q + params.phase
+    exponent = log_amp + sum(
+        ((0.5j / eps) * B[i, i] * d[i] + (1j / eps) * params.p[i]) * d[i] for i in range(n)
+    )
+    for i in range(n):
+        for j in range(i + 1, n):
+            exponent = exponent + (1j / eps) * B[i, j] * d[i] * d[j]
+    psi = np.exp(exponent)
+    if alpha is None or not any(alpha):
+        return psi
+    poly = poly_recursion(M, alpha)
+    y = np.empty((n, *grid.counts), dtype=complex)
+    scale = math.sqrt(2.0 / eps)
+    for i in range(n):
+        y[i] = sum((scale * L[i, j]) * d[j] for j in range(n))
+    psi *= poly.evaluate(np.moveaxis(y, 0, -1))  # y[i] stays contiguous for Horner
+    psi /= math.sqrt(math.prod(math.factorial(a) for a in alpha))
+    return psi
 
 
 def eval_ground(params: WavepacketParams, grid: Grid) -> np.ndarray:
     """Sample φ₀ at the grid nodes (times e^{params.phase})."""
-    n = params.n
-    if grid.n != n:
-        raise DimensionMismatch(f"grid dimension {grid.n} does not match n = {n}")
-    B, log_det_q = _siegel_and_logdet(params)
-    x = grid.points()
-    dx = x - params.q
-    quad = np.einsum("...i,ij,...j->...", dx, B, dx)
-    plane = np.tensordot(dx, params.p, axes=([-1], [0]))
-    amp = (np.pi * params.eps) ** (-n / 4) * np.exp(-0.5 * log_det_q + params.phase)
-    return amp * np.exp(0.5j / params.eps * quad + 1j / params.eps * plane)
+    return _packet_on_grid(params, grid)
 
 
 def eval_excited(params: WavepacketParams, alpha, grid: Grid) -> np.ndarray:
     """Sample φ_α = p_α(√(2/ε) Q⁻¹(x−q); Q⁻¹Q̄) φ₀ / √α!."""
-    n = params.n
-    alpha = validate_recursion_index(alpha, n)
-    ground = eval_ground(params, grid)
-    if sum(alpha) == 0:
-        return ground
+    alpha = validate_recursion_index(alpha, params.n)
     Q = params.frame.Q
     Qinv = np.linalg.inv(Q)
     M = Qinv @ np.conj(Q)
-    M = 0.5 * (M + M.T)
-    poly = poly_recursion(M, alpha)
-    x = grid.points()
-    y = np.sqrt(2.0 / params.eps) * np.einsum("ij,...j->...i", Qinv, x - params.q)
-    values = poly.evaluate(y)
-    norm = math.sqrt(math.prod(math.factorial(a) for a in alpha))
-    return values / norm * ground
+    return _packet_on_grid(params, grid, alpha, 0.5 * (M + M.T), Qinv)
 
 
 def apply_lowering(params: WavepacketParams, f: np.ndarray, grid: Grid, col: int = 0):
@@ -182,8 +207,7 @@ def apply_lowering(params: WavepacketParams, f: np.ndarray, grid: Grid, col: int
     limited by the finite-difference order.
     """
     n = params.n
-    if grid.n != n:
-        raise DimensionMismatch("grid dimension mismatch")
+    d = _offsets(params, grid)
     l = params.frame.entries[:, col]
     w = omega(n).T @ l  # A(l) = (i/√(2ε)) (Ωᵀl)·(ẑ − z)
     axes = grid.axes()
@@ -193,9 +217,8 @@ def apply_lowering(params: WavepacketParams, f: np.ndarray, grid: Grid, col: int
         # momentum component: p̂_j f = −iε ∂_j f, shifted by the center p_j
         grad = np.gradient(f, axes[j], axis=j, edge_order=2)
         out += w[j] * (-1j * eps * grad - params.p[j] * f)
-    x = grid.points()
     for j in range(n):
-        out += w[n + j] * (x[..., j] - params.q[j]) * f
+        out += w[n + j] * d[j] * f
     return 1j / math.sqrt(2 * eps) * out
 
 

@@ -242,8 +242,9 @@ def test_hermitian_sanity_preset(tmp_path):
     manifest = read_manifest(out)
     assert manifest["name"] == "hermitian-sanity"
     assert all(c["passed"] for c in manifest["checks"])
-    # only tolerances the run applies: the frame checks use a fixed one
-    assert set(manifest["tolerances"]) == {"ode_tol", "grid_tol"}
+    # only tolerances the run applies: the frame checks use a fixed one, and
+    # no grid oracle runs, so there is no grid_tol
+    assert set(manifest["tolerances"]) == {"ode_tol"}
     for name in ("trajectory.csv", "coefficients_0.csv", "coefficients_2.csv"):
         assert (out / name).exists()
     rows = read_csv(out / "trajectory.csv")
@@ -314,10 +315,26 @@ def test_oracle_report_contents(mini_run):
     with open(out / "oracle.json") as fh:
         report = json.load(fh)
     assert len(report["cases"]) == 2
+    assert report["grid_tol"] == read_manifest(out)["tolerances"]["grid_tol"] == 1e-4
     for case in report["cases"]:
         assert case["t"] == 0.25
         assert case["fidelity"] >= 1 - 1e-5
         assert case["richardson_error"] < 1e-4
+
+
+def test_grid_tol_reported_only_where_the_oracle_runs(tmp_path, capsys):
+    cfg = tmp_path / "mini.json"
+    cfg.write_text(json.dumps(mini_config()))
+    assert load_config(mini_config()).oracle.grid_tol == 1e-4
+    out = tmp_path / "off"
+    assert main(["run", str(cfg), "--no-oracle", "--out", str(out)]) == 0
+    assert set(read_manifest(out)["tolerances"]) == {"ode_tol"}
+    assert not (out / "oracle.json").exists()
+    # a malformed tolerance is still rejected when the oracle is off
+    bad = tmp_path / "bad"
+    assert main(["run", str(cfg), "--no-oracle", "--grid-tol", "-1", "--out", str(bad)]) == 2
+    assert "BadOracle" in capsys.readouterr().err
+    assert not bad.exists()
 
 
 def test_oracle_column_patched_into_norm_curve(mini_run):

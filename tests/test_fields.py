@@ -1,0 +1,159 @@
+"""Grid fields against a mesh reference: the full node array, the three-operand
+quadratic form and a term-by-term polynomial sum."""
+
+import dataclasses
+import math
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from hagedorn.errors import DimensionMismatch, NonDecayingGaussian
+from hagedorn.polynomials import poly_recursion
+from hagedorn.propagation import QuadraticHamiltonian, evolved_state_on_grid, propagate
+from hagedorn.symplectic import NormalisedFrame, siegel_matrix
+from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, eval_ground
+
+GRIDS = {
+    1: [Grid(bounds=[(-10.0, 10.0)], counts=[1024])],
+    2: [
+        Grid(bounds=[(-8.0, 8.0), (-7.0, 9.0)], counts=[64, 64]),
+        Grid(bounds=[(-8.0, 8.0), (-7.0, 9.0)], counts=[256, 256]),
+    ],
+}
+CASES = [(n, g) for n in GRIDS for g in range(len(GRIDS[n]))]
+TOL = 1e-12
+
+
+def alphas(n, top=8):
+    """Every α with n components and |α| ≤ top."""
+    for order in range(top + 1):
+        for bars in combinations(range(order + n - 1), n - 1):
+            edges = (-1,) + bars + (order + n - 1,)
+            yield tuple(edges[i + 1] - edges[i] - 1 for i in range(n))
+
+
+def seeded_state(n, seed, t=0.9):
+    """A propagated state under a seeded mode-mixed, non-Hermitian H."""
+    rng = np.random.default_rng(seed)
+    X, Y = rng.normal(size=(2 * n, 2 * n)), rng.normal(size=(2 * n, 2 * n))
+    H = X @ X.T / (2 * n) + 0.5 * np.eye(2 * n) + 0.05j * (Y + Y.T)
+    frame = np.vstack([1j * np.eye(n), np.eye(n)])
+    centre = rng.uniform(-1.0, 1.0, 2 * n)
+    return propagate(frame, centre, QuadraticHamiltonian.constant(H), [0.0, t])[-1]
+
+
+class MeshReference:
+    """φ₀ and y = √(2/ε) L(x − q) on the node mesh, then p_α(y; M)/√α! · φ₀ by
+    summing monomials one at a time."""
+
+    def __init__(self, params, L, grid):
+        x = grid.points()
+        dx = x - params.q
+        B = siegel_matrix(params.frame).B
+        quad = np.einsum("...i,ij,...j->...", dx, B, dx)
+        plane = np.tensordot(dx, params.p, axes=([-1], [0]))
+        log_det_q = params.log_det_q
+        if log_det_q is None:
+            log_det_q = np.log(complex(np.linalg.det(params.frame.Q)))
+        amp = (np.pi * params.eps) ** (-params.n / 4) * np.exp(-0.5 * log_det_q + params.phase)
+        self.ground = amp * np.exp(0.5j / params.eps * quad + 1j / params.eps * plane)
+        self.y = math.sqrt(2.0 / params.eps) * np.einsum("ij,...j->...i", L, dx)
+
+    def field(self, M, alpha):
+        total = np.zeros(self.ground.shape, dtype=complex)
+        for key, c in poly_recursion(M, alpha).coeffs.items():
+            term = np.full(self.ground.shape, c, dtype=complex)
+            for j, power in enumerate(key):
+                term = term * self.y[..., j] ** power
+            total += term
+        norm = math.sqrt(math.prod(math.factorial(a) for a in alpha))
+        return total / norm * self.ground
+
+
+def max_rel(field, reference):
+    return np.max(np.abs(field - reference)) / np.max(np.abs(reference))
+
+
+def excited_inputs(params):
+    Qinv = np.linalg.inv(params.frame.Q)
+    M = Qinv @ np.conj(params.frame.Q)
+    return 0.5 * (M + M.T), Qinv
+
+
+@pytest.mark.parametrize("n, g", CASES)
+def test_eval_excited_matches_mesh_reference(n, g):
+    state = seeded_state(n, 20 + n)
+    grid = GRIDS[n][g]
+    # a log det Q one turn off the principal branch flips the square root's sign
+    params = WavepacketParams(
+        frame=state.Z, center=state.z, eps=0.7, phase=0.3 + 0.2j,
+        log_det_q=np.log(complex(np.linalg.det(state.Z.Q))) + 2j * np.pi,
+    )
+    M, Qinv = excited_inputs(params)
+    ref = MeshReference(params, Qinv, grid)
+    for alpha in alphas(n):
+        assert max_rel(eval_excited(params, alpha, grid), ref.field(M, alpha)) < TOL, alpha
+    principal = dataclasses.replace(params, log_det_q=None)
+    assert max_rel(eval_ground(principal, grid), -ref.ground) < TOL
+
+
+@pytest.mark.parametrize("n, g", CASES)
+def test_evolved_state_matches_mesh_reference(n, g):
+    state = seeded_state(n, 30 + n)
+    grid = GRIDS[n][g]
+    params = WavepacketParams(
+        frame=state.Z, center=state.z, eps=0.7, phase=state.log_prefactor,
+        log_det_q=state.logdetQ,
+    )
+    ref = MeshReference(params, state.N @ np.linalg.inv(state.Z.Q), grid)
+    for alpha in alphas(n):
+        field = evolved_state_on_grid(state, alpha, 0.7, grid)
+        assert max_rel(field, ref.field(state.Mtilde, alpha)) < TOL, alpha
+
+
+def test_evolved_state_keeps_the_tracked_branch():
+    # the harmonic oscillator turns Q_t = e^{-it}: at t = 4 the tracked
+    # log det Q is −4i, one turn below the principal value
+    state = propagate(
+        np.array([[1j], [1.0]]), np.array([0.3, -0.2]),
+        QuadraticHamiltonian.constant(np.eye(2)), [0.0, 4.0],
+    )[-1]
+    principal = np.log(complex(np.linalg.det(state.Z.Q)))
+    assert abs(state.logdetQ - principal - 2j * np.pi) < 1e-9
+    grid = GRIDS[1][0]
+    params = WavepacketParams(
+        frame=state.Z, center=state.z, eps=1.0, phase=state.log_prefactor,
+        log_det_q=state.logdetQ,
+    )
+    ref = MeshReference(params, state.N @ np.linalg.inv(state.Z.Q), grid)
+    for alpha in [(0,), (1,), (4,)]:
+        field = evolved_state_on_grid(state, alpha, 1.0, grid)
+        assert max_rel(field, ref.field(state.Mtilde, alpha)) < TOL
+
+
+def test_fields_reject_a_non_decaying_gaussian():
+    # (P; Q) = (−i; 1) gives Im PQ⁻¹ = −1; checked() skips the normalisation
+    # check that would reject it at construction
+    frame = NormalisedFrame.checked(np.array([[-1j], [1.0]]))
+    params = WavepacketParams(frame=frame, center=np.zeros(2), eps=1.0)
+    grid = GRIDS[1][0]
+    with pytest.raises(NonDecayingGaussian):
+        eval_ground(params, grid)
+    with pytest.raises(NonDecayingGaussian):
+        eval_excited(params, (2,), grid)
+    state = dataclasses.replace(seeded_state(1, 21), Z=frame)
+    with pytest.raises(NonDecayingGaussian):
+        evolved_state_on_grid(state, (2,), 1.0, grid)
+
+
+def test_fields_reject_a_grid_of_the_wrong_dimension():
+    state = seeded_state(2, 22)
+    params = WavepacketParams(frame=state.Z, center=state.z, eps=1.0)
+    grid = GRIDS[1][0]
+    with pytest.raises(DimensionMismatch, match="grid dimension"):
+        eval_ground(params, grid)
+    with pytest.raises(DimensionMismatch, match="grid dimension"):
+        eval_excited(params, (1, 1), grid)
+    with pytest.raises(DimensionMismatch, match="grid dimension"):
+        evolved_state_on_grid(state, (1, 1), 1.0, grid)

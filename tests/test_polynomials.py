@@ -50,7 +50,7 @@ def test_validate_multi_index():
 
 
 def test_multipoly_canonical_form():
-    p = MultiPoly(1, {(0,): 1.0, (2,): 0.0})
+    p = MultiPoly(np.array([1.0, 0.0, 0.0]))  # 1 + 0x + 0x²
     assert (2,) not in p.coeffs
     assert p.degree == 0
     assert p[(0,)] == 1.0
@@ -58,16 +58,16 @@ def test_multipoly_canonical_form():
 
 
 def test_multipoly_arithmetic():
-    p = MultiPoly.from_dense(np.array([-1.0, 0.0, 1.0]))  # x² − 1
+    p = MultiPoly(np.array([-1.0, 0.0, 1.0]))  # x² − 1
     assert p.coeffs == {(2,): 1.0, (0,): -1.0}
-    assert MultiPoly(1, {(2,): 1.0, (0,): -1.0, (1,): 0.0}).coeffs == p.coeffs
+    assert MultiPoly(np.array([-1.0, 0.0, 1.0, 0.0])).coeffs == p.coeffs
     assert p.differentiate(0).coeffs == {(1,): 2.0}
     pts = np.array([[0.5], [2.0], [-1.0]])
     assert np.allclose(p.evaluate(pts), [-0.75, 3.0, 0.0])
 
 
 def test_multipoly_evaluate_shape_check():
-    p = MultiPoly(2, {(1, 0): 1.0})
+    p = MultiPoly(np.array([[0.0], [1.0]]))  # x_1
     with pytest.raises(DimensionMismatch):
         p.evaluate(np.zeros((4, 3)))
 
@@ -171,6 +171,92 @@ def test_compose_linear_matches_pointwise(seed, n, order):
 
 
 def test_compose_linear_shape_check():
-    p = MultiPoly(2, {(1, 1): 1.0})
+    p = MultiPoly(np.array([[0.0, 0.0], [0.0, 1.0]]))  # x_1 x_2
     with pytest.raises(DimensionMismatch):
         p.compose_linear(np.eye(3))
+
+
+# -- dense-array MultiPoly against dict references ------------------------------------
+
+
+def seeded_poly(seed):
+    """A seeded recursion polynomial with n = 1…4 variables and degree ≤ 8."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 4
+    alpha = tuple(int(a) for a in rng.multinomial(seed % 9, [1 / n] * n))
+    return rng, poly_recursion(random_symmetric(rng, n), alpha)
+
+
+def dict_product(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for kp, vp in p.items():
+        for kq, vq in q.items():
+            key = tuple(a + b for a, b in zip(kp, kq))
+            out[key] = out.get(key, 0) + vp * vq
+    return out
+
+
+def dict_compose(coeffs: dict, A: np.ndarray) -> dict:
+    """p(Ax) by expanding Π_i (Σ_j A_ij x_j)^{k_i} one monomial at a time."""
+    n = A.shape[0]
+    rows = [{tuple(int(i == j) for i in range(n)): complex(A[r, j]) for j in range(n)}
+            for r in range(n)]
+    out: dict = {}
+    for key, c in coeffs.items():
+        term = {(0,) * n: c}
+        for r, power in enumerate(key):
+            for _ in range(power):
+                term = dict_product(term, rows[r])
+        for k, v in term.items():
+            out[k] = out.get(k, 0) + v
+    return out
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_horner_evaluate_matches_term_sum(seed):
+    rng, p = seeded_poly(seed)
+    pts = rng.standard_normal((3, 5, p.n)) + 1j * rng.standard_normal((3, 5, p.n))
+    direct = sum(c * np.prod(pts ** np.array(k), axis=-1) for k, c in p.coeffs.items())
+    values = p.evaluate(pts)
+    assert values.shape == (3, 5)
+    assert np.max(np.abs(values - direct)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
+    # a single point gives a 0-d result
+    assert p.evaluate(pts[0, 0]).shape == ()
+    assert abs(p.evaluate(pts[0, 0]) - direct[0, 0]) <= 1e-12 * max(1.0, abs(direct[0, 0]))
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_compose_and_differentiate_match_dict_references(seed):
+    rng, p = seeded_poly(seed)
+    A = rng.standard_normal((p.n, p.n)) + 1j * rng.standard_normal((p.n, p.n))
+    expected = dict_compose(p.coeffs, A)
+    composed = p.compose_linear(A)
+    scale = max(abs(v) for v in expected.values())
+    keys = set(composed.coeffs) | {k for k, v in expected.items() if abs(v) > 1e-13 * scale}
+    for key in keys:
+        assert abs(composed[key] - expected.get(key, 0)) <= 1e-12 * scale, key
+    for j in range(p.n):
+        derivative = {}
+        for key, c in p.coeffs.items():
+            if key[j]:
+                lower = key[:j] + (key[j] - 1,) + key[j + 1:]
+                derivative[lower] = c * key[j]
+        assert p.differentiate(j).coeffs == derivative
+
+
+def test_coeffs_view_is_read_only_and_array_is_copied():
+    source = np.array([[1.0, 0.0], [0.0, 2.0j]])
+    p = MultiPoly(source)
+    source[0, 0] = 5.0
+    assert p.coeffs == {(0, 0): 1.0, (1, 1): 2.0j}
+    with pytest.raises(TypeError):
+        p.coeffs[(0, 1)] = 1.0
+    with pytest.raises(ValueError):
+        p.array[0, 1] = 1.0
+    assert p.n == 2 and p.degree == 2
+    assert p[(1, 1)] == 2.0j and p[(3, 0)] == 0j
+    # the recursion hands out a copy of its table's slice, not a view
+    r = poly_recursion(np.eye(2), (2, 1))
+    assert r.array.base is None and r.array.shape == (3, 2)
+    with pytest.raises(DimensionMismatch):
+        MultiPoly(np.array(1.0))

@@ -12,6 +12,7 @@ from hagedorn.swanson import (
     SwansonParams,
     ds_flow,
     ds_norm,
+    ds_norms,
     ds_positivity_time,
     ds_scalars,
 )
@@ -120,6 +121,24 @@ def test_norm_rejects_bad_order():
         ds_norm(REFERENCE, -1, 0.5)
     with pytest.raises(DimensionMismatch):
         ds_norm(REFERENCE, 33, 0.5)
+
+
+def test_norms_build_the_scalars_once_per_time(monkeypatch):
+    from hagedorn import swanson
+
+    built = []
+    real = swanson.ds_scalars
+    monkeypatch.setattr(swanson, "ds_scalars", lambda *args: built.append(args) or real(*args))
+    ks = [0, 3, 1, 8, 3]
+    norms = ds_norms(REFERENCE, ks, 0.9)
+    assert len(built) == 1
+    monkeypatch.setattr(swanson, "ds_scalars", real)
+    assert norms == [ds_norm(REFERENCE, k, 0.9) for k in ks]
+    # a bad order anywhere in the list is rejected before anything is built
+    monkeypatch.setattr(swanson, "ds_scalars", lambda *args: built.append(args) or real(*args))
+    with pytest.raises(DimensionMismatch):
+        ds_norms(REFERENCE, [0, 33], 0.9)
+    assert len(built) == 1
 
 
 def test_norm_deviation_grows_with_order():
