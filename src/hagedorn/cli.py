@@ -46,7 +46,7 @@ from .propagation import (
 )
 from .swanson import SwansonParams, ds_norms, ds_positivity_time
 from .swanson import ds_norm  # noqa: F401  perfbench/tracing.py wraps cli.ds_norm
-from .symplectic import LagrangianFrame, NormalisedFrame, frame_from_metric
+from .symplectic import NormalisedFrame, frame_from_metric
 from .wavepackets import Grid, WavepacketParams, eval_excited, grid_inner, grid_norm
 
 FIDELITY_TOL = 1e-5
@@ -165,7 +165,7 @@ def _hamiltonian(block: dict) -> QuadraticHamiltonian:
 def standard_frame(n: int) -> NormalisedFrame:
     """The frame (i·Id; Id) of the isotropic standard Gaussian."""
     ident = np.eye(n, dtype=complex)
-    return NormalisedFrame(LagrangianFrame(np.vstack([1j * ident, ident])))
+    return NormalisedFrame(np.vstack([1j * ident, ident]))
 
 
 def _frame(initial, n: int | None) -> NormalisedFrame | None:
@@ -177,7 +177,7 @@ def _frame(initial, n: int | None) -> NormalisedFrame | None:
     if isinstance(initial, dict) and "metric" in initial:
         frame = frame_from_metric(_matrix(initial["metric"], _real))
     elif isinstance(initial, dict) and "entries" in initial:
-        frame = NormalisedFrame(LagrangianFrame(_matrix(initial["entries"], _complex)))
+        frame = NormalisedFrame(_matrix(initial["entries"], _complex))
     else:
         raise ValueError('expected "standard", {"metric": ...}, or {"entries": ...}')
     if n is not None and frame.n != n:

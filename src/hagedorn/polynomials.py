@@ -27,8 +27,9 @@ import numpy as np
 from .errors import AsymmetricM, DimensionMismatch
 
 ALPHA_MAX = 32  # cap on |α| for every multi-index the package accepts
-# cap on the Π(α_j+1)² complex entries of poly_recursion's table (64 MiB); the
-# largest table the tests, bench/run.py and the presets build has 65536
+# cap on the complex entries of poly_recursion's table, Π(α_j+1)², and of each
+# accumulator compose_linear builds on r_α (64 MiB); the largest the tests,
+# bench/run.py and the presets build has 65536
 TABLE_MAX = 1 << 22
 
 
@@ -58,15 +59,36 @@ def validate_multi_index(alpha, n: int | None = None) -> tuple[int, ...]:
 
 def validate_recursion_index(alpha, n: int | None = None) -> tuple[int, ...]:
     """validate_multi_index for an α that seeds the recursion; also raises
-    DimensionMismatch, before anything is allocated, when its table would
-    exceed TABLE_MAX entries."""
+    DimensionMismatch, before anything is allocated, when its table or the
+    largest accumulator of composing r_α with a linear map would exceed
+    TABLE_MAX entries."""
     idx = validate_multi_index(alpha, n)
-    entries = math.prod(a + 1 for a in idx) ** 2
-    if entries > TABLE_MAX:
+    shape = tuple(a + 1 for a in idx)
+    table = math.prod(shape) ** 2
+    accumulator = max(
+        (math.prod(shape[:i]) * size ** len(shape)
+         for i, size in _accumulator_sizes(shape, sum(idx) + 1) if size),
+        default=0,
+    )
+    if max(table, accumulator) > TABLE_MAX:
         raise DimensionMismatch(
-            f"multi-index {idx} needs a recursion table of {entries} entries (cap {TABLE_MAX})"
+            f"multi-index {idx} needs a recursion table of {table} entries and a "
+            f"composition accumulator of {accumulator} (cap {TABLE_MAX} each)"
         )
     return idx
+
+
+def _accumulator_sizes(shape: tuple, top: int):
+    """(i, size) for each variable i, last first, of compose_linear on a dense
+    array of this shape and degree top − 1: its accumulator for i has shape
+    shape[:i] + (size,)*n; size is None where shape[i] == 1 (no accumulator)."""
+    size = 1
+    for i in reversed(range(len(shape))):
+        if shape[i] == 1:
+            yield i, None
+            continue
+        size = min(size + shape[i] - 1, top)
+        yield i, size
 
 
 @functools.cache
@@ -146,11 +168,10 @@ class MultiPoly:
         shifts = [_shift(j, n) for j in range(n)]
         top = self.degree + 1  # no partial sum exceeds the degree: higher x-powers stay 0
         block = dense.reshape(dense.shape + (1,) * n)  # y-exponents + x-coefficients
-        for i in reversed(range(n)):
-            if dense.shape[i] == 1:
+        for i, size in _accumulator_sizes(dense.shape, top):
+            if size is None:
                 block = block[(slice(None),) * i + (0,)]
                 continue
-            size = min(block.shape[-1] + dense.shape[i] - 1, top)
             acc = np.zeros(dense.shape[:i] + (size,) * n, dtype=complex)
             old = (Ellipsis,) + (slice(block.shape[-1]),) * n
             for k in reversed(range(dense.shape[i])):  # acc ← y_i·acc + p_k

@@ -53,9 +53,7 @@ from .errors import (
 )
 from .polynomials import ALPHA_MAX, poly_recursion, validate_recursion_index
 from .symplectic import (
-    POS_TOL,
     TOL_FRAME,
-    LagrangianFrame,
     NormalisedFrame,
     SymplecticMetricPair,
     check_lagrangian,
@@ -343,13 +341,13 @@ def flow(H: QuadraticHamiltonian, t0: float, t1: float, ode_tol: float = ODE_TOL
     return _LinearFlow(H, ode_tol).at(t0, np.eye(2 * H.n, dtype=complex), t1)
 
 
-def _positivity_margin(W: np.ndarray, pos_tol: float):
+def _positivity_margin(W: np.ndarray):
     """λ_min of the Gram matrix of W (of each frame of a stack) above the floor
     that normalise_frame applies."""
-    return gram_margin(gram_matrix(W), pos_tol)[1]
+    return gram_margin(gram_matrix(W))[1]
 
 
-def _scan(Z0: NormalisedFrame, H: QuadraticHamiltonian, times, ode_tol, pos_tol):
+def _scan(Z0: NormalisedFrame, H: QuadraticHamiltonian, times, ode_tol):
     """(S_t, log det W_Q, horizon) with W = S_tZ₀, stacked over the output times.
 
     The stacks stop before the first output time whose segment loses
@@ -365,12 +363,12 @@ def _scan(Z0: NormalisedFrame, H: QuadraticHamiltonian, times, ode_tol, pos_tol)
     linear = _LinearFlow(H, ode_tol)
     n, W0 = Z0.n, Z0.entries
     t_prev, S_prev, WQ_prev = 0.0, np.eye(2 * n, dtype=complex), W0[n:]
-    margin_prev = float(_positivity_margin(W0, pos_tol))
+    margin_prev = float(_positivity_margin(W0))
     log_prev = complex(np.log(complex(np.linalg.det(Z0.Q))))
     out_S, out_log = [np.empty((0, 2 * n, 2 * n), dtype=complex)], [np.empty(0, dtype=complex)]
     for counts, ts, flows in linear.chunks(times):
         W = flows @ W0
-        margin = _positivity_margin(W, pos_tol)
+        margin = _positivity_margin(W)
         failed = np.flatnonzero(margin <= 0)
         good = int(failed[0]) if failed.size else len(ts)
         WQ = np.concatenate([WQ_prev[None], W[:good, n:]])
@@ -385,7 +383,7 @@ def _scan(Z0: NormalisedFrame, H: QuadraticHamiltonian, times, ode_tol, pos_tol)
             if good:
                 t_prev, S_prev, margin_prev = ts[good - 1], flows[good - 1], margin[good - 1]
             t_star = _crossing(
-                lambda s: float(_positivity_margin(linear.at(t_prev, S_prev, s) @ W0, pos_tol)),
+                lambda s: float(_positivity_margin(linear.at(t_prev, S_prev, s) @ W0)),
                 t_prev, float(ts[good]), margin_prev, margin[good],
             )
             return np.concatenate(out_S), np.concatenate(out_log), t_star
@@ -414,7 +412,6 @@ def propagate(
     times,
     eps: float = 1.0,
     ode_tol: float = ODE_TOL,
-    pos_tol: float = POS_TOL,
 ):
     """Propagate a wavepacket frame: a Trajectory with one state per time.
 
@@ -424,7 +421,7 @@ def propagate(
     before the last requested time.
     """
     if not isinstance(Z0, NormalisedFrame):
-        Z0 = NormalisedFrame(LagrangianFrame(np.asarray(Z0)))
+        Z0 = NormalisedFrame(Z0)
     n = Z0.n
     if H.n != n:
         raise DimensionMismatch("Hamiltonian and frame dimensions differ")
@@ -437,7 +434,7 @@ def propagate(
     if times[0] < 0:
         raise DimensionMismatch("times must start at t ≥ 0")
 
-    S, log_det_wq, t_star = _scan(Z0, H, times, ode_tol, pos_tol)
+    S, log_det_wq, t_star = _scan(Z0, H, times, ode_tol)
     trajectory = _trajectory(times[: len(S)], S, Z0.entries, z0, log_det_wq, eps)
     if t_star is not None:
         raise PositivityLost(t_star, trajectory)
@@ -448,8 +445,8 @@ def _trajectory(times, S, Z0, z0, log_det_wq, eps) -> Trajectory:
     """The packet at every output time from the stacked flow S, one batched call a step.
 
     The stack runs once through every check the per-state constructors make
-    (normalise_frame, LagrangianFrame, NormalisedFrame, SymplecticMetricPair,
-    siegel_matrix), with their tolerances, scales and errors.
+    (normalise_frame, NormalisedFrame, SymplecticMetricPair, siegel_matrix),
+    with their tolerances, scales and errors.
     """
     n = Z0.shape[1]
     W = S @ Z0
@@ -686,17 +683,17 @@ def positivity_horizon(
     H: QuadraticHamiltonian,
     t_max: float,
     ode_tol: float = ODE_TOL,
-    pos_tol: float = POS_TOL,
 ) -> float:
     """First time in (0, t_max] where the evolved frame stops being positive.
 
     Returns math.inf when positivity survives the whole window.  The crossing
-    is the root of λ_min((1/2i)W*ΩW) − pos_tol inside the first flow sample
-    step where it changes sign, located to brentq's default tolerance (~1e-12).
+    is the root of the margin gram_margin gives for (1/2i)W*ΩW inside the first
+    flow sample step where it changes sign, located to brentq's default
+    tolerance (~1e-12).
     """
     if not isinstance(Z0, NormalisedFrame):
-        Z0 = NormalisedFrame(LagrangianFrame(np.asarray(Z0)))
+        Z0 = NormalisedFrame(Z0)
     if H.n != Z0.n:
         raise DimensionMismatch("Hamiltonian and frame dimensions differ")
-    t_star = _scan(Z0, H, np.array([float(t_max)]), ode_tol, pos_tol)[2]
+    t_star = _scan(Z0, H, np.array([float(t_max)]), ode_tol)[2]
     return math.inf if t_star is None else t_star

@@ -8,6 +8,8 @@ i.e. the quadratic symbol ½ z·Hz with H = [[ω0, −iδ], [−iδ, ω0]] in th
     n_t⁻² = 1 − (δ²/ω²)(1 − cos 2tω)
     e^β_t = n_t^{1/2} = ω^{1/2} (ω0² + δ² cos 2ωt)^{−1/4}
     m_t   = (2δ/ω) n_t² sin(tω) ((ω0/ω) sin(tω) + i cos(tω))
+    G_t   = n_t² [[c² + b²s², 2δcs/ω], [2δcs/ω, c² + a²s²]]
+            with c = cos tω, s = sin tω, a = (ω0+δ)/ω, b = (ω0−δ)/ω
     T     = ∞ if ω0 > δ, else (1/2ω) arccos(−ω0²/δ²)
 
 for the initial frame l₀ = (1, −i).  Norm curves for the k-th excited state
@@ -25,13 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, OutsideHorizon
 from .polynomials import ALPHA_MAX
-from .symplectic import (
-    LagrangianFrame,
-    NormalisedFrame,
-    hermitian_pairing,
-    metric_and_structure,
-    omega,
-)
+from .symplectic import NormalisedFrame, hermitian_pairing, omega
 
 L0 = np.array([1.0, -1.0j])
 
@@ -101,14 +97,15 @@ def ds_scalars(params: SwansonParams, t: float) -> SwansonStateScalars:
     n_inv_sq = 1.0 - (d**2 / w**2) * (1.0 - math.cos(2 * t * w))
     n = 1.0 / math.sqrt(n_inv_sq)
     beta = 0.5 * math.log(w) - 0.25 * math.log(w0**2 + d**2 * math.cos(2 * w * t))
-    s = math.sin(t * w)
-    m = (2 * d / w) * n**2 * s * complex((w0 / w) * s, math.cos(t * w))
+    c, s = math.cos(t * w), math.sin(t * w)
+    m = (2 * d / w) * n**2 * s * complex((w0 / w) * s, c)
     l_t = n * (ds_flow(params, t) @ L0)
-    frame = NormalisedFrame(LagrangianFrame(l_t.reshape(2, 1)))
+    frame = NormalisedFrame(l_t.reshape(2, 1))
     pairing = complex(hermitian_pairing(l_t, l_t))
     if abs(pairing - 1.0) > 1e-12:
         raise OutsideHorizon(f"normalization cross-check failed: h(l,l) = {pairing}")
-    metric = metric_and_structure(frame).G
+    a, b, off = (w0 + d) / w, (w0 - d) / w, 2 * d * c * s / w
+    metric = n**2 * np.array([[c**2 + b**2 * s**2, off], [off, c**2 + a**2 * s**2]])
     return SwansonStateScalars(t=float(t), n=n, beta=beta, m=m, l=frame, metric=metric)
 
 

@@ -104,36 +104,27 @@ def hermitian_pairing(z: np.ndarray, w: np.ndarray) -> complex | np.ndarray:
     return value
 
 
-def _not_isotropic(Z: np.ndarray, tol: float):
+def _not_isotropic(Z: np.ndarray):
     om = omega(Z.shape[-2] // 2)
-    return _worst(_mT(Z) @ om @ Z) > tol * _scale(Z) ** 2
+    return _worst(_mT(Z) @ om @ Z) > TOL_FRAME * _scale(Z) ** 2
 
 
-def _not_normalised(Z: np.ndarray, tol: float):
+def _not_normalised(Z: np.ndarray):
     om = omega(Z.shape[-2] // 2)
     defect = _mH(Z) @ om @ Z - 2j * np.eye(Z.shape[-1])
-    return _worst(defect) > tol * _scale(Z) ** 2
+    return _worst(defect) > TOL_FRAME * _scale(Z) ** 2
 
 
-def _rank_deficient(Z: np.ndarray, rank_tol: float):
-    return ~(np.linalg.svd(Z, compute_uv=False)[..., -1] > rank_tol)
-
-
-def is_isotropic(Z: np.ndarray, tol: float = TOL_FRAME) -> bool:
-    """True iff ZᵀΩZ vanishes entrywise to tol (relative to input scale)."""
+def is_isotropic(Z: np.ndarray) -> bool:
+    """True iff ZᵀΩZ vanishes entrywise to TOL_FRAME (relative to input scale)."""
     n = _check_frame_shape(Z)
-    return not _not_isotropic(np.asarray(Z, dtype=complex), tol) if n else True
+    return not _not_isotropic(np.asarray(Z, dtype=complex)) if n else True
 
 
-def is_normalised(Z: np.ndarray, tol: float = TOL_FRAME) -> bool:
-    """True iff Z*ΩZ = 2i·Id to tol."""
+def is_normalised(Z: np.ndarray) -> bool:
+    """True iff Z*ΩZ = 2i·Id to TOL_FRAME."""
     _check_frame_shape(Z)
-    return not _not_normalised(np.asarray(Z, dtype=complex), tol)
-
-
-def has_full_rank(Z: np.ndarray, rank_tol: float = RANK_TOL) -> bool:
-    """True iff the smallest singular value of Z exceeds rank_tol."""
-    return not _rank_deficient(np.asarray(Z, dtype=complex), rank_tol)
+    return not _not_normalised(np.asarray(Z, dtype=complex))
 
 
 # -- checks on one matrix or a stack of them (leading axes) ------------------
@@ -146,15 +137,16 @@ def check_lagrangian(Z: np.ndarray) -> None:
     """Raise DimensionMismatch unless every frame of Z is isotropic and of full rank."""
     Z = np.asarray(Z, dtype=complex)
     _check_stack_shape(Z)
-    _reject(_not_isotropic(Z, TOL_FRAME), DimensionMismatch, "frame is not isotropic: ZᵀΩZ ≠ 0")
-    _reject(_rank_deficient(Z, RANK_TOL), DimensionMismatch, "frame does not have full column rank")
+    _reject(_not_isotropic(Z), DimensionMismatch, "frame is not isotropic: ZᵀΩZ ≠ 0")
+    _reject(~(np.linalg.svd(Z, compute_uv=False)[..., -1] > RANK_TOL), DimensionMismatch,
+            "frame does not have full column rank")
 
 
 def check_normalised(Z: np.ndarray) -> None:
     """Raise DimensionMismatch unless Z*ΩZ = 2i·Id for every frame of Z."""
     Z = np.asarray(Z, dtype=complex)
     _check_stack_shape(Z)
-    _reject(_not_normalised(Z, TOL_FRAME), DimensionMismatch,
+    _reject(_not_normalised(Z), DimensionMismatch,
             "frame is not normalised: Z*ΩZ ≠ 2i·Id")
 
 
@@ -174,16 +166,16 @@ def check_metric_pair(G: np.ndarray, J: np.ndarray) -> None:
     _reject(_worst(J @ J + np.eye(n2)) > TOL_FRAME * scale**2, NotSymplecticMetric, "J² ≠ −Id")
 
 
-def gram_margin(gram: np.ndarray, pos_tol: float = POS_TOL):
-    """(λ_min, λ_min − pos_tol·max(1, ‖gram‖)) of every Gram matrix of a stack."""
+def gram_margin(gram: np.ndarray):
+    """(λ_min, λ_min − POS_TOL·max(1, ‖gram‖)) of every Gram matrix of a stack."""
     min_eig = np.linalg.eigvalsh(gram)[..., 0]
-    return min_eig, min_eig - pos_tol * _scale(gram)
+    return min_eig, min_eig - POS_TOL * _scale(gram)
 
 
-def check_positive_gram(gram: np.ndarray, pos_tol: float = POS_TOL) -> np.ndarray:
+def check_positive_gram(gram: np.ndarray) -> np.ndarray:
     """λ_min of every Gram matrix (1/2i) Z*ΩZ of a stack; raises NotPositiveLagrangian
     when one has no positive margin (see gram_margin)."""
-    min_eig, margin = gram_margin(gram, pos_tol)
+    min_eig, margin = gram_margin(gram)
     bad = margin <= 0
     if bad.any():
         worst = float(min_eig[bad][0])
@@ -194,7 +186,7 @@ def check_positive_gram(gram: np.ndarray, pos_tol: float = POS_TOL) -> np.ndarra
 
 @dataclass(frozen=True)
 class LagrangianFrame:
-    """A 2n×n isotropic frame of full rank."""
+    """A 2n×n isotropic frame of full rank, from an array or another frame."""
 
     entries: np.ndarray
 
@@ -221,46 +213,20 @@ class LagrangianFrame:
 
 
 @dataclass(frozen=True)
-class NormalisedFrame:
+class NormalisedFrame(LagrangianFrame):
     """A Lagrangian frame with Z*ΩZ = 2i·Id (hence a positive Lagrangian)."""
 
-    frame: LagrangianFrame
-
     def __post_init__(self):
-        frame = self.frame
-        if not isinstance(frame, LagrangianFrame):
-            frame = LagrangianFrame(np.asarray(frame))
-            object.__setattr__(self, "frame", frame)
-        check_normalised(frame.entries)
+        super().__post_init__()
+        check_normalised(self.entries)
 
     @classmethod
     def checked(cls, entries: np.ndarray) -> "NormalisedFrame":
         """The frame over entries that check_lagrangian and check_normalised have
         already accepted, e.g. one slice of a checked stack; nothing is re-run."""
-        lagrangian = object.__new__(LagrangianFrame)
-        object.__setattr__(lagrangian, "entries", entries)
         frame = object.__new__(cls)
-        object.__setattr__(frame, "frame", lagrangian)
+        object.__setattr__(frame, "entries", entries)
         return frame
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.frame.entries
-
-    @property
-    def n(self) -> int:
-        return self.frame.n
-
-    @property
-    def P(self) -> np.ndarray:
-        return self.frame.P
-
-    @property
-    def Q(self) -> np.ndarray:
-        return self.frame.Q
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.entries, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -295,7 +261,7 @@ class SiegelMatrix:
         object.__setattr__(self, "B", np.asarray(self.B, dtype=complex))
 
 
-def hermitian_inv_sqrt(A: np.ndarray, pos_tol: float = POS_TOL) -> np.ndarray:
+def hermitian_inv_sqrt(A: np.ndarray) -> np.ndarray:
     """The unique Hermitian positive-definite A^{−1/2} of a Hermitian A ≻ 0
     (of every matrix of a stack)."""
     A = np.asarray(A, dtype=complex)
@@ -303,7 +269,7 @@ def hermitian_inv_sqrt(A: np.ndarray, pos_tol: float = POS_TOL) -> np.ndarray:
     _reject(_worst(A - _mH(A)) > TOL_FRAME * scale, NotHermitian, "matrix is not Hermitian")
     A = 0.5 * (A + _mH(A))
     vals, vecs = np.linalg.eigh(A)
-    bad = vals[..., 0] <= pos_tol * scale
+    bad = vals[..., 0] <= POS_TOL * scale
     if bad.any():
         worst = float(vals[..., 0][bad][0])
         _reject(bad, NotPositiveDefinite, f"smallest eigenvalue {worst:.3e} below floor")
@@ -318,7 +284,7 @@ def gram_matrix(Z: np.ndarray) -> np.ndarray:
     return 0.5 * (gram + _mH(gram))
 
 
-def normalise_frame(Z, pos_tol: float = POS_TOL):
+def normalise_frame(Z):
     """Return (ZN as NormalisedFrame, N) with N = ((1/2i) Z*ΩZ)^{−1/2}.
 
     Raises NotPositiveLagrangian when the Gram matrix is not positive
@@ -327,9 +293,9 @@ def normalise_frame(Z, pos_tol: float = POS_TOL):
     entries = np.asarray(Z, dtype=complex)
     _check_frame_shape(entries)
     gram = gram_matrix(entries)
-    check_positive_gram(gram, pos_tol)
-    N = hermitian_inv_sqrt(gram, pos_tol=pos_tol)
-    return NormalisedFrame(LagrangianFrame(entries @ N)), N
+    check_positive_gram(gram)
+    N = hermitian_inv_sqrt(gram)
+    return NormalisedFrame(entries @ N), N
 
 
 def projections(Z: NormalisedFrame):
@@ -341,23 +307,23 @@ def projections(Z: NormalisedFrame):
     return pi_l, pi_lbar
 
 
-def siegel_b(P: np.ndarray, Q: np.ndarray, cond_max: float = COND_MAX) -> np.ndarray:
+def siegel_b(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """B = PQ⁻¹, symmetrized post-hoc, of every block pair of a stack; raises
-    SingularQ when cond(Q) exceeds cond_max."""
-    _reject(np.linalg.cond(Q) > cond_max, SingularQ, "Q block is singular or too ill-conditioned")
+    SingularQ when cond(Q) exceeds COND_MAX."""
+    _reject(np.linalg.cond(Q) > COND_MAX, SingularQ, "Q block is singular or too ill-conditioned")
     B = _mT(np.linalg.solve(_mT(Q), _mT(P)))
     return 0.5 * (B + _mT(B))
 
 
-def siegel_matrix(Z, cond_max: float = COND_MAX) -> SiegelMatrix:
+def siegel_matrix(Z) -> SiegelMatrix:
     """B = PQ⁻¹, symmetrized post-hoc; reports the smallest eigenvalue of Im B."""
-    if isinstance(Z, (LagrangianFrame, NormalisedFrame)):
+    if isinstance(Z, LagrangianFrame):
         P, Q = Z.P, Z.Q
     else:
         entries = np.asarray(Z, dtype=complex)
         n = _check_frame_shape(entries)
         P, Q = entries[:n, :], entries[n:, :]
-    B = siegel_b(P, Q, cond_max)
+    B = siegel_b(P, Q)
     im_min = float(np.linalg.eigvalsh(0.5 * (B - B.conj().T) / 1j)[0])
     return SiegelMatrix(B=B, im_min_eig=im_min)
 
@@ -375,15 +341,15 @@ def metric_and_structure(Z: NormalisedFrame) -> SymplecticMetricPair:
     return SymplecticMetricPair(G=G, J=-omega(Z.n) @ G)
 
 
-def _sign_canonical(u: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    # Flip so the first significant component is positive: deterministic output.
+def _sign_canonical(u: np.ndarray) -> np.ndarray:
+    # Flip so the first significant component (above 1e-12) is positive: deterministic output.
     for x in u:
-        if abs(x) > tol:
+        if abs(x) > 1e-12:
             return u if x > 0 else -u
     return u
 
 
-def frame_from_metric(G, pos_tol: float = POS_TOL) -> NormalisedFrame:
+def frame_from_metric(G) -> NormalisedFrame:
     """Reconstruct a normalised frame with metric G.
 
     Uses the symplectic eigenbasis: eigenvalues of G come in (λ, 1/λ) pairs
@@ -398,14 +364,8 @@ def frame_from_metric(G, pos_tol: float = POS_TOL) -> NormalisedFrame:
         raise DimensionMismatch("metric must be a 2n×2n matrix")
     n = n2 // 2
     om = omega(n)
-    scale = _scale(G)
-    if np.max(np.abs(G - G.T)) > TOL_FRAME * scale:
-        raise NotSymplecticMetric("G is not symmetric")
-    if np.max(np.abs(G.T @ om @ G - om)) > TOL_FRAME * scale**2:
-        raise NotSymplecticMetric("G is not symplectic: GᵀΩG ≠ Ω")
+    check_metric_pair(G, -om @ G)
     vals, vecs = np.linalg.eigh(G)
-    if vals[0] <= pos_tol:
-        raise NotSymplecticMetric("G is not positive definite")
 
     # Pick n vectors from the λ ≥ 1 side, largest first.  Within a
     # near-degenerate group the partner v = Ωu may fall in the same eigenspace
@@ -435,4 +395,4 @@ def frame_from_metric(G, pos_tol: float = POS_TOL) -> NormalisedFrame:
 
     cols = [u / np.sqrt(lam) - 1j * np.sqrt(lam) * (om @ u) for lam, u in chosen]
     Z = np.stack(cols, axis=1)
-    return NormalisedFrame(LagrangianFrame(Z))
+    return NormalisedFrame(Z)

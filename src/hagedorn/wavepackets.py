@@ -107,9 +107,7 @@ class WavepacketParams:
     def __post_init__(self):
         frame = self.frame
         if not isinstance(frame, NormalisedFrame):
-            from .symplectic import LagrangianFrame
-
-            frame = NormalisedFrame(LagrangianFrame(np.asarray(frame)))
+            frame = NormalisedFrame(frame)
             object.__setattr__(self, "frame", frame)
         center = np.asarray(self.center, dtype=float).reshape(-1)
         if center.size != 2 * frame.n:
@@ -261,9 +259,7 @@ def expansion_overlap(Z: NormalisedFrame, C: np.ndarray, alpha, beta) -> complex
     eval_ground's branch policy.
     """
     if not isinstance(Z, NormalisedFrame):
-        from .symplectic import LagrangianFrame
-
-        Z = NormalisedFrame(LagrangianFrame(np.asarray(Z)))
+        Z = NormalisedFrame(Z)
     n = Z.n
     C = np.atleast_2d(np.asarray(C, dtype=complex))
     if C.shape != (n, n):

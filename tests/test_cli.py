@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -163,16 +164,19 @@ REJECTIONS = [
 
 
 def test_run_rejects_alpha_whose_table_is_too_large(tmp_path, capsys):
-    # |α| = 32 is within the cap, but its recursion table would take 690 MB
-    raw = copy.deepcopy(PRESETS["hermitian-sanity"])
-    raw["hamiltonian"]["matrix"] = [[float(i == j) for j in range(8)] for i in range(8)]
-    raw["center"] = [0.0] * 8
-    raw["alphas"] = [[8, 8, 8, 8]]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
-    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
-    assert "BadAlpha" in printed_codes(capsys.readouterr().err)
-    assert not (tmp_path / "out").exists()
+    # |α| = 32 is within the cap, but its recursion table would take 690 MB;
+    # (1,)*8 has a small table, but composing it would build a 657 MiB accumulator
+    for alpha in [[8, 8, 8, 8], [1] * 8]:
+        n = len(alpha)
+        raw = copy.deepcopy(PRESETS["hermitian-sanity"])
+        raw["hamiltonian"]["matrix"] = [[float(i == j) for j in range(2 * n)] for i in range(2 * n)]
+        raw["center"] = [0.0] * (2 * n)
+        raw["alphas"] = [alpha]
+        bad = tmp_path / f"bad{n}.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert "BadAlpha" in printed_codes(capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
 
 def rejected_config(base, path, value):
@@ -381,6 +385,8 @@ def test_module_entry_point():
         [sys.executable, "-m", "hagedorn.cli", "presets", "list"],
         capture_output=True,
         text=True,
+        # the child sees the package wherever this process found it
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     assert "swanson-fig1" in proc.stdout

@@ -1,0 +1,36 @@
+"""Import direction: the core modules never reach the checking side or the CLI."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hagedorn
+
+PACKAGE = Path(hagedorn.__file__).parent
+CORE = ["symplectic", "polynomials", "wavepackets", "propagation"]
+OUTER = {"swanson", "gridsolver", "cli"}
+
+
+def imported_modules(path):
+    """Last dotted component of every module an import statement in path names,
+    plus the names a relative `from . import x` brings in."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module.rsplit(".", 1)[-1])
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", CORE)
+def test_core_module_imports_nothing_from_the_outer_modules(module):
+    assert imported_modules(PACKAGE / f"{module}.py") & OUTER == set()
+
+
+def test_import_scan_sees_the_outer_modules():
+    # cli imports all three the other way round, so the scan would notice them
+    assert OUTER - {"cli"} <= imported_modules(PACKAGE / "cli.py")

@@ -94,14 +94,17 @@ def test_recursion_rejects_oversized_table_before_allocating():
     alpha = (8, 8, 8, 8)
     assert math.prod(a + 1 for a in alpha) ** 2 > TABLE_MAX
     assert validate_multi_index(alpha) == alpha
-    tracemalloc.start()
-    try:
-        with pytest.raises(DimensionMismatch, match="recursion table"):
-            poly_recursion(np.eye(4), alpha)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    # (1,)*8 has a 65536-entry table, but composing r_α with x → Ax would build
+    # a 9⁸-entry accumulator (657 MiB)
+    for alpha in [alpha, (1,) * 8]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch, match="recursion table"):
+                poly_recursion(np.eye(len(alpha)), alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
     # the largest table any caller builds today (n = 4, |α| = 12) still passes
     assert validate_recursion_index((3, 3, 3, 3), n=4) == (3, 3, 3, 3)
 

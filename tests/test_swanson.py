@@ -16,6 +16,7 @@ from hagedorn.swanson import (
     ds_positivity_time,
     ds_scalars,
 )
+from hagedorn import symplectic
 from hagedorn.symplectic import omega
 
 REFERENCE = SwansonParams(omega0=1.0, delta=0.5)
@@ -77,6 +78,18 @@ def test_scalars_at_time_zero():
     assert sc.m == 0.0
     assert np.max(np.abs(sc.l.entries[:, 0] - L0)) < 1e-15
     assert np.max(np.abs(sc.metric - np.eye(2))) < 1e-15
+
+
+def test_closed_form_metric_is_independent_of_the_frame_metric(monkeypatch):
+    # the closed-form metric must not come from the formula the pipeline uses
+    def refuse(Z):
+        raise AssertionError("frame_metric called")
+
+    monkeypatch.setattr(symplectic, "frame_metric", refuse)
+    for t in (0.0, 0.4, T_STAR):
+        metric = ds_scalars(REFERENCE, t).metric
+        assert metric.shape == (2, 2)
+        assert np.max(np.abs(metric.T @ omega(1) @ metric - omega(1))) < 1e-12
 
 
 def test_scalars_at_quarter_period():

@@ -80,6 +80,18 @@ def test_lagrangian_frame_rejects_non_isotropic():
         NormalisedFrame(np.array([[2j], [2.0]]))
 
 
+def test_normalised_frame_is_one_lagrangian_frame():
+    entries = standard(2)
+    for source in (entries, LagrangianFrame(entries)):
+        frame = NormalisedFrame(source)
+        assert isinstance(frame, LagrangianFrame)
+        assert not hasattr(frame, "frame")
+        assert np.array_equal(frame.entries, entries)
+        assert np.array_equal(frame.Q, np.eye(2))
+    checked = NormalisedFrame.checked(entries)
+    assert isinstance(checked, LagrangianFrame) and checked.entries is entries
+
+
 def test_rank_deficient_frame_rejected():
     Z = np.hstack([standard(2)[:, :1], standard(2)[:, :1]])
     with pytest.raises(DimensionMismatch):
