@@ -1,5 +1,6 @@
-"""Per-call times of `hagedorn_coefficients`, `propagate` and grid fields, written
-to BENCH_8.json.
+"""Per-call times of `hagedorn_coefficients`, `propagate`, grid fields, the grid
+oracle's building blocks and whole `swanson-fig1` runs, written to
+BENCH_10.json.
 
     python3 bench/run.py
 
@@ -21,18 +22,28 @@ Imports the package from ./src of the checkout this script sits in.
   one run being the mean per field over k = 0…8.
 - `hagedorn_coefficients` for n = 1, |α| ≤ 2 at that Swanson state: one run
   is the mean per call over 600 calls cycling k = 0, 1, 2.
+- Grid oracle, Swanson H on the oracle's 1024-node grid of [−12, 12]: one
+  `discretize_hamiltonian` call; one Cayley matrix build at τ = 1e-3 with
+  the damping (`_cayley_matrix` after clearing the operator's cache); one
+  Crank–Nicolson step, the mean over 500 products C ψ.
+- `run_scenario` on the `swanson-fig1` preset, artifacts written to a
+  temporary directory: with its oracle at times (0.25, 0.5), with the
+  preset's full oracle list, and with the oracle off.  One run is one call;
+  these rows take the median of SCENARIO_RUNS runs.
 
-Each row holds the median and the best of RUNS runs.  The file also records
+Each row holds the median and the best of its runs.  The file also records
 the machine (nproc, Python, numpy and scipy versions).  A `parent` block
-already in BENCH_8.json (the same rows measured on the parent commit, by
+already in BENCH_10.json (the same rows measured on the parent commit, by
 running this script from a checkout of it) is kept as it is.
 """
 
+import copy
 import json
 import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from itertools import combinations
 from pathlib import Path
@@ -43,7 +54,8 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from hagedorn.cli import standard_frame  # noqa: E402
+from hagedorn.cli import PRESETS, load_config, run_scenario, standard_frame  # noqa: E402
+from hagedorn.gridsolver import _cayley_matrix, discretize_hamiltonian  # noqa: E402
 from hagedorn.propagation import (  # noqa: E402
     QuadraticHamiltonian,
     evolved_state_on_grid,
@@ -51,12 +63,13 @@ from hagedorn.propagation import (  # noqa: E402
     propagate,
 )
 from hagedorn.swanson import SwansonParams  # noqa: E402
-from hagedorn.wavepackets import Grid  # noqa: E402
+from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited  # noqa: E402
 
-OUT = ROOT / "BENCH_8.json"
+OUT = ROOT / "BENCH_10.json"
 MODES = (3, 4)
 ORDERS = (4, 6, 8, 12)
 RUNS = 5
+SCENARIO_RUNS = 3
 SEED = 2
 T = 1.5
 
@@ -86,10 +99,10 @@ def swanson_state():
     return propagate(np.array([[1.0], [-1.0j]]), np.zeros(2), H, [0.0, 0.5])[-1]
 
 
-def timed_rows(cases) -> list:
+def timed_rows(cases, runs: int = RUNS) -> list:
     """One row per (row fields, function, inputs, divisor): the time of one
-    call per input, in ms per run / divisor, after a warm-up run.  No result
-    is kept alive past its call."""
+    call per input, in ms per run / divisor, over `runs` runs after a warm-up
+    run.  No result is kept alive past its call."""
 
     def run(fn, inputs) -> float:
         start = time.perf_counter()
@@ -100,9 +113,9 @@ def timed_rows(cases) -> list:
     rows = []
     for fields, fn, inputs, per in cases:
         run(fn, inputs)
-        runs = [run(fn, inputs) / per for _ in range(RUNS)]
-        rows.append({**fields, "ms_per_call": statistics.median(runs), "best_ms": min(runs),
-                     "runs_ms": runs})
+        times = [run(fn, inputs) / per for _ in range(runs)]
+        rows.append({**fields, "ms_per_call": statistics.median(times), "best_ms": min(times),
+                     "runs_ms": times})
         print(json.dumps(rows[-1]), flush=True)
     return rows
 
@@ -179,18 +192,72 @@ def propagate_rows() -> list:
     )
 
 
+def grid_oracle_rows() -> list:
+    H = SwansonParams(1.0, 0.5).matrix()
+    grid = Grid(bounds=[(-12.0, 12.0)], counts=[1024])
+    operator = discretize_hamiltonian(H, 1.0, grid)
+    params = WavepacketParams(frame=np.array([[1.0], [-1.0j]]), center=np.zeros(2), eps=1.0)
+    psi = eval_excited(params, (1,), grid)
+    cayley = _cayley_matrix(operator, 1e-3, True)
+
+    def build_cayley(op):
+        op._cayley.clear()
+        _cayley_matrix(op, 1e-3, True)
+
+    steps = 500
+    return timed_rows([
+        ({"what": "discretize_hamiltonian", "case": "Swanson, N=1024", "per": "call"},
+         lambda g: discretize_hamiltonian(H, 1.0, g), [grid], 1),
+        ({"what": "Cayley build", "case": "Swanson, N=1024, tau=1e-3, damped", "per": "call"},
+         build_cayley, [operator], 1),
+        ({"what": "Crank-Nicolson step", "case": "Swanson, N=1024, one column", "per": "step"},
+         lambda f: cayley @ f, [psi] * steps, steps),
+    ])
+
+
+def scenario_rows() -> list:
+    full = PRESETS["swanson-fig1"]
+    short = copy.deepcopy(full)
+    short["oracle"]["times"] = [0.25, 0.5]
+    off = copy.deepcopy(full)
+    off["oracle"] = {"enabled": False}
+
+    def run_preset(raw):
+        with tempfile.TemporaryDirectory() as out:
+            run_scenario(load_config(raw), Path(out))
+
+    return timed_rows(
+        [
+            ({"what": "run_scenario", "case": case, "per": "run"}, run_preset, [raw], 1)
+            for case, raw in (
+                ("swanson-fig1, oracle at t = 0.25, 0.5", short),
+                ("swanson-fig1, full oracle list", full),
+                ("swanson-fig1, no oracle", off),
+            )
+        ],
+        runs=SCENARIO_RUNS,
+    )
+
+
 def main() -> None:
-    rows = coefficient_rows() + propagate_rows() + field_and_small_coefficient_rows()
+    rows = (
+        coefficient_rows()
+        + propagate_rows()
+        + field_and_small_coefficient_rows()
+        + grid_oracle_rows()
+        + scenario_rows()
+    )
     report = {
-        "what": "ms per call of hagedorn_coefficients by (n, |alpha|) and of propagate, grid"
-        " fields and small coefficient tables by case, median of runs",
+        "what": "ms per call of hagedorn_coefficients by (n, |alpha|), of propagate, grid"
+        " fields and small coefficient tables by case, of the grid oracle's assembly, Cayley"
+        " build and step, and of swanson-fig1 runs, median of runs",
         "machine": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        "setup": {"seed": SEED, "t": T, "runs": RUNS},
+        "setup": {"seed": SEED, "t": T, "runs": RUNS, "scenario_runs": SCENARIO_RUNS},
         "rows": rows,
     }
     if OUT.exists():

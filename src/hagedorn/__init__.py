@@ -92,6 +92,7 @@ from .swanson import (
 )
 from .gridsolver import (
     DiscretizedOperator,
+    GridMarch,
     GridPropagation,
     discretize_hamiltonian,
     number_operator_check,

@@ -29,6 +29,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -448,7 +449,11 @@ class _Checks:
 
 
 def _run_oracle(config: ScenarioConfig, run: _Computed) -> list[dict]:
-    """Grid-oracle cases, each against the pipeline's state and norm at its t."""
+    """Grid-oracle cases, each against the pipeline's state and norm at its t.
+
+    One march per α through the sorted oracle times; a ConvergenceFailure
+    keeps the earlier times' cases and marks that time and every later one.
+    """
     oracle = config.oracle
     index = {st.t: i for i, st in enumerate(run.all_states)}
     eps = config.eps
@@ -457,14 +462,20 @@ def _run_oracle(config: ScenarioConfig, run: _Computed) -> list[dict]:
     cases = []
     for alpha in config.alphas:
         psi0 = eval_excited(params0, alpha, oracle.grid)
-        for t in oracle.times:
-            i = index[t]
-            case = {"k": int(alpha[0]) if config.n == 1 else _alpha_label(alpha), "t": t}
-            try:
-                result = propagate_grid(psi0, operator, t, dt=oracle.dt, grid_tol=oracle.grid_tol)
-            except ConvergenceFailure as exc:
-                cases.append({**case, "error": str(exc)})
+        k = int(alpha[0]) if config.n == 1 else _alpha_label(alpha)
+        error = None
+        try:
+            results = propagate_grid(
+                psi0, operator, oracle.times, dt=oracle.dt, grid_tol=oracle.grid_tol
+            )
+        except ConvergenceFailure as exc:
+            results, error = exc.results, str(exc)
+        for t, result in zip_longest(oracle.times, results):
+            case = {"k": k, "t": t}
+            if result is None:
+                cases.append({**case, "error": error})
                 continue
+            i = index[t]
             psi_hag = evolved_state_on_grid(run.all_states[i], alpha, eps, oracle.grid)
             norm_grid = grid_norm(result.field, oracle.grid)
             norm_hag = grid_norm(psi_hag, oracle.grid)

@@ -81,11 +81,16 @@ class UnsupportedDimension(HagedornError):
 
 
 class ConvergenceFailure(HagedornError):
-    """Step halving did not bring the Richardson estimate under tolerance."""
+    """Step halving did not bring the Richardson estimate under tolerance.
 
-    def __init__(self, message: str, estimate: float | None = None):
+    Carries the results of the output times before the failing one
+    (propagate_grid passes those of its march) so callers can report them.
+    """
+
+    def __init__(self, message: str, estimate: float | None = None, results=()):
         super().__init__(message)
         self.estimate = estimate
+        self.results = results
 
 
 class GridMismatch(HagedornError):

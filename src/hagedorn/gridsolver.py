@@ -2,23 +2,26 @@
 
 The quadratic Weyl operator Op[½z·Hz] = ½H_pp p̂² + ½H_qq q̂² + ½H_pq(p̂q̂+q̂p̂)
 is discretized spectrally: p̂ and p̂² are discrete-Fourier multipliers (ε k and
-ε²k², built from one FFT of the identity), q̂² is diagonal, and p̂q̂ + q̂p̂ is p̂
-scaled by x over its columns plus over its rows, so no dense product is
-formed.  Crank–Nicolson steps
+ε²k², each the circulant of the inverse FFT of its symbol), q̂² is diagonal,
+and p̂q̂ + q̂p̂ is p̂ scaled by x over its columns plus over its rows, so no
+dense product is formed.  Crank–Nicolson steps
 
     ψ ← C ψ,    C = (Id + (iτ/2ε) F)⁻¹ (Id − (iτ/2ε) F)
 
 advance the field by one matrix-vector product each, where F is the stepping
 matrix (Ĥ plus the damping below) and C its Cayley transform (Lasser &
-Lubich, Acta Numerica 29 (2020), §3).  A step-doubling (τ/2 re-run) gives the
-Richardson error estimate.
+Lubich, Acta Numerica 29 (2020), §3).  propagate_grid marches through a
+sorted list of output times in one call: a coarse run and a fine run at half
+its step advance together from t = 0, so the Richardson error estimate
+‖ψ_coarse − ψ_fine‖/3 at each output time covers the whole of [0, t], and no
+time recomputes the interval before the previous one.
 
 C is built once per (step size τ, stabilize) for each DiscretizedOperator,
 from one LU factorisation of Id + (iτ/2ε) F and one multi-column solve, and
-kept in a private cache on that operator: every field and time propagated
-with the same operator and step size reuses it, and so do the step-doubling
-re-runs.  Each cached step size holds one N² complex matrix (16 MB at
-N = 1024) for as long as the operator lives.
+kept in a private cache on that operator: every field, time and refinement
+propagated with the same operator and step size reuses it.  Each cached step
+size holds one N² complex matrix (16 MB at N = 1024) for as long as the
+operator lives.
 
 Stability note: for strongly non-normal operators (complex symmetric H) the
 discretization grows spurious eigenvalues with large positive imaginary part
@@ -34,10 +37,11 @@ discretize_hamiltonian always returns the pure Weyl discretization.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import circulant, lu_factor, lu_solve
 
 from .errors import (
     ConvergenceFailure,
@@ -61,7 +65,7 @@ DAMP_AMPLITUDE = 2000.0
 DAMP_POWER = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretizedOperator:
     """Dense N×N discretization of a quadratic Weyl operator on a 1-D grid.
 
@@ -73,10 +77,10 @@ class DiscretizedOperator:
     grid: Grid
     eps: float
     # (step size, stabilize) -> Cayley matrix; filled by _cayley_matrix
-    _cayley: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cayley: dict = field(default_factory=dict, init=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridPropagation:
     """Propagated field plus the step-doubling error estimate."""
 
@@ -84,6 +88,15 @@ class GridPropagation:
     richardson_error: float
     dt_used: float
     halvings: int
+
+
+class GridMarch(tuple):
+    """The GridPropagation of each output time of one march, in time order."""
+
+    @property
+    def halvings(self) -> int:
+        """Step halvings over all the times."""
+        return sum(result.halvings for result in self)
 
 
 def _require_1d(grid: Grid) -> None:
@@ -97,14 +110,12 @@ def _momenta(grid: Grid, eps: float) -> np.ndarray:
     return eps * 2 * np.pi * np.fft.fftfreq(count, d=grid.spacings()[0])
 
 
-def _fourier_multipliers(grid: Grid, *symbols: np.ndarray) -> list[np.ndarray]:
+def _fourier_multipliers(*symbols: np.ndarray) -> list[np.ndarray]:
     """Dense matrices of the Fourier multipliers `symbols` (periodic extension).
 
-    All of them share one FFT of the identity.
+    F⁻¹ diag(s) F is the circulant of c = F⁻¹ s: entry (j, k) is c[(j − k) mod N].
     """
-    (count,) = grid.counts
-    forward = np.fft.fft(np.eye(count), axis=0)
-    return [np.fft.ifft(forward * symbol[:, None], axis=0) for symbol in symbols]
+    return [circulant(np.fft.ifft(symbol)) for symbol in symbols]
 
 
 def discretize_hamiltonian(H, eps: float, grid: Grid) -> DiscretizedOperator:
@@ -121,9 +132,9 @@ def discretize_hamiltonian(H, eps: float, grid: Grid) -> DiscretizedOperator:
     x = grid.axes()[0]
     cross = H[0, 1]
     if cross != 0:
-        P2, P = _fourier_multipliers(grid, p**2, p)
+        P2, P = _fourier_multipliers(p**2, p)
     else:
-        (P2,) = _fourier_multipliers(grid, p**2)
+        (P2,) = _fourier_multipliers(p**2)
     matrix = 0.5 * H[0, 0] * P2
     matrix[np.diag_indices_from(matrix)] += 0.5 * H[1, 1] * x**2
     if cross != 0:
@@ -146,7 +157,7 @@ def _damping_matrix(grid: Grid, eps: float) -> np.ndarray:
     p = _momenta(grid, eps)
     sigma_x = profile(x, DAMP_ONSET_X, float(np.max(np.abs(x))))
     sigma_p = profile(p, DAMP_ONSET_P, float(np.max(np.abs(p))))
-    (damping,) = _fourier_multipliers(grid, sigma_p)
+    (damping,) = _fourier_multipliers(sigma_p)
     damping[np.diag_indices_from(damping)] += sigma_x
     return damping
 
@@ -174,49 +185,74 @@ def _cayley_matrix(operator: DiscretizedOperator, step: float, stabilize: bool) 
 def propagate_grid(
     psi0: np.ndarray,
     operator: DiscretizedOperator,
-    t: float,
+    t: float | Sequence[float],
     dt: float = DT_DEFAULT,
     grid_tol: float = GRID_TOL_DEFAULT,
     max_halvings: int = MAX_HALVINGS,
     stabilize: bool = True,
-) -> GridPropagation:
-    """Crank–Nicolson propagation to time t with step-doubling error control.
+) -> GridPropagation | GridMarch:
+    """Crank–Nicolson march through the output times t with step-doubling error control.
 
-    The step count is rounded so one uniform step size divides t exactly; the
-    returned field is the dt/2 (finer) run and richardson_error its second-
-    order estimate ‖ψ_dt − ψ_{dt/2}‖/3.  grid_tol is per unit time.
+    t is one time or a strictly increasing sequence of times ≥ 0.  A coarse
+    run and a fine run at half its step march together from t = 0: the
+    increment t_k − t_{k−1} takes the fewest uniform steps of at most dt (the
+    fine run twice as many), so increments of one step size share one cached
+    Cayley matrix.  At each t_k the returned field is the fine run, and
+    richardson_error = ‖ψ_coarse(t_k) − ψ_fine(t_k)‖/3 is the second-order
+    estimate of the error accumulated over the whole of [0, t_k].  grid_tol is
+    per unit time.  A time whose estimate fails is refined as a restart from
+    ψ0 would be: the marched fine field becomes the coarse one, and a uniform
+    run over [0, t_k] at step t_k/(2^{h+1}·ceil(t_k/dt)) the fine one, for
+    h = 1, 2, … up to max_halvings.  The march goes on at its own steps.
+
+    One time gives one GridPropagation, a sequence a GridMarch with one per
+    time.  A ConvergenceFailure at t_k carries the earlier times' results.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     grid = operator.grid
     _require_1d(grid)
     if psi0.shape != tuple(grid.counts):
         raise GridMismatch("initial field does not live on the operator's grid")
-    if t < 0 or dt <= 0:
-        raise DimensionMismatch("need t ≥ 0 and dt > 0")
-    if t == 0:
-        return GridPropagation(psi0.copy(), 0.0, dt, 0)
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    increasing = times.ndim == 1 and times.size > 0 and np.all(np.diff(times) > 0)
+    if not increasing or times[0] < 0 or dt <= 0:
+        raise DimensionMismatch("need dt > 0 and times t ≥ 0, strictly increasing")
 
-    def run(steps: int) -> np.ndarray:
-        cayley = _cayley_matrix(operator, t / steps, stabilize)
-        psi = psi0
+    def advance(psi: np.ndarray, step: float, steps: int) -> np.ndarray:
+        cayley = _cayley_matrix(operator, step, stabilize)
         for _ in range(steps):
             psi = cayley @ psi
         return psi
 
-    steps = max(1, math.ceil(t / dt - 1e-12))
-    coarse = run(steps)
-    for halvings in range(max_halvings + 1):
-        fine = run(2 * steps)
-        estimate = grid_norm(coarse - fine, grid) / 3.0
-        if estimate / t <= grid_tol:
-            return GridPropagation(fine, estimate, t / (2 * steps), halvings)
-        steps *= 2
-        coarse = fine
-    raise ConvergenceFailure(
-        f"Richardson estimate {estimate:.3e} still above {grid_tol:.3e}/unit time "
-        f"after {max_halvings} halvings",
-        estimate=estimate,
-    )
+    results = []
+    coarse = fine = psi0
+    start = 0.0
+    for t_k in times.tolist():
+        if t_k == 0:
+            results.append(GridPropagation(psi0.copy(), 0.0, dt, 0))
+            continue
+        span = t_k - start
+        steps = max(1, math.ceil(span / dt - 1e-12))
+        coarse = advance(coarse, span / steps, steps)
+        fine = advance(fine, span / (2 * steps), 2 * steps)
+        start = t_k
+        result = GridPropagation(fine, grid_norm(coarse - fine, grid) / 3.0, span / (2 * steps), 0)
+        restart_steps = max(1, math.ceil(t_k / dt - 1e-12))
+        while result.richardson_error / t_k > grid_tol:
+            if result.halvings == max_halvings:
+                raise ConvergenceFailure(
+                    f"Richardson estimate {result.richardson_error:.3e} at t = {t_k:.6g} still "
+                    f"above {grid_tol:.3e}/unit time after {max_halvings} halvings",
+                    estimate=result.richardson_error,
+                    results=GridMarch(results),
+                )
+            halvings = result.halvings + 1
+            count = 2 ** (halvings + 1) * restart_steps
+            refined = advance(psi0, t_k / count, count)
+            estimate = grid_norm(result.field - refined, grid) / 3.0
+            result = GridPropagation(refined, estimate, t_k / count, halvings)
+        results.append(result)
+    return results[0] if np.ndim(t) == 0 else GridMarch(results)
 
 
 def number_operator_check(G, eps: float, grid: Grid, alpha) -> float:

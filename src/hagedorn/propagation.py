@@ -87,7 +87,7 @@ def _check_symmetric(H: np.ndarray, label: str = "H") -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
     """Time-dependent complex symmetric coefficient matrix H_t.
 
@@ -148,7 +148,7 @@ class QuadraticHamiltonian:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropagatedState:
     """Full dossier of the propagated wavepacket at one time."""
 

@@ -184,7 +184,7 @@ def check_positive_gram(gram: np.ndarray) -> np.ndarray:
     return min_eig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LagrangianFrame:
     """A 2n×n isotropic frame of full rank, from an array or another frame."""
 
@@ -212,7 +212,7 @@ class LagrangianFrame:
         return np.asarray(self.entries, dtype=dtype)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalisedFrame(LagrangianFrame):
     """A Lagrangian frame with Z*ΩZ = 2i·Id (hence a positive Lagrangian)."""
 
@@ -229,7 +229,7 @@ class NormalisedFrame(LagrangianFrame):
         return frame
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymplecticMetricPair:
     """Metric G (symmetric positive-definite symplectic) and structure J = −ΩG."""
 
@@ -250,7 +250,7 @@ class SymplecticMetricPair:
         return self.G.shape[0] // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiegelMatrix:
     """B = PQ⁻¹, complex symmetric; Im B ≻ 0 for positive Lagrangians."""
 

@@ -89,7 +89,7 @@ def grid_norm(f: np.ndarray, grid: Grid) -> float:
     return float(math.sqrt(max(grid_inner(f, f, grid).real, 0.0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WavepacketParams:
     """Frame, center, semiclassical parameter and phase policy of a packet.
 

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import functools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import sys
 
 import pytest
 
+from hagedorn import cli, gridsolver
 from hagedorn.cli import PRESETS, load_config, main, run_scenario, validate_config
 
 MINI_ORACLE = {
@@ -351,6 +353,29 @@ def test_oracle_column_patched_into_norm_curve(mini_run):
     for row in patched:
         case = cases[int(row["k"])]
         assert float(row["norm_grid_oracle"]) == pytest.approx(case["norm_grid"], abs=0)
+
+
+def test_oracle_failure_keeps_the_earlier_cases(tmp_path, monkeypatch):
+    # with no halvings, a grid_tol between the per-unit estimates at t = 0.25
+    # and t = 0.5 stops the march at 0.5; the 0.25 case keeps its numbers
+    halt = functools.partial(gridsolver.propagate_grid, max_halvings=0)
+    monkeypatch.setattr(cli, "propagate_grid", halt)
+    raw = mini_config()
+    raw["alphas"] = [[0]]
+    raw["oracle"].update(times=[0.25, 0.5], grid={"lo": -12.0, "hi": 12.0, "count": 128}, dt=1e-2)
+    raw["oracle"]["grid_tol"] = 1.0
+    run_scenario(load_config(raw), tmp_path / "free")
+    free = json.loads((tmp_path / "free" / "oracle.json").read_text())["cases"]
+    per_unit = [case["richardson_error"] / case["t"] for case in free]
+    assert per_unit[0] < per_unit[1]
+    raw["oracle"]["grid_tol"] = math.sqrt(per_unit[0] * per_unit[1])
+    assert run_scenario(load_config(raw), tmp_path / "out") == 1
+    first, second = json.loads((tmp_path / "out" / "oracle.json").read_text())["cases"]
+    assert first == free[0]
+    assert second["t"] == 0.5 and "error" in second and "norm_grid" not in second
+    checks = {c["name"]: c for c in read_manifest(tmp_path / "out")["checks"]}
+    assert checks["oracle_fidelity"]["passed"] is False
+    assert "1 case(s) failed to converge" in checks["oracle_fidelity"]["detail"]
 
 
 def test_identical_configs_give_identical_bytes(mini_run, tmp_path):

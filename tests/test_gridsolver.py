@@ -15,13 +15,22 @@ from hagedorn.errors import (
     UnsupportedDimension,
 )
 from hagedorn.gridsolver import (
+    GridMarch,
+    GridPropagation,
     _damping_matrix,
     discretize_hamiltonian,
     number_operator_check,
     propagate_grid,
 )
+from hagedorn.propagation import QuadraticHamiltonian, propagate
 from hagedorn.swanson import L0, SwansonParams
-from hagedorn.symplectic import LagrangianFrame, NormalisedFrame
+from hagedorn.symplectic import (
+    LagrangianFrame,
+    NormalisedFrame,
+    SymplecticMetricPair,
+    omega,
+    siegel_matrix,
+)
 from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, eval_ground, grid_inner
 
 GRID = Grid(bounds=[(-12.0, 12.0)], counts=[1024])
@@ -176,13 +185,98 @@ def test_one_factorisation_per_step_size(monkeypatch):
     monkeypatch.setattr(gridsolver, "lu_factor", counting_lu_factor)
     op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
     for alpha in ([0], [1], [2]):
-        for t in (0.25, 0.5):
+        for t in (0.25, 0.5, (0.25, 0.5)):
             propagate_grid(packet(alpha, GRID_SMALL), op, t, dt=1e-3, grid_tol=np.inf)
-    # step sizes 1e-3 (coarse runs) and 5e-4 (fine runs) for every case
+    # step sizes 1e-3 (coarse runs) and 5e-4 (fine runs) for every case,
+    # the march's second increment included
     assert len(calls) == 2
     fresh = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
     propagate_grid(packet([0], GRID_SMALL), fresh, 0.25, dt=1e-3, grid_tol=np.inf)
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("halvings", [0, 1])
+def test_march_equals_single_time_calls(halvings):
+    # the second increment runs the same step size as a restart over [0, 0.5],
+    # so the marched fields and estimates are the restarts' bit for bit; a
+    # time whose estimate fails is refined as the restart refines it
+    op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
+    psi0 = packet([1], GRID_SMALL)
+    times = (0.25, 0.5)
+    grid_tol = 1e-5
+    if halvings:
+        free = propagate_grid(psi0, op, times, dt=1e-3, grid_tol=np.inf)
+        per_unit = [r.richardson_error / t for r, t in zip(free, times)]
+        # both fail; one halving, about a quarter of each estimate, passes
+        assert per_unit[0] < per_unit[1] < 2 * per_unit[0]
+        grid_tol = per_unit[0] / 2
+    march = propagate_grid(psi0, op, times, dt=1e-3, grid_tol=grid_tol)
+    assert isinstance(march, GridMarch) and len(march) == 2
+    for t, marched in zip(times, march):
+        single = propagate_grid(psi0, op, t, dt=1e-3, grid_tol=grid_tol)
+        assert isinstance(single, GridPropagation)
+        assert np.array_equal(marched.field, single.field)
+        assert marched.richardson_error == single.richardson_error
+        assert (marched.dt_used, marched.halvings) == (single.dt_used, halvings)
+    assert march.halvings == 2 * halvings
+
+
+def test_march_validates_times():
+    op = discretize_hamiltonian(np.eye(2), 1.0, GRID_SMALL)
+    for times in ((0.5, 0.25), (0.25, 0.25), (-0.1, 0.25), (), [[0.25]]):
+        with pytest.raises(DimensionMismatch):
+            propagate_grid(packet([0], GRID_SMALL), op, times)
+
+
+def test_convergence_failure_carries_earlier_times():
+    op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
+    psi0 = packet([0], GRID_SMALL)
+    times = (0.25, 0.5)
+    free = propagate_grid(psi0, op, times, dt=1e-3, grid_tol=np.inf, max_halvings=0)
+    per_unit = [r.richardson_error / t for r, t in zip(free, times)]
+    assert per_unit[0] < per_unit[1]
+    with pytest.raises(ConvergenceFailure) as info:
+        propagate_grid(
+            psi0, op, times, dt=1e-3, grid_tol=math.sqrt(per_unit[0] * per_unit[1]), max_halvings=0
+        )
+    assert info.value.estimate == free[1].richardson_error
+    (first,) = info.value.results
+    assert np.array_equal(first.field, free[0].field)
+    assert first.richardson_error == free[0].richardson_error
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LagrangianFrame(L0.reshape(2, 1)),
+        lambda: NormalisedFrame(L0.reshape(2, 1)),
+        lambda: SymplecticMetricPair(np.eye(2), -omega(1)),
+        lambda: siegel_matrix(L0_FRAME),
+        lambda: WavepacketParams(frame=L0_FRAME, center=np.zeros(2), eps=1.0),
+        lambda: QuadraticHamiltonian.constant(DS.matrix()),
+        lambda: propagate(
+            L0_FRAME, np.zeros(2), QuadraticHamiltonian.constant(np.eye(2)), [1.0]
+        )[0],
+        lambda: discretize_hamiltonian(np.eye(2), 1.0, Grid(bounds=[(-6.0, 6.0)], counts=[16])),
+        lambda: GridPropagation(np.zeros(16, dtype=complex), 0.0, 1e-3, 0),
+    ],
+    ids=[
+        "LagrangianFrame",
+        "NormalisedFrame",
+        "SymplecticMetricPair",
+        "SiegelMatrix",
+        "WavepacketParams",
+        "QuadraticHamiltonian",
+        "PropagatedState",
+        "DiscretizedOperator",
+        "GridPropagation",
+    ],
+)
+def test_array_holding_values_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
 
 
 # -- overlaps and the number operator ---------------------------------------------
