@@ -1,6 +1,6 @@
 """Per-call times of `hagedorn_coefficients`, `propagate`, grid fields, the grid
 oracle's building blocks and whole `swanson-fig1` runs, written to
-BENCH_10.json.
+BENCH_11.json.
 
     python3 bench/run.py
 
@@ -33,7 +33,7 @@ Imports the package from ./src of the checkout this script sits in.
 
 Each row holds the median and the best of its runs.  The file also records
 the machine (nproc, Python, numpy and scipy versions).  A `parent` block
-already in BENCH_10.json (the same rows measured on the parent commit, by
+already in BENCH_11.json (the same rows measured on the parent commit, by
 running this script from a checkout of it) is kept as it is.
 """
 
@@ -65,7 +65,7 @@ from hagedorn.propagation import (  # noqa: E402
 from hagedorn.swanson import SwansonParams  # noqa: E402
 from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited  # noqa: E402
 
-OUT = ROOT / "BENCH_10.json"
+OUT = ROOT / "BENCH_11.json"
 MODES = (3, 4)
 ORDERS = (4, 6, 8, 12)
 RUNS = 5

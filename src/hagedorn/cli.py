@@ -326,6 +326,8 @@ def _parse_config(raw) -> tuple[ScenarioConfig | None, list[Diagnostic]]:
         center = bad.read("BadCenter", "center", _center, raw["center"], n)
     elif n is not None:
         center = np.zeros(2 * n)
+    if swanson is not None and center is not None and np.any(center != 0):
+        bad.add("SwansonMismatch", "the swanson closed forms hold for center 0 only")
     times = bad.read("BadTimeGrid", "times", _times, raw.get("times"))
     alphas = None
     if "alphas" in raw:

@@ -12,6 +12,11 @@ for a symmetric matrix M; its members satisfy ∂_j r_α = α_j r_{α−e_j}
 exactly at coefficient level, and contain only the degrees |α|, |α|−2, ….
 M = 0 gives monomials, M = Id tensor products of probabilists' Hermite
 polynomials.
+
+Grid fields evaluate r_α directly.  compose_linear, the substitution x → Ax,
+serves as the reference route: r_α(N_tx; M_t) scaled by √(k!)/√(α!) is the
+paper's formula for the activation coefficients, which tests compare the
+ladder recursion of hagedorn_coefficients against.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ import numpy as np
 from .errors import AsymmetricM, DimensionMismatch
 
 ALPHA_MAX = 32  # cap on |α| for every multi-index the package accepts
-# cap on the complex entries of poly_recursion's table, Π(α_j+1)², and of each
-# accumulator compose_linear builds on r_α (64 MiB); the largest the tests,
-# bench/run.py and the presets build has 65536
+# cap on the entries of poly_recursion's table, Π(α_j+1)², of the ladder
+# table of hagedorn_coefficients, and of each accumulator compose_linear
+# builds (64 MiB of complex); the largest the tests, bench/run.py and the
+# presets build has 65536
 TABLE_MAX = 1 << 22
 
 
@@ -58,37 +64,20 @@ def validate_multi_index(alpha, n: int | None = None) -> tuple[int, ...]:
 
 
 def validate_recursion_index(alpha, n: int | None = None) -> tuple[int, ...]:
-    """validate_multi_index for an α that seeds the recursion; also raises
-    DimensionMismatch, before anything is allocated, when its table or the
-    largest accumulator of composing r_α with a linear map would exceed
-    TABLE_MAX entries."""
+    """validate_multi_index for an α that seeds a recursion; also raises
+    DimensionMismatch, before anything is allocated, when poly_recursion's
+    table or the ladder table of hagedorn_coefficients would exceed TABLE_MAX
+    entries.  The ladder table holds C(|α|+n, n) slots, each with a
+    coefficient and per mode a key, two weights and two neighbour indices."""
     idx = validate_multi_index(alpha, n)
-    shape = tuple(a + 1 for a in idx)
-    table = math.prod(shape) ** 2
-    accumulator = max(
-        (math.prod(shape[:i]) * size ** len(shape)
-         for i, size in _accumulator_sizes(shape, sum(idx) + 1) if size),
-        default=0,
-    )
-    if max(table, accumulator) > TABLE_MAX:
+    table = math.prod(a + 1 for a in idx) ** 2
+    ladder = math.comb(sum(idx) + len(idx), len(idx)) * (5 * len(idx) + 1)
+    if max(table, ladder) > TABLE_MAX:
         raise DimensionMismatch(
             f"multi-index {idx} needs a recursion table of {table} entries and a "
-            f"composition accumulator of {accumulator} (cap {TABLE_MAX} each)"
+            f"ladder table of {ladder} (cap {TABLE_MAX} each)"
         )
     return idx
-
-
-def _accumulator_sizes(shape: tuple, top: int):
-    """(i, size) for each variable i, last first, of compose_linear on a dense
-    array of this shape and degree top − 1: its accumulator for i has shape
-    shape[:i] + (size,)*n; size is None where shape[i] == 1 (no accumulator)."""
-    size = 1
-    for i in reversed(range(len(shape))):
-        if shape[i] == 1:
-            yield i, None
-            continue
-        size = min(size + shape[i] - 1, top)
-        yield i, size
 
 
 @functools.cache
@@ -159,16 +148,35 @@ class MultiPoly:
 
     def compose_linear(self, A: np.ndarray) -> "MultiPoly":
         """Return p(Ax) for a square matrix A (same variable count) by nested Horner
-        in y = Ax, last variable first, on dense arrays; y_i·acc is n shifts of acc."""
+        in y = Ax, last variable first, on dense arrays; y_i·acc is n shifts of acc.
+
+        The accumulator for variable i has shape shape[:i] + (size,)*n; raises
+        DimensionMismatch, before allocating any, when one would exceed
+        TABLE_MAX entries."""
         n = self.n
         A = np.asarray(A, dtype=complex)
         if A.shape != (n, n):
             raise DimensionMismatch(f"linear map must be {n}×{n}")
         dense = self.array
-        shifts = [_shift(j, n) for j in range(n)]
         top = self.degree + 1  # no partial sum exceeds the degree: higher x-powers stay 0
+        plan, size = [], 1  # (i, accumulator size), last variable first
+        for i in reversed(range(n)):
+            if dense.shape[i] == 1:
+                plan.append((i, None))  # no accumulator: the axis is dropped
+                continue
+            size = min(size + dense.shape[i] - 1, top)
+            plan.append((i, size))
+        largest = max(
+            (math.prod(dense.shape[:i]) * size**n for i, size in plan if size), default=0
+        )
+        if largest > TABLE_MAX:
+            raise DimensionMismatch(
+                f"composing a polynomial of shape {dense.shape} needs an accumulator of "
+                f"{largest} entries (cap {TABLE_MAX})"
+            )
+        shifts = [_shift(j, n) for j in range(n)]
         block = dense.reshape(dense.shape + (1,) * n)  # y-exponents + x-coefficients
-        for i, size in _accumulator_sizes(dense.shape, top):
+        for i, size in plan:
             if size is None:
                 block = block[(slice(None),) * i + (0,)]
                 continue

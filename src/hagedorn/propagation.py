@@ -13,7 +13,8 @@ time axis and computed by one batched numpy call per step, with W = S_tZ₀ =
 - the gain exponent β_t = ½ log det N_t, so e^β_t = det(N_t)^{1/2} as in the
   metaplectic formula;
 - the real centre (p, q), which solves p − B_tq = π − B_tξ with B_t = P_tQ_t⁻¹;
-- the complex action α_t = ½(π·ξ − p₀·q₀) + ½dᵀB_td + π·d with d = q − ξ.
+- the complex action α_t = ½(π·ξ − p₀·q₀) + ½dᵀB_td + π·d with d = q − ξ;
+- the ladder shift σ below.
 
 One scan of λ_min((1/2i)W*ΩW) and arg det W_Q over the flow's samples gives
 both the positivity horizon and the continuous branch of log det Q_t.  The
@@ -28,13 +29,19 @@ per-state constructors of the symplectic module make, once per trajectory.
 evolve_metric_riccati and center_dynamics integrate the Riccati metric and
 the centre ODE independently, as cross-checks.
 
-The polynomial recursion with M_t, composed with x → N_t x, yields the
-activation coefficients a_k (only |k| ≤ |α| with |α|−|k| even appear), so
-U(t)φ_α = e^{iα_t/ε + β_t} Σ_k a_k φ_k(Z_t, z_t) with a_k = c_k √(k!)/√(α!).
+U(t) carries the raising operator A†_j(Z₀) into
+Σ_l N̄_lj A†_l(Z_t) − Σ_l D_lj A_l(Z_t) + σ_j with D = N_t⁻¹M_t and the shift
+σ_j = −(i/√(2ε)) (S_tZ̄₀e_j)ᵀ Ω (z_t − S_tz₀), which moves the centre from the
+complex S_tz₀ to the real z_t (Hagedorn, Ann. Phys. 269 (1998); Lasser &
+Lubich, Acta Numerica 29 (2020), §4).  Applied α times to a⁰ = e₀ it gives the
+activation coefficients of U(t)φ_α = e^{iα_t/ε + β_t} Σ_k a_k φ_k(Z_t, z_t),
+all with |k| ≤ |α|.  σ = 0 when z₀ = 0 or H is real; then only |α| − |k| even
+appear.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -51,7 +58,8 @@ from .errors import (
     PositivityLost,
     StepSizeUnderflow,
 )
-from .polynomials import ALPHA_MAX, poly_recursion, validate_recursion_index
+from .polynomials import poly_recursion  # noqa: F401  perfbench/tracing.py wraps it
+from .polynomials import validate_recursion_index
 from .symplectic import (
     TOL_FRAME,
     NormalisedFrame,
@@ -72,8 +80,6 @@ from .wavepackets import Grid, WavepacketParams, _packet_on_grid
 from .wavepackets import eval_ground  # noqa: F401  perfbench/tracing.py wraps it
 
 ODE_TOL = 1e-10
-# k! for every k a nonzero coefficient can carry; exact in float64 up to 18!
-_FACTORIALS = np.array([math.factorial(k) for k in range(ALPHA_MAX + 1)], dtype=float)
 
 
 def _check_symmetric(H: np.ndarray, label: str = "H") -> np.ndarray:
@@ -159,6 +165,7 @@ class PropagatedState:
     beta: float
     z: np.ndarray
     action: complex
+    sigma: np.ndarray
     M: np.ndarray
     Mtilde: np.ndarray
     G: np.ndarray
@@ -191,6 +198,7 @@ class Trajectory(Sequence):
     beta: np.ndarray
     z: np.ndarray
     action: np.ndarray
+    sigma: np.ndarray
     M: np.ndarray
     Mtilde: np.ndarray
     G: np.ndarray
@@ -221,6 +229,7 @@ class Trajectory(Sequence):
                 beta=float(self.beta[i]),
                 z=self.z[i],
                 action=complex(self.action[i]),
+                sigma=self.sigma[i],
                 M=self.M[i],
                 Mtilde=self.Mtilde[i],
                 G=self.G[i],
@@ -470,6 +479,8 @@ def _trajectory(times, S, Z0, z0, log_det_wq, eps) -> Trajectory:
     # N is Hermitian positive definite, so det N > 0 and the log is real
     log_det_n = np.linalg.slogdet(N)[1]
     z, action = _centre_and_action(S, z0, siegel_b(P, Q))
+    # σ_j = −(i/√(2ε)) (S_tZ̄₀e_j)ᵀ Ω (z_t − S_tz₀); exactly 0 when z₀ = 0
+    sigma = -1j / math.sqrt(2 * eps) * (_t(W_bar_flow) @ omega(n) @ (z - S @ z0)[..., None])[..., 0]
     return Trajectory(
         t=np.array(times, dtype=float),
         S=S,
@@ -478,6 +489,7 @@ def _trajectory(times, S, Z0, z0, log_det_wq, eps) -> Trajectory:
         beta=0.5 * log_det_n,
         z=z,
         action=action,
+        sigma=sigma,
         M=M,
         Mtilde=Mtilde,
         G=G,
@@ -636,46 +648,108 @@ def center_dynamics(z0, H: QuadraticHamiltonian, G_path, times, ode_tol: float =
     return zs, actions
 
 
+@functools.lru_cache(maxsize=32)  # a run uses a few (n, |α|); each layout is ≤ TABLE_MAX
+def _ladder_layout(n: int, order: int):
+    """The simplex |k| ≤ order in graded order, for the ladder recursion.
+
+    Returns (keys, ends, root, rise, down, up): keys[r] is the multi-index of
+    slot r; slots with |k| ≤ d are the first ends[d]; root = √k and
+    rise = √(k+1) per mode, shape (n, slots); down[l, r] and up[l, r] are the
+    slots of k − e_l and k + e_l, or the extra slot past the table (which
+    holds 0) where those leave it.  The order is the colex order of the sets
+    {k_0 + … + k_i + i}, whose rank Σ_i C(k_0 + … + k_i + i, i + 1) is
+    computed directly, so the build is O(n) numpy passes over the slots.
+    """
+    keys = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(n):  # append one component: 0 … order − |k| to each row
+        room = order + 1 - keys.sum(axis=1)
+        first = np.repeat(np.cumsum(room) - room, room)
+        last = np.arange(first.size) - first
+        keys = np.column_stack([np.repeat(keys, room, axis=0), last])
+    size = len(keys)
+    binom = np.array([[math.comb(s + i, i + 1) for s in range(order + 1)] for i in range(n)])
+    partial = np.cumsum(keys, axis=1)
+    modes = np.arange(n)
+    same = binom[modes, partial]
+    less = binom[modes, np.maximum(partial - 1, 0)]
+    rank = same.sum(axis=1)
+    # k − e_l lowers the partial sums from position l on by one
+    lowered = np.cumsum(same, axis=1) - same + np.cumsum(less[:, ::-1], axis=1)[:, ::-1]
+    lowered = np.where(keys > 0, lowered, size).T
+    down = np.empty((n, size), dtype=np.intp)
+    down[:, rank] = lowered
+    up = np.full((n, size), size, dtype=np.intp)
+    mode, slot = np.nonzero(lowered < size)
+    up[mode, lowered[mode, slot]] = rank[slot]
+    ordered = np.empty_like(keys)
+    ordered[rank] = keys
+    ends = tuple(math.comb(d + n, n) for d in range(order + 1))
+    layout = (ordered, ends, np.sqrt(ordered.T), np.sqrt(ordered.T + 1), down, up)
+    for array in layout:
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return layout
+
+
 def hagedorn_coefficients(state: PropagatedState, alpha) -> HagedornExpansion:
     """Activation coefficients a_k of U(t)φ_α over φ_k(Z_t, z_t).
 
-    Builds q_α from the recursion with M_t, substitutes x → N_t x, and scales
-    the nonzero monomial coefficients c_k to a_k = c_k √(k!)/√(α!).  Only
-    indices with |k| ≤ |α| and |α| − |k| even appear.
+    Starts from a⁰ = e₀ and applies the evolved raising operators, one step
+    of |α| per unit of α:
+
+        a^{γ+e_j}_k = (Σ_l N̄_lj √k_l a^γ_{k−e_l} − Σ_l D_lj √(k_l+1) a^γ_{k+e_l}
+                       + σ_j a^γ_k) / √(γ_j+1)
+
+    with D = N_t⁻¹M_t.  Each step is one gather per direction over the slots
+    with |k| ≤ |γ| + 1.  Only nonzero coefficients are kept; all have
+    |k| ≤ |α|, and |α| − |k| is even when σ = 0.
     """
     n = state.Z.n
     alpha = validate_recursion_index(alpha, n)
-    composed = poly_recursion(state.M, alpha).compose_linear(state.N).array
-    nonzero = np.nonzero(composed)
-    fact_k = _FACTORIALS[nonzero[0]]
-    for axis in nonzero[1:]:
-        fact_k = fact_k * _FACTORIALS[axis]
-    fact_alpha = math.sqrt(math.prod(math.factorial(a) for a in alpha))
-    values = composed[nonzero] * np.sqrt(fact_k)
-    values.real /= fact_alpha  # numpy's complex / real multiplies by 1/f; divide exactly
-    values.imag /= fact_alpha
-    keys = zip(*(axis.tolist() for axis in nonzero))
+    keys, ends, root, rise, down, up = _ladder_layout(n, sum(alpha))
+    raising = np.conj(state.N)
+    lowering = np.linalg.solve(state.N, state.M)
+    a = np.zeros(len(keys) + 1, dtype=complex)  # the last slot stays 0
+    a[0] = 1.0
+    degree = 0
+    for j, count in enumerate(alpha):
+        for c in range(count):
+            scale = 1.0 / math.sqrt(c + 1)
+            hi, mid = ends[degree + 1], ends[degree]
+            lo = ends[degree - 1] if degree else 0
+            new = (scale * raising[:, j]) @ (root[:, :hi] * a[down[:, :hi]])
+            new[:mid] += (scale * state.sigma[j]) * a[:mid]
+            new[:lo] -= (scale * lowering[:, j]) @ (rise[:, :lo] * a[up[:, :lo]])
+            a[:hi] = new
+            degree += 1
+    nonzero = np.flatnonzero(a)
     return HagedornExpansion(
-        coefficients=dict(zip(keys, values.tolist())), log_prefactor=state.log_prefactor
+        coefficients=dict(zip(map(tuple, keys[nonzero].tolist()), a[nonzero].tolist())),
+        log_prefactor=state.log_prefactor,
     )
 
 
 def evolved_state_on_grid(state: PropagatedState, alpha, eps: float, grid: Grid):
     """Direct grid evaluation of U(t)φ_α via the polynomial prefactor route:
 
-    e^{iα_t/ε + β_t}/√α! · p_α(√(2/ε) N_tQ_t⁻¹(x−q_t); M̃_t) · φ₀(Z_t, z_t; x)
+    e^{iα_t/ε + β_t}/√α! · p_α(√(2/ε) N_tQ_t⁻¹(x−q_t) + σ_t; M̃_t) · φ₀(Z_t, z_t; x)
 
-    with the continuity-tracked branch of (det Q_t)^{−1/2}.
+    with the continuity-tracked branch of (det Q_t)^{−1/2}.  eps must be the
+    state's own ε, which σ_t and the phase were built from; another value
+    raises DimensionMismatch.
     """
     alpha = validate_recursion_index(alpha, state.Z.n)
+    if eps != state.eps:
+        raise DimensionMismatch(f"eps {eps} differs from the state's eps {state.eps}")
     params = WavepacketParams(
         frame=state.Z,
         center=state.z,
-        eps=eps,
+        eps=state.eps,
         phase=state.log_prefactor,
         log_det_q=state.logdetQ,
     )
-    return _packet_on_grid(params, grid, alpha, state.Mtilde, state.N @ np.linalg.inv(state.Z.Q))
+    L = state.N @ np.linalg.inv(state.Z.Q)
+    return _packet_on_grid(params, grid, alpha, state.Mtilde, L, state.sigma)
 
 
 def positivity_horizon(

@@ -143,14 +143,15 @@ def _offsets(params: WavepacketParams, grid: Grid) -> list[np.ndarray]:
 
 
 def _packet_on_grid(
-    params: WavepacketParams, grid: Grid, alpha=None, M=None, L=None
+    params: WavepacketParams, grid: Grid, alpha=None, M=None, L=None, shift=None
 ) -> np.ndarray:
-    """e^{phase} φ₀(x) · p_α(√(2/ε) L(x−q); M)/√α! at the grid nodes.
+    """e^{phase} φ₀(x) · p_α(√(2/ε) L(x−q) + shift; M)/√α! at the grid nodes.
 
     Built from the 1-D offsets d_j = x_j − q_j by broadcasting: the exponent
     Σ_i ((i/2ε)B_ii d_i + (i/ε)p_i) d_i + Σ_{i<j} (i/ε)B_ij d_i d_j plus the
-    log of the prefactor takes one exp, and y_i = √(2/ε) Σ_j L_ij d_j feeds
-    the polynomial's nested Horner.  alpha None or zero gives the ground state.
+    log of the prefactor takes one exp, and y_i = √(2/ε) Σ_j L_ij d_j + shift_i
+    feeds the polynomial's nested Horner; shift_i joins the first 1-D term.
+    alpha None or zero gives the ground state; shift None means no shift.
     """
     n = params.n
     d = _offsets(params, grid)
@@ -177,7 +178,10 @@ def _packet_on_grid(
     y = np.empty((n, *grid.counts), dtype=complex)
     scale = math.sqrt(2.0 / eps)
     for i in range(n):
-        y[i] = sum((scale * L[i, j]) * d[j] for j in range(n))
+        terms = [(scale * L[i, j]) * d[j] for j in range(n)]
+        if shift is not None:
+            terms[0] = terms[0] + shift[i]
+        y[i] = sum(terms)
     psi *= poly.evaluate(np.moveaxis(y, 0, -1))  # y[i] stays contiguous for Horner
     psi /= math.sqrt(math.prod(math.factorial(a) for a in alpha))
     return psi

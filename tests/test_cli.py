@@ -162,13 +162,16 @@ REJECTIONS = [
     ("sampled-times-decreasing", "hermitian-sanity", ("hamiltonian",),
      {"type": "sampled", "times": [1.0, 0.0], "matrices": [IDENTITY_2, IDENTITY_2]},
      "BadHamiltonian"),
+    # the Swanson closed forms hold for a packet centred at the origin only
+    ("swanson-displaced", "swanson-fig1", ("center",), [0.4, 0.6], "SwansonMismatch"),
 ]
 
 
 def test_run_rejects_alpha_whose_table_is_too_large(tmp_path, capsys):
     # |α| = 32 is within the cap, but its recursion table would take 690 MB;
-    # (1,)*8 has a small table, but composing it would build a 657 MiB accumulator
-    for alpha in [[8, 8, 8, 8], [1] * 8]:
+    # (16, 0, …, 0) has a small recursion table, but its ladder table over
+    # |k| ≤ 16 in 8 modes would take 30M entries
+    for alpha in [[8, 8, 8, 8], [16] + [0] * 7]:
         n = len(alpha)
         raw = copy.deepcopy(PRESETS["hermitian-sanity"])
         raw["hamiltonian"]["matrix"] = [[float(i == j) for j in range(2 * n)] for i in range(2 * n)]
@@ -326,6 +329,26 @@ def test_oracle_report_contents(mini_run):
         assert case["t"] == 0.25
         assert case["fidelity"] >= 1 - 1e-5
         assert case["richardson_error"] < 1e-4
+
+
+def test_displaced_swanson_passes_the_oracle_without_closed_forms(tmp_path, capsys):
+    # a swanson block with a nonzero centre is rejected; the same scenario
+    # given by its matrix alone runs, and both routes of every excited state
+    # agree with the grid
+    raw = copy.deepcopy(PRESETS["swanson-fig1"])
+    raw["center"] = [0.4, 0.6]
+    raw["times"] = {"start": 0.0, "stop": 1.0, "count": 5}
+    raw["oracle"]["times"] = [0.25, 0.5]
+    cfg = tmp_path / "displaced.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["validate", str(cfg)]) == 1
+    assert printed_codes(capsys.readouterr().out) == {"SwansonMismatch"}
+    del raw["swanson"]
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    checks = {c["name"]: c["passed"] for c in read_manifest(out)["checks"]}
+    assert checks == {"symplectic_defect": True, "oracle_fidelity": True, "oracle_norms": True}
 
 
 def test_grid_tol_reported_only_where_the_oracle_runs(tmp_path, capsys):

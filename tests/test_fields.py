@@ -33,21 +33,21 @@ def alphas(n, top=8):
             yield tuple(edges[i + 1] - edges[i] - 1 for i in range(n))
 
 
-def seeded_state(n, seed, t=0.9):
-    """A propagated state under a seeded mode-mixed, non-Hermitian H."""
+def seeded_state(n, seed, t=0.9, eps=1.0):
+    """A displaced packet propagated under a seeded mode-mixed, non-Hermitian H."""
     rng = np.random.default_rng(seed)
     X, Y = rng.normal(size=(2 * n, 2 * n)), rng.normal(size=(2 * n, 2 * n))
     H = X @ X.T / (2 * n) + 0.5 * np.eye(2 * n) + 0.05j * (Y + Y.T)
     frame = np.vstack([1j * np.eye(n), np.eye(n)])
     centre = rng.uniform(-1.0, 1.0, 2 * n)
-    return propagate(frame, centre, QuadraticHamiltonian.constant(H), [0.0, t])[-1]
+    return propagate(frame, centre, QuadraticHamiltonian.constant(H), [0.0, t], eps)[-1]
 
 
 class MeshReference:
-    """φ₀ and y = √(2/ε) L(x − q) on the node mesh, then p_α(y; M)/√α! · φ₀ by
-    summing monomials one at a time."""
+    """φ₀ and y = √(2/ε) L(x − q) + σ on the node mesh, then p_α(y; M)/√α! · φ₀
+    by summing monomials one at a time."""
 
-    def __init__(self, params, L, grid):
+    def __init__(self, params, L, grid, sigma=0.0):
         x = grid.points()
         dx = x - params.q
         B = siegel_matrix(params.frame).B
@@ -58,7 +58,7 @@ class MeshReference:
             log_det_q = np.log(complex(np.linalg.det(params.frame.Q)))
         amp = (np.pi * params.eps) ** (-params.n / 4) * np.exp(-0.5 * log_det_q + params.phase)
         self.ground = amp * np.exp(0.5j / params.eps * quad + 1j / params.eps * plane)
-        self.y = math.sqrt(2.0 / params.eps) * np.einsum("ij,...j->...i", L, dx)
+        self.y = math.sqrt(2.0 / params.eps) * np.einsum("ij,...j->...i", L, dx) + sigma
 
     def field(self, M, alpha):
         total = np.zeros(self.ground.shape, dtype=complex)
@@ -100,13 +100,14 @@ def test_eval_excited_matches_mesh_reference(n, g):
 
 @pytest.mark.parametrize("n, g", CASES)
 def test_evolved_state_matches_mesh_reference(n, g):
-    state = seeded_state(n, 30 + n)
+    state = seeded_state(n, 30 + n, eps=0.7)
+    assert np.min(np.abs(state.sigma)) > 0.01
     grid = GRIDS[n][g]
     params = WavepacketParams(
         frame=state.Z, center=state.z, eps=0.7, phase=state.log_prefactor,
         log_det_q=state.logdetQ,
     )
-    ref = MeshReference(params, state.N @ np.linalg.inv(state.Z.Q), grid)
+    ref = MeshReference(params, state.N @ np.linalg.inv(state.Z.Q), grid, state.sigma)
     for alpha in alphas(n):
         field = evolved_state_on_grid(state, alpha, 0.7, grid)
         assert max_rel(field, ref.field(state.Mtilde, alpha)) < TOL, alpha
@@ -126,10 +127,19 @@ def test_evolved_state_keeps_the_tracked_branch():
         frame=state.Z, center=state.z, eps=1.0, phase=state.log_prefactor,
         log_det_q=state.logdetQ,
     )
+    # a Hermitian H keeps the complex centre real, so σ = 0
+    assert not state.sigma.any()
     ref = MeshReference(params, state.N @ np.linalg.inv(state.Z.Q), grid)
     for alpha in [(0,), (1,), (4,)]:
         field = evolved_state_on_grid(state, alpha, 1.0, grid)
         assert max_rel(field, ref.field(state.Mtilde, alpha)) < TOL
+
+
+def test_evolved_state_rejects_an_eps_other_than_its_own():
+    # σ and the phase are built from the state's ε; another one would mix two
+    state = seeded_state(1, 23, eps=0.7)
+    with pytest.raises(DimensionMismatch, match="eps"):
+        evolved_state_on_grid(state, (1,), 1.0, GRIDS[1][0])
 
 
 def test_fields_reject_a_non_decaying_gaussian():

@@ -94,19 +94,37 @@ def test_recursion_rejects_oversized_table_before_allocating():
     alpha = (8, 8, 8, 8)
     assert math.prod(a + 1 for a in alpha) ** 2 > TABLE_MAX
     assert validate_multi_index(alpha) == alpha
-    # (1,)*8 has a 65536-entry table, but composing r_α with x → Ax would build
-    # a 9⁸-entry accumulator (657 MiB)
-    for alpha in [alpha, (1,) * 8]:
+    # r_α for α = (1,)*8 has 256 coefficients, but composing it with x → Ax
+    # would build a 9⁸-entry accumulator (657 MiB)
+    small = poly_recursion(np.eye(8), (1,) * 8)
+    for build, message in [
+        (lambda: poly_recursion(np.eye(len(alpha)), alpha), "recursion table"),
+        (lambda: small.compose_linear(np.eye(8)), "accumulator"),
+    ]:
         tracemalloc.start()
         try:
-            with pytest.raises(DimensionMismatch, match="recursion table"):
-                poly_recursion(np.eye(len(alpha)), alpha)
+            with pytest.raises(DimensionMismatch, match=message):
+                build()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
     # the largest table any caller builds today (n = 4, |α| = 12) still passes
     assert validate_recursion_index((3, 3, 3, 3), n=4) == (3, 3, 3, 3)
+
+
+def test_recursion_rejects_oversized_ladder_table_before_allocating():
+    # Π(α_j+1)² = 289, but the ladder over |k| ≤ 16 in 8 modes has
+    # C(24, 8) = 735471 slots of 41 entries each
+    alpha = (16,) + (0,) * 7
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch, match="ladder table"):
+            validate_recursion_index(alpha, n=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_recursion_rejects_asymmetric():

@@ -1,5 +1,6 @@
 """Frame propagation, Riccati metric flow, centers, coefficients, ladder maps."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,13 +8,15 @@ import pytest
 from scipy.integrate import cumulative_simpson, solve_ivp
 from scipy.interpolate import CubicSpline
 
-from hagedorn import propagation
+from hagedorn import polynomials, propagation
 from hagedorn.cli import standard_frame
 from hagedorn.errors import (
     DimensionMismatch,
     NonSymmetricH,
     PositivityLost,
 )
+from hagedorn.gridsolver import discretize_hamiltonian, propagate_grid
+from hagedorn.polynomials import poly_recursion
 from hagedorn.propagation import (
     HagedornExpansion,
     QuadraticHamiltonian,
@@ -27,7 +30,7 @@ from hagedorn.propagation import (
 )
 from hagedorn.swanson import L0, SwansonParams, ds_flow, ds_norm, ds_scalars
 from hagedorn.symplectic import LagrangianFrame, NormalisedFrame, metric_and_structure, omega
-from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, grid_inner
+from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, grid_inner, grid_norm
 
 DS = SwansonParams(omega0=1.0, delta=0.5)
 DS_HAM = QuadraticHamiltonian.constant(DS.matrix())
@@ -377,6 +380,64 @@ def test_coefficients_reject_deep_index(ds_quarter_state):
         hagedorn_coefficients(ds_quarter_state, [40])
 
 
+def multi_indices(n, top):
+    """Every α with n components and |α| ≤ top."""
+    return [a for a in itertools.product(range(top + 1), repeat=n) if sum(a) <= top]
+
+
+def paper_route(state, alpha):
+    """The paper's formula: the coefficients c_k of r_α(N_tx; M_t), times √(k!)/√(α!)."""
+    composed = poly_recursion(state.M, alpha).compose_linear(state.N).coeffs
+    fact = math.prod(map(math.factorial, alpha))
+    return {
+        k: c * math.sqrt(math.prod(map(math.factorial, k)) / fact) for k, c in composed.items()
+    }
+
+
+@pytest.mark.parametrize("n, top", [(1, 8), (2, 8), (3, 8), (4, 6)])
+def test_ladder_matches_paper_route_at_zero_centre(n, top):
+    H = QuadraticHamiltonian.constant(seeded_matrix(n, n))
+    state = propagate(standard_frame(n), np.zeros(2 * n), H, [0.0, 1.5])[-1]
+    assert not state.sigma.any()
+    if n > 1:
+        assert np.max(np.abs(state.N - np.diag(np.diag(state.N)))) > 0.05
+    for alpha in multi_indices(n, top):
+        ladder = hagedorn_coefficients(state, alpha).coefficients
+        reference = paper_route(state, alpha)
+        assert ladder.keys() == reference.keys(), alpha
+        scale = max(map(abs, reference.values()))
+        assert max(abs(ladder[k] - reference[k]) for k in reference) <= 1e-13 * scale, alpha
+
+
+def test_coefficients_see_eps_only_through_the_scaled_centre():
+    # x → x/√ε maps the packet at ε with centre z₀ onto the packet at ε = 1
+    # with centre z₀/√ε, and the coefficients over φ_k(Z_t, z_t) do not move
+    H = QuadraticHamiltonian.constant(seeded_matrix(5, 2))
+    center = np.array([0.3, -0.2, 0.1, 0.4])
+    for eps in (0.5, 0.1):
+        state = propagate(standard_frame(2), center, H, [0.0, 1.0], eps)[-1]
+        scaled = propagate(standard_frame(2), center / math.sqrt(eps), H, [0.0, 1.0])[-1]
+        assert np.min(np.abs(scaled.sigma)) > 0.01
+        for alpha in multi_indices(2, 3):
+            got = hagedorn_coefficients(state, alpha).coefficients
+            want = hagedorn_coefficients(scaled, alpha).coefficients
+            assert got.keys() == want.keys()
+            assert max(abs(got[k] - want[k]) for k in want) < 1e-12, (eps, alpha)
+
+
+def test_coefficients_use_neither_polynomial_route(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("hagedorn_coefficients built a polynomial")
+
+    monkeypatch.setattr(propagation, "poly_recursion", forbidden)
+    monkeypatch.setattr(polynomials, "poly_recursion", forbidden)
+    monkeypatch.setattr(polynomials.MultiPoly, "compose_linear", forbidden)
+    H = QuadraticHamiltonian.constant(seeded_matrix(3, 2))
+    state = propagate(standard_frame(2), [0.3, -0.2, 0.1, 0.4], H, [0.0, 1.0])[-1]
+    for alpha in multi_indices(2, 4):
+        assert hagedorn_coefficients(state, alpha).coefficients
+
+
 # -- direct grid evaluation of the evolved state ---------------------------------
 
 
@@ -421,24 +482,56 @@ def test_evolved_grid_norm_and_expansion_consistency(ds_quarter_state):
 
 def test_evolved_grid_matches_expansion_mode_mixed_2d():
     # non-Hermitian H that couples both modes, so M_t and N_t are full and the
-    # coefficients mix the two indices; the prefactor route never composes
+    # coefficients mix the two indices; the prefactor route never composes.
+    # Both centres are displaced, so σ shifts both routes, by different sizes.
     H = QuadraticHamiltonian.constant(seeded_matrix(2, 2))
-    center = np.array([0.3, -0.2, 0.1, 0.4])
-    state = propagate(standard_frame(2), center, H, np.array([0.0, 2.5]))[-1]
-    for coupling in (state.M, state.N, state.N - state.N.T):
-        assert np.max(np.abs(coupling - np.diag(np.diag(coupling)))) > 0.3
     grid = Grid(bounds=[(-8.0, 8.0), (-8.0, 8.0)], counts=[96, 96])
-    basis = WavepacketParams(
-        frame=state.Z, center=state.z, eps=1.0, phase=state.log_prefactor,
-        log_det_q=state.logdetQ,
-    )
     worst = 0.0
-    for alpha in [(a, order - a) for order in range(5) for a in range(order + 1)]:
-        field = evolved_state_on_grid(state, alpha, 1.0, grid)
-        exp = hagedorn_coefficients(state, alpha)
-        acc = sum(a * eval_excited(basis, list(k), grid) for k, a in exp.coefficients.items())
-        worst = max(worst, np.max(np.abs(acc - field)) / np.max(np.abs(field)))
+    for center in ([0.3, -0.2, 0.1, 0.4], [-0.9, 0.6, 0.8, -0.5]):
+        state = propagate(standard_frame(2), center, H, np.array([0.0, 2.5]))[-1]
+        for coupling in (state.M, state.N, state.N - state.N.T):
+            assert np.max(np.abs(coupling - np.diag(np.diag(coupling)))) > 0.3
+        assert np.min(np.abs(state.sigma)) > 0.01
+        basis = WavepacketParams(
+            frame=state.Z, center=state.z, eps=1.0, phase=state.log_prefactor,
+            log_det_q=state.logdetQ,
+        )
+        for alpha in [(a, order - a) for order in range(5) for a in range(order + 1)]:
+            field = evolved_state_on_grid(state, alpha, 1.0, grid)
+            exp = hagedorn_coefficients(state, alpha)
+            acc = sum(a * eval_excited(basis, list(k), grid) for k, a in exp.coefficients.items())
+            worst = max(worst, np.max(np.abs(acc - field)) / np.max(np.abs(field)))
     assert worst < 1e-10
+
+
+def test_displaced_packet_matches_grid_oracle():
+    # z₀ ≠ 0 under Swanson's non-Hermitian H: the complex centre S_tz₀ leaves
+    # real phase space, and σ adds lower states of both parities.  Both routes
+    # must agree with one Crank–Nicolson march per α.
+    center, times = np.array([0.4, 0.6]), [0.25, 0.5]
+    states = propagate(L0_FRAME, center, DS_HAM, times)
+    assert np.min(np.abs(states.sigma)) > 0.05
+    operator = discretize_hamiltonian(DS.matrix(), 1.0, GRID_1D)
+    for k in range(4):
+        start = eval_excited(WavepacketParams(frame=L0_FRAME, center=center, eps=1.0), [k], GRID_1D)
+        marched = propagate_grid(start, operator, times, dt=1e-3, grid_tol=1e-5)
+        for result, state in zip(marched, states):
+            exp = hagedorn_coefficients(state, [k])
+            if k:
+                assert (k - 1,) in exp.coefficients
+            basis = WavepacketParams(
+                frame=state.Z, center=state.z, eps=1.0, phase=state.log_prefactor,
+                log_det_q=state.logdetQ,
+            )
+            ladder = sum(
+                a * eval_excited(basis, list(j), GRID_1D) for j, a in exp.coefficients.items()
+            )
+            prefactor = evolved_state_on_grid(state, [k], 1.0, GRID_1D)
+            norm_grid = grid_norm(result.field, GRID_1D)
+            for field, norm in ((ladder, exp.norm()), (prefactor, grid_norm(prefactor, GRID_1D))):
+                overlap = abs(grid_inner(result.field, field, GRID_1D))
+                assert overlap / (norm_grid * grid_norm(field, GRID_1D)) >= 1 - 1e-10, (k, state.t)
+                assert abs(norm_grid - norm) <= 1e-5, (k, state.t)
 
 
 # -- ladder recombination ---------------------------------------------------------
