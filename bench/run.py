@@ -1,6 +1,6 @@
 """Per-call times of `hagedorn_coefficients`, `propagate`, grid fields, the grid
 oracle's building blocks and whole `swanson-fig1` runs, written to
-BENCH_11.json.
+BENCH_12.json.
 
     python3 bench/run.py
 
@@ -13,9 +13,13 @@ Imports the package from ./src of the checkout this script sits in.
   state.  One run of a row is the mean time per call over all those α.
 - `propagate` by case: the n = 1 Swanson oscillator (ω0 = 1, δ = 0.5) from
   the frame (1; −i), 200 times on [0, 10]; a seeded n = 3 constant H, 150
-  times on [0, 3]; a seeded n = 2 H sampled on 7 knots of [0, 3], 150 times
-  on [0, 3].  The last two start from the standard frame and a seeded
-  centre.  One run of a row is one call, after one warm-up call.
+  times on [0, 3]; a seeded n = 2 H sampled on 7 knots of [0, 3], at 150
+  times on [0, 3] and at the times [0, 3]; a seeded n = 2 polynomial
+  H₀ + tH₁ + t²H₂ (each matrix drawn as the mode-mixed H above, H₁ scaled by
+  0.2 and H₂ by 0.05), 150 times on [0, 3].  All but the first start from
+  the standard frame and a seeded centre.  One run of a row is one call,
+  after one warm-up call; each row also gives the number of `solve_ivp`
+  calls that one call makes, counted through `propagation.solve_ivp`.
 - Grid fields: `evolved_state_on_grid` for all 45 α with |α| ≤ 8 on a
   256×256 grid, at the n = 2 state of the mode-mixed H above (one run is
   all 45 fields); the n = 1 Swanson state at t = 0.5 on a 1024-node grid,
@@ -33,7 +37,7 @@ Imports the package from ./src of the checkout this script sits in.
 
 Each row holds the median and the best of its runs.  The file also records
 the machine (nproc, Python, numpy and scipy versions).  A `parent` block
-already in BENCH_11.json (the same rows measured on the parent commit, by
+already in BENCH_12.json (the same rows measured on the parent commit, by
 running this script from a checkout of it) is kept as it is.
 """
 
@@ -47,6 +51,7 @@ import tempfile
 import time
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -54,6 +59,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
+from hagedorn import propagation  # noqa: E402
 from hagedorn.cli import PRESETS, load_config, run_scenario, standard_frame  # noqa: E402
 from hagedorn.gridsolver import _cayley_matrix, discretize_hamiltonian  # noqa: E402
 from hagedorn.propagation import (  # noqa: E402
@@ -65,7 +71,7 @@ from hagedorn.propagation import (  # noqa: E402
 from hagedorn.swanson import SwansonParams  # noqa: E402
 from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited  # noqa: E402
 
-OUT = ROOT / "BENCH_11.json"
+OUT = ROOT / "BENCH_12.json"
 MODES = (3, 4)
 ORDERS = (4, 6, 8, 12)
 RUNS = 5
@@ -174,7 +180,7 @@ def propagate_cases() -> dict:
     knots = np.linspace(0.0, 3.0, 7)
     sampled = QuadraticHamiltonian.sampled(knots, [mode_mixed_matrix(rng, 2) for _ in knots])
     constant = QuadraticHamiltonian.constant(mode_mixed_matrix(rng, 3))
-    return {
+    cases = {
         "swanson n=1, 200 times on [0, 10]": (frame_1, np.zeros(2), swanson, np.linspace(0.0, 10.0, 200)),
         "constant n=3, 150 times on [0, 3]": (
             standard_frame(3), rng.uniform(-1.0, 1.0, 6), constant, np.linspace(0.0, 3.0, 150)
@@ -183,11 +189,33 @@ def propagate_cases() -> dict:
             standard_frame(2), rng.uniform(-1.0, 1.0, 4), sampled, np.linspace(0.0, 3.0, 150)
         ),
     }
+    # drawn after the rows above, which keep the inputs of earlier BENCH files
+    polynomial = QuadraticHamiltonian.polynomial(
+        [scale * mode_mixed_matrix(rng, 2) for scale in (1.0, 0.2, 0.05)]
+    )
+    centre = rng.uniform(-1.0, 1.0, 4)
+    cases["sampled n=2, times [0, 3]"] = (standard_frame(2), centre, sampled, np.array([0.0, 3.0]))
+    cases["polynomial n=2, 150 times on [0, 3]"] = (
+        standard_frame(2), centre, polynomial, np.linspace(0.0, 3.0, 150)
+    )
+    return cases
+
+
+def solve_ivp_calls(args) -> int:
+    """The solve_ivp calls that one propagate(*args) makes."""
+    with mock.patch.object(propagation, "solve_ivp", wraps=propagation.solve_ivp) as counted:
+        propagate(*args)
+    return counted.call_count
 
 
 def propagate_rows() -> list:
     return timed_rows(
-        ({"what": "propagate", "case": name}, lambda case: propagate(*case), [args], 1)
+        (
+            {"what": "propagate", "case": name, "solve_ivp_calls": solve_ivp_calls(args)},
+            lambda case: propagate(*case),
+            [args],
+            1,
+        )
         for name, args in propagate_cases().items()
     )
 

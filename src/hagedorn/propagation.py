@@ -2,9 +2,9 @@
 
 For a quadratic Hamiltonian the whole packet is an algebraic function of the
 linear flow S_t, Ṡ = ΩH_tS with S_0 = Id.  For constant H, S_t = expm(tΩH);
-otherwise one DOP853 integration of the linear system runs per output
-interval, restarted at the knots of a sampled H.  propagate returns a
-Trajectory: every quantity below at every output time, stacked on a leading
+otherwise one DOP853 run with dense output per smooth piece of H (a sampled H
+is split at its knots) integrates it, whatever the output times.  propagate
+returns a Trajectory: every quantity below at every output time, stacked on a leading
 time axis and computed by one batched numpy call per step, with W = S_tZ₀ =
 (W_P; W_Q) and the complex centre (π, ξ) = S_tz₀:
 
@@ -18,16 +18,16 @@ time axis and computed by one batched numpy call per step, with W = S_tZ₀ =
 
 One scan of λ_min((1/2i)W*ΩW) and arg det W_Q over the flow's samples gives
 both the positivity horizon and the continuous branch of log det Q_t.  The
-samples are equal steps with step·‖ΩH‖₂ ≤ ¼ for constant H, the integrator's
-accepted steps otherwise, and always include the output times; the scan
-handles them a chunk at a time (all of them for constant H).  The horizon
-is the first sign change, refined by a bracketing root-find; breakdown raises
-PositivityLost with the horizon time and the truncated Trajectory.  The
-branch unwraps arg det W_Q from one sample to the next, one eigenvalue of
-W_Q(t_prev)⁻¹W_Q(t) at a time.  The stacked packet passes every check the
-per-state constructors of the symplectic module make, once per trajectory.
-evolve_metric_riccati and center_dynamics integrate the Riccati metric and
-the centre ODE independently, as cross-checks.
+samples are equal steps with step·‖ΩH‖₂ ≤ ¼ for constant H, the accepted
+steps of the runs otherwise, and always include the output times; the scan
+takes them all in one batched pass.  The horizon is the first sign change,
+refined by a bracketing root-find; breakdown raises PositivityLost with the
+horizon time and the truncated Trajectory.  The branch unwraps arg det W_Q
+from one sample to the next, one eigenvalue of W_Q(t_prev)⁻¹W_Q(t) at a
+time.  The stacked packet passes every check the per-state constructors of
+the symplectic module make, once per trajectory.  evolve_metric_riccati and
+center_dynamics integrate the Riccati metric and the centre ODE
+independently, as cross-checks.
 
 U(t) carries the raising operator A†_j(Z₀) into
 Σ_l N̄_lj A†_l(Z_t) − Σ_l D_lj A_l(Z_t) + σ_j with D = N_t⁻¹M_t and the shift
@@ -47,7 +47,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
@@ -82,15 +82,20 @@ from .wavepackets import eval_ground  # noqa: F401  perfbench/tracing.py wraps i
 ODE_TOL = 1e-10
 
 
-def _check_symmetric(H: np.ndarray, label: str = "H") -> np.ndarray:
-    H = np.asarray(H, dtype=complex)
-    n2 = H.shape[0]
-    if H.ndim != 2 or H.shape != (n2, n2) or n2 % 2 != 0:
-        raise NonSymmetricH(f"{label} must be a 2n×2n matrix, got {H.shape}")
-    scale = max(1.0, float(np.max(np.abs(H))))
-    if np.max(np.abs(H - H.T)) > TOL_FRAME * scale:
+def _check_symmetric(matrices, label: str = "H") -> np.ndarray:
+    """The stack of the given finite, symmetric 2n×2n matrices, symmetrised."""
+    matrices = [np.asarray(m, dtype=complex) for m in matrices]
+    if not matrices or any(m.shape != matrices[0].shape for m in matrices):
+        raise DimensionMismatch(f"{label} needs at least one matrix, all of one shape")
+    H = np.stack(matrices)
+    if H.ndim != 3 or H.shape[1] != H.shape[2] or H.shape[1] % 2 != 0:
+        raise NonSymmetricH(f"{label} must be a 2n×2n matrix, got {H.shape[1:]}")
+    if not np.all(np.isfinite(H)):
+        raise NonSymmetricH(f"{label} must be finite")
+    scale = np.maximum(1.0, np.max(np.abs(H), axis=(1, 2)))
+    if np.any(np.max(np.abs(H - _t(H)), axis=(1, 2)) > TOL_FRAME * scale):
         raise NonSymmetricH(f"{label} is not symmetric")
-    return 0.5 * (H + H.T)
+    return 0.5 * (H + _t(H))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,23 +111,21 @@ class QuadraticHamiltonian:
 
     @staticmethod
     def constant(H) -> "QuadraticHamiltonian":
-        return QuadraticHamiltonian(kind="constant", data=(_check_symmetric(H),))
+        return QuadraticHamiltonian(kind="constant", data=(_check_symmetric([H])[0],))
 
     @staticmethod
     def sampled(times, matrices) -> "QuadraticHamiltonian":
         times = np.asarray(times, dtype=float)
-        stack = np.stack([_check_symmetric(m) for m in matrices])
+        stack = _check_symmetric(matrices)
         if times.ndim != 1 or len(times) != len(stack) or len(times) < 2:
             raise DimensionMismatch("sampled form needs matching times and ≥ 2 matrices")
         if np.any(np.diff(times) <= 0):
             raise DimensionMismatch("sample times must be strictly increasing")
-        if not np.all(np.isfinite(stack)):
-            raise NonSymmetricH("sampled matrices must be finite")
         return QuadraticHamiltonian(kind="sampled", data=(times, stack))
 
     @staticmethod
     def polynomial(coefficients) -> "QuadraticHamiltonian":
-        stack = np.stack([_check_symmetric(c, "coefficient") for c in coefficients])
+        stack = _check_symmetric(coefficients, "coefficient")
         return QuadraticHamiltonian(kind="polynomial", data=(stack,))
 
     @property
@@ -269,47 +272,75 @@ def symplectic_defect(S: np.ndarray):
 
 # -- the linear flow S_t ---------------------------------------------------------
 
+# rtol = atol of each DOP853 run per unit of ode_tol, so that one run per piece
+# is as accurate as a restart at every output time: against a 1e-14 reference
+# (polynomial H, n = 2, 401 times on [0, 2]) one run at 1e-10 … 1e-13 leaves
+# S_t 4.2e-10 … 3.0e-13 off, the restarts 2.8e-13 (2.7e-11 at 11 times).  At
+# 1e-2, G misses the Riccati metric by more than 1e-12; 1e-3 meets it.
+ODE_TOL_RATIO = 1e-3
+
+
 class _LinearFlow:
-    """S_t with Ṡ = ΩH_tS: expm(tΩH) for constant H, DOP853 otherwise."""
+    """S_t on [t0, t1] with Ṡ = ΩH_tS and S(t0) = Id: expm((t − t0)ΩH) for
+    constant H, otherwise one DOP853 run with dense output per smooth piece of
+    H (a sampled H is split at its knots), held as one OdeSolution."""
 
-    def __init__(self, H: QuadraticHamiltonian, ode_tol: float):
-        self.H = H
-        self.ode_tol = ode_tol
-        self.n2 = 2 * H.n
+    def __init__(self, H: QuadraticHamiltonian, ode_tol: float, t0: float, t1: float):
+        self.t0 = t0
+        self.n2 = n2 = 2 * H.n
         self.generator = omega(H.n) @ H(0.0) if H.is_constant else None
-        # expm samples per unit time, so that step·‖ΩH‖₂ ≤ ¼
-        self.rate = 4.0 * np.linalg.norm(self.generator, 2) if H.is_constant else 0.0
-        # a sampled H has kinks at its knots; the integration restarts there
-        self.knots = H.data[0] if H.kind == "sampled" else np.empty(0)
-
-    def chunks(self, times):
-        """Yield (counts, sample times, flows) covering the output times in order.
-
-        counts[j] is the number of samples on (t_prev, t] of the chunk's j-th
-        output time t, where t_prev is the previous output time (0 before the
-        first); each such segment ends at its t unless it is empty.  For
-        constant H one chunk holds every sample, from one batched expm call:
-        called once per matrix, scipy's expm stalls for milliseconds per call
-        when its BLAS threads compete for the cores (200 samples on 2 busy
-        cores: 800 ms against 90 ms).  Otherwise each output time is a chunk.
-        """
-        starts = np.concatenate([[0.0], times[:-1]])
-        if self.generator is None:
-            S = np.eye(self.n2, dtype=complex)
-            for t0, t1 in zip(starts, times):
-                ts, flows = self._integrate(t0, S, t1)
-                S = flows[-1] if len(flows) else S
-                yield [len(ts)], ts, flows
+        if H.is_constant:
+            # expm samples per unit time, so that step·‖ΩH‖₂ ≤ ¼
+            self.rate = 4.0 * np.linalg.norm(self.generator, 2)
             return
-        grids = [self._grid(t0, t1) for t0, t1 in zip(starts, times)]
-        ts = np.concatenate(grids)
-        yield [len(g) for g in grids], ts, expm(ts[:, None, None] * self.generator)
+        om = omega(H.n)
 
-    def at(self, t0: float, S0: np.ndarray, t1: float) -> np.ndarray:
-        """S(t1) given S(t0) = S0."""
+        def rhs(t, y):
+            return (om @ H(t) @ y.reshape(n2, n2)).reshape(-1)
+
+        # scipy lifts an rtol below 100 machine epsilons to that floor, with a warning
+        tol = max(ode_tol * ODE_TOL_RATIO, 100 * np.finfo(float).eps)
+        knots = H.data[0] if H.kind == "sampled" else np.empty(0)
+        bounds = [t0, *knots[(knots > t0) & (knots < t1)], t1] if t1 > t0 else [t0]
+        ts, ys, interpolants = [[t0]], [np.eye(n2, dtype=complex).reshape(-1, 1)], []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            sol = solve_ivp(rhs, (lo, hi), ys[-1][:, -1], method="DOP853", dense_output=True,
+                            rtol=tol, atol=tol)
+            if not sol.success:
+                raise StepSizeUnderflow(f"flow integration failed: {sol.message}")
+            ts.append(sol.t[1:])
+            ys.append(sol.y[:, 1:])
+            interpolants += sol.sol.interpolants
+        self.steps = np.concatenate(ts), np.concatenate(ys, axis=1).T.reshape(-1, n2, n2)
+        self.dense = OdeSolution(self.steps[0], interpolants) if interpolants else None
+
+    def samples(self, times: np.ndarray):
+        """(ts, flows): ts[0] = t0 with Id, then samples up to times[-1] that
+        include every output time: for constant H equal steps between output
+        times, from one batched expm (called per matrix, scipy's expm stalls
+        when its BLAS threads compete for 2 busy cores: 800 ms against 90 ms
+        for 200 samples); otherwise the accepted steps, plus the output times
+        inside a step, from the dense interpolant."""
         if self.generator is not None:
-            return expm((t1 - t0) * self.generator) @ S0
-        return self._integrate(t0, S0, t1)[1][-1] if t1 > t0 else S0
+            starts = np.concatenate([[self.t0], times[:-1]])
+            ts = np.concatenate([self._grid(lo, hi) for lo, hi in zip(starts, times)])
+            flows = expm((ts - self.t0)[:, None, None] * self.generator)
+            identity = np.eye(self.n2, dtype=complex)[None]
+            return np.concatenate([[self.t0], ts]), np.concatenate([identity, flows])
+        ts, flows = self.steps
+        inside = np.setdiff1d(times, ts)
+        if inside.size:
+            order = np.argsort(np.concatenate([ts, inside]))
+            inner = self.dense(inside).T.reshape(-1, self.n2, self.n2)
+            ts, flows = np.concatenate([ts, inside])[order], np.concatenate([flows, inner])[order]
+        return ts, flows
+
+    def at(self, t: float, t_prev: float, S_prev: np.ndarray) -> np.ndarray:
+        """S(t) for t in the sample step that starts at t_prev with S_prev:
+        expm from that sample for constant H, the dense interpolant otherwise."""
+        if self.generator is not None:
+            return expm((t - t_prev) * self.generator) @ S_prev
+        return S_prev if t == t_prev else self.dense(t).reshape(self.n2, self.n2)
 
     def _grid(self, t0: float, t1: float) -> np.ndarray:
         if t1 <= t0:
@@ -319,35 +350,12 @@ class _LinearFlow:
         ts[-1] = t1
         return ts
 
-    def _integrate(self, t0: float, S0: np.ndarray, t1: float):
-        """Accepted steps (times, flows) on (t0, t1] of one DOP853 run per smooth piece."""
-        if t1 <= t0:
-            return np.empty(0), np.empty((0, self.n2, self.n2), dtype=complex)
-        n2, H = self.n2, self.H
-        om = omega(n2 // 2)
-
-        def rhs(t, y):
-            return (om @ H(t) @ y.reshape(n2, n2)).reshape(-1)
-
-        inner = self.knots[(self.knots > t0) & (self.knots < t1)]
-        bounds = [t0, *inner, t1]
-        ts, flows = [], []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            sol = solve_ivp(rhs, (lo, hi), S0.reshape(-1), method="DOP853",
-                            rtol=self.ode_tol, atol=self.ode_tol)
-            if not sol.success:
-                raise StepSizeUnderflow(f"flow integration failed: {sol.message}")
-            ts.append(sol.t[1:])
-            flows.append(sol.y[:, 1:].T.reshape(-1, n2, n2))
-            S0 = flows[-1][-1]
-        return np.concatenate(ts), np.concatenate(flows)
-
 
 def flow(H: QuadraticHamiltonian, t0: float, t1: float, ode_tol: float = ODE_TOL):
-    """Flow matrix S with Ṡ = ΩH_tS, S(t0) = Id, evaluated at t1."""
+    """Flow matrix S with Ṡ = ΩH_tS, S(t0) = Id, evaluated at t1 (see _LinearFlow)."""
     if t1 < t0:
         raise DimensionMismatch("t1 must be ≥ t0")
-    return _LinearFlow(H, ode_tol).at(t0, np.eye(2 * H.n, dtype=complex), t1)
+    return _LinearFlow(H, ode_tol, t0, t1).at(t1, t0, np.eye(2 * H.n, dtype=complex))
 
 
 def _positivity_margin(W: np.ndarray):
@@ -359,47 +367,35 @@ def _positivity_margin(W: np.ndarray):
 def _scan(Z0: NormalisedFrame, H: QuadraticHamiltonian, times, ode_tol):
     """(S_t, log det W_Q, horizon) with W = S_tZ₀, stacked over the output times.
 
-    The stacks stop before the first output time whose segment loses
-    positivity; the horizon is None when no sample does.  Each chunk of flow
-    samples is checked for positivity by one batched eigvalsh.  log det W_Q
-    carries over from one sample to the next by the principal logs of the
-    eigenvalues of W_Q(t_prev)⁻¹W_Q(t), one batched solve and eigvals per
-    chunk summed in sample order, so it starts on the principal branch and
-    stays continuous as long as no eigenvalue turns by π within one step.  At
-    the first sample that fails, brentq locates the crossing inside the last
-    step.
+    One batched eigvalsh checks every flow sample for positivity; the stacks
+    stop before the first failing sample, and the horizon is None when none
+    fails.  log det W_Q carries over from one sample to the next by the
+    principal logs of the eigenvalues of W_Q(t_prev)⁻¹W_Q(t), one batched
+    solve and eigvals summed by cumsum, so it starts on the principal branch
+    and stays continuous as long as no eigenvalue turns by π within one step.
+    brentq locates the crossing inside the step before the first failing
+    sample, on the dense interpolant for non-constant H.
     """
-    linear = _LinearFlow(H, ode_tol)
+    linear = _LinearFlow(H, ode_tol, 0.0, float(times[-1]))
+    ts, flows = linear.samples(times)
     n, W0 = Z0.n, Z0.entries
-    t_prev, S_prev, WQ_prev = 0.0, np.eye(2 * n, dtype=complex), W0[n:]
-    margin_prev = float(_positivity_margin(W0))
-    log_prev = complex(np.log(complex(np.linalg.det(Z0.Q))))
-    out_S, out_log = [np.empty((0, 2 * n, 2 * n), dtype=complex)], [np.empty(0, dtype=complex)]
-    for counts, ts, flows in linear.chunks(times):
-        W = flows @ W0
-        margin = _positivity_margin(W)
-        failed = np.flatnonzero(margin <= 0)
-        good = int(failed[0]) if failed.size else len(ts)
-        WQ = np.concatenate([WQ_prev[None], W[:good, n:]])
-        steps = np.log(np.linalg.eigvals(np.linalg.solve(WQ[:-1], WQ[1:]))).sum(axis=-1)
-        # position 0 holds the chunk's start, position k + 1 its sample k
-        logs = np.cumsum(np.concatenate([[log_prev], steps]))
-        ends = np.cumsum(counts)
-        ends = ends[ends <= good]
-        out_S.append(np.concatenate([S_prev[None], flows[:good]])[ends])
-        out_log.append(logs[ends])
-        if failed.size:
-            if good:
-                t_prev, S_prev, margin_prev = ts[good - 1], flows[good - 1], margin[good - 1]
-            t_star = _crossing(
-                lambda s: float(_positivity_margin(linear.at(t_prev, S_prev, s) @ W0)),
-                t_prev, float(ts[good]), margin_prev, margin[good],
-            )
-            return np.concatenate(out_S), np.concatenate(out_log), t_star
-        if len(ts):
-            t_prev, S_prev, WQ_prev = ts[-1], flows[-1], W[-1, n:]
-            margin_prev, log_prev = margin[-1], logs[-1]
-    return np.concatenate(out_S), np.concatenate(out_log), None
+    W = flows @ W0
+    margin = _positivity_margin(W)
+    failed = np.flatnonzero(margin <= 0)
+    good = int(failed[0]) if failed.size else len(ts)
+    WQ = W[:good, n:]
+    steps = np.log(np.linalg.eigvals(np.linalg.solve(WQ[:-1], WQ[1:]))).sum(axis=-1)
+    logs = np.cumsum(np.concatenate([[np.log(complex(np.linalg.det(Z0.Q)))], steps]))
+    ends = np.searchsorted(ts, times)
+    ends = ends[ends < good]
+    t_star = None
+    if failed.size:
+        t_prev, S_prev = ts[good - 1], flows[good - 1]
+        t_star = _crossing(
+            lambda s: float(_positivity_margin(linear.at(s, t_prev, S_prev) @ W0)),
+            t_prev, float(ts[good]), margin[good - 1], margin[good],
+        )
+    return flows[ends], logs[ends], t_star
 
 
 def _crossing(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -427,7 +423,9 @@ def propagate(
     times must be increasing and start at t ≥ 0; a state is reported for every
     requested time.  Raises PositivityLost (carrying the truncated Trajectory
     and the horizon time) if the evolved Lagrangian stops being positive
-    before the last requested time.
+    before the last requested time.  For non-constant H, ode_tol·ODE_TOL_RATIO
+    is rtol = atol of the one DOP853 run per smooth piece that every output
+    time is read from; constant H uses expm and ignores ode_tol.
     """
     if not isinstance(Z0, NormalisedFrame):
         Z0 = NormalisedFrame(Z0)

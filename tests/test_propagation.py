@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -77,6 +78,24 @@ def test_hamiltonian_rejects_bad_input():
         QuadraticHamiltonian.sampled([0.0, 0.0], [np.eye(2), np.eye(2)])
     with pytest.raises(NonSymmetricH):
         QuadraticHamiltonian.constant(np.eye(3))
+    # an empty or mixed-shape stack is a shape fault
+    with pytest.raises(DimensionMismatch):
+        QuadraticHamiltonian.polynomial([])
+    with pytest.raises(DimensionMismatch):
+        QuadraticHamiltonian.sampled([0.0, 1.0], [])
+    with pytest.raises(DimensionMismatch):
+        QuadraticHamiltonian.polynomial([np.eye(2), np.eye(4)])
+    with pytest.raises(DimensionMismatch):
+        QuadraticHamiltonian.sampled([0.0, 1.0], [np.eye(2), np.eye(4)])
+    # every kind rejects non-finite entries
+    for bad in (np.nan, np.inf):
+        matrix = np.array([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(NonSymmetricH):
+            QuadraticHamiltonian.constant(matrix)
+        with pytest.raises(NonSymmetricH):
+            QuadraticHamiltonian.polynomial([np.eye(2), matrix])
+        with pytest.raises(NonSymmetricH):
+            QuadraticHamiltonian.sampled([0.0, 1.0], [np.eye(2), matrix])
 
 
 def test_flow_identity_at_equal_times():
@@ -218,9 +237,11 @@ def test_constant_hamiltonian_needs_no_ode(monkeypatch):
 
 @pytest.mark.parametrize("n, t", [(1, 20.0), (3, 37.0)])
 def test_logdetq_branch_follows_one_far_time(n, t):
-    # harmonic flow of the standard frame: Q_t = e^{it}·Id, so log det Q_t = int
-    state = propagate(standard_frame(n), np.zeros(2 * n), harmonic(n), [t])[0]
-    assert abs(state.logdetQ - 1j * n * t) < 1e-9
+    # harmonic flow of the standard frame: Q_t = e^{it}·Id, so log det Q_t = int;
+    # the same H as a polynomial takes the integrated route
+    for H in (harmonic(n), QuadraticHamiltonian.polynomial([np.eye(2 * n)])):
+        state = propagate(standard_frame(n), np.zeros(2 * n), H, [t])[0]
+        assert abs(state.logdetQ - 1j * n * t) < 1e-9
 
 
 def test_sampled_hamiltonian_flow_matches_piecewise_reference():
@@ -242,6 +263,25 @@ def test_sampled_hamiltonian_flow_matches_piecewise_reference():
     ref.append(S)
     states = propagate(standard_frame(n), np.zeros(2 * n), H, times)
     assert max(np.max(np.abs(s.S.reshape(-1) - r)) for s, r in zip(states, ref)) < 1.5e-9
+
+
+def test_flow_is_one_run_per_piece_whatever_the_output_times(monkeypatch):
+    # a sampled H on 5 knots has 4 smooth pieces, each one DOP853 run
+    n = 2
+    knots = np.linspace(0.0, 3.0, 5)
+    H = QuadraticHamiltonian.sampled(knots, [seeded_matrix(seed, n) for seed in range(5)])
+    args = (standard_frame(n), np.zeros(2 * n), H)
+    counted = mock.Mock(wraps=solve_ivp)
+    monkeypatch.setattr(propagation, "solve_ivp", counted)
+    sparse = propagate(*args, [0.0, 3.0])[-1].S
+    assert counted.call_count == 4
+    counted.reset_mock()
+    dense = propagate(*args, np.linspace(0.0, 3.0, 150))[-1].S
+    assert counted.call_count == 4
+    # S_t does not depend on how many output times were asked for
+    assert np.max(np.abs(sparse - dense)) <= 1e-12
+    # a looser ode_tol still leaves the frame isotropic at every output time
+    assert len(propagate(*args, np.linspace(0.0, 3.0, 11), ode_tol=1e-8)) == 11
 
 
 def test_polynomial_hamiltonian_matches_riccati_and_centre_oracles():
