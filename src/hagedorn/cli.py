@@ -38,7 +38,6 @@ from .errors import ConfigError, ConvergenceFailure, HagedornError, NonSymmetric
 from .gridsolver import GRID_TOL_DEFAULT, discretize_hamiltonian, propagate_grid
 from .polynomials import validate_recursion_index
 from .propagation import (
-    ODE_TOL,
     QuadraticHamiltonian,
     Trajectory,
     evolved_state_on_grid,
@@ -51,6 +50,7 @@ from .symplectic import NormalisedFrame, frame_from_metric
 from .wavepackets import Grid, WavepacketParams, eval_excited, grid_inner, grid_norm
 
 FIDELITY_TOL = 1e-5
+SYMPLECTIC_TOL = 1e-8
 ORACLE_NORM_TOL = 1e-5
 CLOSED_FORM_TOL = 1e-8
 HERMITIAN_NORM_TOL = 1e-8
@@ -75,7 +75,7 @@ class Diagnostic:
 # reports all its faults at once.
 
 _KEYS = frozenset(
-    "name eps ode_tol swanson hamiltonian initial center times alphas oracle expect_horizon out_dir"
+    "name eps swanson hamiltonian initial center times alphas oracle expect_horizon out_dir"
     .split()
 )
 _ORACLE_KEYS = frozenset("enabled times grid dt grid_tol".split())
@@ -258,7 +258,6 @@ class ScenarioConfig:
 
     name: str
     eps: float
-    ode_tol: float
     hamiltonian: QuadraticHamiltonian
     frame: NormalisedFrame
     center: np.ndarray
@@ -286,7 +285,6 @@ def _parse_config(raw) -> tuple[ScenarioConfig | None, list[Diagnostic]]:
     if out_dir is not None:
         out_dir = bad.read("BadConfig", "out_dir", _text, out_dir)
     eps = bad.read("BadEps", "eps", _positive, raw.get("eps", 1.0))
-    ode_tol = bad.read("BadTolerance", "ode_tol", _positive, raw.get("ode_tol", ODE_TOL))
     expect_horizon = bad.read(
         "BadConfig", "expect_horizon", _flag, raw.get("expect_horizon", False)
     )
@@ -362,7 +360,7 @@ def _parse_config(raw) -> tuple[ScenarioConfig | None, list[Diagnostic]]:
     if bad:
         return None, list(bad)
     config = ScenarioConfig(
-        name=name, eps=eps, ode_tol=ode_tol, hamiltonian=hamiltonian,
+        name=name, eps=eps, hamiltonian=hamiltonian,
         frame=frame, center=center, times=times, alphas=alphas, oracle=oracle, swanson=swanson,
         expect_horizon=expect_horizon, out_dir=out_dir, raw=raw,
     )
@@ -408,7 +406,7 @@ def _compute(config: ScenarioConfig) -> _Computed:
     horizon = None
     try:
         all_states = propagate(
-            config.frame, config.center, config.hamiltonian, all_times, config.eps, config.ode_tol
+            config.frame, config.center, config.hamiltonian, all_times, config.eps
         )
     except PositivityLost as exc:
         horizon = exc.t_star
@@ -501,11 +499,10 @@ def _check(config: ScenarioConfig, run: _Computed) -> tuple[_Checks, list | None
 
     # propagation health
     max_sympl = max((st.symplectic_defect for st in states), default=0.0)
-    sympl_tol = max(100 * config.ode_tol, 1e-12)
     checks.add(
         "symplectic_defect",
-        max_sympl <= sympl_tol,
-        f"max |SᵀΩS − Ω| {max_sympl:.3e} (tol {sympl_tol:.3e})",
+        max_sympl <= SYMPLECTIC_TOL,
+        f"max |SᵀΩS − Ω| {max_sympl:.3e} (tol {SYMPLECTIC_TOL:.3e})",
     )
 
     # positivity / horizon accounting
@@ -538,8 +535,7 @@ def _check(config: ScenarioConfig, run: _Computed) -> tuple[_Checks, list | None
         )
 
     # Hermitian sanity: with Im H ≡ 0 every norm must stay 1
-    im_h_max = max(float(np.max(np.abs(config.hamiltonian(t).imag))) for t in config.times)
-    if im_h_max == 0.0:
+    if config.hamiltonian.is_real:
         norms = [norm for norms in run.norms.values() for norm in norms]
         norms += [math.exp(st.log_prefactor.real) for st in states]
         worst = max((abs(norm - 1.0) for norm in norms), default=0.0)
@@ -677,7 +673,7 @@ def _write_artifacts(
         artifacts.append("oracle.json")
 
     closed_horizon = ds_positivity_time(config.swanson) if config.swanson is not None else math.inf
-    tolerances = {"ode_tol": config.ode_tol}
+    tolerances = {}
     if config.oracle is not None:  # grid_tol only where the grid oracle applies it
         tolerances["grid_tol"] = config.oracle.grid_tol
     manifest = {
@@ -817,8 +813,6 @@ def _resolve_raw(args) -> dict:
         raise ConfigError([Diagnostic("BadConfig", "give a config path and/or --preset")])
     if args.no_oracle:
         raw = _deep_merge(raw, {"oracle": {"enabled": False}})
-    if args.ode_tol is not None:
-        raw = _deep_merge(raw, {"ode_tol": args.ode_tol})
     if args.grid_tol is not None:
         raw = _deep_merge(raw, {"oracle": {"grid_tol": args.grid_tol}})
     return raw
@@ -892,7 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--preset", choices=sorted(PRESETS), help="start from a built-in scenario")
     run_p.add_argument("--out", help="output directory (overrides env and config)")
     run_p.add_argument("--no-oracle", action="store_true", help="disable the grid oracle")
-    run_p.add_argument("--ode-tol", type=float, help="override the propagation tolerance")
     run_p.add_argument("--grid-tol", type=float, help="override the oracle tolerance")
     run_p.set_defaults(func=_cmd_run)
 

@@ -3,10 +3,11 @@
 For a quadratic Hamiltonian the whole packet is an algebraic function of the
 linear flow S_t, Ṡ = ΩH_tS with S_0 = Id.  For constant H, S_t = expm(tΩH);
 otherwise one DOP853 run with dense output per smooth piece of H (a sampled H
-is split at its knots) integrates it, whatever the output times.  propagate
-returns a Trajectory: every quantity below at every output time, stacked on a leading
-time axis and computed by one batched numpy call per step, with W = S_tZ₀ =
-(W_P; W_Q) and the complex centre (π, ξ) = S_tz₀:
+is split at its knots), at the fixed rtol = atol = FLOW_TOL, integrates it,
+whatever the output times.  propagate returns a Trajectory: every quantity
+below at every output time, stacked on a leading time axis and computed by
+one batched numpy call per step, with W = S_tZ₀ = (W_P; W_Q) and the complex
+centre (π, ξ) = S_tz₀:
 
 - N_t = ((1/2i)W*ΩW)^{−1/2}, the frame Z_t = WN_t = (P_t; Q_t), its metric
   G_t, M_t = ¼(S_tZ̄₀)ᵀG_t(S_tZ̄₀) and M̃_t = M_t + N_tQ_t⁻¹Q̄_tN̄_t;
@@ -27,7 +28,8 @@ from one sample to the next, one eigenvalue of W_Q(t_prev)⁻¹W_Q(t) at a
 time.  The stacked packet passes every check the per-state constructors of
 the symplectic module make, once per trajectory.  evolve_metric_riccati and
 center_dynamics integrate the Riccati metric and the centre ODE
-independently, as cross-checks.
+independently, as cross-checks, at a tolerance their caller picks (ODE_TOL by
+default).
 
 U(t) carries the raising operator A†_j(Z₀) into
 Σ_l N̄_lj A†_l(Z_t) − Σ_l D_lj A_l(Z_t) + σ_j with D = N_t⁻¹M_t and the shift
@@ -140,6 +142,11 @@ class QuadraticHamiltonian:
     def is_constant(self) -> bool:
         return self.kind == "constant"
 
+    @property
+    def is_real(self) -> bool:
+        """Im H(t) = 0 for every t: every stored matrix is real."""
+        return not np.any(self.data[-1].imag)
+
     def __call__(self, t: float) -> np.ndarray:
         if self.kind == "constant":
             return self.data[0]
@@ -191,7 +198,7 @@ class Trajectory(Sequence):
     The fields are those of PropagatedState, with one leading time axis (Z holds
     the frame entries); eps is shared.  len, indexing and iteration give
     PropagatedState views of one time, whose arrays are read-only slices of
-    these stacks.
+    these stacks; a slice gives the list of those views.
     """
 
     t: np.ndarray
@@ -221,7 +228,9 @@ class Trajectory(Sequence):
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, i: int) -> PropagatedState:
+    def __getitem__(self, i: int | slice):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
         view = self._views[i]
         if view is None:
             view = self._views[i] = PropagatedState(
@@ -272,12 +281,11 @@ def symplectic_defect(S: np.ndarray):
 
 # -- the linear flow S_t ---------------------------------------------------------
 
-# rtol = atol of each DOP853 run per unit of ode_tol, so that one run per piece
-# is as accurate as a restart at every output time: against a 1e-14 reference
-# (polynomial H, n = 2, 401 times on [0, 2]) one run at 1e-10 … 1e-13 leaves
-# S_t 4.2e-10 … 3.0e-13 off, the restarts 2.8e-13 (2.7e-11 at 11 times).  At
-# 1e-2, G misses the Riccati metric by more than 1e-12; 1e-3 meets it.
-ODE_TOL_RATIO = 1e-3
+# rtol = atol of each DOP853 run.  Against a 1e-14 reference (polynomial H,
+# n = 2, 401 times on [0, 2]) one run at 1e-13 leaves S_t 3.0e-13 off.  At
+# 1e-12, G misses the Riccati metric by more than 1e-12; at 1e-10 the stacked
+# isotropy check fails.
+FLOW_TOL = 1e-13
 
 
 class _LinearFlow:
@@ -285,7 +293,7 @@ class _LinearFlow:
     constant H, otherwise one DOP853 run with dense output per smooth piece of
     H (a sampled H is split at its knots), held as one OdeSolution."""
 
-    def __init__(self, H: QuadraticHamiltonian, ode_tol: float, t0: float, t1: float):
+    def __init__(self, H: QuadraticHamiltonian, t0: float, t1: float):
         self.t0 = t0
         self.n2 = n2 = 2 * H.n
         self.generator = omega(H.n) @ H(0.0) if H.is_constant else None
@@ -298,14 +306,12 @@ class _LinearFlow:
         def rhs(t, y):
             return (om @ H(t) @ y.reshape(n2, n2)).reshape(-1)
 
-        # scipy lifts an rtol below 100 machine epsilons to that floor, with a warning
-        tol = max(ode_tol * ODE_TOL_RATIO, 100 * np.finfo(float).eps)
         knots = H.data[0] if H.kind == "sampled" else np.empty(0)
         bounds = [t0, *knots[(knots > t0) & (knots < t1)], t1] if t1 > t0 else [t0]
         ts, ys, interpolants = [[t0]], [np.eye(n2, dtype=complex).reshape(-1, 1)], []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             sol = solve_ivp(rhs, (lo, hi), ys[-1][:, -1], method="DOP853", dense_output=True,
-                            rtol=tol, atol=tol)
+                            rtol=FLOW_TOL, atol=FLOW_TOL)
             if not sol.success:
                 raise StepSizeUnderflow(f"flow integration failed: {sol.message}")
             ts.append(sol.t[1:])
@@ -351,11 +357,11 @@ class _LinearFlow:
         return ts
 
 
-def flow(H: QuadraticHamiltonian, t0: float, t1: float, ode_tol: float = ODE_TOL):
+def flow(H: QuadraticHamiltonian, t0: float, t1: float):
     """Flow matrix S with Ṡ = ΩH_tS, S(t0) = Id, evaluated at t1 (see _LinearFlow)."""
     if t1 < t0:
         raise DimensionMismatch("t1 must be ≥ t0")
-    return _LinearFlow(H, ode_tol, t0, t1).at(t1, t0, np.eye(2 * H.n, dtype=complex))
+    return _LinearFlow(H, t0, t1).at(t1, t0, np.eye(2 * H.n, dtype=complex))
 
 
 def _positivity_margin(W: np.ndarray):
@@ -364,7 +370,7 @@ def _positivity_margin(W: np.ndarray):
     return gram_margin(gram_matrix(W))[1]
 
 
-def _scan(Z0: NormalisedFrame, H: QuadraticHamiltonian, times, ode_tol):
+def _scan(Z0: NormalisedFrame, H: QuadraticHamiltonian, times):
     """(S_t, log det W_Q, horizon) with W = S_tZ₀, stacked over the output times.
 
     One batched eigvalsh checks every flow sample for positivity; the stacks
@@ -376,7 +382,7 @@ def _scan(Z0: NormalisedFrame, H: QuadraticHamiltonian, times, ode_tol):
     brentq locates the crossing inside the step before the first failing
     sample, on the dense interpolant for non-constant H.
     """
-    linear = _LinearFlow(H, ode_tol, 0.0, float(times[-1]))
+    linear = _LinearFlow(H, 0.0, float(times[-1]))
     ts, flows = linear.samples(times)
     n, W0 = Z0.n, Z0.entries
     W = flows @ W0
@@ -410,22 +416,15 @@ def _crossing(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     return float(brentq(g, lo, hi))
 
 
-def propagate(
-    Z0: NormalisedFrame,
-    z0,
-    H: QuadraticHamiltonian,
-    times,
-    eps: float = 1.0,
-    ode_tol: float = ODE_TOL,
-):
+def propagate(Z0: NormalisedFrame, z0, H: QuadraticHamiltonian, times, eps: float = 1.0):
     """Propagate a wavepacket frame: a Trajectory with one state per time.
 
     times must be increasing and start at t ≥ 0; a state is reported for every
     requested time.  Raises PositivityLost (carrying the truncated Trajectory
     and the horizon time) if the evolved Lagrangian stops being positive
-    before the last requested time.  For non-constant H, ode_tol·ODE_TOL_RATIO
-    is rtol = atol of the one DOP853 run per smooth piece that every output
-    time is read from; constant H uses expm and ignores ode_tol.
+    before the last requested time.  For non-constant H every output time is
+    read from one DOP853 run per smooth piece at rtol = atol = FLOW_TOL;
+    constant H uses expm.
     """
     if not isinstance(Z0, NormalisedFrame):
         Z0 = NormalisedFrame(Z0)
@@ -441,7 +440,7 @@ def propagate(
     if times[0] < 0:
         raise DimensionMismatch("times must start at t ≥ 0")
 
-    S, log_det_wq, t_star = _scan(Z0, H, times, ode_tol)
+    S, log_det_wq, t_star = _scan(Z0, H, times)
     trajectory = _trajectory(times[: len(S)], S, Z0.entries, z0, log_det_wq, eps)
     if t_star is not None:
         raise PositivityLost(t_star, trajectory)
@@ -599,6 +598,8 @@ def center_dynamics(z0, H: QuadraticHamiltonian, G_path, times, ode_tol: float =
     if z0.size != 2 * n:
         raise DimensionMismatch(f"center must have 2n = {2 * n} components")
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
+        raise DimensionMismatch("times must be a strictly increasing sequence")
     om = omega(n)
 
     if callable(G_path):
@@ -750,12 +751,7 @@ def evolved_state_on_grid(state: PropagatedState, alpha, eps: float, grid: Grid)
     return _packet_on_grid(params, grid, alpha, state.Mtilde, L, state.sigma)
 
 
-def positivity_horizon(
-    Z0: NormalisedFrame,
-    H: QuadraticHamiltonian,
-    t_max: float,
-    ode_tol: float = ODE_TOL,
-) -> float:
+def positivity_horizon(Z0: NormalisedFrame, H: QuadraticHamiltonian, t_max: float) -> float:
     """First time in (0, t_max] where the evolved frame stops being positive.
 
     Returns math.inf when positivity survives the whole window.  The crossing
@@ -767,5 +763,5 @@ def positivity_horizon(
         Z0 = NormalisedFrame(Z0)
     if H.n != Z0.n:
         raise DimensionMismatch("Hamiltonian and frame dimensions differ")
-    t_star = _scan(Z0, H, np.array([float(t_max)]), ode_tol)[2]
+    t_star = _scan(Z0, H, np.array([float(t_max)]))[2]
     return math.inf if t_star is None else t_star

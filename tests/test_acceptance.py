@@ -171,7 +171,7 @@ def test_criterion_4_hermitian_degeneration():
     worst = 0.0
     for n, H in cases:
         ham = QuadraticHamiltonian.constant(H)
-        states = propagate(standard(n), np.zeros(2 * n), ham, times, ode_tol=1e-11)
+        states = propagate(standard(n), np.zeros(2 * n), ham, times)
         for s in states:
             worst = max(worst, abs(s.beta))
             worst = max(worst, float(np.max(np.abs(s.N - np.eye(n)))))
@@ -192,7 +192,7 @@ def test_criterion_4_hermitian_degeneration():
 
 def test_criterion_5_consistency_triangle():
     times = np.linspace(0.0, PERIOD, 50, endpoint=False)
-    states = propagate(L0_FRAME, np.zeros(2), DS_HAM, times, ode_tol=1e-10)
+    states = propagate(L0_FRAME, np.zeros(2), DS_HAM, times)
     pairs = evolve_metric_riccati(np.eye(2), DS_HAM, times, ode_tol=1e-11)
     worst = 0.0
     for t, state, pair in zip(times, states, pairs):
@@ -328,7 +328,7 @@ def _indices_of_order(total, n):
 
 def test_criterion_7_ladder_identities():
     times = np.linspace(0.0, PERIOD, 50, endpoint=False)
-    states = propagate(L0_FRAME, np.zeros(2), DS_HAM, times, ode_tol=1e-10)
+    states = propagate(L0_FRAME, np.zeros(2), DS_HAM, times)
     om = omega(1)
     Z0 = L0_FRAME.entries
     worst = 0.0

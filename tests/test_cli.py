@@ -143,6 +143,7 @@ REJECTIONS = [
     ("frame-n-differs", "hermitian-sanity", ("initial",), {"entries": STANDARD_FRAME_2D},
      "BadFrame"),
     ("unknown-tol-frame", "hermitian-sanity", ("tol_frame",), 1e-10, "BadConfig"),
+    ("unknown-ode-tol", "hermitian-sanity", ("ode_tol",), 1e-10, "BadConfig"),
     ("unknown-output-dir", "hermitian-sanity", ("output_dir",), "elsewhere", "BadConfig"),
     ("unknown-oracle-key", "mini", ("oracle", "step"), 1e-3, "BadConfig"),
     # unknown keys inside nested blocks
@@ -235,6 +236,16 @@ def test_run_rejects_unreadable_config(tmp_path, capsys, content):
     assert not out.exists()
 
 
+def test_run_has_no_ode_tol_flag(tmp_path, capsys):
+    # the flow's tolerance is fixed; argparse rejects the flag with exit 2
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--preset", "hermitian-sanity", "--ode-tol", "1e-8", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--ode-tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_presets_list(capsys):
     assert main(["presets", "list"]) == 0
     out = capsys.readouterr().out
@@ -251,14 +262,31 @@ def test_hermitian_sanity_preset(tmp_path):
     manifest = read_manifest(out)
     assert manifest["name"] == "hermitian-sanity"
     assert all(c["passed"] for c in manifest["checks"])
-    # only tolerances the run applies: the frame checks use a fixed one, and
-    # no grid oracle runs, so there is no grid_tol
-    assert set(manifest["tolerances"]) == {"ode_tol"}
+    # only tolerances the run applies: the flow and the frame checks use fixed
+    # ones, and no grid oracle runs, so there is no grid_tol
+    assert manifest["tolerances"] == {}
     for name in ("trajectory.csv", "coefficients_0.csv", "coefficients_2.csv"):
         assert (out / name).exists()
     rows = read_csv(out / "trajectory.csv")
     assert len(rows) == 101
     assert max(abs(float(r["norm_predicted"]) - 1.0) for r in rows) < 1e-8
+
+
+def test_hermitian_check_reads_every_knot(tmp_path):
+    # Im H sits only on the middle knot, between the two output times: H is
+    # not real, the norm leaves 1, and no hermitian_norms check applies
+    raw = copy.deepcopy(PRESETS["hermitian-sanity"])
+    skew = [[1.0, [0.0, -0.5]], [[0.0, -0.5], 1.0]]
+    raw["hamiltonian"] = {
+        "type": "sampled", "times": [0.0, 0.5, 1.0], "matrices": [IDENTITY_2, skew, IDENTITY_2]
+    }
+    raw["times"] = [0.0, 1.0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert {c["name"] for c in read_manifest(out)["checks"]} == {"symplectic_defect"}
+    assert abs(float(read_csv(out / "trajectory.csv")[-1]["norm_predicted"]) - 1.0) > 1e-3
 
 
 def test_horizon_preset(tmp_path):
@@ -357,7 +385,7 @@ def test_grid_tol_reported_only_where_the_oracle_runs(tmp_path, capsys):
     assert load_config(mini_config()).oracle.grid_tol == 1e-4
     out = tmp_path / "off"
     assert main(["run", str(cfg), "--no-oracle", "--out", str(out)]) == 0
-    assert set(read_manifest(out)["tolerances"]) == {"ode_tol"}
+    assert read_manifest(out)["tolerances"] == {}
     assert not (out / "oracle.json").exists()
     # a malformed tolerance is still rejected when the oracle is off
     bad = tmp_path / "bad"

@@ -129,7 +129,7 @@ def test_flow_harmonic_is_real_rotation():
 @pytest.fixture(scope="module")
 def ds_trajectory():
     times = np.linspace(0.0, PERIOD, 50, endpoint=False)
-    states = propagate(L0_FRAME, ORIGIN, DS_HAM, times, ode_tol=1e-10)
+    states = propagate(L0_FRAME, ORIGIN, DS_HAM, times)
     return times, states
 
 
@@ -174,7 +174,7 @@ def test_propagate_hermitian_degeneration():
     # real H: unitary dynamics, no norm gain, no lower-state activation
     times = np.linspace(0.0, 2 * math.pi, 40)
     z0 = np.array([0.3, -0.2])
-    states = propagate(L0_FRAME, z0, harmonic(), times, ode_tol=1e-11)
+    states = propagate(L0_FRAME, z0, harmonic(), times)
     for t, s in zip(times, states):
         R = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
         assert abs(s.beta) < 1e-12
@@ -280,8 +280,6 @@ def test_flow_is_one_run_per_piece_whatever_the_output_times(monkeypatch):
     assert counted.call_count == 4
     # S_t does not depend on how many output times were asked for
     assert np.max(np.abs(sparse - dense)) <= 1e-12
-    # a looser ode_tol still leaves the frame isotropic at every output time
-    assert len(propagate(*args, np.linspace(0.0, 3.0, 11), ode_tol=1e-8)) == 11
 
 
 def test_polynomial_hamiltonian_matches_riccati_and_centre_oracles():
@@ -350,7 +348,7 @@ def test_riccati_validates_input():
 
 def test_center_callable_metric_matches_propagate():
     times = np.linspace(0.0, 2.0, 21)
-    states = propagate(L0_FRAME, np.array([0.0, 1.0]), DS_HAM, times, ode_tol=1e-10)
+    states = propagate(L0_FRAME, np.array([0.0, 1.0]), DS_HAM, times)
     zs, actions = center_dynamics(
         [0.0, 1.0], DS_HAM, lambda t: ds_scalars(DS, t).metric, times, ode_tol=1e-10
     )
@@ -362,7 +360,7 @@ def test_center_callable_metric_matches_propagate():
 def test_center_sampled_metric_matches_propagate():
     # the sampled route interpolates G linearly, so it needs a dense grid
     times = np.linspace(0.0, 2.0, 401)
-    states = propagate(L0_FRAME, np.array([0.0, 1.0]), DS_HAM, times, ode_tol=1e-10)
+    states = propagate(L0_FRAME, np.array([0.0, 1.0]), DS_HAM, times)
     zs, actions = center_dynamics(
         [0.0, 1.0], DS_HAM, [s.G for s in states], times, ode_tol=1e-10
     )
@@ -375,6 +373,10 @@ def test_center_validates_input():
         center_dynamics([0.0, 1.0, 2.0], DS_HAM, lambda t: np.eye(2), [0.0, 1.0])
     with pytest.raises(DimensionMismatch):
         center_dynamics([0.0, 1.0], DS_HAM, [np.eye(2)], [0.0, 1.0])
+    # an earlier centre must not come back labelled with a later time
+    for times in ([1.0, 0.5], []):
+        with pytest.raises(DimensionMismatch):
+            center_dynamics([0.0, 1.0], DS_HAM, lambda t: np.eye(2), times)
 
 
 # -- lower-state activation coefficients ----------------------------------------
@@ -382,7 +384,7 @@ def test_center_validates_input():
 
 @pytest.fixture(scope="module")
 def ds_quarter_state():
-    return propagate(L0_FRAME, ORIGIN, DS_HAM, np.array([T_STAR]), ode_tol=1e-10)[-1]
+    return propagate(L0_FRAME, ORIGIN, DS_HAM, np.array([T_STAR]))[-1]
 
 
 def test_coefficients_low_orders(ds_quarter_state):

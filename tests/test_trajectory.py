@@ -124,6 +124,7 @@ def test_trajectory_views_are_read_only_slices():
     trajectory = propagate(standard_frame(2), np.zeros(4), hamiltonian("constant", 2), [0.0, 0.5, 1.0])
     state = trajectory[-1]
     assert trajectory[2] is state
+    assert trajectory[1:] == [trajectory[1], trajectory[2]]
     assert np.shares_memory(state.G, trajectory.G)
     with pytest.raises(ValueError):
         state.G[0, 0] = 0.0
