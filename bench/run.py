@@ -1,6 +1,6 @@
 """Per-call times of `hagedorn_coefficients`, `propagate`, grid fields, the grid
 oracle's building blocks and whole `swanson-fig1` runs, written to
-BENCH_12.json.
+BENCH_14.json.
 
     python3 bench/run.py
 
@@ -27,9 +27,14 @@ Imports the package from ./src of the checkout this script sits in.
 - `hagedorn_coefficients` for n = 1, |α| ≤ 2 at that Swanson state: one run
   is the mean per call over 600 calls cycling k = 0, 1, 2.
 - Grid oracle, Swanson H on the oracle's 1024-node grid of [−12, 12]: one
-  `discretize_hamiltonian` call; one Cayley matrix build at τ = 1e-3 with
-  the damping (`_cayley_matrix` after clearing the operator's cache); one
-  Crank–Nicolson step, the mean over 500 products C ψ.
+  `discretize_hamiltonian` call; one Cayley build at τ = 1e-3 with the
+  damping (`_cayley_matrix` after clearing the operator's cache, so the C²
+  product included); the squaring C @ C alone; one Crank–Nicolson step, the mean over
+  500 products C² ψ, each counted as two steps (a checkout whose cache holds
+  C alone counts 500 products C ψ as one step each); one march of
+  `propagate_grid` through (0.25, 0.5) for each of α = 0, 1, 2 at the
+  preset's dt and grid_tol, the operator's cache already warm, one run being
+  all three marches.
 - `run_scenario` on the `swanson-fig1` preset, artifacts written to a
   temporary directory: with its oracle at times (0.25, 0.5), with the
   preset's full oracle list, and with the oracle off.  One run is one call;
@@ -37,7 +42,7 @@ Imports the package from ./src of the checkout this script sits in.
 
 Each row holds the median and the best of its runs.  The file also records
 the machine (nproc, Python, numpy and scipy versions).  A `parent` block
-already in BENCH_12.json (the same rows measured on the parent commit, by
+already in BENCH_14.json (the same rows measured on the parent commit, by
 running this script from a checkout of it) is kept as it is.
 """
 
@@ -61,7 +66,11 @@ import scipy  # noqa: E402
 
 from hagedorn import propagation  # noqa: E402
 from hagedorn.cli import PRESETS, load_config, run_scenario, standard_frame  # noqa: E402
-from hagedorn.gridsolver import _cayley_matrix, discretize_hamiltonian  # noqa: E402
+from hagedorn.gridsolver import (  # noqa: E402
+    _cayley_matrix,
+    discretize_hamiltonian,
+    propagate_grid,
+)
 from hagedorn.propagation import (  # noqa: E402
     QuadraticHamiltonian,
     evolved_state_on_grid,
@@ -71,7 +80,7 @@ from hagedorn.propagation import (  # noqa: E402
 from hagedorn.swanson import SwansonParams  # noqa: E402
 from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited  # noqa: E402
 
-OUT = ROOT / "BENCH_12.json"
+OUT = ROOT / "BENCH_14.json"
 MODES = (3, 4)
 ORDERS = (4, 6, 8, 12)
 RUNS = 5
@@ -226,20 +235,38 @@ def grid_oracle_rows() -> list:
     operator = discretize_hamiltonian(H, 1.0, grid)
     params = WavepacketParams(frame=np.array([[1.0], [-1.0j]]), center=np.zeros(2), eps=1.0)
     psi = eval_excited(params, (1,), grid)
-    cayley = _cayley_matrix(operator, 1e-3, True)
+    cached = _cayley_matrix(operator, 1e-3, True)
+    # a checkout whose cache holds C alone builds only C and steps with one
+    # product C ψ per step
+    cayley, product, per_product = (
+        (cached[0], cached[1], 2) if isinstance(cached, tuple) else (cached, cached, 1)
+    )
+    oracle = PRESETS["swanson-fig1"]["oracle"]
+    fields = [eval_excited(params, (k,), grid) for k in range(3)]
 
     def build_cayley(op):
         op._cayley.clear()
         _cayley_matrix(op, 1e-3, True)
 
+    def march(op):
+        for field in fields:
+            propagate_grid(field, op, (0.25, 0.5), dt=oracle["dt"], grid_tol=oracle["grid_tol"])
+
     steps = 500
     return timed_rows([
         ({"what": "discretize_hamiltonian", "case": "Swanson, N=1024", "per": "call"},
          lambda g: discretize_hamiltonian(H, 1.0, g), [grid], 1),
-        ({"what": "Cayley build", "case": "Swanson, N=1024, tau=1e-3, damped", "per": "call"},
+        ({"what": "Cayley build", "case": "Swanson, N=1024, tau=1e-3, damped", "per": "call",
+          "matrices_cached": per_product},
          build_cayley, [operator], 1),
-        ({"what": "Crank-Nicolson step", "case": "Swanson, N=1024, one column", "per": "step"},
-         lambda f: cayley @ f, [psi] * steps, steps),
+        ({"what": "Cayley squaring", "case": "Swanson, N=1024, C @ C", "per": "call"},
+         lambda c: c @ c, [cayley], 1),
+        ({"what": "Crank-Nicolson step", "case": "Swanson, N=1024, one column",
+          "per": "step", "steps_per_product": per_product},
+         lambda f: product @ f, [psi] * steps, per_product * steps),
+        ({"what": "propagate_grid march", "case": "Swanson, N=1024, alpha = 0, 1, 2 through"
+          " (0.25, 0.5), warm operator", "per": "run of 3 marches"},
+         march, [discretize_hamiltonian(H, 1.0, grid)], 1),
     ])
 
 
@@ -278,7 +305,7 @@ def main() -> None:
     report = {
         "what": "ms per call of hagedorn_coefficients by (n, |alpha|), of propagate, grid"
         " fields and small coefficient tables by case, of the grid oracle's assembly, Cayley"
-        " build and step, and of swanson-fig1 runs, median of runs",
+        " build, squaring, step and march, and of swanson-fig1 runs, median of runs",
         "machine": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ConvergenceFailure, HagedornError, NonSymmetricH, PositivityLost
-from .gridsolver import GRID_TOL_DEFAULT, discretize_hamiltonian, propagate_grid
+from .gridsolver import GRID_TOL_DEFAULT, discretize_hamiltonian, outside_window, propagate_grid
 from .polynomials import validate_recursion_index
 from .propagation import (
     QuadraticHamiltonian,
@@ -480,6 +480,7 @@ def _run_oracle(config: ScenarioConfig, run: _Computed) -> list[dict]:
             norm_grid = grid_norm(result.field, oracle.grid)
             norm_hag = grid_norm(psi_hag, oracle.grid)
             fidelity = abs(grid_inner(result.field, psi_hag, oracle.grid)) / (norm_grid * norm_hag)
+            outside_x, outside_p = outside_window(result.field, oracle.grid, eps)
             cases.append(
                 {
                     **case,
@@ -487,6 +488,8 @@ def _run_oracle(config: ScenarioConfig, run: _Computed) -> list[dict]:
                     "norm_predicted": run.norms[alpha][i],
                     "fidelity": fidelity,
                     "richardson_error": result.richardson_error,
+                    "outside_x": outside_x,
+                    "outside_p": outside_p,
                 }
             )
     return cases

@@ -357,6 +357,8 @@ def test_oracle_report_contents(mini_run):
         assert case["t"] == 0.25
         assert case["fidelity"] >= 1 - 1e-5
         assert case["richardson_error"] < 1e-4
+        for key in ("outside_x", "outside_p"):
+            assert math.isfinite(case[key]) and 0 <= case[key] <= 1
 
 
 def test_displaced_swanson_passes_the_oracle_without_closed_forms(tmp_path, capsys):

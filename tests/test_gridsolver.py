@@ -1,6 +1,7 @@
 """Brute-force grid verifier: Weyl discretization, Crank-Nicolson stepping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,22 +158,57 @@ def test_damping_leaves_resolved_window_alone():
     assert np.max(np.abs(damped - plain)) < 1e-12
 
 
-def test_cayley_step_matches_lu_solve_reference():
-    # Crank–Nicolson as two triangular solves per step, independent of the
-    # cached Cayley matrix: one LU of Id + iτ/2 F, then lu_solve per step
-    op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
-    psi0 = packet([1], GRID_SMALL)
-    t, steps = 0.25, 500  # the fine run of dt = 1e-3
-    stepping = op.matrix - 1j * _damping_matrix(GRID_SMALL, 1.0)
-    ident = np.eye(GRID_SMALL.counts[0])
-    factor = 1j * (t / steps) / 2
+def lu_stepping(op, psi0, t, steps):
+    """Crank–Nicolson as two triangular solves per step, independent of the
+    cached Cayley matrices: one LU of Id + iτ/2ε F, then lu_solve per step."""
+    stepping = op.matrix - 1j * _damping_matrix(op.grid, op.eps)
+    ident = np.eye(op.grid.counts[0])
+    factor = 1j * (t / steps) / (2 * op.eps)
     lu = lu_factor(ident + factor * stepping)
     explicit = ident - factor * stepping
     psi = psi0
     for _ in range(steps):
         psi = lu_solve(lu, explicit @ psi)
+    return psi
+
+
+def test_cayley_step_matches_lu_solve_reference():
+    op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
+    psi0 = packet([1], GRID_SMALL)
+    t, steps = 0.25, 500  # the fine run of dt = 1e-3
+    psi = lu_stepping(op, psi0, t, steps)
     res = propagate_grid(psi0, op, t, dt=1e-3, grid_tol=np.inf, max_halvings=0)
     assert np.max(np.abs(res.field - psi)) / np.max(np.abs(psi)) < 1e-12
+
+
+def test_odd_coarse_run_matches_lu_solve_reference():
+    # 251 coarse steps: 125 products with C² and one with C; the returned
+    # field is the even fine run, so only the estimate sees the odd step
+    op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
+    psi0 = packet([1], GRID_SMALL)
+    psi0 = psi0 / norm(psi0, GRID_SMALL)
+    t = 0.251
+    coarse, fine = lu_stepping(op, psi0, t, 251), lu_stepping(op, psi0, t, 502)
+    res = propagate_grid(psi0, op, t, dt=1e-3, grid_tol=np.inf, max_halvings=0)
+    assert abs(res.richardson_error - norm(coarse - fine, GRID_SMALL) / 3) <= 1e-12
+
+
+def test_march_memory_holds_four_matrices():
+    # the build keeps at most two N² matrices of its own alive, so with C and
+    # C² cached for the coarse and the fine step the peak stays near 4 N²
+    op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
+    psi0 = packet([1], GRID_SMALL)
+    matrix_bytes = op.matrix.nbytes
+    tracemalloc.start()
+    try:
+        propagate_grid(psi0, op, (0.25, 0.5), dt=1e-3, grid_tol=np.inf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * matrix_bytes
+    cached = [matrix for pair in op._cayley.values() for matrix in pair]
+    assert len(op._cayley) == 2 and len(cached) == 4
+    assert all(matrix.shape == op.matrix.shape and matrix.flags.owndata for matrix in cached)
 
 
 def test_one_factorisation_per_step_size(monkeypatch):
@@ -277,6 +313,17 @@ def test_array_holding_values_compare_by_identity(make):
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b}) == 2
+
+
+def test_outside_window_of_gaussians():
+    # |e^{−x²/2s²}|² puts erfc(a/s) of its mass at |x| > a, and its transform
+    # is a Gaussian of width ε/s in p = εk; the grid sum cuts off within dx
+    x = GRID_SMALL.axes()[0]
+    tail = math.sqrt(math.erfc(gridsolver.DAMP_ONSET_X / 2.0))
+    wide_x, narrow_p = gridsolver.outside_window(np.exp(-(x**2) / 8), GRID_SMALL, 1.0)
+    narrow_x, wide_p = gridsolver.outside_window(np.exp(-8 * x**2), GRID_SMALL, 0.5)
+    assert wide_x == pytest.approx(tail, rel=5e-2) and narrow_p < 1e-8
+    assert wide_p == pytest.approx(tail, rel=5e-2) and narrow_x < 1e-8
 
 
 # -- overlaps and the number operator ---------------------------------------------
