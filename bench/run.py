@@ -235,7 +235,7 @@ def grid_oracle_rows() -> list:
     operator = discretize_hamiltonian(H, 1.0, grid)
     params = WavepacketParams(frame=np.array([[1.0], [-1.0j]]), center=np.zeros(2), eps=1.0)
     psi = eval_excited(params, (1,), grid)
-    cached = _cayley_matrix(operator, 1e-3, True)
+    cached = _cayley_matrix(operator, 1e-3)
     # a checkout whose cache holds C alone builds only C and steps with one
     # product C ψ per step
     cayley, product, per_product = (
@@ -246,7 +246,7 @@ def grid_oracle_rows() -> list:
 
     def build_cayley(op):
         op._cayley.clear()
-        _cayley_matrix(op, 1e-3, True)
+        _cayley_matrix(op, 1e-3)
 
     def march(op):
         for field in fields:

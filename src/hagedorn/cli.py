@@ -35,7 +35,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ConvergenceFailure, HagedornError, NonSymmetricH, PositivityLost
-from .gridsolver import GRID_TOL_DEFAULT, discretize_hamiltonian, outside_window, propagate_grid
+from .gridsolver import (
+    DT_DEFAULT,
+    GRID_TOL_DEFAULT,
+    discretize_hamiltonian,
+    outside_window,
+    propagate_grid,
+)
 from .polynomials import validate_recursion_index
 from .propagation import (
     QuadraticHamiltonian,
@@ -341,7 +347,7 @@ def _parse_config(raw) -> tuple[ScenarioConfig | None, list[Diagnostic]]:
     else:
         bad.unknown_keys(block, _ORACLE_KEYS, "oracle.")
         bad.unknown_keys(block.get("grid"), _NESTED_KEYS["oracle.grid"], "oracle.grid.")
-        # checked also when the oracle is off, so a bad --grid-tol never passes
+        # checked also when the oracle is off, so a bad grid_tol never passes
         grid_tol = bad.read(
             "BadOracle", "oracle.grid_tol", _positive, block.get("grid_tol", GRID_TOL_DEFAULT)
         )
@@ -353,7 +359,7 @@ def _parse_config(raw) -> tuple[ScenarioConfig | None, list[Diagnostic]]:
             oracle = OracleConfig(
                 times=bad.read("BadOracle", "oracle.times", _oracle_times, block.get("times")),
                 grid=bad.read("BadOracle", "oracle.grid", _grid, block.get("grid", {})),
-                dt=bad.read("BadOracle", "oracle.dt", _positive, block.get("dt", 1e-3)),
+                dt=bad.read("BadOracle", "oracle.dt", _positive, block.get("dt", DT_DEFAULT)),
                 grid_tol=grid_tol,
             )
 
@@ -816,8 +822,6 @@ def _resolve_raw(args) -> dict:
         raise ConfigError([Diagnostic("BadConfig", "give a config path and/or --preset")])
     if args.no_oracle:
         raw = _deep_merge(raw, {"oracle": {"enabled": False}})
-    if args.grid_tol is not None:
-        raw = _deep_merge(raw, {"oracle": {"grid_tol": args.grid_tol}})
     return raw
 
 
@@ -889,7 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--preset", choices=sorted(PRESETS), help="start from a built-in scenario")
     run_p.add_argument("--out", help="output directory (overrides env and config)")
     run_p.add_argument("--no-oracle", action="store_true", help="disable the grid oracle")
-    run_p.add_argument("--grid-tol", type=float, help="override the oracle tolerance")
     run_p.set_defaults(func=_cmd_run)
 
     val_p = sub.add_parser("validate", help="check a config file without running it")

@@ -17,7 +17,7 @@ its step advance together from t = 0, so the Richardson error estimate
 ‖ψ_coarse − ψ_fine‖/3 at each output time covers the whole of [0, t], and no
 time recomputes the interval before the previous one.
 
-C is built once per (step size τ, stabilize) for each DiscretizedOperator,
+C is built once per step size τ for each DiscretizedOperator,
 from one LU factorisation of Id + (iτ/2ε) F and one multi-column solve, and
 squared once; C and C² are kept in a private cache on that operator: every
 field, time and refinement propagated with the same operator and step size
@@ -33,11 +33,15 @@ Stability note: for strongly non-normal operators (complex symmetric H) the
 discretization grows spurious eigenvalues with large positive imaginary part
 in the unresolved phase-space corners (|x| and |k| both large), and bare
 Crank–Nicolson amplifies roundoff through them by many orders of magnitude.
-propagate_grid therefore augments its step operator with a static damping
-term −i(σ(q̂) + σ(p̂)) supported strictly outside the resolved window
-(|x|, |p| > 7.5 by default, where Gaussian-class states carry ≤ 1e-14 mass).
-The damping is part of the stepping scheme, not of the returned operator;
-discretize_hamiltonian always returns the pure Weyl discretization.
+propagate_grid therefore always augments its step operator with a static
+damping term −i(σ(q̂) + σ(p̂)) supported strictly outside the window
+|x| ≤ DAMP_ONSET_X, |p| ≤ DAMP_ONSET_P (7.5 each).  That window is not always
+resolved: an evolved non-Hermitian state can carry real content beyond it,
+where the damping then acts (outside_window measures how much; the excited
+states of the swanson-fig1 preset carry up to 7.9e-4 of their norm at
+|p| > 7.5 at t = π/2ω).  The damping is part of the stepping scheme, not of
+the returned operator; discretize_hamiltonian always returns the pure Weyl
+discretization.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ class DiscretizedOperator:
     matrix: np.ndarray
     grid: Grid
     eps: float
-    # (step size, stabilize) -> (C, C²); filled by _cayley_matrix
+    # step size -> (C, C²); filled by _cayley_matrix
     _cayley: dict = field(default_factory=dict, init=False, repr=False)
 
 
@@ -168,22 +172,18 @@ def _damping_matrix(grid: Grid, eps: float) -> np.ndarray:
     return damping
 
 
-def _cayley_matrix(
-    operator: DiscretizedOperator, step: float, stabilize: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _cayley_matrix(operator: DiscretizedOperator, step: float) -> tuple[np.ndarray, np.ndarray]:
     """The Crank–Nicolson step C = (Id + iτ/2ε F)⁻¹(Id − iτ/2ε F) and C², cached on operator."""
-    key = (step, stabilize)
-    cached = operator._cayley.get(key)
+    cached = operator._cayley.get(step)
     if cached is None:
         # iτ/2ε F = iτ/2ε Ĥ + τ/2ε σ, built in place; Fortran order lets the
         # LU and the solve overwrite their inputs
         scale = step / (2 * operator.eps)
         half = np.multiply(1j * scale, operator.matrix, order="F")
-        if stabilize:
-            damping = _damping_matrix(operator.grid, operator.eps)
-            damping *= scale
-            half += damping
-            del damping
+        damping = _damping_matrix(operator.grid, operator.eps)
+        damping *= scale
+        half += damping
+        del damping
         diagonal = np.diag_indices_from(half)
         explicit = -half
         explicit[diagonal] += 1.0
@@ -192,7 +192,7 @@ def _cayley_matrix(
         cayley = lu_solve(lu, explicit, overwrite_b=True)
         # only C stays alive while C² is formed
         del half, lu, explicit
-        cached = operator._cayley[key] = (cayley, cayley @ cayley)
+        cached = operator._cayley[step] = (cayley, cayley @ cayley)
     return cached
 
 
@@ -202,8 +202,6 @@ def propagate_grid(
     t: float | Sequence[float],
     dt: float = DT_DEFAULT,
     grid_tol: float = GRID_TOL_DEFAULT,
-    max_halvings: int = MAX_HALVINGS,
-    stabilize: bool = True,
 ) -> GridPropagation | GridMarch:
     """Crank–Nicolson march through the output times t with step-doubling error control.
 
@@ -220,7 +218,7 @@ def propagate_grid(
     per unit time.  A time whose estimate fails is refined as a restart from
     ψ0 would be: the marched fine field becomes the coarse one, and a uniform
     run over [0, t_k] at step t_k/(2^{h+1}·ceil(t_k/dt)) the fine one, for
-    h = 1, 2, … up to max_halvings.  The march goes on at its own steps.
+    h = 1, 2, … up to MAX_HALVINGS.  The march goes on at its own steps.
 
     One time gives one GridPropagation, a sequence a GridMarch with one per
     time.  A ConvergenceFailure at t_k carries the earlier times' results.
@@ -236,7 +234,7 @@ def propagate_grid(
         raise DimensionMismatch("need dt > 0 and times t ≥ 0, strictly increasing")
 
     def advance(psi: np.ndarray, step: float, steps: int) -> np.ndarray:
-        cayley, squared = _cayley_matrix(operator, step, stabilize)
+        cayley, squared = _cayley_matrix(operator, step)
         for _ in range(steps // 2):
             psi = squared @ psi
         if steps % 2:
@@ -258,10 +256,10 @@ def propagate_grid(
         result = GridPropagation(fine, grid_norm(coarse - fine, grid) / 3.0, span / (2 * steps), 0)
         restart_steps = max(1, math.ceil(t_k / dt - 1e-12))
         while result.richardson_error / t_k > grid_tol:
-            if result.halvings == max_halvings:
+            if result.halvings == MAX_HALVINGS:
                 raise ConvergenceFailure(
                     f"Richardson estimate {result.richardson_error:.3e} at t = {t_k:.6g} still "
-                    f"above {grid_tol:.3e}/unit time after {max_halvings} halvings",
+                    f"above {grid_tol:.3e}/unit time after {MAX_HALVINGS} halvings",
                     estimate=result.richardson_error,
                     results=GridMarch(results),
                 )
@@ -277,9 +275,8 @@ def propagate_grid(
 def outside_window(field: np.ndarray, grid: Grid, eps: float) -> tuple[float, float]:
     """Relative L² norms of field where |x| > DAMP_ONSET_X and of its DFT where |p| > DAMP_ONSET_P.
 
-    The damping acts only there, and Gaussian-class states carry almost no
-    mass there, so content there is unresolved: growth there that the coarse
-    and fine runs share escapes the Richardson estimate.
+    The damping acts only there, so content there is not resolved: growth
+    there that the coarse and fine runs share escapes the Richardson estimate.
     """
     _require_1d(grid)
 

@@ -28,8 +28,7 @@ from one sample to the next, one eigenvalue of W_Q(t_prev)⁻¹W_Q(t) at a
 time.  The stacked packet passes every check the per-state constructors of
 the symplectic module make, once per trajectory.  evolve_metric_riccati and
 center_dynamics integrate the Riccati metric and the centre ODE
-independently, as cross-checks, at a tolerance their caller picks (ODE_TOL by
-default).
+independently, as cross-checks, at the fixed rtol = atol = ODE_TOL.
 
 U(t) carries the raising operator A†_j(Z₀) into
 Σ_l N̄_lj A†_l(Z_t) − Σ_l D_lj A_l(Z_t) + σ_j with D = N_t⁻¹M_t and the shift
@@ -81,7 +80,17 @@ from .symplectic import (
 from .wavepackets import Grid, WavepacketParams, _packet_on_grid
 from .wavepackets import eval_ground  # noqa: F401  perfbench/tracing.py wraps it
 
-ODE_TOL = 1e-10
+ODE_TOL = 1e-11
+
+
+def _check_times(times) -> np.ndarray:
+    """times as a float array, checked to be strictly increasing from t ≥ 0."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
+        raise DimensionMismatch("times must be a strictly increasing sequence")
+    if times[0] < 0:
+        raise DimensionMismatch("times must start at t ≥ 0")
+    return times
 
 
 def _check_symmetric(matrices, label: str = "H") -> np.ndarray:
@@ -434,11 +443,7 @@ def propagate(Z0: NormalisedFrame, z0, H: QuadraticHamiltonian, times, eps: floa
     z0 = np.asarray(z0, dtype=float).reshape(-1)
     if z0.size != 2 * n:
         raise DimensionMismatch(f"center must have 2n = {2 * n} components")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
-        raise DimensionMismatch("times must be a strictly increasing sequence")
-    if times[0] < 0:
-        raise DimensionMismatch("times must start at t ≥ 0")
+    times = _check_times(times)
 
     S, log_det_wq, t_star = _scan(Z0, H, times)
     trajectory = _trajectory(times[: len(S)], S, Z0.entries, z0, log_det_wq, eps)
@@ -521,17 +526,13 @@ def _centre_and_action(S, z0, B):
     return np.concatenate([p, q], axis=1), action
 
 
-def evolve_metric_riccati(
-    G0: SymplecticMetricPair,
-    H: QuadraticHamiltonian,
-    times,
-    ode_tol: float = ODE_TOL,
-):
+def evolve_metric_riccati(G0: SymplecticMetricPair, H: QuadraticHamiltonian, times):
     """Integrate the G and J Riccati equations independently.
 
     Ġ = ReH ΩG − GΩReH − ImH − GΩImHΩG and the J equation obtained from it by
-    G = ΩJ: J̇ = ΩReH·J − J·ΩReH + ΩImH + J·ΩImH·J.  The cross-check
-    J_t = −ΩG_t is enforced to 10×ode_tol at every output time.
+    G = ΩJ: J̇ = ΩReH·J − J·ΩReH + ΩImH + J·ΩImH·J, restarted at each output
+    time.  The cross-check J_t = −ΩG_t is enforced to 10×ODE_TOL at every
+    output time.
     """
     if not isinstance(G0, SymplecticMetricPair):
         G0_mat = np.asarray(G0, dtype=float)
@@ -540,9 +541,7 @@ def evolve_metric_riccati(
     n = G0.n
     if H.n != n:
         raise DimensionMismatch("Hamiltonian and metric dimensions differ")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
-        raise DimensionMismatch("times must be a strictly increasing sequence")
+    times = _check_times(times)
     om = omega(n)
     n2 = 2 * n
 
@@ -559,24 +558,25 @@ def evolve_metric_riccati(
     y = np.concatenate([G0.G.reshape(-1), G0.J.reshape(-1)])
     out: list[SymplecticMetricPair] = []
     t_prev = 0.0
-    if times[0] < 0:
-        raise DimensionMismatch("times must start at t ≥ 0 (G0 is the t = 0 metric)")
     scale = max(1.0, float(np.max(np.abs(G0.G))))
+    # one run per interval: on the polynomial-H test (n = 2, 401 times) the
+    # metric lands 2.3e-13 off the flow's, one run with t_eval 3.6e-11 (RK45)
+    # or 4.6e-11 (DOP853), against a 1e-12 gate
     for t_out in times:
         if t_out > t_prev:
             sol = solve_ivp(rhs, (t_prev, float(t_out)), y, method="RK45",
-                            rtol=ode_tol, atol=ode_tol)
+                            rtol=ODE_TOL, atol=ODE_TOL)
             if not sol.success:
                 raise StepSizeUnderflow(f"Riccati integration failed: {sol.message}")
             y = sol.y[:, -1]
             t_prev = float(t_out)
         G = 0.5 * (y[: n2 * n2].reshape(n2, n2) + y[: n2 * n2].reshape(n2, n2).T)
         J = y[n2 * n2 :].reshape(n2, n2)
-        if np.max(np.abs(J + om @ G)) > 10 * ode_tol * scale + 1e-13:
+        if np.max(np.abs(J + om @ G)) > 10 * ODE_TOL * scale + 1e-13:
             raise ConsistencyError("independent J-Riccati drifted away from −ΩG")
-        # The integrated G leaves the symplectic manifold by O(ode_tol) per
+        # The integrated G leaves the symplectic manifold by O(ODE_TOL) per
         # period; one Newton step of (−J²)^{−1/2} restores J² = −Id (and hence
-        # GΩG = Ω) while moving G only by O(defect²), far below ode_tol.
+        # GΩG = Ω) while moving G only by O(defect²), far below ODE_TOL.
         J_g = -om @ G
         X = -J_g @ J_g
         J_g = J_g @ (1.5 * np.eye(n2) - 0.5 * X)
@@ -586,44 +586,27 @@ def evolve_metric_riccati(
     return out
 
 
-def center_dynamics(z0, H: QuadraticHamiltonian, G_path, times, ode_tol: float = ODE_TOL):
+def center_dynamics(z0, H: QuadraticHamiltonian, G_path, times):
     """Integrate ż = ΩReH z + G⁻¹ImH z and the action α_t = ∫(q̇·p − ℋ_τ(z_τ))dτ.
 
-    G_path is either a callable t ↦ G or a sequence of metrics aligned with
-    times (linearly interpolated in between).  Returns (z sequence, complex
-    action sequence), one entry per requested time.
+    G_path is a callable t ↦ G.  The ODE is restarted at each output time.
+    Returns (z sequence, complex action sequence), one entry per requested
+    time.
     """
     n = H.n
     z0 = np.asarray(z0, dtype=float).reshape(-1)
     if z0.size != 2 * n:
         raise DimensionMismatch(f"center must have 2n = {2 * n} components")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
-        raise DimensionMismatch("times must be a strictly increasing sequence")
+    if not callable(G_path):
+        raise DimensionMismatch("G_path must be a callable t ↦ G")
+    times = _check_times(times)
     om = omega(n)
-
-    if callable(G_path):
-        metric_at = G_path
-    else:
-        stack = np.stack(
-            [g.G if isinstance(g, SymplecticMetricPair) else np.asarray(g, float)
-             for g in G_path]
-        )
-        if len(stack) != len(times):
-            raise DimensionMismatch("G_path and times must have matching lengths")
-
-        def metric_at(t):
-            idx = int(np.searchsorted(times, t, side="right") - 1)
-            idx = min(max(idx, 0), len(times) - 2)
-            t0, t1 = times[idx], times[idx + 1]
-            w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            return (1 - w) * stack[idx] + w * stack[idx + 1]
 
     def rhs(t, y):
         z = y[: 2 * n]
         Ht = H(t)
         re_h, im_h = Ht.real, Ht.imag
-        G = metric_at(t)
+        G = G_path(t)
         dz = om @ re_h @ z + np.linalg.solve(G, im_h @ z)
         hamil = 0.5 * complex(z @ Ht @ z)
         daction = complex(dz[n:] @ z[:n]) - hamil
@@ -632,12 +615,10 @@ def center_dynamics(z0, H: QuadraticHamiltonian, G_path, times, ode_tol: float =
     y = np.concatenate([z0, [0.0, 0.0]])
     zs, actions = [], []
     t_prev = 0.0
-    if times[0] < 0:
-        raise DimensionMismatch("times must start at t ≥ 0 (z0 is the t = 0 center)")
-    for i, t_out in enumerate(times):
+    for t_out in times:
         if t_out > t_prev:
             sol = solve_ivp(rhs, (t_prev, float(t_out)), y, method="RK45",
-                            rtol=ode_tol, atol=ode_tol)
+                            rtol=ODE_TOL, atol=ODE_TOL)
             if not sol.success:
                 raise StepSizeUnderflow(f"center integration failed: {sol.message}")
             y = sol.y[:, -1]

@@ -86,8 +86,8 @@ def ds_positivity_time(params: SwansonParams) -> float:
     return math.acos(max(ratio, -1.0)) / (2 * params.omega)
 
 
-def ds_scalars(params: SwansonParams, t: float) -> SwansonStateScalars:
-    """All closed-form scalars at time t (raises OutsideHorizon past T)."""
+def _n_beta_m(params: SwansonParams, t: float) -> tuple[float, float, complex]:
+    """n_t, β_t and m_t (raises OutsideHorizon past T)."""
     horizon = ds_positivity_time(params)
     if abs(t) >= horizon:
         raise OutsideHorizon(f"t = {t:.9g} is at or beyond the horizon T = {horizon:.9g}")
@@ -99,6 +99,14 @@ def ds_scalars(params: SwansonParams, t: float) -> SwansonStateScalars:
     beta = 0.5 * math.log(w) - 0.25 * math.log(w0**2 + d**2 * math.cos(2 * w * t))
     c, s = math.cos(t * w), math.sin(t * w)
     m = (2 * d / w) * n**2 * s * complex((w0 / w) * s, c)
+    return n, beta, m
+
+
+def ds_scalars(params: SwansonParams, t: float) -> SwansonStateScalars:
+    """All closed-form scalars at time t (raises OutsideHorizon past T)."""
+    n, beta, m = _n_beta_m(params, t)
+    w, d, w0 = params.omega, params.delta, params.omega0
+    c, s = math.cos(t * w), math.sin(t * w)
     l_t = n * (ds_flow(params, t) @ L0)
     frame = NormalisedFrame(l_t.reshape(2, 1))
     pairing = complex(hermitian_pairing(l_t, l_t))
@@ -123,12 +131,11 @@ def ds_norms(params: SwansonParams, ks, t: float) -> list[float]:
     for k in ks:
         if k < 0 or k > ALPHA_MAX:
             raise DimensionMismatch(f"k must lie in [0, {ALPHA_MAX}]")
-    scalars = ds_scalars(params, t)
-    return [_norm(scalars, k) for k in ks]
+    n, beta, m = _n_beta_m(params, t)
+    return [_norm(n, beta, m, k) for k in ks]
 
 
-def _norm(scalars: SwansonStateScalars, k: int) -> float:
-    n, m, beta = scalars.n, scalars.m, scalars.beta
+def _norm(n: float, beta: float, m: complex, k: int) -> float:
     # monomial coefficients of q_k: q_{j+1} = x q_j − m j q_{j−1}
     prev = {0: 1.0 + 0j}
     current = prev

@@ -193,7 +193,7 @@ def test_criterion_4_hermitian_degeneration():
 def test_criterion_5_consistency_triangle():
     times = np.linspace(0.0, PERIOD, 50, endpoint=False)
     states = propagate(L0_FRAME, np.zeros(2), DS_HAM, times)
-    pairs = evolve_metric_riccati(np.eye(2), DS_HAM, times, ode_tol=1e-11)
+    pairs = evolve_metric_riccati(np.eye(2), DS_HAM, times)
     worst = 0.0
     for t, state, pair in zip(times, states, pairs):
         closed = ds_scalars(DS, t).metric

@@ -2,7 +2,6 @@
 
 import copy
 import csv
-import functools
 import json
 import math
 import os
@@ -11,7 +10,7 @@ import sys
 
 import pytest
 
-from hagedorn import cli, gridsolver
+from hagedorn import gridsolver
 from hagedorn.cli import PRESETS, load_config, main, run_scenario, validate_config
 
 MINI_ORACLE = {
@@ -390,9 +389,18 @@ def test_grid_tol_reported_only_where_the_oracle_runs(tmp_path, capsys):
     assert read_manifest(out)["tolerances"] == {}
     assert not (out / "oracle.json").exists()
     # a malformed tolerance is still rejected when the oracle is off
+    raw = mini_config()
+    raw["oracle"]["grid_tol"] = -1.0
+    cfg.write_text(json.dumps(raw))
     bad = tmp_path / "bad"
-    assert main(["run", str(cfg), "--no-oracle", "--grid-tol", "-1", "--out", str(bad)]) == 2
+    assert main(["run", str(cfg), "--no-oracle", "--out", str(bad)]) == 2
     assert "BadOracle" in capsys.readouterr().err
+    assert not bad.exists()
+    # the config key is the one way to set it; argparse rejects the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--preset", "swanson-fig1", "--grid-tol", "1e-5", "--out", str(bad)])
+    assert exc.value.code == 2
+    assert "--grid-tol" in capsys.readouterr().err
     assert not bad.exists()
 
 
@@ -411,8 +419,7 @@ def test_oracle_column_patched_into_norm_curve(mini_run):
 def test_oracle_failure_keeps_the_earlier_cases(tmp_path, monkeypatch):
     # with no halvings, a grid_tol between the per-unit estimates at t = 0.25
     # and t = 0.5 stops the march at 0.5; the 0.25 case keeps its numbers
-    halt = functools.partial(gridsolver.propagate_grid, max_halvings=0)
-    monkeypatch.setattr(cli, "propagate_grid", halt)
+    monkeypatch.setattr(gridsolver, "MAX_HALVINGS", 0)
     raw = mini_config()
     raw["alphas"] = [[0]]
     raw["oracle"].update(times=[0.25, 0.5], grid={"lo": -12.0, "hi": 12.0, "count": 128}, dt=1e-2)

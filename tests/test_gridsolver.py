@@ -138,30 +138,32 @@ def test_oscillator_first_excited_norm_growth():
 def test_step_doubling_is_second_order():
     op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
     psi0 = packet([0], GRID_SMALL)
-    coarse = propagate_grid(psi0, op, 0.25, dt=2e-3, grid_tol=np.inf, max_halvings=0)
-    fine = propagate_grid(psi0, op, 0.25, dt=1e-3, grid_tol=np.inf, max_halvings=0)
+    coarse = propagate_grid(psi0, op, 0.25, dt=2e-3, grid_tol=np.inf)
+    fine = propagate_grid(psi0, op, 0.25, dt=1e-3, grid_tol=np.inf)
     assert coarse.richardson_error / fine.richardson_error > 3.5
 
 
-def test_convergence_failure_carries_estimate():
+def test_convergence_failure_carries_estimate(monkeypatch):
+    monkeypatch.setattr(gridsolver, "MAX_HALVINGS", 0)
     op = discretize_hamiltonian(np.eye(2), 1.0, GRID_SMALL)
     with pytest.raises(ConvergenceFailure) as info:
-        propagate_grid(packet([0], GRID_SMALL), op, 0.05, grid_tol=1e-16, max_halvings=0)
+        propagate_grid(packet([0], GRID_SMALL), op, 0.05, grid_tol=1e-16)
     assert info.value.estimate is not None and info.value.estimate > 0
 
 
 def test_damping_leaves_resolved_window_alone():
     op = discretize_hamiltonian(np.eye(2), 1.0, GRID_SMALL)
     psi0 = packet([0], GRID_SMALL)
-    damped = propagate_grid(psi0, op, 0.1, grid_tol=1e-5).field
-    plain = propagate_grid(psi0, op, 0.1, grid_tol=1e-5, stabilize=False).field
-    assert np.max(np.abs(damped - plain)) < 1e-12
+    damped = propagate_grid(psi0, op, 0.1, grid_tol=1e-5)
+    plain = lu_stepping(op, psi0, 0.1, round(0.1 / damped.dt_used), damped=False)
+    assert np.max(np.abs(damped.field - plain)) < 1e-12
 
 
-def lu_stepping(op, psi0, t, steps):
+def lu_stepping(op, psi0, t, steps, damped=True):
     """Crank–Nicolson as two triangular solves per step, independent of the
-    cached Cayley matrices: one LU of Id + iτ/2ε F, then lu_solve per step."""
-    stepping = op.matrix - 1j * _damping_matrix(op.grid, op.eps)
+    cached Cayley matrices: one LU of Id + iτ/2ε F, then lu_solve per step.
+    F is Ĥ plus the damping, or Ĥ alone when not damped."""
+    stepping = op.matrix - 1j * _damping_matrix(op.grid, op.eps) if damped else op.matrix
     ident = np.eye(op.grid.counts[0])
     factor = 1j * (t / steps) / (2 * op.eps)
     lu = lu_factor(ident + factor * stepping)
@@ -177,7 +179,7 @@ def test_cayley_step_matches_lu_solve_reference():
     psi0 = packet([1], GRID_SMALL)
     t, steps = 0.25, 500  # the fine run of dt = 1e-3
     psi = lu_stepping(op, psi0, t, steps)
-    res = propagate_grid(psi0, op, t, dt=1e-3, grid_tol=np.inf, max_halvings=0)
+    res = propagate_grid(psi0, op, t, dt=1e-3, grid_tol=np.inf)
     assert np.max(np.abs(res.field - psi)) / np.max(np.abs(psi)) < 1e-12
 
 
@@ -189,7 +191,7 @@ def test_odd_coarse_run_matches_lu_solve_reference():
     psi0 = psi0 / norm(psi0, GRID_SMALL)
     t = 0.251
     coarse, fine = lu_stepping(op, psi0, t, 251), lu_stepping(op, psi0, t, 502)
-    res = propagate_grid(psi0, op, t, dt=1e-3, grid_tol=np.inf, max_halvings=0)
+    res = propagate_grid(psi0, op, t, dt=1e-3, grid_tol=np.inf)
     assert abs(res.richardson_error - norm(coarse - fine, GRID_SMALL) / 3) <= 1e-12
 
 
@@ -264,17 +266,16 @@ def test_march_validates_times():
             propagate_grid(packet([0], GRID_SMALL), op, times)
 
 
-def test_convergence_failure_carries_earlier_times():
+def test_convergence_failure_carries_earlier_times(monkeypatch):
+    monkeypatch.setattr(gridsolver, "MAX_HALVINGS", 0)
     op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
     psi0 = packet([0], GRID_SMALL)
     times = (0.25, 0.5)
-    free = propagate_grid(psi0, op, times, dt=1e-3, grid_tol=np.inf, max_halvings=0)
+    free = propagate_grid(psi0, op, times, dt=1e-3, grid_tol=np.inf)
     per_unit = [r.richardson_error / t for r, t in zip(free, times)]
     assert per_unit[0] < per_unit[1]
     with pytest.raises(ConvergenceFailure) as info:
-        propagate_grid(
-            psi0, op, times, dt=1e-3, grid_tol=math.sqrt(per_unit[0] * per_unit[1]), max_halvings=0
-        )
+        propagate_grid(psi0, op, times, dt=1e-3, grid_tol=math.sqrt(per_unit[0] * per_unit[1]))
     assert info.value.estimate == free[1].richardson_error
     (first,) = info.value.results
     assert np.array_equal(first.field, free[0].field)

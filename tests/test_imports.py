@@ -1,6 +1,8 @@
-"""Import direction: the core modules never reach the checking side or the CLI."""
+"""Import direction: the core modules never reach the checking side or the CLI.
+And the names perfbench/tracing.py rebinds all exist in the package."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,27 @@ def test_core_module_imports_nothing_from_the_outer_modules(module):
 def test_import_scan_sees_the_outer_modules():
     # cli imports all three the other way round, so the scan would notice them
     assert OUTER - {"cli"} <= imported_modules(PACKAGE / "cli.py")
+
+
+def load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls_cleanly():
+    tracing = load_tracing()
+    targets = [(owner, attr) for owner, attr, *_ in tracing.TIMED + tracing.COUNTED]
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in targets if not hasattr(owner, attr)]
+    assert missing == []
+    originals = [getattr(owner, attr) for owner, attr in targets]
+    tracer = tracing.Tracer().install()
+    try:
+        for (owner, attr), original in zip(targets, originals):
+            assert getattr(owner, attr).__wrapped__ is original, f"{owner.__name__}.{attr}"
+    finally:
+        tracer.uninstall()
+    for (owner, attr), original in zip(targets, originals):
+        assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"

@@ -292,13 +292,13 @@ def test_polynomial_hamiltonian_matches_riccati_and_centre_oracles():
     Z0, z0 = standard_frame(n), np.array([0.4, -0.3, 0.2, 0.5])
     times = np.linspace(0.0, 2.0, 401)
     states = propagate(Z0, z0, H, times)
-    pairs = evolve_metric_riccati(metric_and_structure(Z0), H, times, ode_tol=1e-11)
+    pairs = evolve_metric_riccati(metric_and_structure(Z0), H, times)
     Gs = np.stack([p.G for p in pairs])
     rate = [0.25 * np.trace(np.linalg.solve(G, H(t).imag)) for t, G in zip(times, Gs)]
     beta = cumulative_simpson(rate, x=times, initial=0.0)
     assert max(abs(s.beta - b) for s, b in zip(states, beta)) < 5e-10
     assert max(np.max(np.abs(s.G - G)) for s, G in zip(states, Gs)) < 1e-12
-    zs, actions = center_dynamics(z0, H, CubicSpline(times, Gs, axis=0), times, ode_tol=1e-11)
+    zs, actions = center_dynamics(z0, H, CubicSpline(times, Gs, axis=0), times)
     assert max(np.max(np.abs(z - s.z)) for z, s in zip(zs, states)) < 1e-10
     assert max(abs(a - s.action) for a, s in zip(actions, states)) < 1e-10
 
@@ -323,7 +323,7 @@ def test_positivity_horizon_values():
 
 def test_riccati_matches_frame_route_over_a_period(ds_trajectory):
     times, states = ds_trajectory
-    pairs = evolve_metric_riccati(np.eye(2), DS_HAM, times, ode_tol=1e-11)
+    pairs = evolve_metric_riccati(np.eye(2), DS_HAM, times)
     om = omega(1)
     for pair, state in zip(pairs, states):
         assert np.max(np.abs(pair.G - state.G)) < 1e-8
@@ -339,8 +339,9 @@ def test_riccati_harmonic_fixed_point():
 def test_riccati_validates_input():
     with pytest.raises(DimensionMismatch):
         evolve_metric_riccati(np.eye(2), harmonic(2), [0.0, 1.0])
-    with pytest.raises(DimensionMismatch):
-        evolve_metric_riccati(np.eye(2), DS_HAM, [1.0, 0.5])
+    for times in ([1.0, 0.5], [], [-0.5, 1.0]):
+        with pytest.raises(DimensionMismatch):
+            evolve_metric_riccati(np.eye(2), DS_HAM, times)
 
 
 # -- center dynamics ------------------------------------------------------------
@@ -349,32 +350,20 @@ def test_riccati_validates_input():
 def test_center_callable_metric_matches_propagate():
     times = np.linspace(0.0, 2.0, 21)
     states = propagate(L0_FRAME, np.array([0.0, 1.0]), DS_HAM, times)
-    zs, actions = center_dynamics(
-        [0.0, 1.0], DS_HAM, lambda t: ds_scalars(DS, t).metric, times, ode_tol=1e-10
-    )
+    zs, actions = center_dynamics([0.0, 1.0], DS_HAM, lambda t: ds_scalars(DS, t).metric, times)
     for z, a, s in zip(zs, actions, states):
         assert np.max(np.abs(z - s.z)) < 1e-8
         assert abs(a - s.action) < 1e-8
 
 
-def test_center_sampled_metric_matches_propagate():
-    # the sampled route interpolates G linearly, so it needs a dense grid
-    times = np.linspace(0.0, 2.0, 401)
-    states = propagate(L0_FRAME, np.array([0.0, 1.0]), DS_HAM, times)
-    zs, actions = center_dynamics(
-        [0.0, 1.0], DS_HAM, [s.G for s in states], times, ode_tol=1e-10
-    )
-    assert max(np.max(np.abs(z - s.z)) for z, s in zip(zs, states)) < 1e-4
-    assert max(abs(a - s.action) for a, s in zip(actions, states)) < 1e-4
-
-
 def test_center_validates_input():
     with pytest.raises(DimensionMismatch):
         center_dynamics([0.0, 1.0, 2.0], DS_HAM, lambda t: np.eye(2), [0.0, 1.0])
+    # the metric comes only as a callable
     with pytest.raises(DimensionMismatch):
-        center_dynamics([0.0, 1.0], DS_HAM, [np.eye(2)], [0.0, 1.0])
+        center_dynamics([0.0, 1.0], DS_HAM, [np.eye(2), np.eye(2)], [0.0, 1.0])
     # an earlier centre must not come back labelled with a later time
-    for times in ([1.0, 0.5], []):
+    for times in ([1.0, 0.5], [], [-0.5, 1.0]):
         with pytest.raises(DimensionMismatch):
             center_dynamics([0.0, 1.0], DS_HAM, lambda t: np.eye(2), times)
 

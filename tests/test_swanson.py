@@ -139,19 +139,25 @@ def test_norm_rejects_bad_order():
 def test_norms_build_the_scalars_once_per_time(monkeypatch):
     from hagedorn import swanson
 
-    built = []
-    real = swanson.ds_scalars
-    monkeypatch.setattr(swanson, "ds_scalars", lambda *args: built.append(args) or real(*args))
+    # n_t, β_t and m_t once; the frame and metric of ds_scalars never
+    built, frames = [], []
+    real = swanson._n_beta_m
+    monkeypatch.setattr(swanson, "_n_beta_m", lambda *args: built.append(args) or real(*args))
+    monkeypatch.setattr(swanson, "ds_scalars", lambda *args: frames.append(args))
     ks = [0, 3, 1, 8, 3]
     norms = ds_norms(REFERENCE, ks, 0.9)
-    assert len(built) == 1
-    monkeypatch.setattr(swanson, "ds_scalars", real)
+    assert len(built) == 1 and frames == []
+    monkeypatch.undo()
     assert norms == [ds_norm(REFERENCE, k, 0.9) for k in ks]
+    # the same n, β and m as ds_scalars, bit for bit
+    scalars = ds_scalars(REFERENCE, 0.9)
+    assert real(REFERENCE, 0.9) == (scalars.n, scalars.beta, scalars.m)
     # a bad order anywhere in the list is rejected before anything is built
-    monkeypatch.setattr(swanson, "ds_scalars", lambda *args: built.append(args) or real(*args))
+    built.clear()
+    monkeypatch.setattr(swanson, "_n_beta_m", lambda *args: built.append(args) or real(*args))
     with pytest.raises(DimensionMismatch):
         ds_norms(REFERENCE, [0, 33], 0.9)
-    assert len(built) == 1
+    assert built == []
 
 
 def test_norm_deviation_grows_with_order():
