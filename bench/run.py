@@ -1,10 +1,13 @@
-"""Per-call times of `hagedorn_coefficients`, `propagate`, grid fields, the grid
-oracle's building blocks and whole `swanson-fig1` runs, written to
-BENCH_14.json.
+"""Per-call times of `hagedorn_coefficients`, `coefficient_sweep`, `propagate`,
+grid fields, the grid oracle's building blocks, whole `swanson-fig1` runs and
+subprocess runs of every preset, written to BENCH_16.json.
 
     python3 bench/run.py
 
-Imports the package from ./src of the checkout this script sits in.
+Imports the package from ./src of the checkout this script sits in.  It does
+not run from a checkout before 564a3bb, whose `_cayley_matrix` still takes
+`stabilize`.  A checkout without `coefficient_sweep` (before it was added)
+skips the sweep rows.
 
 - `hagedorn_coefficients` by (n, |α|): for n = 3 and 4 it propagates the
   standard frame under one seeded mode-mixed, non-Hermitian H = R + iI
@@ -26,6 +29,11 @@ Imports the package from ./src of the checkout this script sits in.
   one run being the mean per field over k = 0…8.
 - `hagedorn_coefficients` for n = 1, |α| ≤ 2 at that Swanson state: one run
   is the mean per call over 600 calls cycling k = 0, 1, 2.
+- The coefficients of every state of a trajectory, two ways: one
+  `coefficient_sweep` per α, and one `hagedorn_coefficients` per (α, state)
+  on views built before the timing.  Cases: `swanson-fig1`'s 200 states with
+  α = 0, 1, 2, and the seeded n = 3 constant H of the `propagate` rows
+  (150 states) with α = 0 and e₁.  One run is all α of a case.
 - Grid oracle, Swanson H on the oracle's 1024-node grid of [−12, 12]: one
   `discretize_hamiltonian` call; one Cayley build at τ = 1e-3 with the
   damping (`_cayley_matrix` after clearing the operator's cache, so the C²
@@ -39,10 +47,16 @@ Imports the package from ./src of the checkout this script sits in.
   temporary directory: with its oracle at times (0.25, 0.5), with the
   preset's full oracle list, and with the oracle off.  One run is one call;
   these rows take the median of SCENARIO_RUNS runs.
+- Subprocesses, start-up included, each the wall time of one fresh
+  interpreter with ./src on PYTHONPATH: `python -c pass` (the interpreter
+  alone), `python -c "import hagedorn.cli"`, and `python -m hagedorn run
+  --preset <p> --no-oracle` for all four presets, writing into a temporary
+  directory named by HAGEDORN_OUT_DIR.
+  These rows take the median of SUBPROCESS_RUNS runs after one warm-up run.
 
 Each row holds the median and the best of its runs.  The file also records
 the machine (nproc, Python, numpy and scipy versions).  A `parent` block
-already in BENCH_14.json (the same rows measured on the parent commit, by
+already in BENCH_16.json (the same rows measured on the parent commit, by
 running this script from a checkout of it) is kept as it is.
 """
 
@@ -51,6 +65,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -65,7 +80,13 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 from hagedorn import propagation  # noqa: E402
-from hagedorn.cli import PRESETS, load_config, run_scenario, standard_frame  # noqa: E402
+from hagedorn.cli import (  # noqa: E402
+    OUT_DIR_ENV,
+    PRESETS,
+    load_config,
+    run_scenario,
+    standard_frame,
+)
 from hagedorn.gridsolver import (  # noqa: E402
     _cayley_matrix,
     discretize_hamiltonian,
@@ -80,11 +101,12 @@ from hagedorn.propagation import (  # noqa: E402
 from hagedorn.swanson import SwansonParams  # noqa: E402
 from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited  # noqa: E402
 
-OUT = ROOT / "BENCH_14.json"
+OUT = ROOT / "BENCH_16.json"
 MODES = (3, 4)
 ORDERS = (4, 6, 8, 12)
 RUNS = 5
 SCENARIO_RUNS = 3
+SUBPROCESS_RUNS = 5
 SEED = 2
 T = 1.5
 
@@ -229,6 +251,63 @@ def propagate_rows() -> list:
     )
 
 
+def trajectory_coefficient_rows() -> list:
+    fig1 = load_config({**PRESETS["swanson-fig1"], "oracle": {"enabled": False}})
+    constant = propagate_cases()["constant n=3, 150 times on [0, 3]"]
+    cases = [
+        ("swanson-fig1, 200 states, alpha = 0, 1, 2",
+         propagate(fig1.frame, fig1.center, fig1.hamiltonian, fig1.times), list(fig1.alphas)),
+        ("constant n=3, 150 states, alpha = 0, e1",
+         propagate(*constant), [(0, 0, 0), (1, 0, 0)]),
+    ]
+    sweep = getattr(propagation, "coefficient_sweep", None)
+    rows = []
+    for case, states, alphas in cases:
+        views = list(states)
+        rows.append((
+            {"what": "coefficients over a trajectory", "how": "hagedorn_coefficients per state",
+             "case": case, "per": "run of all alpha"},
+            lambda a, views=views: [hagedorn_coefficients(st, a) for st in views],
+            alphas,
+            1,
+        ))
+        if sweep is not None:
+            rows.append((
+                {"what": "coefficients over a trajectory", "how": "coefficient_sweep per alpha",
+                 "case": case, "per": "run of all alpha"},
+                lambda a, states=states: sweep(states, a),
+                alphas,
+                1,
+            ))
+    return timed_rows(rows)
+
+
+def subprocess_rows() -> list:
+    def run(args) -> float:
+        with tempfile.TemporaryDirectory() as out:
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), OUT_DIR_ENV: out}
+            start = time.perf_counter()
+            subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True)
+            return (time.perf_counter() - start) * 1e3
+
+    cases = [("python -c pass", ["-c", "pass"]),
+             ("import hagedorn.cli", ["-c", "import hagedorn.cli"])]
+    cases += [
+        (f"hagedorn run --preset {name} --no-oracle",
+         ["-m", "hagedorn", "run", "--preset", name, "--no-oracle"])
+        for name in sorted(PRESETS)
+    ]
+    rows = []
+    for case, args in cases:
+        run(args)
+        times = [run(args) for _ in range(SUBPROCESS_RUNS)]
+        rows.append({"what": "subprocess", "case": case, "per": "process",
+                     "ms_per_call": statistics.median(times), "best_ms": min(times),
+                     "runs_ms": times})
+        print(json.dumps(rows[-1]), flush=True)
+    return rows
+
+
 def grid_oracle_rows() -> list:
     H = SwansonParams(1.0, 0.5).matrix()
     grid = Grid(bounds=[(-12.0, 12.0)], counts=[1024])
@@ -299,20 +378,25 @@ def main() -> None:
         coefficient_rows()
         + propagate_rows()
         + field_and_small_coefficient_rows()
+        + trajectory_coefficient_rows()
         + grid_oracle_rows()
         + scenario_rows()
+        + subprocess_rows()
     )
     report = {
         "what": "ms per call of hagedorn_coefficients by (n, |alpha|), of propagate, grid"
-        " fields and small coefficient tables by case, of the grid oracle's assembly, Cayley"
-        " build, squaring, step and march, and of swanson-fig1 runs, median of runs",
+        " fields and small coefficient tables by case, of the coefficients over a trajectory"
+        " per state and by sweep, of the grid oracle's assembly, Cayley build, squaring, step"
+        " and march, of swanson-fig1 runs, and of subprocess imports and preset runs, median"
+        " of runs",
         "machine": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        "setup": {"seed": SEED, "t": T, "runs": RUNS, "scenario_runs": SCENARIO_RUNS},
+        "setup": {"seed": SEED, "t": T, "runs": RUNS, "scenario_runs": SCENARIO_RUNS,
+                  "subprocess_runs": SUBPROCESS_RUNS},
         "rows": rows,
     }
     if OUT.exists():

@@ -73,6 +73,7 @@ from .propagation import (
     QuadraticHamiltonian,
     Trajectory,
     center_dynamics,
+    coefficient_sweep,
     evolve_metric_riccati,
     evolved_state_on_grid,
     flow,

@@ -46,10 +46,11 @@ from .polynomials import validate_recursion_index
 from .propagation import (
     QuadraticHamiltonian,
     Trajectory,
+    coefficient_sweep,
     evolved_state_on_grid,
-    hagedorn_coefficients,
     propagate,
 )
+from .propagation import hagedorn_coefficients  # noqa: F401  perfbench/tracing.py wraps it
 from .swanson import SwansonParams, ds_norms, ds_positivity_time
 from .swanson import ds_norm  # noqa: F401  perfbench/tracing.py wraps cli.ds_norm
 from .symplectic import NormalisedFrame, frame_from_metric
@@ -392,18 +393,27 @@ def load_config(raw: dict) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class _Computed:
-    """What a run derives from its config; lists run over `all_states`."""
+    """What a run derives from its config; per-state lists and rows run over
+    `all_states`."""
 
     all_states: Trajectory  # at the trajectory and oracle times, up to any horizon
     on_grid: list  # indices into all_states of the trajectory times
     horizon: float | None  # the detected positivity breakdown, if any
-    expansions: dict  # α → one HagedornExpansion per state
+    prefactor: np.ndarray  # e^{Re(iα_t/ε + β_t)} per state
+    expansions: dict  # α → its coefficient_sweep (keys, a); a[i, r] is a_{keys[r]} at state i
     norms: dict  # α → the pipeline norm per state
     closed_norms: dict | None  # α → the closed-form Swanson norm per state
 
-    @property
-    def states(self) -> list:
-        return [self.all_states[i] for i in self.on_grid]
+
+def _norms(prefactor: np.ndarray, a: np.ndarray) -> list:
+    """prefactor·(Σ_k |a_k|²)^{1/2} per row of a, bit for bit as
+    HagedornExpansion.norm computes it: np.hypot is the libm hypot behind
+    abs(), and each square is Python's ** 2, which numpy's square does not
+    always match in the last bit."""
+    return [
+        p * math.sqrt(math.fsum([x ** 2 for x in row]))
+        for p, row in zip(prefactor.tolist(), np.hypot(a.real, a.imag).tolist())
+    ]
 
 
 def _compute(config: ScenarioConfig) -> _Computed:
@@ -417,23 +427,26 @@ def _compute(config: ScenarioConfig) -> _Computed:
     except PositivityLost as exc:
         horizon = exc.t_star
         all_states = exc.states
-    grid_times = set(config.times)
-    expansions = {
-        alpha: [hagedorn_coefficients(st, alpha) for st in all_states] for alpha in config.alphas
-    }
+    times = all_states.t.tolist()
+    # Re(iα_t/ε + β_t) = β_t − Im α_t/ε, bit for bit as PropagatedState.log_prefactor
+    gain = all_states.beta - all_states.action.imag / all_states.eps
+    prefactor = np.array([math.exp(g) for g in gain.tolist()])
+    expansions = {alpha: coefficient_sweep(all_states, alpha) for alpha in config.alphas}
     closed_norms = None
     if config.swanson is not None:
         ks = [alpha[0] for alpha in config.alphas]
-        per_time = [ds_norms(config.swanson, ks, st.t) for st in all_states]
+        per_time = [ds_norms(config.swanson, ks, t) for t in times]
         closed_norms = {
             alpha: [norms[i] for norms in per_time] for i, alpha in enumerate(config.alphas)
         }
+    grid_times = set(config.times)
     return _Computed(
         all_states=all_states,
-        on_grid=[i for i, st in enumerate(all_states) if st.t in grid_times],
+        on_grid=[i for i, t in enumerate(times) if t in grid_times],
         horizon=horizon,
+        prefactor=prefactor,
         expansions=expansions,
-        norms={alpha: [exp.norm() for exp in exps] for alpha, exps in expansions.items()},
+        norms={alpha: _norms(prefactor, a) for alpha, (_, a) in expansions.items()},
         closed_norms=closed_norms,
     )
 
@@ -461,7 +474,7 @@ def _run_oracle(config: ScenarioConfig, run: _Computed) -> list[dict]:
     keeps the earlier times' cases and marks that time and every later one.
     """
     oracle = config.oracle
-    index = {st.t: i for i, st in enumerate(run.all_states)}
+    index = {t: i for i, t in enumerate(run.all_states.t.tolist())}
     eps = config.eps
     operator = discretize_hamiltonian(config.hamiltonian(0.0), eps, oracle.grid)
     params0 = WavepacketParams(frame=config.frame, center=config.center, eps=eps)
@@ -504,10 +517,10 @@ def _run_oracle(config: ScenarioConfig, run: _Computed) -> list[dict]:
 def _check(config: ScenarioConfig, run: _Computed) -> tuple[_Checks, list | None]:
     """Every verdict on a computed run, and the oracle cases (None with no oracle)."""
     checks = _Checks()
-    states = run.states
+    on_grid = run.on_grid
 
     # propagation health
-    max_sympl = max((st.symplectic_defect for st in states), default=0.0)
+    max_sympl = max(run.all_states.symplectic_defect[on_grid].tolist(), default=0.0)
     checks.add(
         "symplectic_defect",
         max_sympl <= SYMPLECTIC_TOL,
@@ -546,7 +559,7 @@ def _check(config: ScenarioConfig, run: _Computed) -> tuple[_Checks, list | None
     # Hermitian sanity: with Im H ≡ 0 every norm must stay 1
     if config.hamiltonian.is_real:
         norms = [norm for norms in run.norms.values() for norm in norms]
-        norms += [math.exp(st.log_prefactor.real) for st in states]
+        norms += run.prefactor[on_grid].tolist()
         worst = max((abs(norm - 1.0) for norm in norms), default=0.0)
         checks.add(
             "hermitian_norms",
@@ -556,7 +569,7 @@ def _check(config: ScenarioConfig, run: _Computed) -> tuple[_Checks, list | None
 
     if config.oracle is None:
         return checks, None
-    computed = {st.t for st in run.all_states}
+    computed = set(run.all_states.t.tolist())
     missing = [t for t in config.oracle.times if t not in computed]
     if missing:
         checks.add("oracle_fidelity", False, f"oracle times {missing} beyond the positivity horizon")
@@ -611,30 +624,33 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _write_trajectory(path: Path, states, n: int) -> None:
+def _write_trajectory(path: Path, run: _Computed, n: int) -> None:
     centre = ["p", "q"] if n == 1 else [f"{c}{i + 1}" for c in "pq" for i in range(n)]
     header = ["t", "beta", "norm_predicted", "re_action", "im_action", *centre]
     header += ["det_defect_symplectic", "min_eig_positivity"]
-    rows = []
-    for st in states:
-        values = [st.t, st.beta, math.exp(st.log_prefactor.real), st.action.real, st.action.imag]
-        values += [*st.z, st.symplectic_defect, st.min_positivity]
-        rows.append([_fmt(v) for v in values])
-    _write_csv(path, header, rows)
+    states, on_grid = run.all_states, run.on_grid
+    columns = [
+        states.t, states.beta, run.prefactor, states.action.real, states.action.imag,
+        *states.z.T, states.symplectic_defect, states.min_positivity,
+    ]
+    table = np.column_stack(columns)[on_grid]
+    _write_csv(path, header, [[_fmt(v) for v in values] for values in table.tolist()])
 
 
 def _write_coefficients(out: Path, run: _Computed) -> list[str]:
-    """One CSV per initial α, on the trajectory times only."""
+    """One CSV per initial α, on the trajectory times only: the nonzero slots
+    of each state's row of the α's sweep, in lexicographic order of k.  Times
+    are formatted once per state, labels and slot order once per α."""
+    stamps = [_fmt(t) for t in run.all_states.t[run.on_grid].tolist()]
     names = []
-    for alpha, expansions in run.expansions.items():
+    for alpha, (keys, a) in run.expansions.items():
+        order = np.lexsort(keys.T[::-1])
+        labels = [_alpha_label(k) for k in keys[order].tolist()]
         rows = []
-        for i in run.on_grid:
-            coefficients = expansions[i].coefficients
-            for target in sorted(coefficients):
-                a = coefficients[target]
-                rows.append(
-                    [_fmt(run.all_states[i].t), _alpha_label(target), _fmt(a.real), _fmt(a.imag)]
-                )
+        for stamp, row in zip(stamps, a[run.on_grid][:, order].tolist()):
+            rows += [
+                [stamp, label, _fmt(v.real), _fmt(v.imag)] for label, v in zip(labels, row) if v
+            ]
         name = f"coefficients_{_alpha_label(alpha)}.csv"
         _write_csv(out / name, ["t", "multi_index", "re_a", "im_a"], rows)
         names.append(name)
@@ -644,15 +660,17 @@ def _write_coefficients(out: Path, run: _Computed) -> list[str]:
 def _write_norms(path: Path, config: ScenarioConfig, run: _Computed, cases) -> None:
     """The norm curves over all computed times, with the oracle's where it ran."""
     oracle = {(c["k"], c["t"]): c["norm_grid"] for c in cases or () if "norm_grid" in c}
+    times = run.all_states.t.tolist()
+    stamps = [_fmt(t) for t in times]
     rows = []
     for alpha in config.alphas:
         k = int(alpha[0])
-        for st, closed, pipeline in zip(
-            run.all_states, run.closed_norms[alpha], run.norms[alpha]
+        for t, stamp, closed, pipeline in zip(
+            times, stamps, run.closed_norms[alpha], run.norms[alpha]
         ):
-            grid = oracle.get((k, st.t))
+            grid = oracle.get((k, t))
             rows.append(
-                [_fmt(st.t), str(k), _fmt(closed), _fmt(pipeline), "" if grid is None else _fmt(grid)]
+                [stamp, str(k), _fmt(closed), _fmt(pipeline), "" if grid is None else _fmt(grid)]
             )
     header = ["t", "k", "norm_closed_form", "norm_general_pipeline", "norm_grid_oracle"]
     _write_csv(path, header, rows)
@@ -663,8 +681,7 @@ def _write_artifacts(
 ) -> int:
     """Write every artifact and the manifest; returns the exit status."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    states = run.states
-    _write_trajectory(out_dir / "trajectory.csv", states, config.n)
+    _write_trajectory(out_dir / "trajectory.csv", run, config.n)
     artifacts = ["trajectory.csv", "manifest.json"]
     artifacts += _write_coefficients(out_dir, run)
     if run.closed_norms is not None:
@@ -692,10 +709,10 @@ def _write_artifacts(
         "eps": config.eps,
         "tolerances": tolerances,
         "times": {
-            "count": len(states),
+            "count": len(run.on_grid),
             "requested": len(config.times),
-            "first": states[0].t if states else None,
-            "last": states[-1].t if states else None,
+            "first": run.all_states.t[run.on_grid[0]].item() if run.on_grid else None,
+            "last": run.all_states.t[run.on_grid[-1]].item() if run.on_grid else None,
         },
         "horizon": {
             "expected": config.expect_horizon,

@@ -37,20 +37,23 @@ complex S_tz₀ to the real z_t (Hagedorn, Ann. Phys. 269 (1998); Lasser &
 Lubich, Acta Numerica 29 (2020), §4).  Applied α times to a⁰ = e₀ it gives the
 activation coefficients of U(t)φ_α = e^{iα_t/ε + β_t} Σ_k a_k φ_k(Z_t, z_t),
 all with |k| ≤ |α|.  σ = 0 when z₀ = 0 or H is real; then only |α| − |k| even
-appear.
+appear.  coefficient_sweep runs the recursion once per α over every time of
+a Trajectory; hagedorn_coefficients is its one-row call at one state.
+
+scipy.integrate and scipy.optimize are imported on first use: a constant H
+without a positivity crossing needs neither.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
 from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .errors import (
     ConsistencyError,
@@ -81,6 +84,13 @@ from .wavepackets import Grid, WavepacketParams, _packet_on_grid
 from .wavepackets import eval_ground  # noqa: F401  perfbench/tracing.py wraps it
 
 ODE_TOL = 1e-11
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use: constant H never needs it."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 def _check_times(times) -> np.ndarray:
@@ -327,6 +337,8 @@ class _LinearFlow:
             ys.append(sol.y[:, 1:])
             interpolants += sol.sol.interpolants
         self.steps = np.concatenate(ts), np.concatenate(ys, axis=1).T.reshape(-1, n2, n2)
+        from scipy.integrate import OdeSolution
+
         self.dense = OdeSolution(self.steps[0], interpolants) if interpolants else None
 
     def samples(self, times: np.ndarray):
@@ -421,6 +433,8 @@ def _crossing(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
         if t == hi:
             return f_hi
         return f(t)
+
+    from scipy.optimize import brentq  # only a detected crossing needs it
 
     return float(brentq(g, lo, hi))
 
@@ -632,13 +646,14 @@ def center_dynamics(z0, H: QuadraticHamiltonian, G_path, times):
 def _ladder_layout(n: int, order: int):
     """The simplex |k| ≤ order in graded order, for the ladder recursion.
 
-    Returns (keys, ends, root, rise, down, up): keys[r] is the multi-index of
-    slot r; slots with |k| ≤ d are the first ends[d]; root = √k and
-    rise = √(k+1) per mode, shape (n, slots); down[l, r] and up[l, r] are the
-    slots of k − e_l and k + e_l, or the extra slot past the table (which
-    holds 0) where those leave it.  The order is the colex order of the sets
-    {k_0 + … + k_i + i}, whose rank Σ_i C(k_0 + … + k_i + i, i + 1) is
-    computed directly, so the build is O(n) numpy passes over the slots.
+    Returns (keys, labels, ends, root, rise, down, up): keys[r] is the
+    multi-index of slot r and labels[r] the same as a tuple; slots with
+    |k| ≤ d are the first ends[d]; root = √k and rise = √(k+1) per mode, shape
+    (n, slots), stored complex so no product casts them; down[l, r] and
+    up[l, r] are the slots of k − e_l and k + e_l, or the extra slot past the
+    table (which holds 0) where those leave it.  The order is the colex order
+    of the sets {k_0 + … + k_i + i}, whose rank Σ_i C(k_0 + … + k_i + i, i + 1)
+    is computed directly, so the build is O(n) numpy passes over the slots.
     """
     keys = np.zeros((1, 0), dtype=np.intp)
     for _ in range(n):  # append one component: 0 … order − |k| to each row
@@ -664,47 +679,91 @@ def _ladder_layout(n: int, order: int):
     ordered = np.empty_like(keys)
     ordered[rank] = keys
     ends = tuple(math.comb(d + n, n) for d in range(order + 1))
-    layout = (ordered, ends, np.sqrt(ordered.T), np.sqrt(ordered.T + 1), down, up)
+    root, rise = np.sqrt(ordered.T).astype(complex), np.sqrt(ordered.T + 1).astype(complex)
+    labels = tuple(map(tuple, ordered.tolist()))
+    layout = (ordered, labels, ends, root, rise, down, up)
     for array in layout:
         if isinstance(array, np.ndarray):
             array.flags.writeable = False
     return layout
 
 
-def hagedorn_coefficients(state: PropagatedState, alpha) -> HagedornExpansion:
-    """Activation coefficients a_k of U(t)φ_α over φ_k(Z_t, z_t).
+def coefficient_sweep(states: Trajectory, alpha):
+    """Activation coefficients a_k of U(t)φ_α over φ_k(Z_t, z_t) at every time.
 
-    Starts from a⁰ = e₀ and applies the evolved raising operators, one step
-    of |α| per unit of α:
+    Returns (keys, a): keys[r] is the multi-index k of slot r, in graded order
+    with every |k| ≤ |α|, and a[i, r] is a_k at states[i], shape
+    (len(states), slots).  Starts from a⁰ = e₀ and applies the evolved raising
+    operators, one step of |α| per unit of α:
 
         a^{γ+e_j}_k = (Σ_l N̄_lj √k_l a^γ_{k−e_l} − Σ_l D_lj √(k_l+1) a^γ_{k+e_l}
                        + σ_j a^γ_k) / √(γ_j+1)
 
-    with D = N_t⁻¹M_t.  Each step is one gather per direction over the slots
-    with |k| ≤ |γ| + 1.  Only nonzero coefficients are kept; all have
-    |k| ≤ |α|, and |α| − |k| is even when σ = 0.
+    with D = N_t⁻¹M_t, one batched solve for all times.  Each step is one
+    gather per direction over the slots with |k| ≤ |γ| + 1 and one stacked
+    matmul per direction over all times.  A slot no step reaches holds an
+    exact 0; when σ = 0 these include every k with |α| − |k| odd.
     """
-    n = state.Z.n
+    layout, a = _ladder(states.N, states.M, states.sigma, alpha)
+    return layout[0], a
+
+
+def _ladder(N, M, sigma, alpha):
+    """(layout, a) of coefficient_sweep from the stacks N_t, M_t and σ_t.
+
+    steps[i, s] holds, for raising step s in direction j at time i, column j
+    of N̄ and of D, then σ_j, all divided by √(γ_j+1).  np.take keeps every
+    gathered stack C-ordered, so each time's product is the same BLAS call
+    whatever the number of times (a fancy-index gather puts the time axis
+    last, and numpy's loop for such strides rounds differently): a row of the
+    sweep equals the one-row call bit for bit.
+    """
+    n = N.shape[-1]
     alpha = validate_recursion_index(alpha, n)
-    keys, ends, root, rise, down, up = _ladder_layout(n, sum(alpha))
-    raising = np.conj(state.N)
-    lowering = np.linalg.solve(state.N, state.M)
-    a = np.zeros(len(keys) + 1, dtype=complex)  # the last slot stays 0
-    a[0] = 1.0
-    degree = 0
-    for j, count in enumerate(alpha):
-        for c in range(count):
-            scale = 1.0 / math.sqrt(c + 1)
-            hi, mid = ends[degree + 1], ends[degree]
-            lo = ends[degree - 1] if degree else 0
-            new = (scale * raising[:, j]) @ (root[:, :hi] * a[down[:, :hi]])
-            new[:mid] += (scale * state.sigma[j]) * a[:mid]
-            new[:lo] -= (scale * lowering[:, j]) @ (rise[:, :lo] * a[up[:, :lo]])
-            a[:hi] = new
-            degree += 1
-    nonzero = np.flatnonzero(a)
+    layout = _ladder_layout(n, sum(alpha))
+    ends, root, rise, down, up = layout[2:]
+    js, scales = _raising_steps(alpha)
+    columns = np.concatenate([np.conj(N), np.linalg.solve(N, M), sigma[:, None]], axis=-2)
+    steps = np.take(columns.swapaxes(-1, -2), js, axis=-2) * scales
+    raising, lowering, shift = steps[..., :n], steps[..., n:-1], steps[..., -1:]
+    a = np.zeros((len(N), len(root[0]) + 1), dtype=complex)  # the last slot stays 0
+    a[:, 0] = 1.0
+    for step in range(len(js)):  # from degree `step` to `step` + 1
+        hi, mid = ends[step + 1], ends[step]
+        gathered = root[:, :hi] * np.take(a, down[:, :hi], axis=1)
+        new = (raising[:, step, None] @ gathered)[:, 0]
+        new[:, :mid] += shift[:, step] * a[:, :mid]
+        if step:
+            lo = ends[step - 1]
+            gathered = rise[:, :lo] * np.take(a, up[:, :lo], axis=1)
+            new[:, :lo] -= (lowering[:, step, None] @ gathered)[:, 0]
+        a[:, :hi] = new
+    return layout, a[:, :-1]
+
+
+@functools.lru_cache(maxsize=1024)
+def _raising_steps(alpha: tuple):
+    """(js, scales) of the |α| raising steps that build α from 0: the
+    direction j of each and its 1/√(γ_j+1), as a column."""
+    js = np.array([j for j, count in enumerate(alpha) for _ in range(count)], dtype=np.intp)
+    scales = np.array([1.0 / math.sqrt(c + 1) for count in alpha for c in range(count)])
+    scales = scales.reshape(-1, 1)
+    js.flags.writeable = scales.flags.writeable = False
+    return js, scales
+
+
+def hagedorn_coefficients(state: PropagatedState, alpha) -> HagedornExpansion:
+    """Activation coefficients a_k of U(t)φ_α over φ_k(Z_t, z_t) at one state.
+
+    The one-row call of coefficient_sweep, equal to its row bit for bit.
+    Only nonzero coefficients are kept; all have |k| ≤ |α|, and |α| − |k| is
+    even when σ = 0.
+    """
+    layout, a = _ladder(state.N[None], state.M[None], state.sigma[None], alpha)
+    a = a[0]
+    kept = a != 0
     return HagedornExpansion(
-        coefficients=dict(zip(map(tuple, keys[nonzero].tolist()), a[nonzero].tolist())),
+        coefficients=dict(zip(itertools.compress(layout[1], kept.tolist()), a[kept].tolist())),
         log_prefactor=state.log_prefactor,
     )
 

@@ -1,8 +1,12 @@
 """Import direction: the core modules never reach the checking side or the CLI.
-And the names perfbench/tracing.py rebinds all exist in the package."""
+The names perfbench/tracing.py rebinds all exist in the package, and a
+constant-H run loads neither scipy.integrate nor scipy.optimize."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +64,22 @@ def test_tracer_installs_and_uninstalls_cleanly():
         tracer.uninstall()
     for (owner, attr), original in zip(targets, originals):
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
+
+
+LAZY_CHECK = """
+import sys, tempfile
+import hagedorn.cli as cli
+with tempfile.TemporaryDirectory() as out:
+    raw = {**cli.PRESETS["swanson-fig1"], "oracle": {"enabled": False}}
+    assert cli.run_scenario(cli.load_config(raw), out) == 0
+print(sorted(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules))
+"""
+
+
+def test_constant_h_run_loads_no_ode_or_root_finder():
+    # a fresh interpreter: this suite's other modules import scipy.integrate
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", LAZY_CHECK], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
