@@ -1,6 +1,6 @@
 """Per-call times of `hagedorn_coefficients`, `coefficient_sweep`, `propagate`,
 grid fields, the grid oracle's building blocks, whole `swanson-fig1` runs and
-subprocess runs of every preset, written to BENCH_16.json.
+subprocess runs of every preset, written to BENCH_17.json.
 
     python3 bench/run.py
 
@@ -24,9 +24,13 @@ skips the sweep rows.
   after one warm-up call; each row also gives the number of `solve_ivp`
   calls that one call makes, counted through `propagation.solve_ivp`.
 - Grid fields: `evolved_state_on_grid` for all 45 α with |α| ≤ 8 on a
-  256×256 grid, at the n = 2 state of the mode-mixed H above (one run is
-  all 45 fields); the n = 1 Swanson state at t = 0.5 on a 1024-node grid,
-  one run being the mean per field over k = 0…8.
+  256×256 grid, at the n = 2 states of the mode-mixed H above at t = 1.5
+  and 0.75, one run being the mean over the two states of all 45 fields at
+  one state; the n = 1 Swanson states at t = 0.5 and 0.25 on a 1024-node
+  grid, one run being the mean per field over k = 0…8 at both.  Each run
+  moves from one state to the other, so it builds each state's ground field
+  and polynomial argument once, as a run over a trajectory does.
+- `grid_norm` of one field on that 256×256 grid: the mean over 100 calls.
 - `hagedorn_coefficients` for n = 1, |α| ≤ 2 at that Swanson state: one run
   is the mean per call over 600 calls cycling k = 0, 1, 2.
 - The coefficients of every state of a trajectory, two ways: one
@@ -56,7 +60,7 @@ skips the sweep rows.
 
 Each row holds the median and the best of its runs.  The file also records
 the machine (nproc, Python, numpy and scipy versions).  A `parent` block
-already in BENCH_16.json (the same rows measured on the parent commit, by
+already in BENCH_17.json (the same rows measured on the parent commit, by
 running this script from a checkout of it) is kept as it is.
 """
 
@@ -99,9 +103,9 @@ from hagedorn.propagation import (  # noqa: E402
     propagate,
 )
 from hagedorn.swanson import SwansonParams  # noqa: E402
-from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited  # noqa: E402
+from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, grid_norm  # noqa: E402
 
-OUT = ROOT / "BENCH_16.json"
+OUT = ROOT / "BENCH_17.json"
 MODES = (3, 4)
 ORDERS = (4, 6, 8, 12)
 RUNS = 5
@@ -123,17 +127,17 @@ def mode_mixed_matrix(rng, n: int) -> np.ndarray:
     return X @ X.T / (2 * n) + 0.5 * np.eye(2 * n) + 0.05j * (Y + Y.T)
 
 
-def mode_mixed_state(n: int):
+def mode_mixed_state(n: int, t: float = T):
     H = mode_mixed_matrix(np.random.default_rng(SEED), n)
     states = propagate(
-        standard_frame(n), np.zeros(2 * n), QuadraticHamiltonian.constant(H), [0.0, T]
+        standard_frame(n), np.zeros(2 * n), QuadraticHamiltonian.constant(H), [0.0, t]
     )
     return states[-1]
 
 
-def swanson_state():
+def swanson_state(t: float = 0.5):
     H = QuadraticHamiltonian.constant(SwansonParams(1.0, 0.5).matrix())
-    return propagate(np.array([[1.0], [-1.0j]]), np.zeros(2), H, [0.0, 0.5])[-1]
+    return propagate(np.array([[1.0], [-1.0j]]), np.zeros(2), H, [0.0, t])[-1]
 
 
 def timed_rows(cases, runs: int = RUNS) -> list:
@@ -158,25 +162,33 @@ def timed_rows(cases, runs: int = RUNS) -> list:
 
 
 def field_and_small_coefficient_rows() -> list:
-    state_2 = mode_mixed_state(2)
+    states_2 = [mode_mixed_state(2), mode_mixed_state(2, T / 2)]
     grid_2 = Grid(bounds=[(-8.0, 8.0), (-8.0, 8.0)], counts=[256, 256])
     state_1 = swanson_state()
+    states_1 = [state_1, swanson_state(0.25)]
     grid_1 = Grid(bounds=[(-10.0, 10.0)], counts=[1024])
     small = [(k % 3,) for k in range(600)]
+    field = evolved_state_on_grid(states_2[0], (2, 1), 1.0, grid_2)
     return timed_rows([
         (
-            {"what": "evolved_state_on_grid", "per": "run of 45 fields",
-             "case": "n=2, 256x256, all 45 alpha with |alpha| <= 8"},
-            lambda a: evolved_state_on_grid(state_2, a, 1.0, grid_2),
-            [a for order in range(9) for a in multi_indices(2, order)],
-            1,
+            {"what": "evolved_state_on_grid", "per": "run of 45 fields at one state",
+             "case": "n=2, 256x256, all 45 alpha with |alpha| <= 8, t = 1.5 and 0.75"},
+            lambda x: evolved_state_on_grid(x[0], x[1], 1.0, grid_2),
+            [(st, a) for st in states_2 for order in range(9) for a in multi_indices(2, order)],
+            len(states_2),
         ),
         (
-            {"what": "evolved_state_on_grid", "case": "n=1 Swanson, N=1024, k = 0..8",
-             "per": "field"},
-            lambda a: evolved_state_on_grid(state_1, a, 1.0, grid_1),
-            [(k,) for k in range(9)],
-            9,
+            {"what": "evolved_state_on_grid",
+             "case": "n=1 Swanson, N=1024, k = 0..8, t = 0.5 and 0.25", "per": "field"},
+            lambda x: evolved_state_on_grid(x[0], x[1], 1.0, grid_1),
+            [(st, (k,)) for st in states_1 for k in range(9)],
+            9 * len(states_1),
+        ),
+        (
+            {"what": "grid_norm", "case": "n=2, 256x256", "per": "call"},
+            lambda f: grid_norm(f, grid_2),
+            [field] * 100,
+            100,
         ),
         (
             {"what": "hagedorn_coefficients", "case": "n=1 Swanson, |alpha| <= 2",
@@ -385,8 +397,9 @@ def main() -> None:
     )
     report = {
         "what": "ms per call of hagedorn_coefficients by (n, |alpha|), of propagate, grid"
-        " fields and small coefficient tables by case, of the coefficients over a trajectory"
-        " per state and by sweep, of the grid oracle's assembly, Cayley build, squaring, step"
+        " fields, grid norms and small coefficient tables by case, of the coefficients over a"
+        " trajectory per state and by sweep, of the grid oracle's assembly, Cayley build,"
+        " squaring, step"
         " and march, of swanson-fig1 runs, and of subprocess imports and preset runs, median"
         " of runs",
         "machine": {

@@ -36,9 +36,13 @@ U(t) carries the raising operator A†_j(Z₀) into
 complex S_tz₀ to the real z_t (Hagedorn, Ann. Phys. 269 (1998); Lasser &
 Lubich, Acta Numerica 29 (2020), §4).  Applied α times to a⁰ = e₀ it gives the
 activation coefficients of U(t)φ_α = e^{iα_t/ε + β_t} Σ_k a_k φ_k(Z_t, z_t),
-all with |k| ≤ |α|.  σ = 0 when z₀ = 0 or H is real; then only |α| − |k| even
-appear.  coefficient_sweep runs the recursion once per α over every time of
-a Trajectory; hagedorn_coefficients is its one-row call at one state.
+all with |k| ≤ |α|.  σ = 0 exactly when z₀ = 0; then only |α| − |k| even
+appear.  For a displaced packet under real H, σ vanishes in exact arithmetic
+but not in floating point: z_t comes out of a real solve that reproduces
+S_tz₀ only to rounding, so σ_t is noise of about 1e-16 and slots with
+|α| − |k| odd can hold entries of that size.  coefficient_sweep runs the
+recursion once per α over every time of a Trajectory; hagedorn_coefficients
+is its one-row call at one state.
 
 scipy.integrate and scipy.optimize are imported on first use: a constant H
 without a positivity crossing needs neither.
@@ -49,6 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -62,8 +67,7 @@ from .errors import (
     PositivityLost,
     StepSizeUnderflow,
 )
-from .polynomials import poly_recursion  # noqa: F401  perfbench/tracing.py wraps it
-from .polynomials import validate_recursion_index
+from .polynomials import poly_recursion, validate_recursion_index
 from .symplectic import (
     TOL_FRAME,
     NormalisedFrame,
@@ -80,7 +84,7 @@ from .symplectic import (
     omega,
     siegel_b,
 )
-from .wavepackets import Grid, WavepacketParams, _packet_on_grid
+from .wavepackets import Grid, WavepacketParams, _excite, _ground_and_argument
 from .wavepackets import eval_ground  # noqa: F401  perfbench/tracing.py wraps it
 
 ODE_TOL = 1e-11
@@ -757,7 +761,9 @@ def hagedorn_coefficients(state: PropagatedState, alpha) -> HagedornExpansion:
 
     The one-row call of coefficient_sweep, equal to its row bit for bit.
     Only nonzero coefficients are kept; all have |k| ≤ |α|, and |α| − |k| is
-    even when σ = 0.
+    even when σ = 0, which holds exactly for z₀ = 0.  A displaced packet under
+    real H has σ_t of rounding size (about 1e-16), so entries of that size
+    can appear at odd |α| − |k|.
     """
     layout, a = _ladder(state.N[None], state.M[None], state.sigma[None], alpha)
     a = a[0]
@@ -775,11 +781,37 @@ def evolved_state_on_grid(state: PropagatedState, alpha, eps: float, grid: Grid)
 
     with the continuity-tracked branch of (det Q_t)^{−1/2}.  eps must be the
     state's own ε, which σ_t and the phase were built from; another value
-    raises DimensionMismatch.
+    raises DimensionMismatch.  Every α at one state shares the prefactor
+    times φ₀ and the polynomial argument; both are kept for the last
+    (state, grid) pair seen, so a run of α at one state builds them once.
+    Each call returns a new array.
     """
     alpha = validate_recursion_index(alpha, state.Z.n)
     if eps != state.eps:
         raise DimensionMismatch(f"eps {eps} differs from the state's eps {state.eps}")
+    ground, y = _shared_on_grid(state, grid)
+    if not any(alpha):
+        return ground.copy()
+    return _excite(ground, y, poly_recursion(state.Mtilde, alpha), alpha)
+
+
+# One slot: (weak reference to a state, grid, ground field, argument y), the
+# last pair _shared_on_grid built.  Only a state whose arrays are read-only,
+# such as a Trajectory's view, enters it, and a Grid is a frozen value, so
+# the slot answers only for that exact pair; it holds one state's fields at
+# most, whatever the trajectory's length.  It is read once and replaced
+# whole, so concurrent callers can at worst build the same pair twice.
+_last_shared = None
+
+
+def _shared_on_grid(state: PropagatedState, grid: Grid):
+    """The read-only e^{iα_t/ε + β_t} φ₀(Z_t, z_t) and y = √(2/ε) N_tQ_t⁻¹(x−q_t) + σ_t
+    of state on grid, from the slot when it holds this pair."""
+    global _last_shared
+    last = _last_shared
+    if last is not None and last[0]() is state and last[1] == grid:
+        return last[2], last[3]
+    _last_shared = None  # the old pair's fields go before the new ones are built
     params = WavepacketParams(
         frame=state.Z,
         center=state.z,
@@ -788,7 +820,12 @@ def evolved_state_on_grid(state: PropagatedState, alpha, eps: float, grid: Grid)
         log_det_q=state.logdetQ,
     )
     L = state.N @ np.linalg.inv(state.Z.Q)
-    return _packet_on_grid(params, grid, alpha, state.Mtilde, L, state.sigma)
+    ground, y = _ground_and_argument(params, grid, L, state.sigma)
+    ground.flags.writeable = y.flags.writeable = False
+    inputs = (state.z, state.N, state.sigma, state.Z.entries)
+    if not any(a.flags.writeable for a in inputs):  # a state built by hand may change
+        _last_shared = (weakref.ref(state), grid, ground, y)
+    return ground, y
 
 
 def positivity_horizon(Z0: NormalisedFrame, H: QuadraticHamiltonian, t_max: float) -> float:

@@ -10,7 +10,8 @@ excited states multiply in p_α(√(2/ε) Q⁻¹(x−q); Q⁻¹Q̄)/√α!.  The
 tracked log det Q (the propagation module does).  Fields are built from the
 1-D grid axes by broadcasting, never from a mesh of all nodes (grid
 evaluation in the Hagedorn basis as in Faou, Gradinaru & Lubich, SIAM J. Sci.
-Comput. 31 (2009)).
+Comput. 31 (2009)).  Every field of one packet shares φ₀ and the polynomial
+argument; one builder makes both, and only p_α changes from field to field.
 """
 
 from __future__ import annotations
@@ -64,13 +65,18 @@ class Grid:
         return np.stack(mesh, axis=-1)
 
     def weights(self) -> np.ndarray:
-        """Tensor trapezoid quadrature weights, shape counts."""
-        out = None
+        """Tensor trapezoid quadrature weights, shape counts: built on the first
+        call, then the same read-only array."""
+        out = self.__dict__.get("_weights")
+        if out is not None:
+            return out
         for (lo, hi), c in zip(self.bounds, self.counts):
             dx = (hi - lo) / (c - 1)
             w = np.full(c, dx)
             w[0] = w[-1] = dx / 2
             out = w if out is None else np.multiply.outer(out, w)
+        out.flags.writeable = False
+        object.__setattr__(self, "_weights", out)
         return out
 
 
@@ -142,16 +148,16 @@ def _offsets(params: WavepacketParams, grid: Grid) -> list[np.ndarray]:
     ]
 
 
-def _packet_on_grid(
-    params: WavepacketParams, grid: Grid, alpha=None, M=None, L=None, shift=None
-) -> np.ndarray:
-    """e^{phase} φ₀(x) · p_α(√(2/ε) L(x−q) + shift; M)/√α! at the grid nodes.
+def _ground_and_argument(params: WavepacketParams, grid: Grid, L=None, shift=None):
+    """(e^{phase} φ₀(x), y) at the grid nodes, y = √(2/ε) L(x−q) + shift.
 
     Built from the 1-D offsets d_j = x_j − q_j by broadcasting: the exponent
     Σ_i ((i/2ε)B_ii d_i + (i/ε)p_i) d_i + Σ_{i<j} (i/ε)B_ij d_i d_j plus the
-    log of the prefactor takes one exp, and y_i = √(2/ε) Σ_j L_ij d_j + shift_i
-    feeds the polynomial's nested Horner; shift_i joins the first 1-D term.
-    alpha None or zero gives the ground state; shift None means no shift.
+    log of the prefactor takes one exp, and y_i = √(2/ε) Σ_j L_ij d_j + shift_i,
+    with shift_i joining the first 1-D term, has shape counts + (n,) with each
+    y_i contiguous for the polynomial's nested Horner.  y is None when L is
+    None; shift None means no shift.  Every field p_α(y; M)/√α! · φ₀ of one
+    packet shares both (_excite).
     """
     n = params.n
     d = _offsets(params, grid)
@@ -172,9 +178,8 @@ def _packet_on_grid(
         for j in range(i + 1, n):
             exponent = exponent + (1j / eps) * B[i, j] * d[i] * d[j]
     psi = np.exp(exponent)
-    if alpha is None or not any(alpha):
-        return psi
-    poly = poly_recursion(M, alpha)
+    if L is None:
+        return psi, None
     y = np.empty((n, *grid.counts), dtype=complex)
     scale = math.sqrt(2.0 / eps)
     for i in range(n):
@@ -182,23 +187,35 @@ def _packet_on_grid(
         if shift is not None:
             terms[0] = terms[0] + shift[i]
         y[i] = sum(terms)
-    psi *= poly.evaluate(np.moveaxis(y, 0, -1))  # y[i] stays contiguous for Horner
+    return psi, np.moveaxis(y, 0, -1)
+
+
+def _excite(ground: np.ndarray, y: np.ndarray, poly, alpha) -> np.ndarray:
+    """ground · p(y)/√α! as a new array, p = p_α(·; M) from poly_recursion."""
+    # ground stays the first operand: the complex product (p(y), ground) rounds
+    # differently, and that is what `ground * p(y)` computes when numpy reuses
+    # the temporary p(y)
+    psi = poly.evaluate(y)
+    np.multiply(ground, psi, out=psi)
     psi /= math.sqrt(math.prod(math.factorial(a) for a in alpha))
     return psi
 
 
 def eval_ground(params: WavepacketParams, grid: Grid) -> np.ndarray:
     """Sample φ₀ at the grid nodes (times e^{params.phase})."""
-    return _packet_on_grid(params, grid)
+    return _ground_and_argument(params, grid)[0]
 
 
 def eval_excited(params: WavepacketParams, alpha, grid: Grid) -> np.ndarray:
     """Sample φ_α = p_α(√(2/ε) Q⁻¹(x−q); Q⁻¹Q̄) φ₀ / √α!."""
     alpha = validate_recursion_index(alpha, params.n)
+    if not any(alpha):
+        return _ground_and_argument(params, grid)[0]
     Q = params.frame.Q
     Qinv = np.linalg.inv(Q)
     M = Qinv @ np.conj(Q)
-    return _packet_on_grid(params, grid, alpha, 0.5 * (M + M.T), Qinv)
+    ground, y = _ground_and_argument(params, grid, Qinv)
+    return _excite(ground, y, poly_recursion(0.5 * (M + M.T), alpha), alpha)
 
 
 def apply_lowering(params: WavepacketParams, f: np.ndarray, grid: Grid, col: int = 0):

@@ -1,18 +1,30 @@
 """Grid fields against a mesh reference: the full node array, the three-operand
-quadratic form and a term-by-term polynomial sum."""
+quadratic form and a term-by-term polynomial sum; and evolved_state_on_grid's
+one-slot reuse of a state's ground field and polynomial argument against the
+builder called afresh."""
 
 import dataclasses
+import gc
 import math
+import weakref
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from hagedorn import propagation
 from hagedorn.errors import DimensionMismatch, NonDecayingGaussian
 from hagedorn.polynomials import poly_recursion
 from hagedorn.propagation import QuadraticHamiltonian, evolved_state_on_grid, propagate
 from hagedorn.symplectic import NormalisedFrame, siegel_matrix
-from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, eval_ground
+from hagedorn.wavepackets import (
+    Grid,
+    WavepacketParams,
+    _excite,
+    _ground_and_argument,
+    eval_excited,
+    eval_ground,
+)
 
 GRIDS = {
     1: [Grid(bounds=[(-10.0, 10.0)], counts=[1024])],
@@ -167,3 +179,130 @@ def test_fields_reject_a_grid_of_the_wrong_dimension():
         eval_excited(params, (1, 1), grid)
     with pytest.raises(DimensionMismatch, match="grid dimension"):
         evolved_state_on_grid(state, (1, 1), 1.0, grid)
+
+
+# -- reuse of the ground field and argument ----------------------------------------
+
+REUSE_GRIDS = {
+    1: [GRIDS[1][0], Grid(bounds=[(-9.0, 11.0)], counts=[300])],
+    2: GRIDS[2],
+}
+
+
+def uncached(state, alpha, grid):
+    """evolved_state_on_grid from a fresh call of the builder, no slot involved."""
+    params = WavepacketParams(
+        frame=state.Z, center=state.z, eps=state.eps, phase=state.log_prefactor,
+        log_det_q=state.logdetQ,
+    )
+    L = state.N @ np.linalg.inv(state.Z.Q)
+    ground, y = _ground_and_argument(params, grid, L, state.sigma)
+    if not any(alpha):
+        return ground
+    return _excite(ground, y, poly_recursion(state.Mtilde, alpha), alpha)
+
+
+def displaced_trajectory(n, seed, eps=0.7):
+    """A displaced packet under a seeded non-Hermitian H at three times, σ ≠ 0."""
+    rng = np.random.default_rng(seed)
+    X, Y = rng.normal(size=(2 * n, 2 * n)), rng.normal(size=(2 * n, 2 * n))
+    H = X @ X.T / (2 * n) + 0.5 * np.eye(2 * n) + 0.05j * (Y + Y.T)
+    frame = np.vstack([1j * np.eye(n), np.eye(n)])
+    centre = rng.uniform(-1.0, 1.0, 2 * n)
+    times = [0.4, 0.9, 1.3]
+    return propagate(frame, centre, QuadraticHamiltonian.constant(H), times, eps)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_reused_fields_equal_the_builder_bit_for_bit(n):
+    states = displaced_trajectory(n, 40 + n)
+    for state in states:
+        assert np.min(np.abs(state.sigma)) > 1e-3
+        for grid in REUSE_GRIDS[n]:
+            for alpha in alphas(n, 4):
+                field = evolved_state_on_grid(state, alpha, 0.7, grid)
+                assert np.array_equal(field, uncached(state, alpha, grid)), (state.t, alpha)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fields_do_not_depend_on_call_order(n):
+    states = displaced_trajectory(n, 50 + n)
+    twin = displaced_trajectory(n, 50 + n)  # equal values, other objects
+    grids = REUSE_GRIDS[n]
+    equal_grid = Grid(bounds=grids[0].bounds, counts=grids[0].counts)
+    top = list(alphas(n, 3))
+    expected = {
+        (i, g, alpha): uncached(states[i], alpha, grids[g])
+        for i in range(len(states)) for g in range(len(grids)) for alpha in top
+    }
+    # hits (same pair twice in a row) alternate with misses (state, grid or
+    # the twin state changes); an equal grid object counts as the same grid
+    calls = []
+    for k, alpha in enumerate(top):
+        i, g = k % len(states), (k // 2) % len(grids)
+        calls += [(states, i, g, alpha), (states, i, g, top[-1 - k]),
+                  (twin, i, g, alpha), (states, (i + 1) % len(states), g, alpha)]
+    calls += [(states, 0, 0, alpha) for alpha in top]
+    calls += [(states, 0, "equal", alpha) for alpha in top]
+    for source, i, g, alpha in calls:
+        grid = equal_grid if g == "equal" else grids[g]
+        field = evolved_state_on_grid(source[i], alpha, 0.7, grid)
+        assert np.array_equal(field, expected[i, 0 if g == "equal" else g, alpha]), (i, g, alpha)
+
+
+def test_a_returned_field_can_be_changed_freely():
+    state = displaced_trajectory(2, 61)[1]
+    grid = REUSE_GRIDS[2][0]
+    for alpha in [(0, 0), (2, 1)]:
+        field = evolved_state_on_grid(state, alpha, 0.7, grid)
+        assert field.flags.writeable
+        field *= 3.0
+        field[0, 0] = 1e6
+        again = evolved_state_on_grid(state, alpha, 0.7, grid)
+        assert again is not field
+        assert np.array_equal(again, uncached(state, alpha, grid))
+
+
+def test_a_state_built_by_hand_is_not_kept():
+    # a writable centre could change between calls, so such a state never
+    # enters the slot
+    state = displaced_trajectory(1, 62)[0]
+    grid = REUSE_GRIDS[1][1]
+    own = dataclasses.replace(state, z=state.z.copy())
+    before = evolved_state_on_grid(own, (2,), 0.7, grid)
+    own.z[1] += 0.5
+    after = evolved_state_on_grid(own, (2,), 0.7, grid)
+    assert not np.array_equal(before, after)
+    assert np.array_equal(after, uncached(own, (2,), grid))
+
+
+def test_a_run_of_alpha_builds_the_ground_field_once(monkeypatch):
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args[1])
+        return _ground_and_argument(*args, **kwargs)
+
+    monkeypatch.setattr(propagation, "_ground_and_argument", counted)
+    state = displaced_trajectory(2, 63)[2]
+    grid = GRIDS[2][0]
+    run = list(alphas(2, 8))
+    assert len(run) == 45
+    for alpha in run:
+        evolved_state_on_grid(state, alpha, 0.7, grid)
+    assert builds == [grid]
+    for alpha in run:
+        evolved_state_on_grid(state, alpha, 0.7, GRIDS[2][1])
+    assert builds == [grid, GRIDS[2][1]]
+
+
+def test_the_slot_does_not_keep_a_trajectory_alive():
+    states = displaced_trajectory(1, 64)
+    view = states[1]
+    field = evolved_state_on_grid(view, (3,), 0.7, REUSE_GRIDS[1][0])
+    assert np.array_equal(field, uncached(view, (3,), REUSE_GRIDS[1][0]))
+    dropped_states, dropped_view = weakref.ref(states), weakref.ref(view)
+    del states, view
+    gc.collect()
+    assert dropped_states() is None
+    assert dropped_view() is None

@@ -57,6 +57,20 @@ def test_grid_weights_are_trapezoidal():
     assert np.allclose(grid.weights(), [0.125, 0.25, 0.25, 0.25, 0.125])
 
 
+def test_grid_weights_are_built_once_and_read_only():
+    grid = Grid(bounds=[(0.0, 1.0), (-2.0, 2.0)], counts=[5, 9])
+    w = grid.weights()
+    assert grid.weights() is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+    outer = np.multiply.outer([0.125, 0.25, 0.25, 0.25, 0.125], np.r_[0.25, [0.5] * 7, 0.25])
+    assert np.array_equal(w, outer)
+    # the cached array is not part of the grid's value
+    assert grid == Grid(bounds=[(0.0, 1.0), (-2.0, 2.0)], counts=[5, 9])
+    assert hash(grid) == hash(Grid(bounds=[(0.0, 1.0), (-2.0, 2.0)], counts=[5, 9]))
+
+
 def test_grid_inner_shape_check():
     f = np.zeros(GRID_1D.counts[0])
     with pytest.raises(GridMismatch):
