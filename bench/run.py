@@ -1,13 +1,10 @@
 """Per-call times of `hagedorn_coefficients`, `coefficient_sweep`, `propagate`,
 grid fields, the grid oracle's building blocks, whole `swanson-fig1` runs and
-subprocess runs of every preset, written to BENCH_17.json.
+subprocess runs of every preset, written to BENCH_18.json.
 
     python3 bench/run.py
 
-Imports the package from ./src of the checkout this script sits in.  It does
-not run from a checkout before 564a3bb, whose `_cayley_matrix` still takes
-`stabilize`.  A checkout without `coefficient_sweep` (before it was added)
-skips the sweep rows.
+Imports the package from ./src of the checkout this script sits in.
 
 - `hagedorn_coefficients` by (n, |α|): for n = 3 and 4 it propagates the
   standard frame under one seeded mode-mixed, non-Hermitian H = R + iI
@@ -42,8 +39,7 @@ skips the sweep rows.
   `discretize_hamiltonian` call; one Cayley build at τ = 1e-3 with the
   damping (`_cayley_matrix` after clearing the operator's cache, so the C²
   product included); the squaring C @ C alone; one Crank–Nicolson step, the mean over
-  500 products C² ψ, each counted as two steps (a checkout whose cache holds
-  C alone counts 500 products C ψ as one step each); one march of
+  500 products C² ψ, each counted as two steps; one march of
   `propagate_grid` through (0.25, 0.5) for each of α = 0, 1, 2 at the
   preset's dt and grid_tol, the operator's cache already warm, one run being
   all three marches.
@@ -53,14 +49,15 @@ skips the sweep rows.
   these rows take the median of SCENARIO_RUNS runs.
 - Subprocesses, start-up included, each the wall time of one fresh
   interpreter with ./src on PYTHONPATH: `python -c pass` (the interpreter
-  alone), `python -c "import hagedorn.cli"`, and `python -m hagedorn run
+  alone), `python -c "import hagedorn"`, `python -c "import hagedorn.cli"`,
+  and `python -m hagedorn run
   --preset <p> --no-oracle` for all four presets, writing into a temporary
   directory named by HAGEDORN_OUT_DIR.
   These rows take the median of SUBPROCESS_RUNS runs after one warm-up run.
 
 Each row holds the median and the best of its runs.  The file also records
 the machine (nproc, Python, numpy and scipy versions).  A `parent` block
-already in BENCH_17.json (the same rows measured on the parent commit, by
+already in BENCH_18.json (the same rows measured on the parent commit, by
 running this script from a checkout of it) is kept as it is.
 """
 
@@ -98,6 +95,7 @@ from hagedorn.gridsolver import (  # noqa: E402
 )
 from hagedorn.propagation import (  # noqa: E402
     QuadraticHamiltonian,
+    coefficient_sweep,
     evolved_state_on_grid,
     hagedorn_coefficients,
     propagate,
@@ -105,7 +103,7 @@ from hagedorn.propagation import (  # noqa: E402
 from hagedorn.swanson import SwansonParams  # noqa: E402
 from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, grid_norm  # noqa: E402
 
-OUT = ROOT / "BENCH_17.json"
+OUT = ROOT / "BENCH_18.json"
 MODES = (3, 4)
 ORDERS = (4, 6, 8, 12)
 RUNS = 5
@@ -272,7 +270,6 @@ def trajectory_coefficient_rows() -> list:
         ("constant n=3, 150 states, alpha = 0, e1",
          propagate(*constant), [(0, 0, 0), (1, 0, 0)]),
     ]
-    sweep = getattr(propagation, "coefficient_sweep", None)
     rows = []
     for case, states, alphas in cases:
         views = list(states)
@@ -283,14 +280,13 @@ def trajectory_coefficient_rows() -> list:
             alphas,
             1,
         ))
-        if sweep is not None:
-            rows.append((
-                {"what": "coefficients over a trajectory", "how": "coefficient_sweep per alpha",
-                 "case": case, "per": "run of all alpha"},
-                lambda a, states=states: sweep(states, a),
-                alphas,
-                1,
-            ))
+        rows.append((
+            {"what": "coefficients over a trajectory", "how": "coefficient_sweep per alpha",
+             "case": case, "per": "run of all alpha"},
+            lambda a, states=states: coefficient_sweep(states, a),
+            alphas,
+            1,
+        ))
     return timed_rows(rows)
 
 
@@ -303,6 +299,7 @@ def subprocess_rows() -> list:
             return (time.perf_counter() - start) * 1e3
 
     cases = [("python -c pass", ["-c", "pass"]),
+             ("import hagedorn", ["-c", "import hagedorn"]),
              ("import hagedorn.cli", ["-c", "import hagedorn.cli"])]
     cases += [
         (f"hagedorn run --preset {name} --no-oracle",
@@ -326,12 +323,7 @@ def grid_oracle_rows() -> list:
     operator = discretize_hamiltonian(H, 1.0, grid)
     params = WavepacketParams(frame=np.array([[1.0], [-1.0j]]), center=np.zeros(2), eps=1.0)
     psi = eval_excited(params, (1,), grid)
-    cached = _cayley_matrix(operator, 1e-3)
-    # a checkout whose cache holds C alone builds only C and steps with one
-    # product C ψ per step
-    cayley, product, per_product = (
-        (cached[0], cached[1], 2) if isinstance(cached, tuple) else (cached, cached, 1)
-    )
+    cayley, squared = _cayley_matrix(operator, 1e-3)
     oracle = PRESETS["swanson-fig1"]["oracle"]
     fields = [eval_excited(params, (k,), grid) for k in range(3)]
 
@@ -348,13 +340,13 @@ def grid_oracle_rows() -> list:
         ({"what": "discretize_hamiltonian", "case": "Swanson, N=1024", "per": "call"},
          lambda g: discretize_hamiltonian(H, 1.0, g), [grid], 1),
         ({"what": "Cayley build", "case": "Swanson, N=1024, tau=1e-3, damped", "per": "call",
-          "matrices_cached": per_product},
+          "matrices_cached": 2},
          build_cayley, [operator], 1),
         ({"what": "Cayley squaring", "case": "Swanson, N=1024, C @ C", "per": "call"},
          lambda c: c @ c, [cayley], 1),
         ({"what": "Crank-Nicolson step", "case": "Swanson, N=1024, one column",
-          "per": "step", "steps_per_product": per_product},
-         lambda f: product @ f, [psi] * steps, per_product * steps),
+          "per": "step", "steps_per_product": 2},
+         lambda f: squared @ f, [psi] * steps, 2 * steps),
         ({"what": "propagate_grid march", "case": "Swanson, N=1024, alpha = 0, 1, 2 through"
           " (0.25, 0.5), warm operator", "per": "run of 3 marches"},
          march, [discretize_hamiltonian(H, 1.0, grid)], 1),

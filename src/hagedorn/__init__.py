@@ -1,11 +1,17 @@
 """Hagedorn wavepacket propagation for quadratic, possibly non-Hermitian, Hamiltonians.
 
-The package is organised bottom-up:
+The package root exports the production side, organised bottom-up:
 
+  errors        the typed errors every layer raises
   symplectic    complex Lagrangian frames, normalization, metrics
   polynomials   multivariate Appell-type recursion polynomials
-  wavepackets   Gaussian and excited-state evaluation on grids, overlaps
+  wavepackets   Gaussian and excited-state evaluation on grids
   propagation   flow map, frame/metric/center/phase dynamics, coefficients
+
+The checking side and the runner are imported by module and are not loaded
+by `import hagedorn`:
+
+  oracles       Riccati metric and centre ODEs, lowering operator, overlaps
   swanson       closed-form gain/loss oscillator reference solution
   gridsolver    independent Crank-Nicolson grid verification
   cli           scenario runner producing CSV/JSON artifacts
@@ -32,81 +38,19 @@ from .errors import (
     StepSizeUnderflow,
     UnsupportedDimension,
 )
-from .symplectic import (
-    LagrangianFrame,
-    NormalisedFrame,
-    SiegelMatrix,
-    SymplecticMetricPair,
-    frame_from_metric,
-    gram_matrix,
-    hermitian_inv_sqrt,
-    hermitian_pairing,
-    is_isotropic,
-    is_normalised,
-    metric_and_structure,
-    normalise_frame,
-    omega,
-    projections,
-    siegel_matrix,
-)
-from .polynomials import (
-    MultiPoly,
-    poly_gradient,
-    poly_recursion,
-    validate_multi_index,
-    validate_recursion_index,
-)
-from .wavepackets import (
-    Grid,
-    WavepacketParams,
-    apply_lowering,
-    eval_excited,
-    eval_ground,
-    expansion_overlap,
-    grid_inner,
-    grid_norm,
-    write_field_csv,
-)
+from .symplectic import LagrangianFrame, NormalisedFrame, omega
+from .wavepackets import Grid, WavepacketParams, eval_excited, eval_ground, grid_inner, grid_norm
 from .propagation import (
     HagedornExpansion,
     PropagatedState,
     QuadraticHamiltonian,
     Trajectory,
-    center_dynamics,
     coefficient_sweep,
-    evolve_metric_riccati,
     evolved_state_on_grid,
     flow,
     hagedorn_coefficients,
     positivity_horizon,
     propagate,
-    symplectic_defect,
-)
-from .swanson import (
-    SwansonParams,
-    SwansonStateScalars,
-    ds_flow,
-    ds_norm,
-    ds_norms,
-    ds_positivity_time,
-    ds_scalars,
-)
-from .gridsolver import (
-    DiscretizedOperator,
-    GridMarch,
-    GridPropagation,
-    discretize_hamiltonian,
-    number_operator_check,
-    propagate_grid,
-)
-from .cli import (
-    PRESETS,
-    Diagnostic,
-    ScenarioConfig,
-    load_config,
-    run_scenario,
-    standard_frame,
-    validate_config,
 )
 
 __version__ = "0.1.0"

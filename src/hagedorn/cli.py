@@ -341,7 +341,8 @@ def _parse_config(raw) -> tuple[ScenarioConfig | None, list[Diagnostic]]:
     elif n is not None:
         alphas = ((0,) * n,)
 
-    block = raw.get("oracle") or {}
+    block = raw.get("oracle")
+    block = {} if block is None else block
     oracle = None
     if not isinstance(block, dict):
         bad.add("BadOracle", "oracle must be an object")

@@ -26,9 +26,7 @@ refined by a bracketing root-find; breakdown raises PositivityLost with the
 horizon time and the truncated Trajectory.  The branch unwraps arg det W_Q
 from one sample to the next, one eigenvalue of W_Q(t_prev)⁻¹W_Q(t) at a
 time.  The stacked packet passes every check the per-state constructors of
-the symplectic module make, once per trajectory.  evolve_metric_riccati and
-center_dynamics integrate the Riccati metric and the centre ODE
-independently, as cross-checks, at the fixed rtol = atol = ODE_TOL.
+the symplectic module make, once per trajectory.
 
 U(t) carries the raising operator A†_j(Z₀) into
 Σ_l N̄_lj A†_l(Z_t) − Σ_l D_lj A_l(Z_t) + σ_j with D = N_t⁻¹M_t and the shift
@@ -61,7 +59,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import (
-    ConsistencyError,
     DimensionMismatch,
     NonSymmetricH,
     PositivityLost,
@@ -71,7 +68,6 @@ from .polynomials import poly_recursion, validate_recursion_index
 from .symplectic import (
     TOL_FRAME,
     NormalisedFrame,
-    SymplecticMetricPair,
     check_lagrangian,
     check_metric_pair,
     check_normalised,
@@ -86,8 +82,6 @@ from .symplectic import (
 )
 from .wavepackets import Grid, WavepacketParams, _excite, _ground_and_argument
 from .wavepackets import eval_ground  # noqa: F401  perfbench/tracing.py wraps it
-
-ODE_TOL = 1e-11
 
 
 def solve_ivp(*args, **kwargs):
@@ -542,108 +536,6 @@ def _centre_and_action(S, z0, B):
     dB = (d[:, None, :] @ B)[:, 0]
     action = 0.5 * (_dot(pi, xi) - z0[:n] @ z0[n:]) + 0.5 * _dot(dB, d) + _dot(pi, d)
     return np.concatenate([p, q], axis=1), action
-
-
-def evolve_metric_riccati(G0: SymplecticMetricPair, H: QuadraticHamiltonian, times):
-    """Integrate the G and J Riccati equations independently.
-
-    Ġ = ReH ΩG − GΩReH − ImH − GΩImHΩG and the J equation obtained from it by
-    G = ΩJ: J̇ = ΩReH·J − J·ΩReH + ΩImH + J·ΩImH·J, restarted at each output
-    time.  The cross-check J_t = −ΩG_t is enforced to 10×ODE_TOL at every
-    output time.
-    """
-    if not isinstance(G0, SymplecticMetricPair):
-        G0_mat = np.asarray(G0, dtype=float)
-        om0 = omega(G0_mat.shape[0] // 2)
-        G0 = SymplecticMetricPair(G=G0_mat, J=-om0 @ G0_mat)
-    n = G0.n
-    if H.n != n:
-        raise DimensionMismatch("Hamiltonian and metric dimensions differ")
-    times = _check_times(times)
-    om = omega(n)
-    n2 = 2 * n
-
-    def rhs(t, y):
-        G = y[: n2 * n2].reshape(n2, n2)
-        J = y[n2 * n2 :].reshape(n2, n2)
-        G = 0.5 * (G + G.T)
-        Ht = H(t)
-        re_h, im_h = Ht.real, Ht.imag
-        dG = re_h @ om @ G - G @ om @ re_h - im_h - G @ om @ im_h @ om @ G
-        dJ = om @ re_h @ J - J @ om @ re_h + om @ im_h + J @ om @ im_h @ J
-        return np.concatenate([dG.reshape(-1), dJ.reshape(-1)])
-
-    y = np.concatenate([G0.G.reshape(-1), G0.J.reshape(-1)])
-    out: list[SymplecticMetricPair] = []
-    t_prev = 0.0
-    scale = max(1.0, float(np.max(np.abs(G0.G))))
-    # one run per interval: on the polynomial-H test (n = 2, 401 times) the
-    # metric lands 2.3e-13 off the flow's, one run with t_eval 3.6e-11 (RK45)
-    # or 4.6e-11 (DOP853), against a 1e-12 gate
-    for t_out in times:
-        if t_out > t_prev:
-            sol = solve_ivp(rhs, (t_prev, float(t_out)), y, method="RK45",
-                            rtol=ODE_TOL, atol=ODE_TOL)
-            if not sol.success:
-                raise StepSizeUnderflow(f"Riccati integration failed: {sol.message}")
-            y = sol.y[:, -1]
-            t_prev = float(t_out)
-        G = 0.5 * (y[: n2 * n2].reshape(n2, n2) + y[: n2 * n2].reshape(n2, n2).T)
-        J = y[n2 * n2 :].reshape(n2, n2)
-        if np.max(np.abs(J + om @ G)) > 10 * ODE_TOL * scale + 1e-13:
-            raise ConsistencyError("independent J-Riccati drifted away from −ΩG")
-        # The integrated G leaves the symplectic manifold by O(ODE_TOL) per
-        # period; one Newton step of (−J²)^{−1/2} restores J² = −Id (and hence
-        # GΩG = Ω) while moving G only by O(defect²), far below ODE_TOL.
-        J_g = -om @ G
-        X = -J_g @ J_g
-        J_g = J_g @ (1.5 * np.eye(n2) - 0.5 * X)
-        G_proj = om @ J_g
-        G_proj = 0.5 * (G_proj + G_proj.T)
-        out.append(SymplecticMetricPair(G=G_proj, J=-om @ G_proj))
-    return out
-
-
-def center_dynamics(z0, H: QuadraticHamiltonian, G_path, times):
-    """Integrate ż = ΩReH z + G⁻¹ImH z and the action α_t = ∫(q̇·p − ℋ_τ(z_τ))dτ.
-
-    G_path is a callable t ↦ G.  The ODE is restarted at each output time.
-    Returns (z sequence, complex action sequence), one entry per requested
-    time.
-    """
-    n = H.n
-    z0 = np.asarray(z0, dtype=float).reshape(-1)
-    if z0.size != 2 * n:
-        raise DimensionMismatch(f"center must have 2n = {2 * n} components")
-    if not callable(G_path):
-        raise DimensionMismatch("G_path must be a callable t ↦ G")
-    times = _check_times(times)
-    om = omega(n)
-
-    def rhs(t, y):
-        z = y[: 2 * n]
-        Ht = H(t)
-        re_h, im_h = Ht.real, Ht.imag
-        G = G_path(t)
-        dz = om @ re_h @ z + np.linalg.solve(G, im_h @ z)
-        hamil = 0.5 * complex(z @ Ht @ z)
-        daction = complex(dz[n:] @ z[:n]) - hamil
-        return np.concatenate([dz, [daction.real, daction.imag]])
-
-    y = np.concatenate([z0, [0.0, 0.0]])
-    zs, actions = [], []
-    t_prev = 0.0
-    for t_out in times:
-        if t_out > t_prev:
-            sol = solve_ivp(rhs, (t_prev, float(t_out)), y, method="RK45",
-                            rtol=ODE_TOL, atol=ODE_TOL)
-            if not sol.success:
-                raise StepSizeUnderflow(f"center integration failed: {sol.message}")
-            y = sol.y[:, -1]
-            t_prev = float(t_out)
-        zs.append(y[: 2 * n].copy())
-        actions.append(complex(y[2 * n], y[2 * n + 1]))
-    return zs, actions
 
 
 @functools.lru_cache(maxsize=32)  # a run uses a few (n, |α|); each layout is ≤ TABLE_MAX

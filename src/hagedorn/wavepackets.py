@@ -1,4 +1,4 @@
-"""Hagedorn basis functions on dense grids and inter-basis expansion overlaps.
+"""Hagedorn basis functions on dense grids.
 
 The ground state is
 
@@ -21,14 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    GridMismatch,
-    NonDecayingGaussian,
-    SingularC,
-)
-from .polynomials import poly_recursion, validate_multi_index, validate_recursion_index
-from .symplectic import COND_MAX, NormalisedFrame, omega, siegel_matrix
+from .errors import DimensionMismatch, GridMismatch, NonDecayingGaussian
+from .polynomials import poly_recursion, validate_recursion_index
+from .symplectic import NormalisedFrame, siegel_matrix
+from .symplectic import omega  # noqa: F401  perfbench/tracing.py counts it
 
 
 @dataclass(frozen=True)
@@ -216,95 +212,6 @@ def eval_excited(params: WavepacketParams, alpha, grid: Grid) -> np.ndarray:
     M = Qinv @ np.conj(Q)
     ground, y = _ground_and_argument(params, grid, Qinv)
     return _excite(ground, y, poly_recursion(0.5 * (M + M.T), alpha), alpha)
-
-
-def apply_lowering(params: WavepacketParams, f: np.ndarray, grid: Grid, col: int = 0):
-    """Apply the discretized lowering operator A(l_col) to a grid field.
-
-    A(l) = (i/√(2ε)) l·Ω(ẑ − z) with p̂ realized by second-order central
-    differences (np.gradient), so the residual on the exact ground state is
-    limited by the finite-difference order.
-    """
-    n = params.n
-    d = _offsets(params, grid)
-    l = params.frame.entries[:, col]
-    w = omega(n).T @ l  # A(l) = (i/√(2ε)) (Ωᵀl)·(ẑ − z)
-    axes = grid.axes()
-    eps = params.eps
-    out = np.zeros_like(np.asarray(f, dtype=complex))
-    for j in range(n):
-        # momentum component: p̂_j f = −iε ∂_j f, shifted by the center p_j
-        grad = np.gradient(f, axes[j], axis=j, edge_order=2)
-        out += w[j] * (-1j * eps * grad - params.p[j] * f)
-    for j in range(n):
-        out += w[n + j] * d[j] * f
-    return 1j / math.sqrt(2 * eps) * out
-
-
-def _transport_matrices(alpha, beta, n):
-    """Non-negative integer n×n matrices with row sums alpha and column sums beta."""
-    results = []
-    flat = [0] * (n * n)
-
-    def fill(pos, row_left, col_left):
-        if pos == n * n:
-            results.append(tuple(flat))
-            return
-        i, j = divmod(pos, n)
-        remaining_rows = sum(row_left) - row_left[i]
-        hi = min(row_left[i], col_left[j])
-        # the rest of column j must be fillable by the rows below
-        for v in range(hi + 1):
-            if col_left[j] - v > remaining_rows:
-                continue
-            flat[pos] = v
-            row_left[i] -= v
-            col_left[j] -= v
-            if j == n - 1 and row_left[i] != 0:
-                pass  # row i is finished but not exhausted: prune
-            else:
-                fill(pos + 1, row_left, col_left)
-            row_left[i] += v
-            col_left[j] += v
-            flat[pos] = 0
-
-    fill(0, list(alpha), list(beta))
-    return results
-
-
-def expansion_overlap(Z: NormalisedFrame, C: np.ndarray, alpha, beta) -> complex:
-    """⟨φ_β(ZC), φ_α(Z)⟩ = √(α!β!) (det C̄)^{−1/2} Σ_{Λ∈m(α,β)} C^Λ/Λ!.
-
-    The sum runs over matrices with row sums α and column sums β; it is empty
-    (value 0) when |α| ≠ |β|.  Principal branch of (det C̄)^{1/2}, matching
-    eval_ground's branch policy.
-    """
-    if not isinstance(Z, NormalisedFrame):
-        Z = NormalisedFrame(Z)
-    n = Z.n
-    C = np.atleast_2d(np.asarray(C, dtype=complex))
-    if C.shape != (n, n):
-        raise DimensionMismatch(f"C must be {n}×{n}")
-    if abs(np.linalg.det(C)) < 1e-300 or np.linalg.cond(C) > COND_MAX:
-        raise SingularC("C is singular")
-    alpha = validate_multi_index(alpha, n)
-    beta = validate_multi_index(beta, n)
-    if sum(alpha) != sum(beta):
-        return 0j
-    total = 0j
-    for lam in _transport_matrices(alpha, beta, n):
-        term = 1.0 + 0j
-        for pos, power in enumerate(lam):
-            if power:
-                i, j = divmod(pos, n)
-                term *= C[i, j] ** power / math.factorial(power)
-        total += term
-    fact = math.sqrt(
-        math.prod(math.factorial(a) for a in alpha)
-        * math.prod(math.factorial(b) for b in beta)
-    )
-    det_cbar = np.linalg.det(np.conj(C))
-    return fact * total / np.exp(0.5 * np.log(complex(det_cbar)))
 
 
 def write_field_csv(f: np.ndarray, grid: Grid, path) -> None:

@@ -11,10 +11,10 @@ from hagedorn.gridsolver import (
     number_operator_check,
     propagate_grid,
 )
+from hagedorn.oracles import evolve_metric_riccati, expansion_overlap
 from hagedorn.polynomials import poly_gradient, poly_recursion
 from hagedorn.propagation import (
     QuadraticHamiltonian,
-    evolve_metric_riccati,
     evolved_state_on_grid,
     hagedorn_coefficients,
     positivity_horizon,
@@ -34,7 +34,6 @@ from hagedorn.wavepackets import (
     Grid,
     WavepacketParams,
     eval_excited,
-    expansion_overlap,
     grid_inner,
     grid_norm,
 )

@@ -134,6 +134,11 @@ REJECTIONS = [
     ("grid-lo-inf", "mini", ("oracle", "grid", "lo"), -math.inf, "BadOracle"),
     ("grid-count-fraction", "mini", ("oracle", "grid", "count"), 512.9, "BadOracle"),
     ("oracle-enabled-string", "mini", ("oracle", "enabled"), "no", "BadOracle"),
+    # only a missing or null oracle block means "no block"
+    ("oracle-false", "hermitian-sanity", ("oracle",), False, "BadOracle"),
+    ("oracle-zero", "hermitian-sanity", ("oracle",), 0, "BadOracle"),
+    ("oracle-empty-list", "hermitian-sanity", ("oracle",), [], "BadOracle"),
+    ("oracle-empty-string", "hermitian-sanity", ("oracle",), "", "BadOracle"),
     ("omega0-bool", "horizon", ("swanson", "omega0"), True, "BadSwanson"),
     ("omega0-string", "horizon", ("swanson", "omega0"), "1.0", "BadSwanson"),
     ("metric-bools", "squeezed-metric", ("initial", "metric"), [[True, False], [False, True]],

@@ -1,6 +1,7 @@
-"""Import direction: the core modules never reach the checking side or the CLI.
-The names perfbench/tracing.py rebinds all exist in the package, and a
-constant-H run loads neither scipy.integrate nor scipy.optimize."""
+"""Import direction: the core modules never reach the checking side or the CLI,
+and `import hagedorn` loads neither.  The names perfbench/tracing.py rebinds
+all exist in the package, and a constant-H run loads neither scipy.integrate
+nor scipy.optimize."""
 
 import ast
 import importlib.util
@@ -15,7 +16,7 @@ import hagedorn
 
 PACKAGE = Path(hagedorn.__file__).parent
 CORE = ["symplectic", "polynomials", "wavepackets", "propagation"]
-OUTER = {"swanson", "gridsolver", "cli"}
+OUTER = {"swanson", "gridsolver", "oracles", "cli"}
 
 
 def imported_modules(path):
@@ -38,8 +39,12 @@ def test_core_module_imports_nothing_from_the_outer_modules(module):
 
 
 def test_import_scan_sees_the_outer_modules():
-    # cli imports all three the other way round, so the scan would notice them
-    assert OUTER - {"cli"} <= imported_modules(PACKAGE / "cli.py")
+    # cli imports swanson and gridsolver, and a test module imports oracles and
+    # cli, so the scan would notice each outer name
+    seen = imported_modules(PACKAGE / "cli.py") | imported_modules(
+        Path(__file__).with_name("test_propagation.py")
+    )
+    assert OUTER <= seen
 
 
 def load_tracing():
@@ -64,6 +69,24 @@ def test_tracer_installs_and_uninstalls_cleanly():
         tracer.uninstall()
     for (owner, attr), original in zip(targets, originals):
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
+
+
+ROOT_CHECK = """
+import sys
+import hagedorn
+outer = ["hagedorn.cli", "hagedorn.gridsolver", "hagedorn.swanson", "hagedorn.oracles",
+         "scipy.integrate", "scipy.optimize"]
+print(sorted(m for m in outer if m in sys.modules))
+"""
+
+
+def test_package_root_loads_only_the_production_side():
+    # a fresh interpreter: this suite has imported every module already
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", ROOT_CHECK], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 LAZY_CHECK = """

@@ -17,12 +17,11 @@ from hagedorn.errors import (
     PositivityLost,
 )
 from hagedorn.gridsolver import discretize_hamiltonian, propagate_grid
+from hagedorn.oracles import center_dynamics, evolve_metric_riccati
 from hagedorn.polynomials import poly_recursion
 from hagedorn.propagation import (
     HagedornExpansion,
     QuadraticHamiltonian,
-    center_dynamics,
-    evolve_metric_riccati,
     evolved_state_on_grid,
     flow,
     hagedorn_coefficients,

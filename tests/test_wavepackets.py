@@ -7,14 +7,13 @@ import pytest
 from scipy.linalg import expm
 
 from hagedorn.errors import DimensionMismatch, GridMismatch, SingularC
+from hagedorn.oracles import apply_lowering, expansion_overlap
 from hagedorn.symplectic import LagrangianFrame, NormalisedFrame, omega
 from hagedorn.wavepackets import (
     Grid,
     WavepacketParams,
-    apply_lowering,
     eval_excited,
     eval_ground,
-    expansion_overlap,
     grid_inner,
     grid_norm,
     write_field_csv,
