@@ -46,8 +46,11 @@ from .polynomials import validate_recursion_index
 from .propagation import (
     QuadraticHamiltonian,
     Trajectory,
+    amplitude,
     coefficient_sweep,
     evolved_state_on_grid,
+    expansion_norm,
+    log_prefactor,
     propagate,
 )
 from .propagation import hagedorn_coefficients  # noqa: F401  perfbench/tracing.py wraps it
@@ -215,6 +218,14 @@ def _times(block) -> np.ndarray:
     return times
 
 
+def _alphas(val, n: int | None) -> tuple:
+    """The initial multi-indices, none repeated (its rows and cases would be twice)."""
+    alphas = _list(val, functools.partial(validate_recursion_index, n=n))
+    if len(set(alphas)) < len(alphas):
+        raise ValueError(f"a multi-index is repeated in {[list(a) for a in alphas]}")
+    return alphas
+
+
 def _oracle_times(val) -> tuple:
     return tuple(sorted(set(_list(val, _positive))))
 
@@ -321,9 +332,10 @@ def _parse_config(raw) -> tuple[ScenarioConfig | None, list[Diagnostic]]:
         except (HagedornError, *_MALFORMED) as exc:
             bad.add("BadHamiltonian", f"hamiltonian block invalid: {exc}")
     n = hamiltonian.n if hamiltonian is not None else None
-    if swanson is not None and hamiltonian is not None and hamiltonian.is_constant:
-        if n != 1 or not np.allclose(hamiltonian(0.0), swanson.matrix(), rtol=0.0, atol=1e-12):
-            bad.add("SwansonMismatch", "swanson block does not match the hamiltonian matrix")
+    if swanson is not None and hamiltonian is not None:
+        comparable = hamiltonian.is_constant and n == 1
+        if not (comparable and np.allclose(hamiltonian(0.0), swanson.matrix(), atol=1e-12, rtol=0)):
+            bad.add("SwansonMismatch", "swanson block needs a constant hamiltonian of its matrix")
 
     frame = bad.read("BadFrame", "initial", _frame, raw.get("initial"), n)
     center = None
@@ -336,8 +348,7 @@ def _parse_config(raw) -> tuple[ScenarioConfig | None, list[Diagnostic]]:
     times = bad.read("BadTimeGrid", "times", _times, raw.get("times"))
     alphas = None
     if "alphas" in raw:
-        alpha = functools.partial(validate_recursion_index, n=n)
-        alphas = bad.read("BadAlpha", "alphas", _list, raw["alphas"], alpha)
+        alphas = bad.read("BadAlpha", "alphas", _alphas, raw["alphas"], n)
     elif n is not None:
         alphas = ((0,) * n,)
 
@@ -406,17 +417,6 @@ class _Computed:
     closed_norms: dict | None  # α → the closed-form Swanson norm per state
 
 
-def _norms(prefactor: np.ndarray, a: np.ndarray) -> list:
-    """prefactor·(Σ_k |a_k|²)^{1/2} per row of a, bit for bit as
-    HagedornExpansion.norm computes it: np.hypot is the libm hypot behind
-    abs(), and each square is Python's ** 2, which numpy's square does not
-    always match in the last bit."""
-    return [
-        p * math.sqrt(math.fsum([x ** 2 for x in row]))
-        for p, row in zip(prefactor.tolist(), np.hypot(a.real, a.imag).tolist())
-    ]
-
-
 def _compute(config: ScenarioConfig) -> _Computed:
     oracle_times = config.oracle.times if config.oracle is not None else ()
     all_times = sorted(set(config.times) | set(oracle_times))
@@ -429,9 +429,8 @@ def _compute(config: ScenarioConfig) -> _Computed:
         horizon = exc.t_star
         all_states = exc.states
     times = all_states.t.tolist()
-    # Re(iα_t/ε + β_t) = β_t − Im α_t/ε, bit for bit as PropagatedState.log_prefactor
-    gain = all_states.beta - all_states.action.imag / all_states.eps
-    prefactor = np.array([math.exp(g) for g in gain.tolist()])
+    logs = log_prefactor(all_states.beta, all_states.action, all_states.eps)
+    prefactor = np.array([amplitude(g) for g in logs.tolist()])
     expansions = {alpha: coefficient_sweep(all_states, alpha) for alpha in config.alphas}
     closed_norms = None
     if config.swanson is not None:
@@ -447,7 +446,10 @@ def _compute(config: ScenarioConfig) -> _Computed:
         horizon=horizon,
         prefactor=prefactor,
         expansions=expansions,
-        norms={alpha: _norms(prefactor, a) for alpha, (_, a) in expansions.items()},
+        norms={
+            alpha: [expansion_norm(p, row) for p, row in zip(prefactor.tolist(), a.tolist())]
+            for alpha, (_, a) in expansions.items()
+        },
         closed_norms=closed_norms,
     )
 
@@ -482,7 +484,7 @@ def _run_oracle(config: ScenarioConfig, run: _Computed) -> list[dict]:
     cases = []
     for alpha in config.alphas:
         psi0 = eval_excited(params0, alpha, oracle.grid)
-        k = int(alpha[0]) if config.n == 1 else _alpha_label(alpha)
+        k = int(alpha[0])
         error = None
         try:
             results = propagate_grid(

@@ -42,6 +42,8 @@ states of the swanson-fig1 preset carry up to 7.9e-4 of their norm at
 |p| > 7.5 at t = π/2ω).  The damping is part of the stepping scheme, not of
 the returned operator; discretize_hamiltonian always returns the pure Weyl
 discretization.
+
+The number-operator residual of an excited state is in hagedorn.oracles.
 """
 
 from __future__ import annotations
@@ -60,9 +62,7 @@ from .errors import (
     NonSymmetricH,
     UnsupportedDimension,
 )
-from .polynomials import validate_multi_index
-from .symplectic import SymplecticMetricPair, frame_from_metric
-from .wavepackets import Grid, WavepacketParams, eval_excited, grid_norm
+from .wavepackets import Grid, grid_norm
 
 DT_DEFAULT = 1e-3
 GRID_TOL_DEFAULT = 1e-8  # Richardson estimate per unit time
@@ -288,26 +288,3 @@ def outside_window(field: np.ndarray, grid: Grid, eps: float) -> tuple[float, fl
         share(field, np.abs(grid.axes()[0]) > DAMP_ONSET_X),
         share(spectrum, np.abs(_momenta(grid, eps)) > DAMP_ONSET_P),
     )
-
-
-def number_operator_check(G, eps: float, grid: Grid, alpha) -> float:
-    """Residual ‖Op[ν]φ_α − (|α|+n)φ_α‖/‖φ_α‖ for ν(z) = (z·Gz + nε)/(2ε).
-
-    The frame is reconstructed from the metric, so the eigenvalue |α|+n comes
-    from the per-mode ladder algebra.
-    """
-    _require_1d(grid)
-    if isinstance(G, SymplecticMetricPair):
-        G_mat = G.G
-    else:
-        G_mat = np.asarray(G, dtype=float)
-    if G_mat.shape != (2, 2):
-        raise UnsupportedDimension("only n = 1 metrics are supported here")
-    alpha = validate_multi_index(alpha, 1)
-    frame = frame_from_metric(G_mat)
-    params = WavepacketParams(frame=frame, center=np.zeros(2), eps=eps)
-    phi = eval_excited(params, alpha, grid)
-    op = discretize_hamiltonian(G_mat / eps, eps, grid)
-    nu_phi = op.matrix @ phi + 0.5 * phi  # + nε/(2ε) with n = 1
-    target = (sum(alpha) + 1) * phi
-    return grid_norm(nu_phi - target, grid) / grid_norm(phi, grid)

@@ -11,7 +11,10 @@ one against the other:
 - apply_lowering applies the lowering operator A(l) to a grid field by
   finite differences, and expansion_overlap gives ⟨φ_β(ZC), φ_α(Z)⟩ from
   its closed-form sum over transport matrices (Hagedorn, Ann. Phys. 269
-  (1998)).
+  (1998));
+- differentiate and poly_gradient give a MultiPoly's derivatives, and
+  number_operator_check applies the grid oracle's number operator to the
+  excited state eval_excited builds from a metric.
 
 This module takes input types and validators from the production side, never
 the flow, the trajectory assembly or the frame and metric it checks.  The
@@ -27,10 +30,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ConsistencyError, DimensionMismatch, SingularC, StepSizeUnderflow
-from .polynomials import validate_multi_index
+from .errors import UnsupportedDimension
+from .gridsolver import _require_1d, discretize_hamiltonian
+from .polynomials import MultiPoly, validate_multi_index
 from .propagation import QuadraticHamiltonian, _check_times
-from .symplectic import COND_MAX, NormalisedFrame, SymplecticMetricPair, omega
-from .wavepackets import Grid, WavepacketParams, _offsets
+from .symplectic import COND_MAX, NormalisedFrame, SymplecticMetricPair, frame_from_metric, omega
+from .wavepackets import Grid, WavepacketParams, _offsets, eval_excited, grid_norm
 
 ODE_TOL = 1e-11
 
@@ -224,3 +229,48 @@ def expansion_overlap(Z: NormalisedFrame, C: np.ndarray, alpha, beta) -> complex
     )
     det_cbar = np.linalg.det(np.conj(C))
     return fact * total / np.exp(0.5 * np.log(complex(det_cbar)))
+
+
+def differentiate(p: MultiPoly, j: int) -> MultiPoly:
+    """Partial derivative of p in variable j."""
+    size = p.array.shape[j]
+    if size == 1:
+        return MultiPoly(np.zeros_like(p.array))
+    powers = np.arange(1, size).reshape((-1,) + (1,) * (p.n - 1 - j))
+    return MultiPoly(p.array[(slice(None),) * j + (slice(1, None),)] * powers)
+
+
+def poly_gradient(p: MultiPoly, alpha=None):
+    """Analytic gradients (∂_1 p, …, ∂_n p).
+
+    For p = poly_recursion(M, α) these equal α_j · r_{α−e_j}; the identity is
+    what the property tests assert.
+    """
+    if alpha is not None:
+        alpha = validate_multi_index(alpha, p.n)
+        if p.degree > sum(alpha):
+            raise DimensionMismatch("polynomial degree exceeds |alpha|")
+    return tuple(differentiate(p, j) for j in range(p.n))
+
+
+def number_operator_check(G, eps: float, grid: Grid, alpha) -> float:
+    """Residual ‖Op[ν]φ_α − (|α|+n)φ_α‖/‖φ_α‖ for ν(z) = (z·Gz + nε)/(2ε).
+
+    The frame is reconstructed from the metric, so the eigenvalue |α|+n comes
+    from the per-mode ladder algebra.
+    """
+    _require_1d(grid)
+    if isinstance(G, SymplecticMetricPair):
+        G_mat = G.G
+    else:
+        G_mat = np.asarray(G, dtype=float)
+    if G_mat.shape != (2, 2):
+        raise UnsupportedDimension("only n = 1 metrics are supported here")
+    alpha = validate_multi_index(alpha, 1)
+    frame = frame_from_metric(G_mat)
+    params = WavepacketParams(frame=frame, center=np.zeros(2), eps=eps)
+    phi = eval_excited(params, alpha, grid)
+    op = discretize_hamiltonian(G_mat / eps, eps, grid)
+    nu_phi = op.matrix @ phi + 0.5 * phi  # + nε/(2ε) with n = 1
+    target = (sum(alpha) + 1) * phi
+    return grid_norm(nu_phi - target, grid) / grid_norm(phi, grid)

@@ -2,9 +2,9 @@
 
 A MultiPoly holds a dense array whose entry k is the coefficient of x^k;
 .coeffs is a read-only {multi-index: coefficient} view of its nonzeros.  The
-recursion, the substitution x → Ax, differentiation and nested-Horner
-evaluation all run on the array, where x_j shifts the coefficients one place
-along axis j.  r_α(x; M) is given by
+recursion, the substitution x → Ax and nested-Horner evaluation all run on
+the array, where x_j shifts the coefficients one place along axis j.
+r_α(x; M) is given by
 
     r_{γ+e_j} = x_j r_γ − Σ_k M_{jk} γ_k r_{γ−e_k},    r_0 = 1,
 
@@ -16,7 +16,8 @@ polynomials.
 Grid fields evaluate r_α directly.  compose_linear, the substitution x → Ax,
 serves as the reference route: r_α(N_tx; M_t) scaled by √(k!)/√(α!) is the
 paper's formula for the activation coefficients, which tests compare the
-ladder recursion of hagedorn_coefficients against.
+ladder recursion of hagedorn_coefficients against.  Derivatives, which only
+tests take, are in hagedorn.oracles.
 """
 
 from __future__ import annotations
@@ -138,14 +139,6 @@ class MultiPoly:
         out[...] = _horner(self.array, [x[..., j] for j in range(self.n)])
         return out
 
-    def differentiate(self, j: int) -> "MultiPoly":
-        """Partial derivative in variable j."""
-        size = self.array.shape[j]
-        if size == 1:
-            return MultiPoly(np.zeros_like(self.array))
-        powers = np.arange(1, size).reshape((-1,) + (1,) * (self.n - 1 - j))
-        return MultiPoly(self.array[(slice(None),) * j + (slice(1, None),)] * powers)
-
     def compose_linear(self, A: np.ndarray) -> "MultiPoly":
         """Return p(Ax) for a square matrix A (same variable count) by nested Horner
         in y = Ax, last variable first, on dense arrays; y_i·acc is n shifts of acc.
@@ -240,16 +233,3 @@ def poly_recursion(M: np.ndarray, alpha) -> MultiPoly:
             lower = prev[:k] + (prev[k] - 1,) + prev[k + 1 :]
             result -= M[j, k] * prev[k] * table[lower]
     return MultiPoly(table[alpha])
-
-
-def poly_gradient(p: MultiPoly, alpha=None):
-    """Analytic gradients (∂_1 p, …, ∂_n p).
-
-    For p = poly_recursion(M, α) these equal α_j · r_{α−e_j}; the identity is
-    what the property tests assert.
-    """
-    if alpha is not None:
-        alpha = validate_multi_index(alpha, p.n)
-        if p.degree > sum(alpha):
-            raise DimensionMismatch("polynomial degree exceeds |alpha|")
-    return tuple(p.differentiate(j) for j in range(p.n))

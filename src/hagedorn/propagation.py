@@ -25,8 +25,9 @@ takes them all in one batched pass.  The horizon is the first sign change,
 refined by a bracketing root-find; breakdown raises PositivityLost with the
 horizon time and the truncated Trajectory.  The branch unwraps arg det W_Q
 from one sample to the next, one eigenvalue of W_Q(t_prev)⁻¹W_Q(t) at a
-time.  The stacked packet passes every check the per-state constructors of
-the symplectic module make, once per trajectory.
+time.  The scan hands W, its Gram matrices and their λ_min at the output
+times to the assembly, which passes every other check the per-state
+constructors of the symplectic module make, once per trajectory.
 
 U(t) carries the raising operator A†_j(Z₀) into
 Σ_l N̄_lj A†_l(Z_t) − Σ_l D_lj A_l(Z_t) + σ_j with D = N_t⁻¹M_t and the shift
@@ -40,7 +41,8 @@ but not in floating point: z_t comes out of a real solve that reproduces
 S_tz₀ only to rounding, so σ_t is noise of about 1e-16 and slots with
 |α| − |k| odd can hold entries of that size.  coefficient_sweep runs the
 recursion once per α over every time of a Trajectory; hagedorn_coefficients
-is its one-row call at one state.
+is its one-row call at one state.  log_prefactor (iα_t/ε + β_t), amplitude
+(its e^{Re}) and expansion_norm are the package's one route to the norm.
 
 scipy.integrate and scipy.optimize are imported on first use: a constant H
 without a positivity crossing needs neither.
@@ -71,7 +73,6 @@ from .symplectic import (
     check_lagrangian,
     check_metric_pair,
     check_normalised,
-    check_positive_gram,
     frame_metric,
     gram_margin,
     gram_matrix,
@@ -196,7 +197,6 @@ class PropagatedState:
     M: np.ndarray
     Mtilde: np.ndarray
     G: np.ndarray
-    J: np.ndarray
     logdetQ: complex
     eps: float
     symplectic_defect: float
@@ -205,7 +205,7 @@ class PropagatedState:
     @property
     def log_prefactor(self) -> complex:
         """log of the scalar prefactor: iα_t/ε + β_t (Im α folds into amplitude)."""
-        return 1j * self.action / self.eps + self.beta
+        return complex(log_prefactor(self.beta, self.action, self.eps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +229,6 @@ class Trajectory(Sequence):
     M: np.ndarray
     Mtilde: np.ndarray
     G: np.ndarray
-    J: np.ndarray
     logdetQ: np.ndarray
     eps: float
     symplectic_defect: np.ndarray
@@ -262,7 +261,6 @@ class Trajectory(Sequence):
                 M=self.M[i],
                 Mtilde=self.Mtilde[i],
                 G=self.G[i],
-                J=self.J[i],
                 logdetQ=complex(self.logdetQ[i]),
                 eps=self.eps,
                 symplectic_defect=float(self.symplectic_defect[i]),
@@ -280,8 +278,26 @@ class HagedornExpansion:
 
     def norm(self) -> float:
         """Predicted L² norm e^{Re log_prefactor}·(Σ|a_k|²)^{1/2}."""
-        total = math.fsum(abs(a) ** 2 for a in self.coefficients.values())
-        return math.exp(self.log_prefactor.real) * math.sqrt(total)
+        return expansion_norm(amplitude(self.log_prefactor), self.coefficients.values())
+
+
+def log_prefactor(beta, action, eps):
+    """iα_t/ε + β_t at one time or over stacks.  The real part β_t − Im α_t/ε is
+    taken in real arithmetic: numpy divides a complex stack by ε as a product
+    with 1/ε, which for ε ≠ 1 moves last bits."""
+    return (beta - action.imag / eps) + 1j * (action.real / eps)
+
+
+def amplitude(log_prefactor: complex) -> float:
+    """|e^{log_prefactor}| by math.exp, which np.exp need not match in the last bit."""
+    return math.exp(log_prefactor.real)
+
+
+def expansion_norm(amp: float, coefficients) -> float:
+    """amp·(Σ_k |a_k|²)^{1/2}, the norm of U(t)φ_α from its amplitude and its
+    activation coefficients: Python's ** 2, which numpy's square does not always
+    match in the last bit, and an exact fsum, which no zero or order changes."""
+    return amp * math.sqrt(math.fsum([abs(a) ** 2 for a in coefficients]))
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -383,18 +399,13 @@ def flow(H: QuadraticHamiltonian, t0: float, t1: float):
     return _LinearFlow(H, t0, t1).at(t1, t0, np.eye(2 * H.n, dtype=complex))
 
 
-def _positivity_margin(W: np.ndarray):
-    """λ_min of the Gram matrix of W (of each frame of a stack) above the floor
-    that normalise_frame applies."""
-    return gram_margin(gram_matrix(W))[1]
-
-
 def _scan(Z0: NormalisedFrame, H: QuadraticHamiltonian, times):
-    """(S_t, log det W_Q, horizon) with W = S_tZ₀, stacked over the output times.
+    """(S_t, W, gram, λ_min, log det W_Q, horizon) stacked over the output times:
+    W = S_tZ₀, gram = (1/2i)W*ΩW and λ_min its smallest eigenvalue.
 
-    One batched eigvalsh checks every flow sample for positivity; the stacks
-    stop before the first failing sample, and the horizon is None when none
-    fails.  log det W_Q carries over from one sample to the next by the
+    One batched eigvalsh checks every flow sample against gram_margin; the
+    stacks stop before the first failing sample, and the horizon is None when
+    none fails.  log det W_Q carries over from one sample to the next by the
     principal logs of the eigenvalues of W_Q(t_prev)⁻¹W_Q(t), one batched
     solve and eigvals summed by cumsum, so it starts on the principal branch
     and stays continuous as long as no eigenvalue turns by π within one step.
@@ -405,7 +416,8 @@ def _scan(Z0: NormalisedFrame, H: QuadraticHamiltonian, times):
     ts, flows = linear.samples(times)
     n, W0 = Z0.n, Z0.entries
     W = flows @ W0
-    margin = _positivity_margin(W)
+    gram = gram_matrix(W)
+    min_eig, margin = gram_margin(gram)
     failed = np.flatnonzero(margin <= 0)
     good = int(failed[0]) if failed.size else len(ts)
     WQ = W[:good, n:]
@@ -417,10 +429,10 @@ def _scan(Z0: NormalisedFrame, H: QuadraticHamiltonian, times):
     if failed.size:
         t_prev, S_prev = ts[good - 1], flows[good - 1]
         t_star = _crossing(
-            lambda s: float(_positivity_margin(linear.at(s, t_prev, S_prev) @ W0)),
+            lambda s: float(gram_margin(gram_matrix(linear.at(s, t_prev, S_prev) @ W0))[1]),
             t_prev, float(ts[good]), margin[good - 1], margin[good],
         )
-    return flows[ends], logs[ends], t_star
+    return flows[ends], W[ends], gram[ends], min_eig[ends], logs[ends], t_star
 
 
 def _crossing(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -457,31 +469,28 @@ def propagate(Z0: NormalisedFrame, z0, H: QuadraticHamiltonian, times, eps: floa
         raise DimensionMismatch(f"center must have 2n = {2 * n} components")
     times = _check_times(times)
 
-    S, log_det_wq, t_star = _scan(Z0, H, times)
-    trajectory = _trajectory(times[: len(S)], S, Z0.entries, z0, log_det_wq, eps)
+    *stacks, t_star = _scan(Z0, H, times)
+    trajectory = _trajectory(times, *stacks, Z0.entries, z0, eps)
     if t_star is not None:
         raise PositivityLost(t_star, trajectory)
     return trajectory
 
 
-def _trajectory(times, S, Z0, z0, log_det_wq, eps) -> Trajectory:
-    """The packet at every output time from the stacked flow S, one batched call a step.
+def _trajectory(times, S, W, gram, min_positivity, log_det_wq, Z0, z0, eps) -> Trajectory:
+    """The packet at the first len(S) times from _scan's stacks, one batched call a step.
 
-    The stack runs once through every check the per-state constructors make
-    (normalise_frame, NormalisedFrame, SymplecticMetricPair, siegel_matrix),
-    with their tolerances, scales and errors.
+    _scan has tested positivity, with normalise_frame's margin, at every time
+    it kept.  The stack runs once through every other check the per-state
+    constructors make (normalise_frame, NormalisedFrame, SymplecticMetricPair,
+    siegel_matrix), with their tolerances, scales and errors.
     """
     n = Z0.shape[1]
-    W = S @ Z0
-    gram = gram_matrix(W)
-    min_positivity = check_positive_gram(gram)
     N = hermitian_inv_sqrt(gram)
     Z = W @ N
     check_lagrangian(Z)
     check_normalised(Z)
     G = frame_metric(Z)
-    J = -omega(n) @ G
-    check_metric_pair(G, J)
+    check_metric_pair(G, -omega(n) @ G)
 
     W_bar_flow = S @ np.conj(Z0)
     M = 0.25 * (_t(W_bar_flow) @ G @ W_bar_flow)
@@ -496,7 +505,7 @@ def _trajectory(times, S, Z0, z0, log_det_wq, eps) -> Trajectory:
     # σ_j = −(i/√(2ε)) (S_tZ̄₀e_j)ᵀ Ω (z_t − S_tz₀); exactly 0 when z₀ = 0
     sigma = -1j / math.sqrt(2 * eps) * (_t(W_bar_flow) @ omega(n) @ (z - S @ z0)[..., None])[..., 0]
     return Trajectory(
-        t=np.array(times, dtype=float),
+        t=np.array(times[: len(S)], dtype=float),
         S=S,
         Z=Z,
         N=N,
@@ -507,7 +516,6 @@ def _trajectory(times, S, Z0, z0, log_det_wq, eps) -> Trajectory:
         M=M,
         Mtilde=Mtilde,
         G=G,
-        J=J,
         logdetQ=log_det_wq + log_det_n,
         eps=float(eps),
         symplectic_defect=symplectic_defect(S),
@@ -732,5 +740,5 @@ def positivity_horizon(Z0: NormalisedFrame, H: QuadraticHamiltonian, t_max: floa
         Z0 = NormalisedFrame(Z0)
     if H.n != Z0.n:
         raise DimensionMismatch("Hamiltonian and frame dimensions differ")
-    t_star = _scan(Z0, H, np.array([float(t_max)]))[2]
+    t_star = _scan(Z0, H, np.array([float(t_max)]))[-1]
     return math.inf if t_star is None else t_star

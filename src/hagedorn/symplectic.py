@@ -39,12 +39,11 @@ def omega(n: int) -> np.ndarray:
     return om
 
 
-# Helpers on one matrix or a stack of them (leading axes); the one-matrix
-# branches keep the per-object constructors as cheap as plain numpy calls.
+# Helpers on one matrix or a stack of them (leading axes).
 
 
 def _mT(a: np.ndarray) -> np.ndarray:
-    return a.T if a.ndim == 2 else np.swapaxes(a, -1, -2)
+    return np.swapaxes(a, -1, -2)
 
 
 def _mH(a: np.ndarray) -> np.ndarray:
@@ -53,13 +52,11 @@ def _mH(a: np.ndarray) -> np.ndarray:
 
 def _worst(a: np.ndarray):
     """max |a| of each matrix of a stack (the last two axes)."""
-    return np.abs(a).max() if a.ndim == 2 else np.abs(a).max(axis=(-2, -1))
+    return np.abs(a).max(axis=(-2, -1))
 
 
 def _scale(a: np.ndarray):
     # Tolerances are relative to max(1, ‖input‖) for scale robustness, per matrix.
-    if a.ndim == 2:
-        return max(1.0, float(_worst(a))) if a.size else 1.0
     return np.maximum(1.0, _worst(a)) if a.size else np.ones(a.shape[:-2])
 
 

@@ -212,18 +212,3 @@ def eval_excited(params: WavepacketParams, alpha, grid: Grid) -> np.ndarray:
     M = Qinv @ np.conj(Q)
     ground, y = _ground_and_argument(params, grid, Qinv)
     return _excite(ground, y, poly_recursion(0.5 * (M + M.T), alpha), alpha)
-
-
-def write_field_csv(f: np.ndarray, grid: Grid, path) -> None:
-    """Snapshot CSV: columns x (or x1,x2), re, im; 17 significant digits."""
-    f = np.asarray(f)
-    if f.shape != tuple(grid.counts):
-        raise GridMismatch("field does not live on the given grid")
-    points = grid.points().reshape(-1, grid.n)
-    values = f.reshape(-1)
-    header = ("x" if grid.n == 1 else "x1,x2") + ",re,im"
-    with open(path, "w", newline="") as handle:
-        handle.write(header + "\n")
-        for row, val in zip(points, values):
-            coords = ",".join("%.17g" % c for c in row)
-            handle.write(f"{coords},{'%.17g' % val.real},{'%.17g' % val.imag}\n")

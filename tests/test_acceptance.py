@@ -6,13 +6,14 @@ import time
 import numpy as np
 from scipy.linalg import expm
 
-from hagedorn.gridsolver import (
-    discretize_hamiltonian,
+from hagedorn.gridsolver import discretize_hamiltonian, propagate_grid
+from hagedorn.oracles import (
+    evolve_metric_riccati,
+    expansion_overlap,
     number_operator_check,
-    propagate_grid,
+    poly_gradient,
 )
-from hagedorn.oracles import evolve_metric_riccati, expansion_overlap
-from hagedorn.polynomials import poly_gradient, poly_recursion
+from hagedorn.polynomials import poly_recursion
 from hagedorn.propagation import (
     QuadraticHamiltonian,
     evolved_state_on_grid,

@@ -116,6 +116,8 @@ def test_run_rejects_bad_alpha(tmp_path, capsys, alpha):
 
 STANDARD_FRAME_2D = [[[0.0, 1.0], 0.0], [0.0, [0.0, 1.0]], [1.0, 0.0], [0.0, 1.0]]
 IDENTITY_2 = [[1.0, 0.0], [0.0, 1.0]]
+IDENTITY_4 = [[float(i == j) for j in range(4)] for i in range(4)]
+HORIZON_H = PRESETS["horizon"]["hamiltonian"]["matrix"]
 
 # (id, base config, path to the value, value, diagnostic code); "mini" is
 # mini_config(), anything else a preset.  Each value reaches the runner only
@@ -169,7 +171,26 @@ REJECTIONS = [
      "BadHamiltonian"),
     # the Swanson closed forms hold for a packet centred at the origin only
     ("swanson-displaced", "swanson-fig1", ("center",), [0.4, 0.6], "SwansonMismatch"),
+    # ... and for the Swanson matrix held constant
+    ("swanson-sampled-hamiltonian", "horizon", ("hamiltonian",),
+     {"type": "sampled", "times": [0.0, 2.0], "matrices": [HORIZON_H, IDENTITY_2]},
+     "SwansonMismatch"),
+    ("swanson-polynomial-2-mode", "horizon", ("hamiltonian",),
+     {"type": "polynomial", "coefficients": [IDENTITY_4, IDENTITY_4]}, "SwansonMismatch"),
+    # a repeated α would write its rows and run its oracle cases twice
+    ("alphas-repeated", "horizon", ("alphas",), [[0], [0]], "BadAlpha"),
 ]
+
+
+def test_swanson_block_rejects_a_two_mode_hamiltonian():
+    # the swanson-polynomial-2-mode row also gets frame, center and alpha
+    # faults; here every other key fits n = 2, so the mismatch is the only one
+    raw = {
+        "swanson": PRESETS["horizon"]["swanson"],
+        "hamiltonian": {"type": "polynomial", "coefficients": [IDENTITY_4, IDENTITY_4]},
+        "initial": "standard", "center": [0.0] * 4, "times": [0.0, 1.0], "alphas": [[0, 0]],
+    }
+    assert [d.code for d in validate_config(raw)] == ["SwansonMismatch"]
 
 
 def test_run_rejects_alpha_whose_table_is_too_large(tmp_path, capsys):

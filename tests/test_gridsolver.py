@@ -20,9 +20,9 @@ from hagedorn.gridsolver import (
     GridPropagation,
     _damping_matrix,
     discretize_hamiltonian,
-    number_operator_check,
     propagate_grid,
 )
+from hagedorn.oracles import number_operator_check
 from hagedorn.propagation import QuadraticHamiltonian, propagate
 from hagedorn.swanson import L0, SwansonParams
 from hagedorn.symplectic import (

@@ -16,6 +16,7 @@ from hagedorn.cli import PRESETS, load_config, run_scenario, standard_frame
 from hagedorn.errors import PositivityLost
 from hagedorn.propagation import (
     QuadraticHamiltonian,
+    amplitude,
     coefficient_sweep,
     hagedorn_coefficients,
     propagate,
@@ -145,9 +146,30 @@ def per_state_table(run, alpha) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("name", sorted(PRESETS))
+def displaced_two_mode_config():
+    """A displaced packet under a non-Hermitian constant H with n = 2 at ε = 0.7:
+    its action has an imaginary part, so the gain divides a nonzero Im α_t by ε.
+    Dividing the complex stack by ε instead moves three of its 40 prefactors."""
+    matrix = [[[v.real, v.imag] for v in row] for row in seeded_matrix(13, 2).tolist()]
+    return {
+        "name": "displaced-2-mode", "eps": 0.7,
+        "hamiltonian": {"type": "constant", "matrix": matrix}, "initial": "standard",
+        "center": [0.8, -0.6, 1.0, 0.4], "times": {"start": 0.0, "stop": 1.5, "count": 40},
+        "alphas": [[0, 0], [2, 1], [1, 3]],
+    }
+
+
+# the presets all run at ε = 1, where dividing by ε cannot round
+SWEEP_CONFIGS = {
+    **PRESETS,
+    "swanson-fig1-eps-0.7": {**PRESETS["swanson-fig1"], "eps": 0.7},
+    "displaced-2-mode-eps-0.7": displaced_two_mode_config(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
 def test_preset_tables_and_norms_equal_the_per_state_expansions(name, tmp_path):
-    config = load_config({**PRESETS[name], "oracle": {"enabled": False}})
+    config = load_config({**SWEEP_CONFIGS[name], "oracle": {"enabled": False}})
     assert run_scenario(config, tmp_path) == 0
     run = cli._compute(config)
     for alpha in config.alphas:
@@ -155,5 +177,9 @@ def test_preset_tables_and_norms_equal_the_per_state_expansions(name, tmp_path):
         assert text == per_state_table(run, alpha), alpha
         for i, state in enumerate(run.all_states):
             expansion = hagedorn_coefficients(state, alpha)
-            assert run.norms[alpha][i] == expansion.norm(), (alpha, i)
-            assert run.prefactor[i] == math.exp(state.log_prefactor.real), i
+            # one state in Python scalars, as the prefactor and norm were first defined
+            gain = (1j * state.action / state.eps + state.beta).real
+            total = math.fsum(abs(a) ** 2 for a in expansion.coefficients.values())
+            assert run.prefactor[i] == amplitude(state.log_prefactor) == math.exp(gain), i
+            assert run.norms[alpha][i] == expansion.norm() == math.exp(gain) * math.sqrt(total), (
+                alpha, i)

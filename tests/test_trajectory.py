@@ -84,7 +84,6 @@ def reference_state(S, Z0, z0):
         "M": M,
         "Mtilde": 0.5 * (Mtilde + Mtilde.T),
         "G": pair.G,
-        "J": pair.J,
         "min_positivity": np.linalg.eigvalsh(gram_matrix(W))[0],
         "log_abs_det_q": math.log(abs(np.linalg.det(Q))),
         "arg_det_q": np.angle(np.linalg.det(Q)),
@@ -109,7 +108,7 @@ def test_stacked_assembly_matches_per_state_reference(kind, n):
         ref = reference_state(state.S, Z0.entries, z0)
         assert state.Z.n == n
         assert relative(state.Z.entries, ref["Z"]) <= RTOL
-        for name in ("N", "beta", "z", "action", "M", "Mtilde", "G", "J", "min_positivity"):
+        for name in ("N", "beta", "z", "action", "M", "Mtilde", "G", "min_positivity"):
             assert relative(getattr(state, name), ref[name]) <= RTOL, name
         assert abs(state.symplectic_defect - symplectic_defect(state.S)) <= RTOL
         # the tracked branch of log det Q: the principal one up to a multiple of 2πi

@@ -16,7 +16,6 @@ from hagedorn.wavepackets import (
     eval_ground,
     grid_inner,
     grid_norm,
-    write_field_csv,
 )
 
 STANDARD_1D = NormalisedFrame(LagrangianFrame(np.array([[1j], [1.0]])))
@@ -265,26 +264,3 @@ def test_expansion_overlap_vs_quadrature_2d_unitary(rng):
     block = [(2, 0), (1, 1), (0, 2)]
     gram = np.array([[expansion_overlap(Z, U, a, b) for b in block] for a in block])
     assert np.max(np.abs(gram @ gram.conj().T - np.eye(3))) < 1e-8
-
-
-# -- snapshots -------------------------------------------------------------------------
-
-def test_write_field_csv_round_trip(tmp_path):
-    grid = Grid(bounds=[(-1.0, 1.0)], counts=[9])
-    field = eval_ground(
-        WavepacketParams(frame=STANDARD_1D, center=np.zeros(2), eps=1.0), grid
-    )
-    path = tmp_path / "snapshot.csv"
-    write_field_csv(field, grid, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,re,im"
-    assert len(lines) == 10
-    x, re, im = (np.array(v) for v in zip(*(map(float, ln.split(",")) for ln in lines[1:])))
-    assert np.allclose(x, grid.axes()[0])
-    assert np.allclose(re + 1j * im, field)
-
-
-def test_write_field_csv_shape_check(tmp_path):
-    grid = Grid(bounds=[(-1.0, 1.0)], counts=[9])
-    with pytest.raises(GridMismatch):
-        write_field_csv(np.zeros(8), grid, tmp_path / "bad.csv")
