@@ -1,6 +1,6 @@
 """Per-call times of `hagedorn_coefficients`, `coefficient_sweep`, `propagate`,
 grid fields, the grid oracle's building blocks, whole `swanson-fig1` runs and
-subprocess runs of every preset, written to BENCH_18.json.
+subprocess runs of every preset, written to BENCH_20.json.
 
     python3 bench/run.py
 
@@ -38,11 +38,17 @@ Imports the package from ./src of the checkout this script sits in.
 - Grid oracle, Swanson H on the oracle's 1024-node grid of [−12, 12]: one
   `discretize_hamiltonian` call; one Cayley build at τ = 1e-3 with the
   damping (`_cayley_matrix` after clearing the operator's cache, so the C²
-  product included); the squaring C @ C alone; one Crank–Nicolson step, the mean over
-  500 products C² ψ, each counted as two steps; one march of
+  product included); the squaring C @ C alone; one Crank–Nicolson step, the
+  mean over 500 products C² ψ, each counted as two steps; one march of
   `propagate_grid` through (0.25, 0.5) for each of α = 0, 1, 2 at the
   preset's dt and grid_tol, the operator's cache already warm, one run being
-  all three marches.
+  all three marches.  The squaring and the step time the kernels
+  `gridsolver` calls, scipy's `zgemm` and `zgemv`, on Fortran-ordered
+  matrices as the cache holds them.
+- `propagate` for the `swanson-fig1` preset's 200 times, each run timed
+  right after an untimed march of α = 1 through (0.25, 0.5): the order in
+  which `run_scenario` and the benchmark's oracle workload call them, so the
+  row shows what the march's BLAS threads leave behind.
 - `run_scenario` on the `swanson-fig1` preset, artifacts written to a
   temporary directory: with its oracle at times (0.25, 0.5), with the
   preset's full oracle list, and with the oracle off.  One run is one call;
@@ -57,7 +63,7 @@ Imports the package from ./src of the checkout this script sits in.
 
 Each row holds the median and the best of its runs.  The file also records
 the machine (nproc, Python, numpy and scipy versions).  A `parent` block
-already in BENCH_18.json (the same rows measured on the parent commit, by
+already in BENCH_20.json (the same rows measured on the parent commit, by
 running this script from a checkout of it) is kept as it is.
 """
 
@@ -79,6 +85,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
+from scipy.linalg.blas import zgemm, zgemv  # noqa: E402
 
 from hagedorn import propagation  # noqa: E402
 from hagedorn.cli import (  # noqa: E402
@@ -103,7 +110,7 @@ from hagedorn.propagation import (  # noqa: E402
 from hagedorn.swanson import SwansonParams  # noqa: E402
 from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, grid_norm  # noqa: E402
 
-OUT = ROOT / "BENCH_18.json"
+OUT = ROOT / "BENCH_20.json"
 MODES = (3, 4)
 ORDERS = (4, 6, 8, 12)
 RUNS = 5
@@ -138,6 +145,14 @@ def swanson_state(t: float = 0.5):
     return propagate(np.array([[1.0], [-1.0j]]), np.zeros(2), H, [0.0, t])[-1]
 
 
+def timing_row(fields: dict, times: list) -> dict:
+    """One output row: the median and the best of `times` (ms), printed."""
+    row = {**fields, "ms_per_call": statistics.median(times), "best_ms": min(times),
+           "runs_ms": times}
+    print(json.dumps(row), flush=True)
+    return row
+
+
 def timed_rows(cases, runs: int = RUNS) -> list:
     """One row per (row fields, function, inputs, divisor): the time of one
     call per input, in ms per run / divisor, over `runs` runs after a warm-up
@@ -152,10 +167,7 @@ def timed_rows(cases, runs: int = RUNS) -> list:
     rows = []
     for fields, fn, inputs, per in cases:
         run(fn, inputs)
-        times = [run(fn, inputs) / per for _ in range(runs)]
-        rows.append({**fields, "ms_per_call": statistics.median(times), "best_ms": min(times),
-                     "runs_ms": times})
-        print(json.dumps(rows[-1]), flush=True)
+        rows.append(timing_row(fields, [run(fn, inputs) / per for _ in range(runs)]))
     return rows
 
 
@@ -309,11 +321,8 @@ def subprocess_rows() -> list:
     rows = []
     for case, args in cases:
         run(args)
-        times = [run(args) for _ in range(SUBPROCESS_RUNS)]
-        rows.append({"what": "subprocess", "case": case, "per": "process",
-                     "ms_per_call": statistics.median(times), "best_ms": min(times),
-                     "runs_ms": times})
-        print(json.dumps(rows[-1]), flush=True)
+        rows.append(timing_row({"what": "subprocess", "case": case, "per": "process"},
+                               [run(args) for _ in range(SUBPROCESS_RUNS)]))
     return rows
 
 
@@ -323,7 +332,7 @@ def grid_oracle_rows() -> list:
     operator = discretize_hamiltonian(H, 1.0, grid)
     params = WavepacketParams(frame=np.array([[1.0], [-1.0j]]), center=np.zeros(2), eps=1.0)
     psi = eval_excited(params, (1,), grid)
-    cayley, squared = _cayley_matrix(operator, 1e-3)
+    cayley, squared = (np.asfortranarray(m) for m in _cayley_matrix(operator, 1e-3))
     oracle = PRESETS["swanson-fig1"]["oracle"]
     fields = [eval_excited(params, (k,), grid) for k in range(3)]
 
@@ -342,15 +351,34 @@ def grid_oracle_rows() -> list:
         ({"what": "Cayley build", "case": "Swanson, N=1024, tau=1e-3, damped", "per": "call",
           "matrices_cached": 2},
          build_cayley, [operator], 1),
-        ({"what": "Cayley squaring", "case": "Swanson, N=1024, C @ C", "per": "call"},
-         lambda c: c @ c, [cayley], 1),
-        ({"what": "Crank-Nicolson step", "case": "Swanson, N=1024, one column",
+        ({"what": "Cayley squaring", "case": "Swanson, N=1024, C @ C by scipy zgemm",
+          "per": "call"},
+         lambda c: zgemm(1.0, c, c), [cayley], 1),
+        ({"what": "Crank-Nicolson step", "case": "Swanson, N=1024, one column, scipy zgemv",
           "per": "step", "steps_per_product": 2},
-         lambda f: squared @ f, [psi] * steps, 2 * steps),
+         lambda f: zgemv(1.0, squared, f), [psi] * steps, 2 * steps),
         ({"what": "propagate_grid march", "case": "Swanson, N=1024, alpha = 0, 1, 2 through"
           " (0.25, 0.5), warm operator", "per": "run of 3 marches"},
          march, [discretize_hamiltonian(H, 1.0, grid)], 1),
-    ])
+    ]) + [propagate_after_march_row(operator, psi, oracle)]
+
+
+def propagate_after_march_row(operator, field, oracle) -> dict:
+    fig1 = load_config({**PRESETS["swanson-fig1"], "oracle": {"enabled": False}})
+    args = (fig1.frame, fig1.center, fig1.hamiltonian, fig1.times)
+
+    def run() -> float:
+        propagate_grid(field, operator, (0.25, 0.5), dt=oracle["dt"], grid_tol=oracle["grid_tol"])
+        start = time.perf_counter()
+        propagate(*args)
+        return (time.perf_counter() - start) * 1e3
+
+    run()
+    return timing_row(
+        {"what": "propagate after a march", "case": "swanson-fig1, 200 times, right after a"
+         " propagate_grid march of alpha = 1 through (0.25, 0.5)", "per": "call"},
+        [run() for _ in range(RUNS)],
+    )
 
 
 def scenario_rows() -> list:
@@ -391,9 +419,8 @@ def main() -> None:
         "what": "ms per call of hagedorn_coefficients by (n, |alpha|), of propagate, grid"
         " fields, grid norms and small coefficient tables by case, of the coefficients over a"
         " trajectory per state and by sweep, of the grid oracle's assembly, Cayley build,"
-        " squaring, step"
-        " and march, of swanson-fig1 runs, and of subprocess imports and preset runs, median"
-        " of runs",
+        " squaring, step and march, of propagate right after a march, of swanson-fig1 runs,"
+        " and of subprocess imports and preset runs, median of runs",
         "machine": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),

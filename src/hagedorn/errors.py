@@ -83,8 +83,10 @@ class UnsupportedDimension(HagedornError):
 class ConvergenceFailure(HagedornError):
     """Step halving did not bring the Richardson estimate under tolerance.
 
-    Carries the results of the output times before the failing one
-    (propagate_grid passes those of its march) so callers can report them.
+    Also raised when a Crank–Nicolson step matrix cannot be built because
+    Id + iτ/2ε F is singular.  Carries the results of the output times
+    before the failing one (propagate_grid passes those of its march) so
+    callers can report them.
     """
 
     def __init__(self, message: str, estimate: float | None = None, results=()):

@@ -17,17 +17,26 @@ its step advance together from t = 0, so the Richardson error estimate
 ‖ψ_coarse − ψ_fine‖/3 at each output time covers the whole of [0, t], and no
 time recomputes the interval before the previous one.
 
-C is built once per step size τ for each DiscretizedOperator,
-from one LU factorisation of Id + (iτ/2ε) F and one multi-column solve, and
-squared once; C and C² are kept in a private cache on that operator: every
-field, time and refinement propagated with the same operator and step size
-reuses them.  Each cached step size holds two N² complex matrices (32 MB at
-N = 1024) for as long as the operator lives, and every halving adds another
-step size.  The squaring is one N³ product, about as much work as 150
+C is built once per step size τ for each DiscretizedOperator as
+C = 2(Id + A)⁻¹ − Id with A = (iτ/2ε) F: one LU factorisation of Id + A
+(lu_factor), inverted in place (LAPACK zgetri), so the build needs no
+second N² matrix for Id − A and no multi-column solve.  C is squared once;
+C and C² are kept, in Fortran order, in a private cache on that operator:
+every field, time and refinement propagated with the same operator and step
+size reuses them.  Each cached step size holds two N² complex matrices
+(32 MB at N = 1024) for as long as the operator lives, and every halving adds
+another step size.  The squaring is one N³ product, about as much work as 150
 matrix-vector products at N = 1024, so it pays for itself after about 300
 steps of that size.  The build holds at most two N² matrices of its own, so
 with the squared matrix the peak memory of a march stays where one cached C
 per step size put it.
+
+All N×N dense work (the LU, the inversion, the squaring with zgemm and every
+march product with zgemv) runs in scipy's BLAS and LAPACK.  numpy and scipy
+each load their own OpenBLAS with its own thread pool, and a pool left idle
+after a product keeps its threads spinning for a while, taking the cores from
+the other; keeping the oracle in one pool avoids that contention.  The
+matrices stay in Fortran order so that zgemv reads them without a copy.
 
 Stability note: for strongly non-normal operators (complex symmetric H) the
 discretization grows spurious eigenvalues with large positive imaginary part
@@ -53,7 +62,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import circulant, lu_factor, lu_solve
+from scipy.linalg import circulant, lu_factor
+from scipy.linalg import lu_solve  # noqa: F401  perfbench/tracing.py wraps it
+from scipy.linalg.blas import zgemm, zgemv
+from scipy.linalg.lapack import zgetri, zgetri_lwork
 
 from .errors import (
     ConvergenceFailure,
@@ -173,26 +185,37 @@ def _damping_matrix(grid: Grid, eps: float) -> np.ndarray:
 
 
 def _cayley_matrix(operator: DiscretizedOperator, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Crank–Nicolson step C = (Id + iτ/2ε F)⁻¹(Id − iτ/2ε F) and C², cached on operator."""
+    """The Crank–Nicolson step C = 2(Id + A)⁻¹ − Id and C², cached on operator.
+
+    A = iτ/2ε F; C equals (Id + A)⁻¹(Id − A) because Id − A = 2 Id − (Id + A).
+    Id + A is factored by lu_factor (finiteness checked) and inverted in
+    place by zgetri, and C² is formed by zgemm, so C and C² are Fortran-ordered
+    and built in scipy's BLAS pool only (see the module docstring).  A
+    singular factor (zgetri info ≠ 0) raises ConvergenceFailure and caches
+    nothing.
+    """
     cached = operator._cayley.get(step)
     if cached is None:
-        # iτ/2ε F = iτ/2ε Ĥ + τ/2ε σ, built in place; Fortran order lets the
-        # LU and the solve overwrite their inputs
+        # Id + iτ/2ε Ĥ + τ/2ε σ, built in place in Fortran order, so the LU
+        # and the inversion overwrite it
         scale = step / (2 * operator.eps)
-        half = np.multiply(1j * scale, operator.matrix, order="F")
+        cayley = np.multiply(1j * scale, operator.matrix, order="F")
         damping = _damping_matrix(operator.grid, operator.eps)
         damping *= scale
-        half += damping
+        cayley += damping
         del damping
-        diagonal = np.diag_indices_from(half)
-        explicit = -half
-        explicit[diagonal] += 1.0
-        half[diagonal] += 1.0
-        lu = lu_factor(half, overwrite_a=True)
-        cayley = lu_solve(lu, explicit, overwrite_b=True)
-        # only C stays alive while C² is formed
-        del half, lu, explicit
-        cached = operator._cayley[step] = (cayley, cayley @ cayley)
+        diagonal = np.diag_indices_from(cayley)
+        cayley[diagonal] += 1.0
+        lu, pivots = lu_factor(cayley, overwrite_a=True)
+        work, _ = zgetri_lwork(len(cayley))
+        cayley, info = zgetri(lu, pivots, lwork=int(work.real), overwrite_lu=True)
+        if info != 0:
+            raise ConvergenceFailure(
+                f"Id + (iτ/2ε) F is singular at step {step:.6g} (zgetri info {info})"
+            )
+        cayley *= 2.0
+        cayley[diagonal] -= 1.0
+        cached = operator._cayley[step] = (cayley, zgemm(1.0, cayley, cayley))
     return cached
 
 
@@ -221,7 +244,9 @@ def propagate_grid(
     h = 1, 2, … up to MAX_HALVINGS.  The march goes on at its own steps.
 
     One time gives one GridPropagation, a sequence a GridMarch with one per
-    time.  A ConvergenceFailure at t_k carries the earlier times' results.
+    time.  A ConvergenceFailure at t_k, from an estimate that fails after
+    MAX_HALVINGS or from a singular Cayley build, carries the earlier times'
+    results.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     grid = operator.grid
@@ -234,11 +259,15 @@ def propagate_grid(
         raise DimensionMismatch("need dt > 0 and times t ≥ 0, strictly increasing")
 
     def advance(psi: np.ndarray, step: float, steps: int) -> np.ndarray:
-        cayley, squared = _cayley_matrix(operator, step)
+        try:
+            cayley, squared = _cayley_matrix(operator, step)
+        except ConvergenceFailure as exc:
+            exc.results = GridMarch(results)
+            raise
         for _ in range(steps // 2):
-            psi = squared @ psi
+            psi = zgemv(1.0, squared, psi)
         if steps % 2:
-            psi = cayley @ psi
+            psi = zgemv(1.0, cayley, psi)
         return psi
 
     results = []

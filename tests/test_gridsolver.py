@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.blas import zgemv
 
 from hagedorn import gridsolver
 from hagedorn.errors import (
@@ -211,6 +212,46 @@ def test_march_memory_holds_four_matrices():
     cached = [matrix for pair in op._cayley.values() for matrix in pair]
     assert len(op._cayley) == 2 and len(cached) == 4
     assert all(matrix.shape == op.matrix.shape and matrix.flags.owndata for matrix in cached)
+    # zgemv reads a Fortran-ordered matrix without copying it
+    assert all(matrix.flags.f_contiguous for matrix in cached)
+
+
+def test_march_product_counts(monkeypatch):
+    # a run of m steps applies C² ⌊m/2⌋ times and C once when m is odd:
+    # 251 coarse steps are 125 products with C² and one with C, 502 fine
+    # steps 251 products with C²
+    products = []
+
+    def counting_zgemv(alpha, matrix, x, *args, **kwargs):
+        products.append(matrix)
+        return zgemv(alpha, matrix, x, *args, **kwargs)
+
+    monkeypatch.setattr(gridsolver, "zgemv", counting_zgemv)
+    op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
+    t, steps = 0.251, 251
+    propagate_grid(packet([1], GRID_SMALL), op, t, dt=1e-3, grid_tol=np.inf)
+    coarse, fine = op._cayley[t / steps], op._cayley[t / (2 * steps)]
+
+    def count(matrix):
+        return sum(product is matrix for product in products)
+
+    assert [count(matrix) for matrix in (*coarse, *fine)] == [1, 125, 0, 251]
+    assert len(products) == 377
+
+
+def test_singular_cayley_factor_raises_and_caches_nothing(monkeypatch):
+    def singular_zgetri(lu, pivots, **kwargs):
+        return lu, 1
+
+    monkeypatch.setattr(gridsolver, "zgetri", singular_zgetri)
+    op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
+    psi0 = packet([0], GRID_SMALL)
+    with pytest.raises(ConvergenceFailure, match="singular") as info:
+        propagate_grid(psi0, op, (0.0, 0.25), dt=1e-3)
+    assert op._cayley == {}
+    # the earlier time's result travels with the error, as for a failed estimate
+    (first,) = info.value.results
+    assert np.array_equal(first.field, psi0)
 
 
 def test_one_factorisation_per_step_size(monkeypatch):
