@@ -1,0 +1,75 @@
+"""One timed call of a public entry point of whichever `hagedorn` is on the path.
+
+    PYTHONPATH=<tree>/src python3 bench/public_rows.py ROW
+
+Builds ROW's inputs, makes one untimed call and one timed call, and prints
+the wall time of the timed call in ms.  `bench/run.py --against REV` runs it
+in a fresh interpreter for each of two trees in turn, so it calls only entry
+points that both trees have: `run_scenario` on the `swanson-fig1` preset and
+`propagate_grid`.
+"""
+
+import copy
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from hagedorn.cli import PRESETS, load_config, run_scenario
+from hagedorn.gridsolver import discretize_hamiltonian, propagate_grid
+from hagedorn.swanson import SwansonParams
+from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited
+
+
+ORACLE = PRESETS["swanson-fig1"]["oracle"]
+
+
+def scenario(oracle: dict):
+    """run_scenario on swanson-fig1 with `oracle` as its oracle block,
+    artifacts written to a temporary directory."""
+    raw = {**copy.deepcopy(PRESETS["swanson-fig1"]), "oracle": oracle}
+
+    def call():
+        with tempfile.TemporaryDirectory() as out:
+            run_scenario(load_config(raw), Path(out))
+
+    return call
+
+
+def march():
+    """propagate_grid through (0.25, 0.5) for α = 0, 1, 2 at the preset's dt
+    and grid_tol on the oracle's 1024-node grid; the untimed call warms the
+    operator's cache."""
+    grid = Grid(bounds=[(-12.0, 12.0)], counts=[1024])
+    operator = discretize_hamiltonian(SwansonParams(1.0, 0.5).matrix(), 1.0, grid)
+    params = WavepacketParams(frame=np.array([[1.0], [-1.0j]]), center=np.zeros(2), eps=1.0)
+    fields = [eval_excited(params, (k,), grid) for k in range(3)]
+
+    def call():
+        for field in fields:
+            propagate_grid(field, operator, (0.25, 0.5), dt=ORACLE["dt"],
+                           grid_tol=ORACLE["grid_tol"])
+
+    return call
+
+
+ROWS = {
+    "scenario-oracle-short": lambda: scenario({**ORACLE, "times": [0.25, 0.5]}),
+    "scenario-oracle-full": lambda: scenario(ORACLE),
+    "scenario-no-oracle": lambda: scenario({"enabled": False}),
+    "march": march,
+}
+
+
+def main() -> None:
+    call = ROWS[sys.argv[1]]()
+    call()
+    start = time.perf_counter()
+    call()
+    print((time.perf_counter() - start) * 1e3)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,8 +1,8 @@
 """Per-call times of `hagedorn_coefficients`, `coefficient_sweep`, `propagate`,
 grid fields, the grid oracle's building blocks, whole `swanson-fig1` runs and
-subprocess runs of every preset, written to BENCH_20.json.
+subprocess runs of every preset, written to BENCH_21.json.
 
-    python3 bench/run.py
+    python3 bench/run.py [--against REV]
 
 Imports the package from ./src of the checkout this script sits in.
 
@@ -36,13 +36,15 @@ Imports the package from ./src of the checkout this script sits in.
   α = 0, 1, 2, and the seeded n = 3 constant H of the `propagate` rows
   (150 states) with α = 0 and e₁.  One run is all α of a case.
 - Grid oracle, Swanson H on the oracle's 1024-node grid of [−12, 12]: one
-  `discretize_hamiltonian` call; one Cayley build at τ = 1e-3 with the
-  damping (`_cayley_matrix` after clearing the operator's cache, so the C²
-  product included); the squaring C @ C alone; one Crank–Nicolson step, the
-  mean over 500 products C² ψ, each counted as two steps; one march of
-  `propagate_grid` through (0.25, 0.5) for each of α = 0, 1, 2 at the
-  preset's dt and grid_tol, the operator's cache already warm, one run being
-  all three marches.  The squaring and the step time the kernels
+  `discretize_hamiltonian` call; one Cayley build with the damping for each
+  map (`_cayley_matrix` after clearing the operator's cache): the coarse
+  map C at τ = 1e-3, kept with C² (one product), and the fine map C² at
+  τ = 5e-4, kept with C⁴ (two products); the squaring C @ C alone; one
+  Crank–Nicolson step, the mean over 500 products E² ψ, each counted as two
+  steps for the coarse map's E² = C² and four for the fine map's E² = C⁴;
+  one march of `propagate_grid` through (0.25, 0.5) for each of α = 0, 1, 2
+  at the preset's dt and grid_tol, the operator's cache already warm, one
+  run being all three marches.  The squaring and the step time the kernels
   `gridsolver` calls, scipy's `zgemm` and `zgemv`, on Fortran-ordered
   matrices as the cache holds them.
 - `propagate` for the `swanson-fig1` preset's 200 times, each run timed
@@ -62,12 +64,20 @@ Imports the package from ./src of the checkout this script sits in.
   These rows take the median of SUBPROCESS_RUNS runs after one warm-up run.
 
 Each row holds the median and the best of its runs.  The file also records
-the machine (nproc, Python, numpy and scipy versions).  A `parent` block
-already in BENCH_20.json (the same rows measured on the parent commit, by
-running this script from a checkout of it) is kept as it is.
+the machine (nproc, Python, numpy and scipy versions).
+
+With --against REV the file also holds a `paired` block: REV's tree,
+exported by `git archive` into a temporary directory, and this checkout run
+the rows that call only public entry points, PAIRED_RUNS pairs after one
+warm-up run each, alternating which tree runs first, every run in a fresh
+interpreter with that tree's src on PYTHONPATH.  These are the three
+`run_scenario` rows and the march (timed inside the interpreter by
+bench/public_rows.py) and the subprocess start-up rows.  Each paired row
+gives both medians, their quartiles and the number of pairs the checkout won,
+so the host's drift over the minutes of a run falls on both trees alike.
 """
 
-import copy
+import argparse
 import json
 import os
 import platform
@@ -92,7 +102,6 @@ from hagedorn.cli import (  # noqa: E402
     OUT_DIR_ENV,
     PRESETS,
     load_config,
-    run_scenario,
     standard_frame,
 )
 from hagedorn.gridsolver import (  # noqa: E402
@@ -110,14 +119,31 @@ from hagedorn.propagation import (  # noqa: E402
 from hagedorn.swanson import SwansonParams  # noqa: E402
 from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, grid_norm  # noqa: E402
 
-OUT = ROOT / "BENCH_20.json"
+import public_rows  # noqa: E402  (bench/, the script's own directory)
+
+OUT = ROOT / "BENCH_21.json"
 MODES = (3, 4)
 ORDERS = (4, 6, 8, 12)
 RUNS = 5
 SCENARIO_RUNS = 3
 SUBPROCESS_RUNS = 5
+PAIRED_RUNS = 10
 SEED = 2
 T = 1.5
+
+
+# run_scenario rows: (case, bench/public_rows.py row)
+SCENARIO_CASES = (
+    ("swanson-fig1, oracle at t = 0.25, 0.5", "scenario-oracle-short"),
+    ("swanson-fig1, full oracle list", "scenario-oracle-full"),
+    ("swanson-fig1, no oracle", "scenario-no-oracle"),
+)
+MARCH_FIELDS = {"what": "propagate_grid march", "case": "Swanson, N=1024, alpha = 0, 1, 2"
+                " through (0.25, 0.5), warm operator", "per": "run of 3 marches"}
+
+
+def invoke(fn):
+    return fn()
 
 
 def multi_indices(n: int, order: int):
@@ -310,16 +336,8 @@ def subprocess_rows() -> list:
             subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True)
             return (time.perf_counter() - start) * 1e3
 
-    cases = [("python -c pass", ["-c", "pass"]),
-             ("import hagedorn", ["-c", "import hagedorn"]),
-             ("import hagedorn.cli", ["-c", "import hagedorn.cli"])]
-    cases += [
-        (f"hagedorn run --preset {name} --no-oracle",
-         ["-m", "hagedorn", "run", "--preset", name, "--no-oracle"])
-        for name in sorted(PRESETS)
-    ]
     rows = []
-    for case, args in cases:
+    for case, args in start_up_args():
         run(args)
         rows.append(timing_row({"what": "subprocess", "case": case, "per": "process"},
                                [run(args) for _ in range(SUBPROCESS_RUNS)]))
@@ -332,34 +350,38 @@ def grid_oracle_rows() -> list:
     operator = discretize_hamiltonian(H, 1.0, grid)
     params = WavepacketParams(frame=np.array([[1.0], [-1.0j]]), center=np.zeros(2), eps=1.0)
     psi = eval_excited(params, (1,), grid)
-    cayley, squared = (np.asfortranarray(m) for m in _cayley_matrix(operator, 1e-3))
+    cayley, squared = _cayley_matrix(operator, 1e-3, 1)
+    _, fourth = _cayley_matrix(operator, 5e-4, 2)
     oracle = PRESETS["swanson-fig1"]["oracle"]
-    fields = [eval_excited(params, (k,), grid) for k in range(3)]
 
-    def build_cayley(op):
-        op._cayley.clear()
-        _cayley_matrix(op, 1e-3)
+    def build_map(step, substeps):
+        def build(op):
+            op._cayley.clear()
+            _cayley_matrix(op, step, substeps)
 
-    def march(op):
-        for field in fields:
-            propagate_grid(field, op, (0.25, 0.5), dt=oracle["dt"], grid_tol=oracle["grid_tol"])
+        return build
 
     steps = 500
+    build_operator = discretize_hamiltonian(H, 1.0, grid)
     return timed_rows([
         ({"what": "discretize_hamiltonian", "case": "Swanson, N=1024", "per": "call"},
          lambda g: discretize_hamiltonian(H, 1.0, g), [grid], 1),
-        ({"what": "Cayley build", "case": "Swanson, N=1024, tau=1e-3, damped", "per": "call",
-          "matrices_cached": 2},
-         build_cayley, [operator], 1),
+        ({"what": "Cayley build", "case": "Swanson, N=1024, coarse map C, tau=1e-3, damped",
+          "per": "call", "products": 1, "matrices_cached": 2},
+         build_map(1e-3, 1), [build_operator], 1),
+        ({"what": "Cayley build", "case": "Swanson, N=1024, fine map C^2, tau=5e-4, damped",
+          "per": "call", "products": 2, "matrices_cached": 2},
+         build_map(5e-4, 2), [build_operator], 1),
         ({"what": "Cayley squaring", "case": "Swanson, N=1024, C @ C by scipy zgemm",
           "per": "call"},
          lambda c: zgemm(1.0, c, c), [cayley], 1),
-        ({"what": "Crank-Nicolson step", "case": "Swanson, N=1024, one column, scipy zgemv",
-          "per": "step", "steps_per_product": 2},
+        ({"what": "Crank-Nicolson step", "case": "Swanson, N=1024, one column, scipy zgemv"
+          " with E^2 = C^2 of the coarse map", "per": "step", "steps_per_product": 2},
          lambda f: zgemv(1.0, squared, f), [psi] * steps, 2 * steps),
-        ({"what": "propagate_grid march", "case": "Swanson, N=1024, alpha = 0, 1, 2 through"
-          " (0.25, 0.5), warm operator", "per": "run of 3 marches"},
-         march, [discretize_hamiltonian(H, 1.0, grid)], 1),
+        ({"what": "Crank-Nicolson step", "case": "Swanson, N=1024, one column, scipy zgemv"
+          " with E^2 = C^4 of the fine map", "per": "step", "steps_per_product": 4},
+         lambda f: zgemv(1.0, fourth, f), [psi] * steps, 4 * steps),
+        (MARCH_FIELDS, invoke, [public_rows.march()], 1),
     ]) + [propagate_after_march_row(operator, psi, oracle)]
 
 
@@ -382,30 +404,94 @@ def propagate_after_march_row(operator, field, oracle) -> dict:
 
 
 def scenario_rows() -> list:
-    full = PRESETS["swanson-fig1"]
-    short = copy.deepcopy(full)
-    short["oracle"]["times"] = [0.25, 0.5]
-    off = copy.deepcopy(full)
-    off["oracle"] = {"enabled": False}
-
-    def run_preset(raw):
-        with tempfile.TemporaryDirectory() as out:
-            run_scenario(load_config(raw), Path(out))
-
     return timed_rows(
         [
-            ({"what": "run_scenario", "case": case, "per": "run"}, run_preset, [raw], 1)
-            for case, raw in (
-                ("swanson-fig1, oracle at t = 0.25, 0.5", short),
-                ("swanson-fig1, full oracle list", full),
-                ("swanson-fig1, no oracle", off),
-            )
+            ({"what": "run_scenario", "case": case, "per": "run"}, invoke,
+             [public_rows.ROWS[row]()], 1)
+            for case, row in SCENARIO_CASES
         ],
         runs=SCENARIO_RUNS,
     )
 
 
+def start_up_args() -> list:
+    """(case, interpreter arguments) of the subprocess start-up rows."""
+    cases = [("python -c pass", ["-c", "pass"]),
+             ("import hagedorn", ["-c", "import hagedorn"]),
+             ("import hagedorn.cli", ["-c", "import hagedorn.cli"])]
+    return cases + [
+        (f"hagedorn run --preset {name} --no-oracle",
+         ["-m", "hagedorn", "run", "--preset", name, "--no-oracle"])
+        for name in sorted(PRESETS)
+    ]
+
+
+def paired_cases() -> list:
+    """(row fields, interpreter arguments, timed inside) of the rows run
+    against a second tree: each calls only public entry points, in a fresh
+    interpreter with that tree's src on PYTHONPATH.  Rows timed inside run
+    bench/public_rows.py, which prints the time of one call after an untimed
+    one; the others are timed as the whole process."""
+    worker = public_rows.__file__
+    cases = [
+        ({"what": "run_scenario", "case": case, "per": "run"}, [worker, row], True)
+        for case, row in SCENARIO_CASES
+    ]
+    cases.append((MARCH_FIELDS, [worker, "march"], True))
+    cases += [({"what": "subprocess", "case": case, "per": "process"}, args, False)
+              for case, args in start_up_args()]
+    return cases
+
+
+def spread(times: list) -> dict:
+    q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"median_ms": statistics.median(times), "quartiles_ms": [q1, q3], "runs_ms": times}
+
+
+def paired_block(rev: str) -> dict:
+    """Every paired case on the tree of commit `rev` (exported by git archive
+    into a temporary directory) and on this checkout, alternating which tree
+    runs first, after one warm-up run of each: per row both medians, their
+    quartiles and the number of pairs in which this checkout was faster."""
+    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                            check=True, capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit],
+                             check=True, capture_output=True).stdout
+    rows = []
+    with tempfile.TemporaryDirectory() as parent:
+        subprocess.run(["tar", "-x", "-C", parent], input=archive, check=True)
+        trees = {"parent": Path(parent) / "src", "change": ROOT / "src"}
+
+        def run(args, src, inside) -> float:
+            with tempfile.TemporaryDirectory() as out:
+                env = {**os.environ, "PYTHONPATH": str(src), OUT_DIR_ENV: out}
+                start = time.perf_counter()
+                done = subprocess.run([sys.executable, *args], env=env, check=True,
+                                      capture_output=True, text=True)
+                elapsed = (time.perf_counter() - start) * 1e3
+            return float(done.stdout.split()[-1]) if inside else elapsed
+
+        for fields, args, inside in paired_cases():
+            times = {side: [] for side in trees}
+            for side, src in trees.items():
+                run(args, src, inside)
+            for pair in range(PAIRED_RUNS):
+                for side in (("parent", "change") if pair % 2 == 0 else ("change", "parent")):
+                    times[side].append(run(args, trees[side], inside))
+            wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+            row = {**fields, "parent": spread(times["parent"]), "change": spread(times["change"]),
+                   "change_wins": wins, "pairs": PAIRED_RUNS}
+            print(json.dumps(row), flush=True)
+            rows.append(row)
+    return {"against": rev, "commit": commit, "pairs": PAIRED_RUNS, "rows": rows}
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="also time the paired rows against the tree of commit REV")
+    against = parser.parse_args().against
+    paired = paired_block(against) if against else None
     rows = (
         coefficient_rows()
         + propagate_rows()
@@ -431,10 +517,8 @@ def main() -> None:
                   "subprocess_runs": SUBPROCESS_RUNS},
         "rows": rows,
     }
-    if OUT.exists():
-        parent = json.loads(OUT.read_text()).get("parent")
-        if parent is not None:
-            report["parent"] = parent
+    if paired is not None:
+        report["paired"] = paired
     OUT.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {OUT}")
 

@@ -10,26 +10,33 @@ dense product is formed.  Crank–Nicolson steps
 
 advance the field, where F is the stepping matrix (Ĥ plus the damping below)
 and C its Cayley transform (Lasser & Lubich, Acta Numerica 29 (2020), §3).
-Each pair of steps is one product with C², so a run of m steps costs
-⌈m/2⌉ matrix-vector products.  propagate_grid marches through a
-sorted list of output times in one call: a coarse run and a fine run at half
-its step advance together from t = 0, so the Richardson error estimate
-‖ψ_coarse − ψ_fine‖/3 at each output time covers the whole of [0, t], and no
-time recomputes the interval before the previous one.
+Each run advances by its own one-step map E and marches m steps of E as
+⌊m/2⌋ matrix-vector products with E² and one with E when m is odd.
+propagate_grid marches through a sorted list of output times in one call: a
+coarse run (E = C(τ)) and a fine run at half its step (E = C(τ/2)², two half
+steps) advance together from t = 0, so per increment both take the same
+number of map steps, and the Richardson error estimate ‖ψ_coarse − ψ_fine‖/3
+at each output time covers the whole of [0, t]; no time recomputes the
+interval before the previous one.
 
-C is built once per step size τ for each DiscretizedOperator as
+C is built once per step size τ and map for each DiscretizedOperator as
 C = 2(Id + A)⁻¹ − Id with A = (iτ/2ε) F: one LU factorisation of Id + A
 (lu_factor), inverted in place (LAPACK zgetri), so the build needs no
-second N² matrix for Id − A and no multi-column solve.  C is squared once;
-C and C² are kept, in Fortran order, in a private cache on that operator:
-every field, time and refinement propagated with the same operator and step
-size reuses them.  Each cached step size holds two N² complex matrices
-(32 MB at N = 1024) for as long as the operator lives, and every halving adds
-another step size.  The squaring is one N³ product, about as much work as 150
-matrix-vector products at N = 1024, so it pays for itself after about 300
-steps of that size.  The build holds at most two N² matrices of its own, so
-with the squared matrix the peak memory of a march stays where one cached C
-per step size put it.
+second N² matrix for Id − A and no multi-column solve.  The coarse map keeps
+C and C² (one zgemm product); the fine map keeps C² and C⁴ (two products,
+C⁴ written into C's buffer, which is then no longer needed).  Each pair is
+kept, in Fortran order, in a private cache on that operator: every field,
+time and refinement propagated with the same operator, step size and map
+reuses it.  Each cached pair holds two N² complex matrices (32 MB at
+N = 1024) for as long as the operator lives, and every halving adds another.
+One N³ product costs about as much as 150 to 190 matrix-vector products at
+N = 1024.  So the coarse map's squaring pays for itself after about 300 to
+400 steps of C, and the fine map's second product, which halves the fine
+run's products, after about 300 to 400 steps of C² (twice as many half
+steps); three fields marched to t = 0.5 at dt = 1e-3 take 1500 steps of
+C².  Either build holds at most two N² matrices of
+its own, so the peak memory of a march stays where one cached C per step
+size put it.
 
 All N×N dense work (the LU, the inversion, the squaring with zgemm and every
 march product with zgemv) runs in scipy's BLAS and LAPACK.  numpy and scipy
@@ -98,7 +105,7 @@ class DiscretizedOperator:
     matrix: np.ndarray
     grid: Grid
     eps: float
-    # step size -> (C, C²); filled by _cayley_matrix
+    # (step size, substeps) -> (E, E²) with E = C^substeps; filled by _cayley_matrix
     _cayley: dict = field(default_factory=dict, init=False, repr=False)
 
 
@@ -184,17 +191,22 @@ def _damping_matrix(grid: Grid, eps: float) -> np.ndarray:
     return damping
 
 
-def _cayley_matrix(operator: DiscretizedOperator, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Crank–Nicolson step C = 2(Id + A)⁻¹ − Id and C², cached on operator.
+def _cayley_matrix(
+    operator: DiscretizedOperator, step: float, substeps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one-step map E = C^substeps of a run and E², cached on operator.
 
+    C = 2(Id + A)⁻¹ − Id is the Crank–Nicolson step of size `step`, with
     A = iτ/2ε F; C equals (Id + A)⁻¹(Id − A) because Id − A = 2 Id − (Id + A).
-    Id + A is factored by lu_factor (finiteness checked) and inverted in
-    place by zgetri, and C² is formed by zgemm, so C and C² are Fortran-ordered
-    and built in scipy's BLAS pool only (see the module docstring).  A
-    singular factor (zgetri info ≠ 0) raises ConvergenceFailure and caches
-    nothing.
+    A coarse run takes substeps = 1 (E = C, E² = C²), a fine run
+    substeps = 2 (E = C², E² = C⁴).  Id + A is factored by lu_factor
+    (finiteness checked) and inverted in place by zgetri, and the powers are
+    formed by zgemm, C⁴ into C's buffer, so E and E² are Fortran-ordered and
+    built in scipy's BLAS pool only (see the module docstring).  A singular
+    factor (zgetri info ≠ 0) raises ConvergenceFailure and caches nothing.
     """
-    cached = operator._cayley.get(step)
+    key = (step, substeps)
+    cached = operator._cayley.get(key)
     if cached is None:
         # Id + iτ/2ε Ĥ + τ/2ε σ, built in place in Fortran order, so the LU
         # and the inversion overwrite it
@@ -215,7 +227,14 @@ def _cayley_matrix(operator: DiscretizedOperator, step: float) -> tuple[np.ndarr
             )
         cayley *= 2.0
         cayley[diagonal] -= 1.0
-        cached = operator._cayley[step] = (cayley, zgemm(1.0, cayley, cayley))
+        squared = zgemm(1.0, cayley, cayley)
+        if substeps == 1:
+            cached = (cayley, squared)
+        else:
+            # C is no longer needed: C⁴ overwrites it, so the build holds
+            # two N² matrices at most
+            cached = (squared, zgemm(1.0, squared, squared, c=cayley, overwrite_c=True))
+        operator._cayley[key] = cached
     return cached
 
 
@@ -232,16 +251,17 @@ def propagate_grid(
     run and a fine run at half its step march together from t = 0: the
     increment t_k − t_{k−1} takes the fewest uniform steps of at most dt (the
     fine run twice as many), so increments of one step size share one cached
-    pair C, C².  A run of m steps applies C² ⌊m/2⌋ times and C once if m is
-    odd; fine runs and refinement restarts take even counts, so only a coarse
-    increment with an odd count applies C.  At each t_k the returned field is
-    the fine run, and
+    pair E, E².  The coarse run's map E is one step C, the fine run's two
+    half steps C²; m steps of E apply E² ⌊m/2⌋ times and E once if m is odd.
+    At each t_k the returned field is the fine run, and
     richardson_error = ‖ψ_coarse(t_k) − ψ_fine(t_k)‖/3 is the second-order
     estimate of the error accumulated over the whole of [0, t_k].  grid_tol is
     per unit time.  A time whose estimate fails is refined as a restart from
     ψ0 would be: the marched fine field becomes the coarse one, and a uniform
     run over [0, t_k] at step t_k/(2^{h+1}·ceil(t_k/dt)) the fine one, for
-    h = 1, 2, … up to MAX_HALVINGS.  The march goes on at its own steps.
+    h = 1, 2, … up to MAX_HALVINGS; that run marches the fine map.  The march
+    goes on at its own steps.  A NaN dt, time or grid_tol raises
+    DimensionMismatch; grid_tol = inf accepts every estimate.
 
     One time gives one GridPropagation, a sequence a GridMarch with one per
     time.  A ConvergenceFailure at t_k, from an estimate that fails after
@@ -255,19 +275,23 @@ def propagate_grid(
         raise GridMismatch("initial field does not live on the operator's grid")
     times = np.atleast_1d(np.asarray(t, dtype=float))
     increasing = times.ndim == 1 and times.size > 0 and np.all(np.diff(times) > 0)
-    if not increasing or times[0] < 0 or dt <= 0:
-        raise DimensionMismatch("need dt > 0 and times t ≥ 0, strictly increasing")
+    if not increasing or not np.all(np.isfinite(times)) or times[0] < 0 or not dt > 0:
+        raise DimensionMismatch("need dt > 0 and finite times t ≥ 0, strictly increasing")
+    if math.isnan(grid_tol):
+        raise DimensionMismatch("grid_tol must be a number, not NaN")
 
-    def advance(psi: np.ndarray, step: float, steps: int) -> np.ndarray:
+    def advance(psi: np.ndarray, step: float, substeps: int, maps: int) -> np.ndarray:
+        # `maps` steps of the map E = C(step)^substeps: ⌊maps/2⌋ products
+        # with E² and one with E when maps is odd
         try:
-            cayley, squared = _cayley_matrix(operator, step)
+            one, two = _cayley_matrix(operator, step, substeps)
         except ConvergenceFailure as exc:
             exc.results = GridMarch(results)
             raise
-        for _ in range(steps // 2):
-            psi = zgemv(1.0, squared, psi)
-        if steps % 2:
-            psi = zgemv(1.0, cayley, psi)
+        for _ in range(maps // 2):
+            psi = zgemv(1.0, two, psi)
+        if maps % 2:
+            psi = zgemv(1.0, one, psi)
         return psi
 
     results = []
@@ -279,8 +303,8 @@ def propagate_grid(
             continue
         span = t_k - start
         steps = max(1, math.ceil(span / dt - 1e-12))
-        coarse = advance(coarse, span / steps, steps)
-        fine = advance(fine, span / (2 * steps), 2 * steps)
+        coarse = advance(coarse, span / steps, 1, steps)
+        fine = advance(fine, span / (2 * steps), 2, steps)
         start = t_k
         result = GridPropagation(fine, grid_norm(coarse - fine, grid) / 3.0, span / (2 * steps), 0)
         restart_steps = max(1, math.ceil(t_k / dt - 1e-12))
@@ -293,10 +317,11 @@ def propagate_grid(
                     results=GridMarch(results),
                 )
             halvings = result.halvings + 1
-            count = 2 ** (halvings + 1) * restart_steps
-            refined = advance(psi0, t_k / count, count)
+            maps = 2**halvings * restart_steps
+            step = t_k / (2 * maps)
+            refined = advance(psi0, step, 2, maps)
             estimate = grid_norm(result.field - refined, grid) / 3.0
-            result = GridPropagation(refined, estimate, t_k / count, halvings)
+            result = GridPropagation(refined, estimate, step, halvings)
         results.append(result)
     return results[0] if np.ndim(t) == 0 else GridMarch(results)
 

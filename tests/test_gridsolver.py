@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.blas import zgemv
+from scipy.linalg.lapack import zgetri
 
 from hagedorn import gridsolver
 from hagedorn.errors import (
@@ -121,6 +122,16 @@ def test_propagate_validates_input():
         propagate_grid(packet([0], GRID_SMALL), op, 0.1, dt=0.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"dt": math.nan}, {"grid_tol": math.nan}, {"t": math.nan}], ids=["dt", "grid_tol", "t"]
+)
+def test_propagate_rejects_nan(kwargs):
+    op = discretize_hamiltonian(np.eye(2), 1.0, GRID_SMALL)
+    with pytest.raises(DimensionMismatch):
+        propagate_grid(packet([0], GRID_SMALL), op, **{"t": 0.1, **kwargs})
+    assert op._cayley == {}
+
+
 def test_hermitian_norm_conserved_over_period():
     op = discretize_hamiltonian(np.eye(2), 1.0, GRID_SMALL)
     psi0 = packet([0], GRID_SMALL)
@@ -185,8 +196,8 @@ def test_cayley_step_matches_lu_solve_reference():
 
 
 def test_odd_coarse_run_matches_lu_solve_reference():
-    # 251 coarse steps: 125 products with C² and one with C; the returned
-    # field is the even fine run, so only the estimate sees the odd step
+    # 251 coarse steps: 125 products with C² and one with C; only the
+    # estimate sees the coarse run
     op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
     psi0 = packet([1], GRID_SMALL)
     psi0 = psi0 / norm(psi0, GRID_SMALL)
@@ -196,9 +207,21 @@ def test_odd_coarse_run_matches_lu_solve_reference():
     assert abs(res.richardson_error - norm(coarse - fine, GRID_SMALL) / 3) <= 1e-12
 
 
+def test_odd_fine_run_matches_lu_solve_reference():
+    # 502 half steps are 251 steps of the fine map C²: 125 products with C⁴
+    # and one with C², and the returned field is that run
+    op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
+    psi0 = packet([1], GRID_SMALL)
+    t = 0.251
+    psi = lu_stepping(op, psi0, t, 502)
+    res = propagate_grid(psi0, op, t, dt=1e-3, grid_tol=np.inf)
+    assert np.max(np.abs(res.field - psi)) / np.max(np.abs(psi)) < 1e-12
+
+
 def test_march_memory_holds_four_matrices():
     # the build keeps at most two N² matrices of its own alive, so with C and
-    # C² cached for the coarse and the fine step the peak stays near 4 N²
+    # C² cached for the coarse step and C² and C⁴ for the fine step the peak
+    # stays near 4 N²
     op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
     psi0 = packet([1], GRID_SMALL)
     matrix_bytes = op.matrix.nbytes
@@ -217,9 +240,10 @@ def test_march_memory_holds_four_matrices():
 
 
 def test_march_product_counts(monkeypatch):
-    # a run of m steps applies C² ⌊m/2⌋ times and C once when m is odd:
-    # 251 coarse steps are 125 products with C² and one with C, 502 fine
-    # steps 251 products with C²
+    # m steps of a run's map E apply E² ⌊m/2⌋ times and E once when m is odd:
+    # 251 coarse steps (E = C) are 125 products with C² and one with C, and
+    # 502 fine half steps, 251 steps of E = C², 125 products with C⁴ and one
+    # with C²
     products = []
 
     def counting_zgemv(alpha, matrix, x, *args, **kwargs):
@@ -230,13 +254,15 @@ def test_march_product_counts(monkeypatch):
     op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
     t, steps = 0.251, 251
     propagate_grid(packet([1], GRID_SMALL), op, t, dt=1e-3, grid_tol=np.inf)
-    coarse, fine = op._cayley[t / steps], op._cayley[t / (2 * steps)]
+    coarse, fine = op._cayley[t / steps, 1], op._cayley[t / (2 * steps), 2]
+    assert len(op._cayley) == 2
 
     def count(matrix):
         return sum(product is matrix for product in products)
 
-    assert [count(matrix) for matrix in (*coarse, *fine)] == [1, 125, 0, 251]
-    assert len(products) == 377
+    assert [count(matrix) for matrix in coarse] == [1, 125]
+    assert [count(matrix) for matrix in fine] == [1, 125]
+    assert len(products) == 252
 
 
 def test_singular_cayley_factor_raises_and_caches_nothing(monkeypatch):
@@ -252,6 +278,23 @@ def test_singular_cayley_factor_raises_and_caches_nothing(monkeypatch):
     # the earlier time's result travels with the error, as for a failed estimate
     (first,) = info.value.results
     assert np.array_equal(first.field, psi0)
+
+
+def test_singular_fine_build_raises_and_caches_nothing(monkeypatch):
+    # the coarse build succeeds; the fine map's factor is singular
+    builds = []
+
+    def second_singular_zgetri(lu, pivots, **kwargs):
+        builds.append(1)
+        if len(builds) == 2:
+            return lu, 1
+        return zgetri(lu, pivots, **kwargs)
+
+    monkeypatch.setattr(gridsolver, "zgetri", second_singular_zgetri)
+    op = discretize_hamiltonian(DS.matrix(), 1.0, GRID_SMALL)
+    with pytest.raises(ConvergenceFailure, match="singular at step 0.0005"):
+        propagate_grid(packet([0], GRID_SMALL), op, 0.25, dt=1e-3)
+    assert list(op._cayley) == [(1e-3, 1)]
 
 
 def test_one_factorisation_per_step_size(monkeypatch):
