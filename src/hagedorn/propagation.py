@@ -93,10 +93,12 @@ def solve_ivp(*args, **kwargs):
 
 
 def _check_times(times) -> np.ndarray:
-    """times as a float array, checked to be strictly increasing from t ≥ 0."""
+    """times as a float array, checked to be finite and strictly increasing from t ≥ 0."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
         raise DimensionMismatch("times must be a strictly increasing sequence")
+    if not np.isfinite(times).all():
+        raise DimensionMismatch("times must be finite")
     if times[0] < 0:
         raise DimensionMismatch("times must start at t ≥ 0")
     return times
@@ -139,6 +141,8 @@ class QuadraticHamiltonian:
         stack = _check_symmetric(matrices)
         if times.ndim != 1 or len(times) != len(stack) or len(times) < 2:
             raise DimensionMismatch("sampled form needs matching times and ≥ 2 matrices")
+        if not np.isfinite(times).all():
+            raise DimensionMismatch("sample times must be finite")
         if np.any(np.diff(times) <= 0):
             raise DimensionMismatch("sample times must be strictly increasing")
         return QuadraticHamiltonian(kind="sampled", data=(times, stack))
@@ -394,6 +398,8 @@ class _LinearFlow:
 
 def flow(H: QuadraticHamiltonian, t0: float, t1: float):
     """Flow matrix S with Ṡ = ΩH_tS, S(t0) = Id, evaluated at t1 (see _LinearFlow)."""
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise DimensionMismatch("t0 and t1 must be finite")
     if t1 < t0:
         raise DimensionMismatch("t1 must be ≥ t0")
     return _LinearFlow(H, t0, t1).at(t1, t0, np.eye(2 * H.n, dtype=complex))
@@ -452,12 +458,12 @@ def _crossing(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
 def propagate(Z0: NormalisedFrame, z0, H: QuadraticHamiltonian, times, eps: float = 1.0):
     """Propagate a wavepacket frame: a Trajectory with one state per time.
 
-    times must be increasing and start at t ≥ 0; a state is reported for every
-    requested time.  Raises PositivityLost (carrying the truncated Trajectory
-    and the horizon time) if the evolved Lagrangian stops being positive
-    before the last requested time.  For non-constant H every output time is
-    read from one DOP853 run per smooth piece at rtol = atol = FLOW_TOL;
-    constant H uses expm.
+    times must be finite, increasing and start at t ≥ 0, and eps finite and
+    positive; a state is reported for every requested time.  Raises
+    PositivityLost (carrying the truncated Trajectory and the horizon time) if
+    the evolved Lagrangian stops being positive before the last requested
+    time.  For non-constant H every output time is read from one DOP853 run
+    per smooth piece at rtol = atol = FLOW_TOL; constant H uses expm.
     """
     if not isinstance(Z0, NormalisedFrame):
         Z0 = NormalisedFrame(Z0)
@@ -468,6 +474,8 @@ def propagate(Z0: NormalisedFrame, z0, H: QuadraticHamiltonian, times, eps: floa
     if z0.size != 2 * n:
         raise DimensionMismatch(f"center must have 2n = {2 * n} components")
     times = _check_times(times)
+    if not (math.isfinite(eps) and eps > 0):
+        raise DimensionMismatch("eps must be finite and positive")
 
     *stacks, t_star = _scan(Z0, H, times)
     trajectory = _trajectory(times, *stacks, Z0.entries, z0, eps)
@@ -481,8 +489,8 @@ def _trajectory(times, S, W, gram, min_positivity, log_det_wq, Z0, z0, eps) -> T
 
     _scan has tested positivity, with normalise_frame's margin, at every time
     it kept.  The stack runs once through every other check the per-state
-    constructors make (normalise_frame, NormalisedFrame, SymplecticMetricPair,
-    siegel_matrix), with their tolerances, scales and errors.
+    route makes (normalise_frame, NormalisedFrame, check_metric_pair on one
+    metric, siegel_matrix), with their tolerances, scales and errors.
     """
     n = Z0.shape[1]
     N = hermitian_inv_sqrt(gram)
@@ -731,14 +739,14 @@ def _shared_on_grid(state: PropagatedState, grid: Grid):
 def positivity_horizon(Z0: NormalisedFrame, H: QuadraticHamiltonian, t_max: float) -> float:
     """First time in (0, t_max] where the evolved frame stops being positive.
 
-    Returns math.inf when positivity survives the whole window.  The crossing
-    is the root of the margin gram_margin gives for (1/2i)W*ΩW inside the first
-    flow sample step where it changes sign, located to brentq's default
-    tolerance (~1e-12).
+    t_max must be finite and ≥ 0.  Returns math.inf when positivity survives
+    the whole window.  The crossing is the root of the margin gram_margin
+    gives for (1/2i)W*ΩW inside the first flow sample step where it changes
+    sign, located to brentq's default tolerance (~1e-12).
     """
     if not isinstance(Z0, NormalisedFrame):
         Z0 = NormalisedFrame(Z0)
     if H.n != Z0.n:
         raise DimensionMismatch("Hamiltonian and frame dimensions differ")
-    t_star = _scan(Z0, H, np.array([float(t_max)]))[-1]
+    t_star = _scan(Z0, H, _check_times([t_max]))[-1]
     return math.inf if t_star is None else t_star

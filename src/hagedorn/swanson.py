@@ -15,7 +15,9 @@ i.e. the quadratic symbol ½ z·Hz with H = [[ω0, −iδ], [−iδ, ω0]] in th
 for the initial frame l₀ = (1, −i).  Norm curves for the k-th excited state
 follow from the univariate recursion q_{j+1} = x q_j − m_t · j · q_{j−1}
 composed with x → n_t x:  ‖U(t)φ_k(l₀)‖ = e^{β_t} (Σ_j |a_j|²)^{1/2} with
-a_j = c_j n_t^j √(j!)/√(k!).
+a_j = c_j n_t^j √(j!)/√(k!).  ds_scalars cross-checks the normalisation of
+l_t = n_t S_t l₀ through the Hermitian pairing h(z, z′) = (i/2) z̄ · Ωᵀ z′,
+conjugate-linear in its first argument: h(l_t, l_t) = 1.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, OutsideHorizon
 from .polynomials import ALPHA_MAX
-from .symplectic import NormalisedFrame, hermitian_pairing, omega
+from .symplectic import NormalisedFrame, omega
 
 L0 = np.array([1.0, -1.0j])
 
@@ -100,6 +102,24 @@ def _n_beta_m(params: SwansonParams, t: float) -> tuple[float, float, complex]:
     c, s = math.cos(t * w), math.sin(t * w)
     m = (2 * d / w) * n**2 * s * complex((w0 / w) * s, c)
     return n, beta, m
+
+
+def hermitian_pairing(z: np.ndarray, w: np.ndarray) -> complex | np.ndarray:
+    """h(z, w) = (i/2) z̄ · Ωᵀ w, conjugate-linear in the first argument.
+
+    Accepts single vectors or 2n×k stacks; for stacks the full pairing matrix
+    is returned.
+    """
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    n2 = z.shape[0]
+    if n2 % 2 != 0 or w.shape[0] != n2:
+        raise DimensionMismatch("pairing needs two vectors of equal even length")
+    om = omega(n2 // 2)
+    value = 0.5j * (z.conj().T @ om.T @ w)
+    if value.ndim == 0:
+        return complex(value)
+    return value
 
 
 def ds_scalars(params: SwansonParams, t: float) -> SwansonStateScalars:

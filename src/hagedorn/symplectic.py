@@ -3,8 +3,9 @@
 Conventions used throughout the package: phase-space vectors are ordered
 z = (p, q) with the momentum block on top, the symplectic form is
 Ω = [[0, −Id], [Id, 0]], and a frame Z stacks the blocks as Z = (P; Q).
-The Hermitian pairing h(z, z′) = (i/2) z̄ · Ωᵀ z′ is conjugate-linear in its
-first argument. A frame is normalised when Z*ΩZ = 2i·Id.
+A frame is normalised when Z*ΩZ = 2i·Id; its metric is G = Ωᵀ Re(ZZ*) Ω,
+with J = −ΩG.  Algebra that only the checking side calls lives there: the
+Hermitian pairing in swanson, the projections onto a frame in oracles.
 """
 
 from __future__ import annotations
@@ -83,47 +84,6 @@ def _check_stack_shape(Z: np.ndarray) -> int:
     return Z.shape[-1]
 
 
-def hermitian_pairing(z: np.ndarray, w: np.ndarray) -> complex | np.ndarray:
-    """h(z, w) = (i/2) z̄ · Ωᵀ w, conjugate-linear in the first argument.
-
-    Accepts single vectors or 2n×k stacks; for stacks the full pairing matrix
-    is returned.
-    """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    n2 = z.shape[0]
-    if n2 % 2 != 0 or w.shape[0] != n2:
-        raise DimensionMismatch("pairing needs two vectors of equal even length")
-    om = omega(n2 // 2)
-    value = 0.5j * (z.conj().T @ om.T @ w)
-    if value.ndim == 0:
-        return complex(value)
-    return value
-
-
-def _not_isotropic(Z: np.ndarray):
-    om = omega(Z.shape[-2] // 2)
-    return _worst(_mT(Z) @ om @ Z) > TOL_FRAME * _scale(Z) ** 2
-
-
-def _not_normalised(Z: np.ndarray):
-    om = omega(Z.shape[-2] // 2)
-    defect = _mH(Z) @ om @ Z - 2j * np.eye(Z.shape[-1])
-    return _worst(defect) > TOL_FRAME * _scale(Z) ** 2
-
-
-def is_isotropic(Z: np.ndarray) -> bool:
-    """True iff ZᵀΩZ vanishes entrywise to TOL_FRAME (relative to input scale)."""
-    n = _check_frame_shape(Z)
-    return not _not_isotropic(np.asarray(Z, dtype=complex)) if n else True
-
-
-def is_normalised(Z: np.ndarray) -> bool:
-    """True iff Z*ΩZ = 2i·Id to TOL_FRAME."""
-    _check_frame_shape(Z)
-    return not _not_normalised(np.asarray(Z, dtype=complex))
-
-
 # -- checks on one matrix or a stack of them (leading axes) ------------------
 #
 # The constructors below run them on their one input; propagation runs them
@@ -134,7 +94,9 @@ def check_lagrangian(Z: np.ndarray) -> None:
     """Raise DimensionMismatch unless every frame of Z is isotropic and of full rank."""
     Z = np.asarray(Z, dtype=complex)
     _check_stack_shape(Z)
-    _reject(_not_isotropic(Z), DimensionMismatch, "frame is not isotropic: ZᵀΩZ ≠ 0")
+    om = omega(Z.shape[-2] // 2)
+    _reject(_worst(_mT(Z) @ om @ Z) > TOL_FRAME * _scale(Z) ** 2, DimensionMismatch,
+            "frame is not isotropic: ZᵀΩZ ≠ 0")
     _reject(~(np.linalg.svd(Z, compute_uv=False)[..., -1] > RANK_TOL), DimensionMismatch,
             "frame does not have full column rank")
 
@@ -143,7 +105,8 @@ def check_normalised(Z: np.ndarray) -> None:
     """Raise DimensionMismatch unless Z*ΩZ = 2i·Id for every frame of Z."""
     Z = np.asarray(Z, dtype=complex)
     _check_stack_shape(Z)
-    _reject(_not_normalised(Z), DimensionMismatch,
+    defect = _mH(Z) @ omega(Z.shape[-2] // 2) @ Z - 2j * np.eye(Z.shape[-1])
+    _reject(_worst(defect) > TOL_FRAME * _scale(Z) ** 2, DimensionMismatch,
             "frame is not normalised: Z*ΩZ ≠ 2i·Id")
 
 
@@ -227,27 +190,6 @@ class NormalisedFrame(LagrangianFrame):
 
 
 @dataclass(frozen=True, eq=False)
-class SymplecticMetricPair:
-    """Metric G (symmetric positive-definite symplectic) and structure J = −ΩG."""
-
-    G: np.ndarray
-    J: np.ndarray
-
-    def __post_init__(self):
-        G = np.asarray(self.G, dtype=float)
-        J = np.asarray(self.J, dtype=float)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "J", J)
-        if G.ndim != 2:
-            raise DimensionMismatch("metric pair needs two equal 2n×2n matrices")
-        check_metric_pair(G, J)
-
-    @property
-    def n(self) -> int:
-        return self.G.shape[0] // 2
-
-
-@dataclass(frozen=True, eq=False)
 class SiegelMatrix:
     """B = PQ⁻¹, complex symmetric; Im B ≻ 0 for positive Lagrangians."""
 
@@ -295,15 +237,6 @@ def normalise_frame(Z):
     return NormalisedFrame(entries @ N), N
 
 
-def projections(Z: NormalisedFrame):
-    """Orthogonal projections (π_L, π_L̄) = ((i/2) ZZ*Ωᵀ, −(i/2) Z̄ZᵀΩᵀ)."""
-    entries = Z.entries
-    om = omega(Z.n)
-    pi_l = 0.5j * (entries @ entries.conj().T @ om.T)
-    pi_lbar = -0.5j * (entries.conj() @ entries.T @ om.T)
-    return pi_l, pi_lbar
-
-
 def siegel_b(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """B = PQ⁻¹, symmetrized post-hoc, of every block pair of a stack; raises
     SingularQ when cond(Q) exceeds COND_MAX."""
@@ -332,12 +265,6 @@ def frame_metric(Z: np.ndarray) -> np.ndarray:
     return 0.5 * (G + _mT(G))
 
 
-def metric_and_structure(Z: NormalisedFrame) -> SymplecticMetricPair:
-    """G = Ωᵀ Re(ZZ*) Ω and J = −ΩG for a normalised frame."""
-    G = frame_metric(Z.entries)
-    return SymplecticMetricPair(G=G, J=-omega(Z.n) @ G)
-
-
 def _sign_canonical(u: np.ndarray) -> np.ndarray:
     # Flip so the first significant component (above 1e-12) is positive: deterministic output.
     for x in u:
@@ -353,8 +280,6 @@ def frame_from_metric(G) -> NormalisedFrame:
     with Ω mapping one eigenspace to the other; columns are
     l_k = u_k/√λ_k − i√λ_k (Ωu_k) for λ_k ≥ 1 in descending order.
     """
-    if isinstance(G, SymplecticMetricPair):
-        G = G.G
     G = np.asarray(G, dtype=float)
     n2 = G.shape[0]
     if G.ndim != 2 or G.shape != (n2, n2) or n2 % 2 != 0:

@@ -55,11 +55,6 @@ class Grid:
     def spacings(self) -> list[float]:
         return [(hi - lo) / (c - 1) for (lo, hi), c in zip(self.bounds, self.counts)]
 
-    def points(self) -> np.ndarray:
-        """All nodes, shape counts + (n,)."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack(mesh, axis=-1)
-
     def weights(self) -> np.ndarray:
         """Tensor trapezoid quadrature weights, shape counts: built on the first
         call, then the same read-only array."""

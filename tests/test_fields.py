@@ -60,7 +60,7 @@ class MeshReference:
     by summing monomials one at a time."""
 
     def __init__(self, params, L, grid, sigma=0.0):
-        x = grid.points()
+        x = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
         dx = x - params.q
         B = siegel_matrix(params.frame).B
         quad = np.einsum("...i,ij,...j->...", dx, B, dx)

@@ -30,8 +30,6 @@ from hagedorn.swanson import L0, SwansonParams
 from hagedorn.symplectic import (
     LagrangianFrame,
     NormalisedFrame,
-    SymplecticMetricPair,
-    omega,
     siegel_matrix,
 )
 from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, eval_ground, grid_inner
@@ -371,7 +369,6 @@ def test_convergence_failure_carries_earlier_times(monkeypatch):
     [
         lambda: LagrangianFrame(L0.reshape(2, 1)),
         lambda: NormalisedFrame(L0.reshape(2, 1)),
-        lambda: SymplecticMetricPair(np.eye(2), -omega(1)),
         lambda: siegel_matrix(L0_FRAME),
         lambda: WavepacketParams(frame=L0_FRAME, center=np.zeros(2), eps=1.0),
         lambda: QuadraticHamiltonian.constant(DS.matrix()),
@@ -384,7 +381,6 @@ def test_convergence_failure_carries_earlier_times(monkeypatch):
     ids=[
         "LagrangianFrame",
         "NormalisedFrame",
-        "SymplecticMetricPair",
         "SiegelMatrix",
         "WavepacketParams",
         "QuadraticHamiltonian",

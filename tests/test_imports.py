@@ -1,5 +1,6 @@
 """Import direction: the core modules never reach the checking side or the CLI,
-and `import hagedorn` loads neither.  The names perfbench/tracing.py rebinds
+and `import hagedorn` loads neither.  Every public function and class of a
+core module has a production caller.  The names perfbench/tracing.py rebinds
 all exist in the package, and a constant-H run loads neither scipy.integrate
 nor scipy.optimize."""
 
@@ -68,6 +69,48 @@ def test_tracer_installs_and_uninstalls_cleanly():
         tracer.uninstall()
     for (owner, attr), original in zip(targets, originals):
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
+
+
+def names_read(node):
+    """Every name, attribute and imported name under an AST node."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+    return found
+
+
+def test_every_public_core_definition_has_a_production_caller():
+    # a public function or class of a core module is used by the production
+    # side (the core modules and cli, outside its own definition), exported by
+    # the package root, or wrapped by the benchmark tracer; code that only the
+    # checking side calls belongs there
+    statements = [
+        (module, statement)
+        for module in CORE + ["cli"]
+        for statement in ast.parse((PACKAGE / f"{module}.py").read_text()).body
+    ]
+    tracing = load_tracing()
+    allowed = names_read(ast.parse((PACKAGE / "__init__.py").read_text()))
+    allowed |= {attr for _, attr, *_ in tracing.TIMED + tracing.COUNTED}
+    unused = [
+        f"{module}.{definition.name}"
+        for module, definition in statements
+        if module in CORE
+        and isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+        and not definition.name.startswith("_")
+        and definition.name not in allowed
+        and not any(
+            definition.name in names_read(other)
+            for _, other in statements
+            if other is not definition
+        )
+    ]
+    assert unused == []
 
 
 ROOT_CHECK = """

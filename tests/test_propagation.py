@@ -29,7 +29,7 @@ from hagedorn.propagation import (
     propagate,
 )
 from hagedorn.swanson import L0, SwansonParams, ds_flow, ds_norm, ds_scalars
-from hagedorn.symplectic import LagrangianFrame, NormalisedFrame, metric_and_structure, omega
+from hagedorn.symplectic import LagrangianFrame, NormalisedFrame, frame_metric, omega
 from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, grid_inner, grid_norm
 
 DS = SwansonParams(omega0=1.0, delta=0.5)
@@ -97,12 +97,24 @@ def test_hamiltonian_rejects_bad_input():
             QuadraticHamiltonian.sampled([0.0, 1.0], [np.eye(2), matrix])
 
 
+@pytest.mark.parametrize("knots", [[0.0, np.nan], [-np.inf, 1.0], [0.0, np.inf]])
+def test_sampled_rejects_non_finite_knots(knots):
+    with pytest.raises(DimensionMismatch, match="finite"):
+        QuadraticHamiltonian.sampled(knots, [DS.matrix(), DS.matrix()])
+
+
 def test_flow_identity_at_equal_times():
     assert np.array_equal(flow(DS_HAM, 0.7, 0.7), np.eye(2))
     samp = QuadraticHamiltonian.sampled([0.0, 2.0], [DS.matrix(), DS.matrix()])
     assert np.array_equal(flow(samp, 0.5, 0.5), np.eye(2))
     with pytest.raises(DimensionMismatch):
         flow(DS_HAM, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0)])
+def test_flow_rejects_non_finite_times(t0, t1):
+    with pytest.raises(DimensionMismatch, match="finite"):
+        flow(DS_HAM, t0, t1)
 
 
 def test_flow_matches_closed_form_both_routes():
@@ -141,6 +153,18 @@ def test_propagate_validates_input():
         propagate(L0_FRAME, [0.0, 0.0, 0.0], DS_HAM, [0.0])
     with pytest.raises(DimensionMismatch):
         propagate(L0_FRAME, ORIGIN, harmonic(2), [0.0])
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan], [0.0, np.inf], [np.nan]])
+def test_propagate_rejects_non_finite_times(times):
+    with pytest.raises(DimensionMismatch, match="finite"):
+        propagate(L0_FRAME, ORIGIN, DS_HAM, times)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+def test_propagate_rejects_bad_eps(eps):
+    with pytest.raises(DimensionMismatch, match="eps"):
+        propagate(L0_FRAME, ORIGIN, DS_HAM, [0.0, 0.5], eps)
 
 
 def test_propagate_tracked_invariants(ds_trajectory):
@@ -291,8 +315,7 @@ def test_polynomial_hamiltonian_matches_riccati_and_centre_oracles():
     Z0, z0 = standard_frame(n), np.array([0.4, -0.3, 0.2, 0.5])
     times = np.linspace(0.0, 2.0, 401)
     states = propagate(Z0, z0, H, times)
-    pairs = evolve_metric_riccati(metric_and_structure(Z0), H, times)
-    Gs = np.stack([p.G for p in pairs])
+    Gs = evolve_metric_riccati(frame_metric(Z0.entries), H, times)
     rate = [0.25 * np.trace(np.linalg.solve(G, H(t).imag)) for t, G in zip(times, Gs)]
     beta = cumulative_simpson(rate, x=times, initial=0.0)
     assert max(abs(s.beta - b) for s, b in zip(states, beta)) < 5e-10
@@ -317,22 +340,29 @@ def test_positivity_horizon_values():
         assert abs(positivity_horizon(L0_FRAME, ham, 2.0) - t_exact) < 1e-8
 
 
+@pytest.mark.parametrize("t_max", [np.nan, np.inf, -1.0])
+def test_positivity_horizon_rejects_bad_t_max(t_max):
+    with pytest.raises(DimensionMismatch):
+        positivity_horizon(L0_FRAME, DS_HAM, t_max)
+
+
 # -- metric flow (independent Riccati route) -----------------------------------
 
 
 def test_riccati_matches_frame_route_over_a_period(ds_trajectory):
     times, states = ds_trajectory
-    pairs = evolve_metric_riccati(np.eye(2), DS_HAM, times)
+    Gs = evolve_metric_riccati(np.eye(2), DS_HAM, times)
     om = omega(1)
-    for pair, state in zip(pairs, states):
-        assert np.max(np.abs(pair.G - state.G)) < 1e-8
-        assert np.max(np.abs(pair.J @ pair.J + np.eye(2))) < 1e-8
-        assert np.max(np.abs(pair.G.T @ om @ pair.G - om)) < 1e-9
+    for G, state in zip(Gs, states):
+        J = -om @ G
+        assert np.max(np.abs(G - state.G)) < 1e-8
+        assert np.max(np.abs(J @ J + np.eye(2))) < 1e-8
+        assert np.max(np.abs(G.T @ om @ G - om)) < 1e-9
 
 
 def test_riccati_harmonic_fixed_point():
-    pairs = evolve_metric_riccati(np.eye(2), harmonic(), np.linspace(0.0, 5.0, 20))
-    assert max(np.max(np.abs(p.G - np.eye(2))) for p in pairs) < 1e-10
+    Gs = evolve_metric_riccati(np.eye(2), harmonic(), np.linspace(0.0, 5.0, 20))
+    assert max(np.max(np.abs(G - np.eye(2))) for G in Gs) < 1e-10
 
 
 def test_riccati_validates_input():

@@ -16,21 +16,20 @@ from hagedorn.errors import (
     NotSymplecticMetric,
     SingularQ,
 )
-from hagedorn.swanson import L0, SwansonParams, ds_flow
+from hagedorn.oracles import projections
+from hagedorn.swanson import L0, SwansonParams, ds_flow, hermitian_pairing
 from hagedorn.symplectic import (
     LagrangianFrame,
     NormalisedFrame,
-    SymplecticMetricPair,
+    check_lagrangian,
+    check_metric_pair,
+    check_normalised,
     frame_from_metric,
+    frame_metric,
     gram_matrix,
     hermitian_inv_sqrt,
-    hermitian_pairing,
-    is_isotropic,
-    is_normalised,
-    metric_and_structure,
     normalise_frame,
     omega,
-    projections,
     siegel_matrix,
 )
 
@@ -61,15 +60,17 @@ def random_frame(rng, n):
 # -- predicates ----------------------------------------------------------------
 
 def test_is_isotropic_examples():
-    assert is_isotropic(STANDARD_1D)
-    assert is_isotropic(np.vstack([np.eye(2), -1j * np.eye(2)]))
-    assert not is_isotropic(np.vstack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]))
+    check_lagrangian(STANDARD_1D)
+    check_lagrangian(np.vstack([np.eye(2), -1j * np.eye(2)]))
+    with pytest.raises(DimensionMismatch, match="isotropic"):
+        check_lagrangian(np.vstack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]))
 
 
 def test_is_normalised_examples():
-    assert is_normalised(STANDARD_1D)
-    assert not is_normalised(np.array([[2j], [2.0]]))
-    assert is_normalised(frame_from_metric(np.eye(2)).entries)
+    check_normalised(STANDARD_1D)
+    with pytest.raises(DimensionMismatch):
+        check_normalised(np.array([[2j], [2.0]]))
+    check_normalised(frame_from_metric(np.eye(2)).entries)
 
 
 def test_lagrangian_frame_rejects_non_isotropic():
@@ -184,7 +185,7 @@ def test_projection_identities(seed, n):
 def test_projection_from_complex_structure(seed, n):
     Z = random_frame(np.random.default_rng(seed), n)
     pi_l, _ = projections(Z)
-    J = metric_and_structure(Z).J
+    J = -omega(n) @ frame_metric(Z.entries)
     assert np.max(np.abs(pi_l - 0.5 * (np.eye(2 * n) + 1j * J))) < 1e-10
 
 
@@ -224,9 +225,9 @@ def test_siegel_singular_q():
 # -- metric and complex structure ------------------------------------------------
 
 def test_metric_standard_frame():
-    pair = metric_and_structure(NormalisedFrame(LagrangianFrame(STANDARD_1D)))
-    assert np.allclose(pair.G, np.eye(2), atol=1e-14)
-    assert np.allclose(pair.J, -omega(1), atol=1e-14)
+    G = frame_metric(NormalisedFrame(LagrangianFrame(STANDARD_1D)).entries)
+    assert np.allclose(G, np.eye(2), atol=1e-14)
+    assert np.allclose(-omega(1) @ G, -omega(1), atol=1e-14)
 
 
 @given(st.integers(0, 10_000), st.sampled_from([1, 2]))
@@ -235,24 +236,24 @@ def test_metric_unitary_gauge_equality(seed, n):
     Z = random_frame(rng, n)
     U = random_unitary(rng, n)
     gauged = NormalisedFrame(LagrangianFrame(Z.entries @ U))
-    pair, pair_gauged = metric_and_structure(Z), metric_and_structure(gauged)
-    assert np.max(np.abs(pair.G - pair_gauged.G)) < 1e-12
-    assert np.max(np.abs(pair.J - pair_gauged.J)) < 1e-12
+    G, G_gauged = frame_metric(Z.entries), frame_metric(gauged.entries)
+    assert np.max(np.abs(G - G_gauged)) < 1e-12
+    assert np.max(np.abs(-omega(n) @ G - (-omega(n) @ G_gauged))) < 1e-12
 
 
 def test_metric_pair_validation():
     with pytest.raises(NotSymplecticMetric):
-        SymplecticMetricPair(G=np.diag([2.0, 2.0]), J=-omega(1) @ np.diag([2.0, 2.0]))
+        check_metric_pair(np.diag([2.0, 2.0]), -omega(1) @ np.diag([2.0, 2.0]))
     with pytest.raises(NotSymplecticMetric):
-        SymplecticMetricPair(G=np.eye(2), J=np.eye(2))
+        check_metric_pair(np.eye(2), np.eye(2))
 
 
 # -- frame from metric -----------------------------------------------------------
 
 def test_frame_from_metric_identity():
     frame = frame_from_metric(np.eye(2))
-    assert is_normalised(frame.entries)
-    assert np.allclose(metric_and_structure(frame).G, np.eye(2), atol=1e-12)
+    check_normalised(frame.entries)
+    assert np.allclose(frame_metric(frame.entries), np.eye(2), atol=1e-12)
 
 
 def test_frame_from_metric_squeezed():
@@ -265,7 +266,7 @@ def test_frame_from_metric_round_trip(seed, n):
     S = random_symplectic(np.random.default_rng(seed), n)
     G = S.T @ S
     frame = frame_from_metric(G)
-    back = metric_and_structure(frame).G
+    back = frame_metric(frame.entries)
     assert np.max(np.abs(back - G)) < 1e-10 * max(1.0, np.max(np.abs(G)))
 
 
@@ -276,11 +277,6 @@ def test_frame_from_metric_rejects_invalid():
         frame_from_metric(np.array([[1.0, 0.2], [0.0, 1.0]]))  # not symmetric
     with pytest.raises(DimensionMismatch):
         frame_from_metric(np.eye(3))
-
-
-def test_frame_from_metric_accepts_pair():
-    pair = SymplecticMetricPair(G=np.eye(2), J=-omega(1))
-    assert is_normalised(frame_from_metric(pair).entries)
 
 
 # -- Hermitian inverse square root -----------------------------------------------

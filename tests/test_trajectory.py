@@ -24,14 +24,13 @@ from hagedorn.propagation import (
 from hagedorn.symplectic import (
     LagrangianFrame,
     NormalisedFrame,
-    SymplecticMetricPair,
     check_lagrangian,
     check_metric_pair,
     check_normalised,
     check_positive_gram,
+    frame_metric,
     gram_matrix,
     hermitian_inv_sqrt,
-    metric_and_structure,
     normalise_frame,
     omega,
     siegel_b,
@@ -62,9 +61,9 @@ def reference_state(S, Z0, z0):
     n = Z0.shape[1]
     W = S @ Z0
     frame, N = normalise_frame(W)
-    pair = metric_and_structure(frame)
+    G = frame_metric(frame.entries)
     W_bar_flow = S @ Z0.conj()
-    M = 0.25 * (W_bar_flow.T @ pair.G @ W_bar_flow)
+    M = 0.25 * (W_bar_flow.T @ G @ W_bar_flow)
     M = 0.5 * (M + M.T)
     Q = frame.Q
     Mtilde = M + N @ np.linalg.solve(Q, Q.conj()) @ N.conj()
@@ -83,7 +82,7 @@ def reference_state(S, Z0, z0):
         "action": 0.5 * (pi @ xi - z0[:n] @ z0[n:]) + 0.5 * (d @ B @ d) + pi @ d,
         "M": M,
         "Mtilde": 0.5 * (Mtilde + Mtilde.T),
-        "G": pair.G,
+        "G": G,
         "min_positivity": np.linalg.eigvalsh(gram_matrix(W))[0],
         "log_abs_det_q": math.log(abs(np.linalg.det(Q))),
         "arg_det_q": np.angle(np.linalg.det(Q)),
@@ -151,8 +150,19 @@ def _singular_q_frame():
 
 J_OFF = (-1.0 + 0.9e-10) * omega(1)  # within 1e-10 of −ΩG for G = Id, but J² + Id ≈ 1.8e-10
 
+
+def _metric_check(G):
+    check_metric_pair(G, -omega(1) @ G)
+
+
+def _structure_check(J):
+    check_metric_pair(np.broadcast_to(np.eye(2), J.shape), J)
+
+
+# The metric rows run check_metric_pair on one matrix as their per-state
+# side, which is _reject's unstacked path.
 STACKED_CHECKS = [
-    # (id, good member, corrupted member, stacked check, per-state constructor, error, message)
+    # (id, good member, corrupted member, stacked check, per-state check, error, message)
     ("isotropy", _standard(2), np.vstack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]),
      check_lagrangian, LagrangianFrame, DimensionMismatch, "isotropic"),
     ("full-rank", _standard(2), np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
@@ -167,20 +177,15 @@ STACKED_CHECKS = [
     ("inv-sqrt-positive", np.eye(2), np.diag([1.0, -1.0]),
      hermitian_inv_sqrt, hermitian_inv_sqrt, NotPositiveDefinite, "below floor"),
     ("G-symmetric", np.eye(2), np.array([[1.0, 0.1], [0.0, 1.0]]),
-     lambda G: check_metric_pair(G, -omega(1) @ G),
-     lambda G: SymplecticMetricPair(G, -omega(1) @ G), NotSymplecticMetric, "symmetric"),
+     _metric_check, _metric_check, NotSymplecticMetric, "symmetric"),
     ("G-symplectic", np.eye(2), 2 * np.eye(2),
-     lambda G: check_metric_pair(G, -omega(1) @ G),
-     lambda G: SymplecticMetricPair(G, -omega(1) @ G), NotSymplecticMetric, "GᵀΩG"),
+     _metric_check, _metric_check, NotSymplecticMetric, "GᵀΩG"),
     ("G-positive", np.eye(2), -np.eye(2),
-     lambda G: check_metric_pair(G, -omega(1) @ G),
-     lambda G: SymplecticMetricPair(G, -omega(1) @ G), NotSymplecticMetric, "positive definite"),
+     _metric_check, _metric_check, NotSymplecticMetric, "positive definite"),
     ("J-structure", -omega(1), -omega(1) + 1e-3,
-     lambda J: check_metric_pair(np.broadcast_to(np.eye(2), J.shape), J),
-     lambda J: SymplecticMetricPair(np.eye(2), J), NotSymplecticMetric, "J ≠ −ΩG"),
+     _structure_check, _structure_check, NotSymplecticMetric, "J ≠ −ΩG"),
     ("J-squared", -omega(1), J_OFF,
-     lambda J: check_metric_pair(np.broadcast_to(np.eye(2), J.shape), J),
-     lambda J: SymplecticMetricPair(np.eye(2), J), NotSymplecticMetric, "J²"),
+     _structure_check, _structure_check, NotSymplecticMetric, "J²"),
     ("cond-Q", _standard(2), _singular_q_frame(),
      lambda Z: siegel_b(Z[:, :2], Z[:, 2:]), siegel_matrix, SingularQ, "singular"),
 ]
