@@ -5,8 +5,8 @@
 Builds ROW's inputs, makes one untimed call and one timed call, and prints
 the wall time of the timed call in ms.  `bench/run.py --against REV` runs it
 in a fresh interpreter for each of two trees in turn, so it calls only entry
-points that both trees have: `run_scenario` on the `swanson-fig1` preset and
-`propagate_grid`.
+points that both trees have: `run_scenario` on the `swanson-fig1` preset,
+`propagate_grid` and `propagate` under a driven (sampled or polynomial) H.
 """
 
 import copy
@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from hagedorn.cli import PRESETS, load_config, run_scenario
+from hagedorn.cli import PRESETS, load_config, run_scenario, standard_frame
 from hagedorn.gridsolver import discretize_hamiltonian, propagate_grid
+from hagedorn.propagation import QuadraticHamiltonian, propagate
 from hagedorn.swanson import SwansonParams
 from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited
 
@@ -55,11 +56,33 @@ def march():
     return call
 
 
+def driven(kind: str, n: int):
+    """propagate of the standard frame from a seeded centre, 150 times on
+    [0, 3], under a seeded H sampled on 7 knots of [0, 3] or the polynomial
+    H₀ + tH₁ + t²H₂ (H₁ scaled by 0.2, H₂ by 0.05), each matrix
+    R + iI with R = XXᵀ/2n + ½Id and I = 0.05(Y + Yᵀ) for Gaussian X, Y.
+    No case loses positivity on [0, 3]."""
+    rng = np.random.default_rng(2)
+
+    def matrix():
+        X, Y = rng.normal(size=(2 * n, 2 * n)), rng.normal(size=(2 * n, 2 * n))
+        return X @ X.T / (2 * n) + 0.5 * np.eye(2 * n) + 0.05j * (Y + Y.T)
+
+    knots = np.linspace(0.0, 3.0, 7)
+    sampled = QuadraticHamiltonian.sampled(knots, [matrix() for _ in knots])
+    polynomial = QuadraticHamiltonian.polynomial([scale * matrix() for scale in (1.0, 0.2, 0.05)])
+    H = {"sampled": sampled, "polynomial": polynomial}[kind]
+    args = (standard_frame(n), rng.uniform(-1.0, 1.0, 2 * n), H, np.linspace(0.0, 3.0, 150))
+    return lambda: propagate(*args)
+
+
 ROWS = {
     "scenario-oracle-short": lambda: scenario({**ORACLE, "times": [0.25, 0.5]}),
     "scenario-oracle-full": lambda: scenario(ORACLE),
     "scenario-no-oracle": lambda: scenario({"enabled": False}),
     "march": march,
+    **{f"propagate-{kind}-n{n}": (lambda kind=kind, n=n: driven(kind, n))
+       for kind in ("sampled", "polynomial") for n in (1, 2, 3)},
 }
 
 

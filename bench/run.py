@@ -1,6 +1,7 @@
 """Per-call times of `hagedorn_coefficients`, `coefficient_sweep`, `propagate`,
 grid fields, the grid oracle's building blocks, whole `swanson-fig1` runs and
-subprocess runs of every preset, written to BENCH_21.json.
+subprocess runs of every preset and of a driven config, written to
+BENCH_23.json.
 
     python3 bench/run.py [--against REV]
 
@@ -18,8 +19,9 @@ Imports the package from ./src of the checkout this script sits in.
   H₀ + tH₁ + t²H₂ (each matrix drawn as the mode-mixed H above, H₁ scaled by
   0.2 and H₂ by 0.05), 150 times on [0, 3].  All but the first start from
   the standard frame and a seeded centre.  One run of a row is one call,
-  after one warm-up call; each row also gives the number of `solve_ivp`
-  calls that one call makes, counted through `propagation.solve_ivp`.
+  after one warm-up call; each row also gives the number of Taylor series
+  that one call sums, counted through `propagation._series` (one per
+  Taylor step of a sampled or polynomial H, none for a constant H).
 - Grid fields: `evolved_state_on_grid` for all 45 α with |α| ≤ 8 on a
   256×256 grid, at the n = 2 states of the mode-mixed H above at t = 1.5
   and 0.75, one run being the mean over the two states of all 45 fields at
@@ -58,9 +60,10 @@ Imports the package from ./src of the checkout this script sits in.
 - Subprocesses, start-up included, each the wall time of one fresh
   interpreter with ./src on PYTHONPATH: `python -c pass` (the interpreter
   alone), `python -c "import hagedorn"`, `python -c "import hagedorn.cli"`,
-  and `python -m hagedorn run
-  --preset <p> --no-oracle` for all four presets, writing into a temporary
-  directory named by HAGEDORN_OUT_DIR.
+  `python -m hagedorn run --preset <p> --no-oracle` for all four presets,
+  and `python -m hagedorn run tests/configs/driven-sampled.json --no-oracle`
+  (n = 2, H sampled on 5 knots), writing into a temporary directory named
+  by HAGEDORN_OUT_DIR.
   These rows take the median of SUBPROCESS_RUNS runs after one warm-up run.
 
 Each row holds the median and the best of its runs.  The file also records
@@ -71,10 +74,12 @@ exported by `git archive` into a temporary directory, and this checkout run
 the rows that call only public entry points, PAIRED_RUNS pairs after one
 warm-up run each, alternating which tree runs first, every run in a fresh
 interpreter with that tree's src on PYTHONPATH.  These are the three
-`run_scenario` rows and the march (timed inside the interpreter by
-bench/public_rows.py) and the subprocess start-up rows.  Each paired row
-gives both medians, their quartiles and the number of pairs the checkout won,
-so the host's drift over the minutes of a run falls on both trees alike.
+`run_scenario` rows, the march and `propagate` under a sampled and a
+polynomial H for n = 1, 2, 3 at 150 times on [0, 3] (timed inside the
+interpreter by bench/public_rows.py), and the subprocess start-up rows.
+Each paired row gives both medians, their quartiles and the number of pairs
+the checkout won, so the host's drift over the minutes of a run falls on
+both trees alike.
 """
 
 import argparse
@@ -121,7 +126,7 @@ from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, grid_norm
 
 import public_rows  # noqa: E402  (bench/, the script's own directory)
 
-OUT = ROOT / "BENCH_21.json"
+OUT = ROOT / "BENCH_23.json"
 MODES = (3, 4)
 ORDERS = (4, 6, 8, 12)
 RUNS = 5
@@ -138,6 +143,12 @@ SCENARIO_CASES = (
     ("swanson-fig1, full oracle list", "scenario-oracle-full"),
     ("swanson-fig1, no oracle", "scenario-no-oracle"),
 )
+# driven propagate rows: (case, bench/public_rows.py row)
+DRIVEN_CASES = tuple(
+    (f"{kind} n={n}, 150 times on [0, 3]", f"propagate-{kind}-n{n}")
+    for kind in ("sampled", "polynomial") for n in (1, 2, 3)
+)
+DRIVEN_CONFIG = ROOT / "tests" / "configs" / "driven-sampled.json"
 MARCH_FIELDS = {"what": "propagate_grid march", "case": "Swanson, N=1024, alpha = 0, 1, 2"
                 " through (0.25, 0.5), warm operator", "per": "run of 3 marches"}
 
@@ -280,9 +291,9 @@ def propagate_cases() -> dict:
     return cases
 
 
-def solve_ivp_calls(args) -> int:
-    """The solve_ivp calls that one propagate(*args) makes."""
-    with mock.patch.object(propagation, "solve_ivp", wraps=propagation.solve_ivp) as counted:
+def taylor_series_calls(args) -> int:
+    """The Taylor series that one propagate(*args) sums."""
+    with mock.patch.object(propagation, "_series", wraps=propagation._series) as counted:
         propagate(*args)
     return counted.call_count
 
@@ -290,7 +301,7 @@ def solve_ivp_calls(args) -> int:
 def propagate_rows() -> list:
     return timed_rows(
         (
-            {"what": "propagate", "case": name, "solve_ivp_calls": solve_ivp_calls(args)},
+            {"what": "propagate", "case": name, "taylor_series_calls": taylor_series_calls(args)},
             lambda case: propagate(*case),
             [args],
             1,
@@ -419,11 +430,13 @@ def start_up_args() -> list:
     cases = [("python -c pass", ["-c", "pass"]),
              ("import hagedorn", ["-c", "import hagedorn"]),
              ("import hagedorn.cli", ["-c", "import hagedorn.cli"])]
-    return cases + [
+    cases += [
         (f"hagedorn run --preset {name} --no-oracle",
          ["-m", "hagedorn", "run", "--preset", name, "--no-oracle"])
         for name in sorted(PRESETS)
     ]
+    return cases + [(f"hagedorn run {DRIVEN_CONFIG.relative_to(ROOT)} --no-oracle",
+                     ["-m", "hagedorn", "run", str(DRIVEN_CONFIG), "--no-oracle"])]
 
 
 def paired_cases() -> list:
@@ -438,6 +451,8 @@ def paired_cases() -> list:
         for case, row in SCENARIO_CASES
     ]
     cases.append((MARCH_FIELDS, [worker, "march"], True))
+    cases += [({"what": "propagate", "case": case, "per": "call"}, [worker, row], True)
+              for case, row in DRIVEN_CASES]
     cases += [({"what": "subprocess", "case": case, "per": "process"}, args, False)
               for case, args in start_up_args()]
     return cases
@@ -506,7 +521,7 @@ def main() -> None:
         " fields, grid norms and small coefficient tables by case, of the coefficients over a"
         " trajectory per state and by sweep, of the grid oracle's assembly, Cayley build,"
         " squaring, step and march, of propagate right after a march, of swanson-fig1 runs,"
-        " and of subprocess imports and preset runs, median of runs",
+        " and of subprocess imports, preset runs and a driven config run, median of runs",
         "machine": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),

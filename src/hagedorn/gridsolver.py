@@ -155,8 +155,8 @@ def discretize_hamiltonian(H, eps: float, grid: Grid) -> DiscretizedOperator:
     if abs(H[0, 1] - H[1, 0]) > 1e-12 * max(1.0, float(np.max(np.abs(H)))):
         raise NonSymmetricH("coefficient matrix is not symmetric")
     _require_1d(grid)
-    if not eps > 0:
-        raise DimensionMismatch("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise DimensionMismatch("eps must be finite and positive")
     p = _momenta(grid, eps)
     x = grid.axes()[0]
     cross = H[0, 1]

@@ -112,8 +112,8 @@ class WavepacketParams:
                 f"center must have 2n = {2 * frame.n} real components"
             )
         object.__setattr__(self, "center", center)
-        if not self.eps > 0:
-            raise DimensionMismatch("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise DimensionMismatch("eps must be finite and positive")
 
     @property
     def n(self) -> int:

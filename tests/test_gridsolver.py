@@ -97,6 +97,12 @@ def test_discretize_validates_input():
         discretize_hamiltonian(np.eye(2), 0.0, GRID)
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0])
+def test_discretize_rejects_eps_that_is_not_finite_and_positive(eps):
+    with pytest.raises(DimensionMismatch):
+        discretize_hamiltonian(np.eye(2), eps, GRID_SMALL)
+
+
 # -- propagation ----------------------------------------------------------------
 
 

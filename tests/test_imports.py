@@ -1,8 +1,9 @@
 """Import direction: the core modules never reach the checking side or the CLI,
 and `import hagedorn` loads neither.  Every public function and class of a
 core module has a production caller.  The names perfbench/tracing.py rebinds
-all exist in the package, and a constant-H run loads neither scipy.integrate
-nor scipy.optimize."""
+all exist in the package.  A constant-H run loads neither scipy.integrate
+nor scipy.optimize, and a driven run without a positivity crossing loads
+neither either."""
 
 import ast
 import importlib.util
@@ -146,5 +147,28 @@ def test_constant_h_run_loads_no_ode_or_root_finder():
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     result = subprocess.run(
         [sys.executable, "-c", LAZY_CHECK], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+DRIVEN_CHECK = """
+import json, sys, tempfile
+import hagedorn.cli as cli
+with open(sys.argv[1]) as fh:
+    raw = json.load(fh)
+with tempfile.TemporaryDirectory() as out:
+    assert cli.run_scenario(cli.load_config(raw), out) == 0
+print(sorted(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules))
+"""
+
+
+def test_polynomial_h_run_loads_no_ode_or_root_finder():
+    # an n = 2 polynomial H without a crossing: the flow is the Taylor
+    # recurrence, which needs no ODE solver, and no root is bracketed
+    config = Path(__file__).with_name("configs") / "driven-polynomial.json"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", DRIVEN_CHECK, str(config)],
+        capture_output=True, text=True, env=env, check=True,
     )
     assert result.stdout.strip() == "[]"

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from hagedorn.errors import (
     DimensionMismatch,
     NonSymmetricH,
     PositivityLost,
+    StepSizeUnderflow,
 )
 from hagedorn.gridsolver import discretize_hamiltonian, propagate_grid
 from hagedorn.oracles import center_dynamics, evolve_metric_riccati
@@ -288,21 +288,65 @@ def test_sampled_hamiltonian_flow_matches_piecewise_reference():
     assert max(np.max(np.abs(s.S.reshape(-1) - r)) for s, r in zip(states, ref)) < 1.5e-9
 
 
-def test_flow_is_one_run_per_piece_whatever_the_output_times(monkeypatch):
-    # a sampled H on 5 knots has 4 smooth pieces, each one DOP853 run
-    n = 2
+def driven_hamiltonians(n=2):
+    """A sampled H on 5 knots of [0, 3] and a polynomial H of degree 2."""
     knots = np.linspace(0.0, 3.0, 5)
-    H = QuadraticHamiltonian.sampled(knots, [seeded_matrix(seed, n) for seed in range(5)])
-    args = (standard_frame(n), np.zeros(2 * n), H)
-    counted = mock.Mock(wraps=solve_ivp)
-    monkeypatch.setattr(propagation, "solve_ivp", counted)
+    sampled = QuadraticHamiltonian.sampled(knots, [seeded_matrix(seed, n) for seed in range(5)])
+    polynomial = QuadraticHamiltonian.polynomial(
+        [seeded_matrix(1, n), 0.2 * seeded_matrix(3, n), 0.05 * seeded_matrix(4, n)]
+    )
+    return {"sampled": sampled, "polynomial": polynomial}
+
+
+@pytest.mark.parametrize("kind", ["sampled", "polynomial"])
+def test_flow_does_not_depend_on_the_output_times(kind):
+    # the Taylor steps follow H alone, so S at t = 3 is the same bits
+    # whether 2 or 150 output times are asked for
+    n = 2
+    args = (standard_frame(n), np.zeros(2 * n), driven_hamiltonians(n)[kind])
     sparse = propagate(*args, [0.0, 3.0])[-1].S
-    assert counted.call_count == 4
-    counted.reset_mock()
     dense = propagate(*args, np.linspace(0.0, 3.0, 150))[-1].S
-    assert counted.call_count == 4
-    # S_t does not depend on how many output times were asked for
-    assert np.max(np.abs(sparse - dense)) <= 1e-12
+    assert np.array_equal(sparse, dense)
+
+
+def test_no_hamiltonian_calls_an_ode_solver(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_ivp called")
+
+    monkeypatch.setattr(propagation, "solve_ivp", forbidden)
+    n = 2
+    for H in [QuadraticHamiltonian.constant(seeded_matrix(1, n)), *driven_hamiltonians(n).values()]:
+        propagate(standard_frame(n), np.zeros(2 * n), H, np.linspace(0.0, 3.0, 11))
+        assert flow(H, 0.5, 2.0).shape == (2 * n, 2 * n)
+
+
+@pytest.mark.parametrize("kind", ["sampled", "polynomial"])
+def test_driven_route_matches_the_swanson_flow(kind):
+    # the constant Swanson H given as a sampled or polynomial H takes the
+    # Taylor route, which reproduces the closed-form flow to rounding
+    matrix = DS.matrix()
+    H = {
+        "sampled": QuadraticHamiltonian.sampled(np.linspace(0.0, 2.0, 5), [matrix] * 5),
+        "polynomial": QuadraticHamiltonian.polynomial([matrix]),
+    }[kind]
+    states = propagate(L0_FRAME, ORIGIN, H, [0.0, 0.3, 0.9, 1.3, 1.9])
+    assert max(np.max(np.abs(s.S - ds_flow(DS, s.t))) for s in states) < 1e-14
+
+
+@pytest.mark.parametrize("scale", [1e200, 4e307])
+def test_driven_flow_too_fast_for_the_time_axis_raises(scale):
+    # ‖ΩH‖₂ ~ scale asks for steps of 1/scale, below the spacing of t on [0, 1]
+    H = QuadraticHamiltonian.polynomial([np.full((2, 2), scale)])
+    with pytest.raises(StepSizeUnderflow):
+        propagate(L0_FRAME, ORIGIN, H, [0.0, 1.0])
+
+
+def test_driven_route_keeps_the_logdetq_branch_to_rounding():
+    # harmonic H as a polynomial: Q_t = e^{it}·Id after 37 time units
+    n, t = 3, 37.0
+    H = QuadraticHamiltonian.polynomial([np.eye(2 * n)])
+    state = propagate(standard_frame(n), np.zeros(2 * n), H, [t])[0]
+    assert abs(state.logdetQ - 1j * n * t) < 1e-12
 
 
 def test_polynomial_hamiltonian_matches_riccati_and_centre_oracles():

@@ -41,6 +41,12 @@ def squeezed_frame_2d():
 
 # -- grid type -------------------------------------------------------------------
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0])
+def test_params_reject_eps_that_is_not_finite_and_positive(eps):
+    with pytest.raises(DimensionMismatch):
+        WavepacketParams(frame=STANDARD_1D, center=np.zeros(2), eps=eps)
+
+
 def test_grid_validation():
     with pytest.raises(DimensionMismatch):
         Grid(bounds=[(0.0, 1.0)], counts=[1])
