@@ -5,7 +5,8 @@ linear flow S_t, Ṡ = ΩH_tS with S_0 = Id.  For constant H, S_t = expm(tΩH).
 Otherwise ΩH is a polynomial in t on each smooth piece of H (a sampled H is
 split at its knots), so the Taylor coefficients of S obey an exact
 recurrence, (k + 1)C_{k+1} = Σ_j G_jC_{k−j}, summed on steps with
-h·‖ΩH‖₂ ≤ 1 until two successive terms fall below 2⁻⁵³‖S‖ (_LinearFlow).
+h·‖ΩH‖₂ ≤ 1 until max(2, d + 1) successive terms fall below 2⁻⁵³‖S‖, d
+the degree of ΩH in t on the piece (_LinearFlow).
 The steps follow H alone, whatever the output times.  Against closed forms
 (the Swanson H given as sampled or polynomial, the harmonic H at n = 3 and
 t = 37) S_t is within 4.4e-16.  propagate returns a Trajectory: every quantity
@@ -322,9 +323,10 @@ def symplectic_defect(S: np.ndarray):
 
 # -- the linear flow S_t ---------------------------------------------------------
 
-# Terms a Taylor step may take before its flow counts as not finite.  With
-# h·ρ ≤ 1 a finite S needs 20 to 26 (‖D_k‖ falls roughly as 1/k!); only NaN
-# or an overflow, whose norms never compare below the floor, reach 60.
+# Terms a Taylor step of degree d may take, past d, before its flow counts as
+# not finite.  With h·ρ ≤ 1 a finite S needs 20 to 26 + d (‖D_k‖ falls
+# roughly as 1/k!); only NaN or an overflow, whose norms never compare below
+# the floor, reach 60 + d.
 TAYLOR_TERMS_MAX = 60
 
 
@@ -342,8 +344,9 @@ class _LinearFlow:
     and only the tail of the series is cut.  Each step starts where the last
     ended and has the largest length h, up to the end of its piece, with
     h·ρ ≤ 1 for ρ = Σ_j ‖G_j‖₂h^j, an upper bound of ‖ΩH‖₂ on the step; its
-    series runs in the scaled terms D_k = C_kh^k until two successive
-    ‖D_k‖_F fall below 2⁻⁵³‖S(t_s)‖_F.  The steps depend on H and t0 alone,
+    series runs in the scaled terms D_k = C_kh^k until max(2, d + 1)
+    successive ‖D_k‖_F fall below 2⁻⁵³‖S(t_s)‖_F, after which no later
+    term can rise above that floor.  The steps depend on H and t0 alone,
     so S at a time is bit-identical whatever other times are asked for.
     """
 
@@ -471,28 +474,31 @@ def _step_length(norms) -> float:
 
 def _series(G: np.ndarray, S: np.ndarray, h: float, t: float) -> np.ndarray:
     """D_k = C_kh^k of S(t + τ) = Σ_k D_k(τ/h)^k, highest k first, from
-    (k + 1)D_{k+1} = Σ_j (h^{j+1}G_j)D_{k−j}; it stops once two successive
-    ‖D_k‖_F fall below 2⁻⁵³‖S‖_F and raises StepSizeUnderflow for a flow that
-    is not finite."""
+    (k + 1)D_{k+1} = Σ_j (h^{j+1}G_j)D_{k−j}; it stops once max(2, d + 1)
+    successive ‖D_k‖_F fall below 2⁻⁵³‖S‖_F and raises StepSizeUnderflow for
+    a flow that is not finite.  Each term reaches back d + 1 terms and, as
+    h·ρ ≤ 1, is at most the largest of them over k + 1, so every later term
+    stays below the floor once d + 1 in a row do; fewer would stop too early
+    where the leading G_j vanish (H = t²H₂ from t = 0 has D_1 = D_2 = 0)."""
     d, m = len(G) - 1, len(S)
+    window, limit = max(2, d + 1), TAYLOR_TERMS_MAX + d
     scaled = (G * (h ** np.arange(1.0, d + 2.0))[:, None, None]).transpose(1, 0, 2).reshape(m, -1)
     # [h^{j+1}G_j/(k + 1)]_j side by side, one row of blocks per k
-    steps = scaled / np.arange(1.0, TAYLOR_TERMS_MAX + 1.0)[:, None, None]
-    # D_k sits at slot TAYLOR_TERMS_MAX − k, so D_k … D_{k−d} (zeros below D_0)
-    # are one contiguous block
-    D = np.zeros((TAYLOR_TERMS_MAX + d + 1, m, m), dtype=complex)
-    top = TAYLOR_TERMS_MAX
-    D[top] = S
+    steps = scaled / np.arange(1.0, limit + 1.0)[:, None, None]
+    # D_k sits at slot limit − k, so D_k … D_{k−d} (zeros below D_0) are one
+    # contiguous block
+    D = np.zeros((limit + d + 1, m, m), dtype=complex)
+    D[limit] = S
     floor = 2.0**-106 * np.vdot(S, S).real
     if not math.isfinite(floor):
         raise StepSizeUnderflow(f"flow integration failed: S is not finite at t = {t}")
     small = 0
-    for k in range(TAYLOR_TERMS_MAX):
-        term = D[top - k - 1]
-        np.matmul(steps[k], D[top - k: top - k + d + 1].reshape(-1, m), out=term)
+    for k in range(limit):
+        term = D[limit - k - 1]
+        np.matmul(steps[k], D[limit - k: limit - k + d + 1].reshape(-1, m), out=term)
         small = small + 1 if np.vdot(term, term).real < floor else 0
-        if small == 2:
-            return D[top - k - 1: top + 1]
+        if small == window:
+            return D[limit - k - 1: limit + 1]
     raise StepSizeUnderflow(f"flow integration failed: S is not finite after t = {t}")
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, solve_ivp
 from scipy.interpolate import CubicSpline
+from scipy.linalg import expm
 
 from hagedorn import polynomials, propagation
 from hagedorn.cli import standard_frame
@@ -309,15 +310,41 @@ def test_flow_does_not_depend_on_the_output_times(kind):
     assert np.array_equal(sparse, dense)
 
 
-def test_no_hamiltonian_calls_an_ode_solver(monkeypatch):
+def test_driven_hamiltonians_call_no_ode_solver(monkeypatch):
+    # constant H is covered by test_constant_hamiltonian_needs_no_ode
     def forbidden(*args, **kwargs):
         raise AssertionError("solve_ivp called")
 
     monkeypatch.setattr(propagation, "solve_ivp", forbidden)
     n = 2
-    for H in [QuadraticHamiltonian.constant(seeded_matrix(1, n)), *driven_hamiltonians(n).values()]:
+    for H in driven_hamiltonians(n).values():
         propagate(standard_frame(n), np.zeros(2 * n), H, np.linspace(0.0, 3.0, 11))
         assert flow(H, 0.5, 2.0).shape == (2 * n, 2 * n)
+
+
+@pytest.mark.parametrize("low", [0.0, 1e-20])
+def test_polynomial_with_vanishing_leading_coefficients(low):
+    # H = low·Id + t²H₂ from t = 0: the series' first terms vanish (or nearly),
+    # and only D_3 = h³G_2S/3 sees H₂.  ΩH₂t² commutes with itself, so
+    # S_t = expm((t³/3)ΩH₂), which low = 1e-20 moves by about 1e-20·t
+    n = 2
+    H2 = seeded_matrix(2, n).real
+    zero = np.zeros((2 * n, 2 * n))
+    H = QuadraticHamiltonian.polynomial([low * np.eye(2 * n), zero, H2])
+
+    def exact(t):
+        return expm(t**3 / 3 * omega(n) @ H2)
+
+    for state in propagate(standard_frame(n), np.zeros(2 * n), H, [0.0, 0.5, 1.0, 1.7, 2.5]):
+        assert np.max(np.abs(state.S - exact(state.t))) < 1e-13
+    # at(), on which brentq runs, takes one Taylor step from a sample
+    identity = np.eye(2 * n, dtype=complex)
+    at = propagation._LinearFlow(H, 0.0).at(0.8, 0.0, identity)
+    assert np.max(np.abs(at - exact(0.8))) < 1e-14
+    # the Swanson H as H₂: S_t is its closed-form flow at time t³/3
+    swanson = QuadraticHamiltonian.polynomial([low * np.eye(2), np.zeros((2, 2)), DS.matrix()])
+    for t in (0.4, 1.1, 1.6):
+        assert np.max(np.abs(flow(swanson, 0.0, t) - ds_flow(DS, t**3 / 3))) < 1e-13
 
 
 @pytest.mark.parametrize("kind", ["sampled", "polynomial"])
