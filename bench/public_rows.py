@@ -6,7 +6,8 @@ Builds ROW's inputs, makes one untimed call and one timed call, and prints
 the wall time of the timed call in ms.  `bench/run.py --against REV` runs it
 in a fresh interpreter for each of two trees in turn, so it calls only entry
 points that both trees have: `run_scenario` on the `swanson-fig1` preset,
-`propagate_grid` and `propagate` under a driven (sampled or polynomial) H.
+`propagate_grid`, and `propagate` under a constant, sampled or polynomial H
+and over a long horizon.
 """
 
 import copy
@@ -56,12 +57,12 @@ def march():
     return call
 
 
-def driven(kind: str, n: int):
+def seeded(kind: str, n: int):
     """propagate of the standard frame from a seeded centre, 150 times on
-    [0, 3], under a seeded H sampled on 7 knots of [0, 3] or the polynomial
-    H₀ + tH₁ + t²H₂ (H₁ scaled by 0.2, H₂ by 0.05), each matrix
-    R + iI with R = XXᵀ/2n + ½Id and I = 0.05(Y + Yᵀ) for Gaussian X, Y.
-    No case loses positivity on [0, 3]."""
+    [0, 3], under a seeded constant H, an H sampled on 7 knots of [0, 3] or
+    the polynomial H₀ + tH₁ + t²H₂ (H₁ scaled by 0.2, H₂ by 0.05), each
+    matrix R + iI with R = XXᵀ/2n + ½Id and I = 0.05(Y + Yᵀ) for Gaussian
+    X, Y.  No case loses positivity on [0, 3]."""
     rng = np.random.default_rng(2)
 
     def matrix():
@@ -71,8 +72,21 @@ def driven(kind: str, n: int):
     knots = np.linspace(0.0, 3.0, 7)
     sampled = QuadraticHamiltonian.sampled(knots, [matrix() for _ in knots])
     polynomial = QuadraticHamiltonian.polynomial([scale * matrix() for scale in (1.0, 0.2, 0.05)])
-    H = {"sampled": sampled, "polynomial": polynomial}[kind]
-    args = (standard_frame(n), rng.uniform(-1.0, 1.0, 2 * n), H, np.linspace(0.0, 3.0, 150))
+    centre = rng.uniform(-1.0, 1.0, 2 * n)
+    # drawn last, so that the sampled and polynomial rows keep their inputs
+    constant = QuadraticHamiltonian.constant(matrix())
+    H = {"constant": constant, "sampled": sampled, "polynomial": polynomial}[kind]
+    args = (standard_frame(n), centre, H, np.linspace(0.0, 3.0, 150))
+    return lambda: propagate(*args)
+
+
+def long_horizon():
+    """propagate of the n = 3 standard frame under the harmonic H = Id, 150
+    times on [0, 37]: t·‖ΩH‖₂ = 37, against at most 2π for the presets and
+    3·max_t ‖ΩH(t)‖₂ ≤ 20 for the other propagate rows."""
+    n = 3
+    args = (standard_frame(n), np.zeros(2 * n), QuadraticHamiltonian.constant(np.eye(2 * n)),
+            np.linspace(0.0, 37.0, 150))
     return lambda: propagate(*args)
 
 
@@ -81,8 +95,9 @@ ROWS = {
     "scenario-oracle-full": lambda: scenario(ORACLE),
     "scenario-no-oracle": lambda: scenario({"enabled": False}),
     "march": march,
-    **{f"propagate-{kind}-n{n}": (lambda kind=kind, n=n: driven(kind, n))
-       for kind in ("sampled", "polynomial") for n in (1, 2, 3)},
+    **{f"propagate-{kind}-n{n}": (lambda kind=kind, n=n: seeded(kind, n))
+       for kind in ("sampled", "polynomial", "constant") for n in (1, 2, 3)},
+    "propagate-harmonic-n3-long": long_horizon,
 }
 
 

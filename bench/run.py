@@ -1,7 +1,7 @@
 """Per-call times of `hagedorn_coefficients`, `coefficient_sweep`, `propagate`,
 grid fields, the grid oracle's building blocks, whole `swanson-fig1` runs and
 subprocess runs of every preset and of a driven config, written to
-BENCH_23.json.
+BENCH_24.json.
 
     python3 bench/run.py [--against REV]
 
@@ -21,7 +21,7 @@ Imports the package from ./src of the checkout this script sits in.
   the standard frame and a seeded centre.  One run of a row is one call,
   after one warm-up call; each row also gives the number of Taylor series
   that one call sums, counted through `propagation._series` (one per
-  Taylor step of a sampled or polynomial H, none for a constant H).
+  Taylor step, for every kind of H).
 - Grid fields: `evolved_state_on_grid` for all 45 α with |α| ≤ 8 on a
   256×256 grid, at the n = 2 states of the mode-mixed H above at t = 1.5
   and 0.75, one run being the mean over the two states of all 45 fields at
@@ -74,9 +74,10 @@ exported by `git archive` into a temporary directory, and this checkout run
 the rows that call only public entry points, PAIRED_RUNS pairs after one
 warm-up run each, alternating which tree runs first, every run in a fresh
 interpreter with that tree's src on PYTHONPATH.  These are the three
-`run_scenario` rows, the march and `propagate` under a sampled and a
-polynomial H for n = 1, 2, 3 at 150 times on [0, 3] (timed inside the
-interpreter by bench/public_rows.py), and the subprocess start-up rows.
+`run_scenario` rows, the march, `propagate` under a sampled, a polynomial
+and a constant H for n = 1, 2, 3 at 150 times on [0, 3] and under the
+harmonic H for n = 3 at 150 times on [0, 37] (timed inside the interpreter
+by bench/public_rows.py), and the subprocess start-up rows.
 Each paired row gives both medians, their quartiles and the number of pairs
 the checkout won, so the host's drift over the minutes of a run falls on
 both trees alike.
@@ -126,7 +127,7 @@ from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, grid_norm
 
 import public_rows  # noqa: E402  (bench/, the script's own directory)
 
-OUT = ROOT / "BENCH_23.json"
+OUT = ROOT / "BENCH_24.json"
 MODES = (3, 4)
 ORDERS = (4, 6, 8, 12)
 RUNS = 5
@@ -143,11 +144,11 @@ SCENARIO_CASES = (
     ("swanson-fig1, full oracle list", "scenario-oracle-full"),
     ("swanson-fig1, no oracle", "scenario-no-oracle"),
 )
-# driven propagate rows: (case, bench/public_rows.py row)
-DRIVEN_CASES = tuple(
+# propagate rows: (case, bench/public_rows.py row)
+PROPAGATE_CASES = tuple(
     (f"{kind} n={n}, 150 times on [0, 3]", f"propagate-{kind}-n{n}")
-    for kind in ("sampled", "polynomial") for n in (1, 2, 3)
-)
+    for kind in ("sampled", "polynomial", "constant") for n in (1, 2, 3)
+) + (("harmonic n=3, 150 times on [0, 37]", "propagate-harmonic-n3-long"),)
 DRIVEN_CONFIG = ROOT / "tests" / "configs" / "driven-sampled.json"
 MARCH_FIELDS = {"what": "propagate_grid march", "case": "Swanson, N=1024, alpha = 0, 1, 2"
                 " through (0.25, 0.5), warm operator", "per": "run of 3 marches"}
@@ -452,7 +453,7 @@ def paired_cases() -> list:
     ]
     cases.append((MARCH_FIELDS, [worker, "march"], True))
     cases += [({"what": "propagate", "case": case, "per": "call"}, [worker, row], True)
-              for case, row in DRIVEN_CASES]
+              for case, row in PROPAGATE_CASES]
     cases += [({"what": "subprocess", "case": case, "per": "process"}, args, False)
               for case, args in start_up_args()]
     return cases

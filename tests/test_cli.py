@@ -464,6 +464,26 @@ def test_oracle_failure_keeps_the_earlier_cases(tmp_path, monkeypatch):
     assert "1 case(s) failed to converge" in checks["oracle_fidelity"]["detail"]
 
 
+def test_one_coefficient_polynomial_runs_as_the_constant_block(mini_run, tmp_path):
+    # a constant H is the polynomial with one coefficient: the swanson block
+    # and the grid oracle accept it, and its run writes the same artifacts
+    status, first, _ = mini_run
+    raw = mini_config()
+    raw["hamiltonian"] = {"type": "polynomial", "coefficients": [raw["hamiltonian"]["matrix"]]}
+    assert "swanson" in raw and raw["oracle"]["enabled"]
+    assert validate_config(raw) == []
+    cfg = tmp_path / "polynomial.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == status
+    manifest = read_manifest(first)
+    assert {**read_manifest(tmp_path / "out"), "config_sha256": None} == {
+        **manifest, "config_sha256": None}
+    for name in manifest["artifacts"]:
+        if name != "manifest.json":
+            assert (first / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
+
+
 def test_identical_configs_give_identical_bytes(mini_run, tmp_path):
     _, first, cfg = mini_run
     second = tmp_path / "again"

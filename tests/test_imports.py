@@ -1,5 +1,5 @@
 """Import direction: the core modules never reach the checking side or the CLI,
-and `import hagedorn` loads neither.  Every public function and class of a
+and `import hagedorn` loads neither, nor any scipy module.  Every public function and class of a
 core module has a production caller.  The names perfbench/tracing.py rebinds
 all exist in the package.  A constant-H run loads neither scipy.integrate
 nor scipy.optimize, and a driven run without a positivity crossing loads
@@ -118,7 +118,7 @@ ROOT_CHECK = """
 import sys
 import hagedorn
 outer = ["hagedorn.cli", "hagedorn.gridsolver", "hagedorn.swanson", "hagedorn.oracles",
-         "scipy.integrate", "scipy.optimize"]
+         "scipy", "scipy.integrate", "scipy.optimize"]
 print(sorted(m for m in outer if m in sys.modules))
 """
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,11 @@ def test_hamiltonian_kinds_evaluate():
     assert np.allclose(samp(0.25), 0.75 * A + 0.25 * B, atol=1e-15)
     # clamped outside the sample window
     assert np.allclose(samp(2.0), B, atol=0)
+    # a constant H is the polynomial with one coefficient
+    assert QuadraticHamiltonian.constant(H).kind == "polynomial"
+    assert QuadraticHamiltonian.constant(H).is_constant
+    assert QuadraticHamiltonian.polynomial([H]).is_constant
+    assert not poly.is_constant and not samp.is_constant
 
 
 def test_hamiltonian_rejects_bad_input():
@@ -98,6 +104,29 @@ def test_hamiltonian_rejects_bad_input():
             QuadraticHamiltonian.sampled([0.0, 1.0], [np.eye(2), matrix])
 
 
+@pytest.mark.parametrize("kind", ["constant", "sampled", "polynomial"])
+def test_hamiltonian_near_the_float_limit_is_stored_finite_or_rejected(kind):
+    # no sum or difference of entries may overflow: a symmetric H with entries
+    # at the largest float is stored as given, and a huge antisymmetric part
+    # raises NonSymmetricH, both without a RuntimeWarning
+    make = {
+        "constant": QuadraticHamiltonian.constant,
+        "sampled": lambda m: QuadraticHamiltonian.sampled([0.0, 1.0], [m, m]),
+        "polynomial": lambda m: QuadraticHamiltonian.polynomial([np.eye(2), m]),
+    }[kind]
+    big = np.finfo(float).max
+    real = big * np.array([[1.0, 1.0], [1.0, -1.0]])
+    symmetric = real + 1j * big * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stored = make(symmetric).data[-1][-1]
+        assert np.array_equal(stored, symmetric)
+        for antisymmetric in ([[0.0, big], [-big, 0.0]], [[1.0, 1e308], [-1e308, 1.0]]):
+            for phase in (1.0, 1.0 + 1.0j):
+                with pytest.raises(NonSymmetricH, match="not symmetric"):
+                    make(phase * np.array(antisymmetric))
+
+
 @pytest.mark.parametrize("knots", [[0.0, np.nan], [-np.inf, 1.0], [0.0, np.inf]])
 def test_sampled_rejects_non_finite_knots(knots):
     with pytest.raises(DimensionMismatch, match="finite"):
@@ -119,7 +148,7 @@ def test_flow_rejects_non_finite_times(t0, t1):
 
 
 def test_flow_matches_closed_form_both_routes():
-    # constant kind uses the exponential, sampled kind integrates the ODE
+    # the constant H and the same H sampled on two knots
     samp = QuadraticHamiltonian.sampled([0.0, 2.0], [DS.matrix(), DS.matrix()])
     for t in (0.3, 0.9, 1.3):
         S_exact = ds_flow(DS, t)
@@ -247,22 +276,27 @@ def test_seeded_generic_hamiltonian(seed, n, t_max, t_star):
         assert abs(info.value.t_star - t_star) <= 1e-6
 
 
-def test_constant_hamiltonian_needs_no_ode(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("solve_ivp called for a constant Hamiltonian")
-
-    monkeypatch.setattr(propagation, "solve_ivp", forbidden)
-    propagate(L0_FRAME, np.array([0.3, -0.2]), DS_HAM, np.linspace(0.0, 5.0, 21))
-    params = SwansonParams(omega0=0.5, delta=1.0)
-    with pytest.raises(PositivityLost):
-        propagate(L0_FRAME, ORIGIN, QuadraticHamiltonian.constant(params.matrix()), [0.0, 2.0])
-    assert flow(DS_HAM, 0.0, 1.0).shape == (2, 2)
+def test_constant_is_the_one_coefficient_polynomial():
+    # both build the same H, so every stack and the horizon are the same bits
+    n = 3
+    matrix = seeded_matrix(1, n)
+    args = (standard_frame(n), np.linspace(-0.5, 0.5, 2 * n))
+    times = np.linspace(0.0, 3.0, 40)
+    constant = propagate(*args, QuadraticHamiltonian.constant(matrix), times)
+    polynomial = propagate(*args, QuadraticHamiltonian.polynomial([matrix]), times)
+    for name in ("t", "S", "Z", "N", "beta", "z", "action", "sigma", "M", "Mtilde", "G",
+                 "logdetQ", "symplectic_defect", "min_positivity"):
+        assert np.array_equal(getattr(constant, name), getattr(polynomial, name)), name
+    crossing = SwansonParams(omega0=0.5, delta=1.0).matrix()
+    assert positivity_horizon(L0_FRAME, QuadraticHamiltonian.constant(crossing), 2.0) == (
+        positivity_horizon(L0_FRAME, QuadraticHamiltonian.polynomial([crossing]), 2.0)
+    )
 
 
 @pytest.mark.parametrize("n, t", [(1, 20.0), (3, 37.0)])
 def test_logdetq_branch_follows_one_far_time(n, t):
     # harmonic flow of the standard frame: Q_t = e^{it}·Id, so log det Q_t = int;
-    # the same H as a polynomial takes the integrated route
+    # harmonic(n) is the same H as the polynomial
     for H in (harmonic(n), QuadraticHamiltonian.polynomial([np.eye(2 * n)])):
         state = propagate(standard_frame(n), np.zeros(2 * n), H, [t])[0]
         assert abs(state.logdetQ - 1j * n * t) < 1e-9
@@ -289,37 +323,55 @@ def test_sampled_hamiltonian_flow_matches_piecewise_reference():
     assert max(np.max(np.abs(s.S.reshape(-1) - r)) for s, r in zip(states, ref)) < 1.5e-9
 
 
-def driven_hamiltonians(n=2):
-    """A sampled H on 5 knots of [0, 3] and a polynomial H of degree 2."""
+def seeded_hamiltonians(n=2):
+    """A constant H, a sampled H on 5 knots of [0, 3] and a polynomial H of degree 2."""
     knots = np.linspace(0.0, 3.0, 5)
     sampled = QuadraticHamiltonian.sampled(knots, [seeded_matrix(seed, n) for seed in range(5)])
     polynomial = QuadraticHamiltonian.polynomial(
         [seeded_matrix(1, n), 0.2 * seeded_matrix(3, n), 0.05 * seeded_matrix(4, n)]
     )
-    return {"sampled": sampled, "polynomial": polynomial}
+    constant = QuadraticHamiltonian.constant(seeded_matrix(1, n))
+    return {"constant": constant, "sampled": sampled, "polynomial": polynomial}
 
 
-@pytest.mark.parametrize("kind", ["sampled", "polynomial"])
+def swanson_as(kind, params=DS):
+    """The constant Swanson H given as the named kind."""
+    matrix = params.matrix()
+    if kind == "constant":
+        return QuadraticHamiltonian.constant(matrix)
+    if kind == "sampled":
+        return QuadraticHamiltonian.sampled(np.linspace(0.0, 5.0, 5), [matrix] * 5)
+    return QuadraticHamiltonian.polynomial([matrix])
+
+
+@pytest.mark.parametrize("kind", ["constant", "sampled", "polynomial"])
 def test_flow_does_not_depend_on_the_output_times(kind):
     # the Taylor steps follow H alone, so S at t = 3 is the same bits
     # whether 2 or 150 output times are asked for
     n = 2
-    args = (standard_frame(n), np.zeros(2 * n), driven_hamiltonians(n)[kind])
+    args = (standard_frame(n), np.zeros(2 * n), seeded_hamiltonians(n)[kind])
     sparse = propagate(*args, [0.0, 3.0])[-1].S
     dense = propagate(*args, np.linspace(0.0, 3.0, 150))[-1].S
     assert np.array_equal(sparse, dense)
 
 
-def test_driven_hamiltonians_call_no_ode_solver(monkeypatch):
-    # constant H is covered by test_constant_hamiltonian_needs_no_ode
+@pytest.mark.parametrize("kind", ["constant", "sampled", "polynomial"])
+def test_hamiltonians_call_no_ode_solver(monkeypatch, kind):
     def forbidden(*args, **kwargs):
-        raise AssertionError("solve_ivp called")
+        raise AssertionError(f"solve_ivp called for a {kind} Hamiltonian")
 
     monkeypatch.setattr(propagation, "solve_ivp", forbidden)
+    # the Swanson H as this kind: a displaced run, a positivity crossing, one flow
+    H = swanson_as(kind)
+    propagate(L0_FRAME, np.array([0.3, -0.2]), H, np.linspace(0.0, 5.0, 21))
+    with pytest.raises(PositivityLost):
+        propagate(L0_FRAME, ORIGIN, swanson_as(kind, SwansonParams(omega0=0.5, delta=1.0)), [0.0, 2.0])
+    assert flow(H, 0.0, 1.0).shape == (2, 2)
+    # a seeded n = 2 H of this kind
     n = 2
-    for H in driven_hamiltonians(n).values():
-        propagate(standard_frame(n), np.zeros(2 * n), H, np.linspace(0.0, 3.0, 11))
-        assert flow(H, 0.5, 2.0).shape == (2 * n, 2 * n)
+    H = seeded_hamiltonians(n)[kind]
+    propagate(standard_frame(n), np.zeros(2 * n), H, np.linspace(0.0, 3.0, 11))
+    assert flow(H, 0.5, 2.0).shape == (2 * n, 2 * n)
 
 
 @pytest.mark.parametrize("low", [0.0, 1e-20])
@@ -347,15 +399,11 @@ def test_polynomial_with_vanishing_leading_coefficients(low):
         assert np.max(np.abs(flow(swanson, 0.0, t) - ds_flow(DS, t**3 / 3))) < 1e-13
 
 
-@pytest.mark.parametrize("kind", ["sampled", "polynomial"])
+@pytest.mark.parametrize("kind", ["constant", "sampled", "polynomial"])
 def test_driven_route_matches_the_swanson_flow(kind):
-    # the constant Swanson H given as a sampled or polynomial H takes the
-    # Taylor route, which reproduces the closed-form flow to rounding
-    matrix = DS.matrix()
-    H = {
-        "sampled": QuadraticHamiltonian.sampled(np.linspace(0.0, 2.0, 5), [matrix] * 5),
-        "polynomial": QuadraticHamiltonian.polynomial([matrix]),
-    }[kind]
+    # the constant Swanson H, given as any kind, takes the Taylor route,
+    # which reproduces the closed-form flow to rounding
+    H = swanson_as(kind)
     states = propagate(L0_FRAME, ORIGIN, H, [0.0, 0.3, 0.9, 1.3, 1.9])
     assert max(np.max(np.abs(s.S - ds_flow(DS, s.t))) for s in states) < 1e-14
 
