@@ -6,11 +6,13 @@ Builds ROW's inputs, makes one untimed call and one timed call, and prints
 the wall time of the timed call in ms.  `bench/run.py --against REV` runs it
 in a fresh interpreter for each of two trees in turn, so it calls only entry
 points that both trees have: `run_scenario` on the `swanson-fig1` preset,
-`propagate_grid`, and `propagate` under a constant, sampled or polynomial H
-and over a long horizon.
+`propagate_grid`, `propagate` under a constant, sampled or polynomial H
+and over a long horizon, and `hagedorn_coefficients` for every α up to a
+degree at one state.
 """
 
 import copy
+import itertools
 import sys
 import tempfile
 import time
@@ -20,7 +22,7 @@ import numpy as np
 
 from hagedorn.cli import PRESETS, load_config, run_scenario, standard_frame
 from hagedorn.gridsolver import discretize_hamiltonian, propagate_grid
-from hagedorn.propagation import QuadraticHamiltonian, propagate
+from hagedorn.propagation import QuadraticHamiltonian, hagedorn_coefficients, propagate
 from hagedorn.swanson import SwansonParams
 from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited
 
@@ -90,6 +92,32 @@ def long_horizon():
     return lambda: propagate(*args)
 
 
+def coefficients(n: int, top: int):
+    """hagedorn_coefficients for every α with |α| ≤ top, in graded order (by
+    |α|, then stars and bars), at the standard frame propagated from a
+    seeded centre to t = 1.5 under a seeded H = R + iI as in `seeded`.
+    Each call takes a state of its own propagation, so the timed call meets
+    a state that the untimed call never touched: the sequence of α at a new
+    state, as a coefficient table over one state asks for it."""
+    rng = np.random.default_rng(3)
+    X, Y = rng.normal(size=(2 * n, 2 * n)), rng.normal(size=(2 * n, 2 * n))
+    H = QuadraticHamiltonian.constant(X @ X.T / (2 * n) + 0.5 * np.eye(2 * n) + 0.05j * (Y + Y.T))
+    args = (standard_frame(n), rng.uniform(-1.0, 1.0, 2 * n), H, [0.0, 1.5])
+    states = [propagate(*args)[-1] for _ in range(2)]
+    alphas = []
+    for d in range(top + 1):
+        for bars in itertools.combinations(range(d + n - 1), n - 1):
+            edges = (-1,) + bars + (d + n - 1,)
+            alphas.append(tuple(edges[i + 1] - edges[i] - 1 for i in range(n)))
+
+    def call():
+        state = states.pop()
+        for alpha in alphas:
+            hagedorn_coefficients(state, alpha)
+
+    return call
+
+
 ROWS = {
     "scenario-oracle-short": lambda: scenario({**ORACLE, "times": [0.25, 0.5]}),
     "scenario-oracle-full": lambda: scenario(ORACLE),
@@ -98,6 +126,8 @@ ROWS = {
     **{f"propagate-{kind}-n{n}": (lambda kind=kind, n=n: seeded(kind, n))
        for kind in ("sampled", "polynomial", "constant") for n in (1, 2, 3)},
     "propagate-harmonic-n3-long": long_horizon,
+    "coefficients-n3-a8": lambda: coefficients(3, 8),
+    "coefficients-n4-a6": lambda: coefficients(4, 6),
 }
 
 

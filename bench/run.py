@@ -1,7 +1,7 @@
 """Per-call times of `hagedorn_coefficients`, `coefficient_sweep`, `propagate`,
 grid fields, the grid oracle's building blocks, whole `swanson-fig1` runs and
 subprocess runs of every preset and of a driven config, written to
-BENCH_24.json.
+BENCH_25.json.
 
     python3 bench/run.py [--against REV]
 
@@ -11,7 +11,9 @@ Imports the package from ./src of the checkout this script sits in.
   standard frame under one seeded mode-mixed, non-Hermitian H = R + iI
   (R = XXᵀ/2n + ½Id, I = 0.05(Y + Yᵀ) for Gaussian X, Y) to t = 1.5, then
   calls `hagedorn_coefficients` for every α with |α| = 4, 6, 8 and 12 at that
-  state.  One run of a row is the mean time per call over all those α.
+  state.  One run of a row is the mean time per call over all those α, at a
+  copy of the state that the prefix memo has not seen, so no α of the run
+  finds a prefix held and every call raises α from e₀.
 - `propagate` by case: the n = 1 Swanson oscillator (ω0 = 1, δ = 0.5) from
   the frame (1; −i), 200 times on [0, 10]; a seeded n = 3 constant H, 150
   times on [0, 3]; a seeded n = 2 H sampled on 7 knots of [0, 3], at 150
@@ -31,12 +33,17 @@ Imports the package from ./src of the checkout this script sits in.
   and polynomial argument once, as a run over a trajectory does.
 - `grid_norm` of one field on that 256×256 grid: the mean over 100 calls.
 - `hagedorn_coefficients` for n = 1, |α| ≤ 2 at that Swanson state: one run
-  is the mean per call over 600 calls cycling k = 0, 1, 2.
+  is the mean per call over 600 calls, k = 0, 1, 2 at each of 200 copies of
+  the state that the prefix memo has not seen, so k = 1 and 2 each take one
+  raising step from the row before, as the CLI's tables of one state do.
 - The coefficients of every state of a trajectory, two ways: one
   `coefficient_sweep` per α, and one `hagedorn_coefficients` per (α, state)
   on views built before the timing.  Cases: `swanson-fig1`'s 200 states with
   α = 0, 1, 2, and the seeded n = 3 constant H of the `propagate` rows
-  (150 states) with α = 0 and e₁.  One run is all α of a case.
+  (150 states) with α = 0 and e₁.  One run is all α of a case, on a copy of
+  the trajectory that the prefix memo has not seen: the sweeps share
+  prefixes within a run (α = 2 continues from α = 1), the per-state calls,
+  which move to another state on every call, do not.
 - Grid oracle, Swanson H on the oracle's 1024-node grid of [−12, 12]: one
   `discretize_hamiltonian` call; one Cayley build with the damping for each
   map (`_cayley_matrix` after clearing the operator's cache): the coarse
@@ -76,14 +83,17 @@ warm-up run each, alternating which tree runs first, every run in a fresh
 interpreter with that tree's src on PYTHONPATH.  These are the three
 `run_scenario` rows, the march, `propagate` under a sampled, a polynomial
 and a constant H for n = 1, 2, 3 at 150 times on [0, 3] and under the
-harmonic H for n = 3 at 150 times on [0, 37] (timed inside the interpreter
-by bench/public_rows.py), and the subprocess start-up rows.
+harmonic H for n = 3 at 150 times on [0, 37], `hagedorn_coefficients` for
+every α with |α| ≤ 8 at n = 3 and |α| ≤ 6 at n = 4 in graded order at a
+new state (all timed inside the interpreter by bench/public_rows.py), and
+the subprocess start-up rows.
 Each paired row gives both medians, their quartiles and the number of pairs
 the checkout won, so the host's drift over the minutes of a run falls on
 both trees alike.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -127,7 +137,7 @@ from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, grid_norm
 
 import public_rows  # noqa: E402  (bench/, the script's own directory)
 
-OUT = ROOT / "BENCH_24.json"
+OUT = ROOT / "BENCH_25.json"
 MODES = (3, 4)
 ORDERS = (4, 6, 8, 12)
 RUNS = 5
@@ -149,6 +159,11 @@ PROPAGATE_CASES = tuple(
     (f"{kind} n={n}, 150 times on [0, 3]", f"propagate-{kind}-n{n}")
     for kind in ("sampled", "polynomial", "constant") for n in (1, 2, 3)
 ) + (("harmonic n=3, 150 times on [0, 37]", "propagate-harmonic-n3-long"),)
+# hagedorn_coefficients rows: (case, bench/public_rows.py row)
+COEFFICIENT_CASES = (
+    ("n=3, every alpha with |alpha| <= 8 in graded order, new state", "coefficients-n3-a8"),
+    ("n=4, every alpha with |alpha| <= 6 in graded order, new state", "coefficients-n4-a6"),
+)
 DRIVEN_CONFIG = ROOT / "tests" / "configs" / "driven-sampled.json"
 MARCH_FIELDS = {"what": "propagate_grid march", "case": "Swanson, N=1024, alpha = 0, 1, 2"
                 " through (0.25, 0.5), warm operator", "per": "run of 3 marches"}
@@ -194,9 +209,12 @@ def timing_row(fields: dict, times: list) -> dict:
 def timed_rows(cases, runs: int = RUNS) -> list:
     """One row per (row fields, function, inputs, divisor): the time of one
     call per input, in ms per run / divisor, over `runs` runs after a warm-up
-    run.  No result is kept alive past its call."""
+    run.  inputs() gives the inputs of one run, outside the timed region, so
+    a row can hand each run states that the prefix memo has not seen.  No
+    result is kept alive past its call."""
 
     def run(fn, inputs) -> float:
+        inputs = inputs()
         start = time.perf_counter()
         for x in inputs:
             fn(x)
@@ -209,41 +227,48 @@ def timed_rows(cases, runs: int = RUNS) -> list:
     return rows
 
 
+def at_unseen(owner, alphas) -> list:
+    """(copy, α) for each α, with one new PropagatedState or Trajectory on
+    owner's read-only arrays: an owner that the prefix memo has not seen."""
+    copy = dataclasses.replace(owner)
+    return [(copy, alpha) for alpha in alphas]
+
+
 def field_and_small_coefficient_rows() -> list:
     states_2 = [mode_mixed_state(2), mode_mixed_state(2, T / 2)]
     grid_2 = Grid(bounds=[(-8.0, 8.0), (-8.0, 8.0)], counts=[256, 256])
     state_1 = swanson_state()
     states_1 = [state_1, swanson_state(0.25)]
     grid_1 = Grid(bounds=[(-10.0, 10.0)], counts=[1024])
-    small = [(k % 3,) for k in range(600)]
     field = evolved_state_on_grid(states_2[0], (2, 1), 1.0, grid_2)
     return timed_rows([
         (
             {"what": "evolved_state_on_grid", "per": "run of 45 fields at one state",
              "case": "n=2, 256x256, all 45 alpha with |alpha| <= 8, t = 1.5 and 0.75"},
             lambda x: evolved_state_on_grid(x[0], x[1], 1.0, grid_2),
-            [(st, a) for st in states_2 for order in range(9) for a in multi_indices(2, order)],
+            lambda: [(st, a) for st in states_2 for order in range(9)
+                     for a in multi_indices(2, order)],
             len(states_2),
         ),
         (
             {"what": "evolved_state_on_grid",
              "case": "n=1 Swanson, N=1024, k = 0..8, t = 0.5 and 0.25", "per": "field"},
             lambda x: evolved_state_on_grid(x[0], x[1], 1.0, grid_1),
-            [(st, (k,)) for st in states_1 for k in range(9)],
+            lambda: [(st, (k,)) for st in states_1 for k in range(9)],
             9 * len(states_1),
         ),
         (
             {"what": "grid_norm", "case": "n=2, 256x256", "per": "call"},
             lambda f: grid_norm(f, grid_2),
-            [field] * 100,
+            lambda: [field] * 100,
             100,
         ),
         (
             {"what": "hagedorn_coefficients", "case": "n=1 Swanson, |alpha| <= 2",
              "per": "call"},
-            lambda a: hagedorn_coefficients(state_1, a),
-            small,
-            len(small),
+            lambda x: hagedorn_coefficients(*x),
+            lambda: [x for _ in range(200) for x in at_unseen(state_1, [(0,), (1,), (2,)])],
+            600,
         ),
     ])
 
@@ -256,8 +281,8 @@ def coefficient_rows() -> list:
             alphas = list(multi_indices(n, order))
             cases.append((
                 {"what": "hagedorn_coefficients", "n": n, "order": order, "alphas": len(alphas)},
-                lambda a, state=state: hagedorn_coefficients(state, a),
-                alphas,
+                lambda x: hagedorn_coefficients(*x),
+                lambda state=state, alphas=alphas: at_unseen(state, alphas),
                 len(alphas),
             ))
     return timed_rows(cases)
@@ -304,7 +329,7 @@ def propagate_rows() -> list:
         (
             {"what": "propagate", "case": name, "taylor_series_calls": taylor_series_calls(args)},
             lambda case: propagate(*case),
-            [args],
+            lambda args=args: [args],
             1,
         )
         for name, args in propagate_cases().items()
@@ -322,19 +347,19 @@ def trajectory_coefficient_rows() -> list:
     ]
     rows = []
     for case, states, alphas in cases:
-        views = list(states)
         rows.append((
             {"what": "coefficients over a trajectory", "how": "hagedorn_coefficients per state",
              "case": case, "per": "run of all alpha"},
-            lambda a, views=views: [hagedorn_coefficients(st, a) for st in views],
-            alphas,
+            lambda x: [hagedorn_coefficients(st, x[1]) for st in x[0]],
+            lambda states=states, alphas=alphas: [(list(copy), a)
+                                                  for copy, a in at_unseen(states, alphas)],
             1,
         ))
         rows.append((
             {"what": "coefficients over a trajectory", "how": "coefficient_sweep per alpha",
              "case": case, "per": "run of all alpha"},
-            lambda a, states=states: coefficient_sweep(states, a),
-            alphas,
+            lambda x: coefficient_sweep(*x),
+            lambda states=states, alphas=alphas: at_unseen(states, alphas),
             1,
         ))
     return timed_rows(rows)
@@ -377,23 +402,23 @@ def grid_oracle_rows() -> list:
     build_operator = discretize_hamiltonian(H, 1.0, grid)
     return timed_rows([
         ({"what": "discretize_hamiltonian", "case": "Swanson, N=1024", "per": "call"},
-         lambda g: discretize_hamiltonian(H, 1.0, g), [grid], 1),
+         lambda g: discretize_hamiltonian(H, 1.0, g), lambda: [grid], 1),
         ({"what": "Cayley build", "case": "Swanson, N=1024, coarse map C, tau=1e-3, damped",
           "per": "call", "products": 1, "matrices_cached": 2},
-         build_map(1e-3, 1), [build_operator], 1),
+         build_map(1e-3, 1), lambda: [build_operator], 1),
         ({"what": "Cayley build", "case": "Swanson, N=1024, fine map C^2, tau=5e-4, damped",
           "per": "call", "products": 2, "matrices_cached": 2},
-         build_map(5e-4, 2), [build_operator], 1),
+         build_map(5e-4, 2), lambda: [build_operator], 1),
         ({"what": "Cayley squaring", "case": "Swanson, N=1024, C @ C by scipy zgemm",
           "per": "call"},
-         lambda c: zgemm(1.0, c, c), [cayley], 1),
+         lambda c: zgemm(1.0, c, c), lambda: [cayley], 1),
         ({"what": "Crank-Nicolson step", "case": "Swanson, N=1024, one column, scipy zgemv"
           " with E^2 = C^2 of the coarse map", "per": "step", "steps_per_product": 2},
-         lambda f: zgemv(1.0, squared, f), [psi] * steps, 2 * steps),
+         lambda f: zgemv(1.0, squared, f), lambda: [psi] * steps, 2 * steps),
         ({"what": "Crank-Nicolson step", "case": "Swanson, N=1024, one column, scipy zgemv"
           " with E^2 = C^4 of the fine map", "per": "step", "steps_per_product": 4},
-         lambda f: zgemv(1.0, fourth, f), [psi] * steps, 4 * steps),
-        (MARCH_FIELDS, invoke, [public_rows.march()], 1),
+         lambda f: zgemv(1.0, fourth, f), lambda: [psi] * steps, 4 * steps),
+        (MARCH_FIELDS, invoke, lambda march=public_rows.march(): [march], 1),
     ]) + [propagate_after_march_row(operator, psi, oracle)]
 
 
@@ -419,7 +444,7 @@ def scenario_rows() -> list:
     return timed_rows(
         [
             ({"what": "run_scenario", "case": case, "per": "run"}, invoke,
-             [public_rows.ROWS[row]()], 1)
+             lambda call=public_rows.ROWS[row](): [call], 1)
             for case, row in SCENARIO_CASES
         ],
         runs=SCENARIO_RUNS,
@@ -454,6 +479,8 @@ def paired_cases() -> list:
     cases.append((MARCH_FIELDS, [worker, "march"], True))
     cases += [({"what": "propagate", "case": case, "per": "call"}, [worker, row], True)
               for case, row in PROPAGATE_CASES]
+    cases += [({"what": "hagedorn_coefficients", "case": case, "per": "run"}, [worker, row], True)
+              for case, row in COEFFICIENT_CASES]
     cases += [({"what": "subprocess", "case": case, "per": "process"}, args, False)
               for case, args in start_up_args()]
     return cases

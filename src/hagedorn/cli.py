@@ -605,11 +605,10 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path: Path, header: list[str], lines: list[str]) -> None:
+    """The header, then the rows, each a line of comma-separated fields."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
 
 
 def _write_json(path: Path, data: dict) -> None:
@@ -637,7 +636,8 @@ def _write_trajectory(path: Path, run: _Computed, n: int) -> None:
         *states.z.T, states.symplectic_defect, states.min_positivity,
     ]
     table = np.column_stack(columns)[on_grid]
-    _write_csv(path, header, [[_fmt(v) for v in values] for values in table.tolist()])
+    line = ",".join(["%.17g"] * len(header))
+    _write_csv(path, header, [line % tuple(values) for values in table.tolist()])
 
 
 def _write_coefficients(out: Path, run: _Computed) -> list[str]:
@@ -649,11 +649,11 @@ def _write_coefficients(out: Path, run: _Computed) -> list[str]:
     for alpha, (keys, a) in run.expansions.items():
         order = np.lexsort(keys.T[::-1])
         labels = [_alpha_label(k) for k in keys[order].tolist()]
-        rows = []
-        for stamp, row in zip(stamps, a[run.on_grid][:, order].tolist()):
-            rows += [
-                [stamp, label, _fmt(v.real), _fmt(v.imag)] for label, v in zip(labels, row) if v
-            ]
+        rows = [
+            "%s,%s,%.17g,%.17g" % (stamp, label, v.real, v.imag)
+            for stamp, row in zip(stamps, a[run.on_grid][:, order].tolist())
+            for label, v in zip(labels, row) if v
+        ]
         name = f"coefficients_{_alpha_label(alpha)}.csv"
         _write_csv(out / name, ["t", "multi_index", "re_a", "im_a"], rows)
         names.append(name)
@@ -672,9 +672,8 @@ def _write_norms(path: Path, config: ScenarioConfig, run: _Computed, cases) -> N
             times, stamps, run.closed_norms[alpha], run.norms[alpha]
         ):
             grid = oracle.get((k, t))
-            rows.append(
-                [stamp, str(k), _fmt(closed), _fmt(pipeline), "" if grid is None else _fmt(grid)]
-            )
+            rows.append("%s,%d,%.17g,%.17g,%s" % (
+                stamp, k, closed, pipeline, "" if grid is None else _fmt(grid)))
     header = ["t", "k", "norm_closed_form", "norm_general_pipeline", "norm_grid_oracle"]
     _write_csv(path, header, rows)
 

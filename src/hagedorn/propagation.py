@@ -3,15 +3,18 @@
 For a quadratic Hamiltonian the whole packet is an algebraic function of the
 linear flow S_t, Ṡ = ΩH_tS with S_0 = Id.  ΩH is a polynomial in t on each
 smooth piece of H (a sampled H is split at its knots, and a constant H is
-the polynomial of degree 0), so the Taylor coefficients of S obey an exact
-recurrence, (k + 1)C_{k+1} = Σ_j G_jC_{k−j}, summed on steps with
-h·‖ΩH‖₂ ≤ 1 until max(2, d + 1) successive terms fall below 2⁻⁵³‖S‖, d
-the degree of ΩH in t on the piece (_LinearFlow).  For a constant H this is
-the Taylor series of expm(hΩH) on each step (Moler & Van Loan, SIAM Rev. 45
-(2003), method 1).  The steps follow H alone, whatever the output times.
-Against closed forms S_t is within 7.3e-16 for the Swanson H on [0, 5],
-given as constant, sampled or polynomial, and 4.4e-16 for the harmonic H
-at n = 3 up to t = 37.  propagate returns a Trajectory: every quantity
+the polynomial of degree 0), so the Taylor coefficients of a step's map P,
+S(t_s + τ) = P(τ)S(t_s) with P(0) = Id, obey an exact recurrence,
+(k + 1)C_{k+1} = Σ_j G_jC_{k−j}, summed on steps with h·‖ΩH‖₂ ≤ 1 until
+max(2, d + 1) successive terms fall below 2⁻⁵³‖Id‖, d the degree of ΩH in t
+on the piece (_LinearFlow).  For a constant H this is the Taylor series of
+expm(hΩH) (Moler & Van Loan, SIAM Rev. 45 (2003), method 1), summed once
+for all steps of one length.  The steps follow H alone, whatever the
+output times.
+Against closed forms S_t is within 8.4e-16 for the Swanson H on [0, 5],
+given as constant, sampled or polynomial, and 2.0e-15 for the harmonic H
+at n = 3 up to t = 37 (37 steps of one map, whose rounding adds up from
+step to step).  propagate returns a Trajectory: every quantity
 below at every output time, stacked on a leading time axis and computed by
 one batched numpy call per step, with W = S_tZ₀ = (W_P; W_Q) and the complex
 centre (π, ξ) = S_tz₀:
@@ -47,7 +50,15 @@ but not in floating point: z_t comes out of a real solve that reproduces
 S_tz₀ only to rounding, so σ_t is noise of about 1e-16 and slots with
 |α| − |k| odd can hold entries of that size.  coefficient_sweep runs the
 recursion once per α over every time of a Trajectory; hagedorn_coefficients
-is its one-row call at one state.  log_prefactor (iα_t/ε + β_t), amplitude
+is its one-row call at one state.  Both start from the longest prefix of
+α's raising path that the prefix memo holds: the finished rows of the last
+Trajectory coefficient_sweep saw, and of the last state
+hagedorn_coefficients saw, each owner held by a weak reference.  Only an
+owner whose N, M and σ are read-only enters the memo, the rows it holds are
+read-only, and they are dropped before they would pass TABLE_MAX entries.
+So every α up to a degree, in graded order, takes one raising step per
+call, and the result is the same bits in any call order.
+log_prefactor (iα_t/ε + β_t), amplitude
 (its e^{Re}) and expansion_norm are the package's one route to the norm.
 
 The module loads no scipy: scipy.optimize is imported on first use, and a
@@ -60,6 +71,7 @@ import bisect
 import functools
 import itertools
 import math
+import threading
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -72,7 +84,7 @@ from .errors import (
     PositivityLost,
     StepSizeUnderflow,
 )
-from .polynomials import poly_recursion, validate_recursion_index
+from .polynomials import TABLE_MAX, poly_recursion, validate_recursion_index
 from .symplectic import (
     TOL_FRAME,
     NormalisedFrame,
@@ -339,8 +351,9 @@ class _LinearFlow:
     H is split into smooth pieces (a sampled H at its knots, constant before
     the first and after the last; a polynomial H, a constant one included, is
     one piece), on each of which ΩH(t_s + τ) = Σ_j G_jτ^j is a polynomial of
-    degree d in τ about any t_s.  So the Taylor coefficients
-    of S(t_s + τ) = Σ_k C_kτ^k, C_0 = S(t_s), obey the exact recurrence
+    degree d in τ about any t_s.  S(t_s + τ) = P(τ)S(t_s) with the step map
+    P(τ) = Σ_k C_kτ^k, C_0 = Id, whose Taylor coefficients obey the exact
+    recurrence
 
         (k + 1)C_{k+1} = Σ_{j ≤ min(k, d)} G_jC_{k−j},
 
@@ -348,9 +361,14 @@ class _LinearFlow:
     ended and has the largest length h, up to the end of its piece, with
     h·ρ ≤ 1 for ρ = Σ_j ‖G_j‖₂h^j, an upper bound of ‖ΩH‖₂ on the step; its
     series runs in the scaled terms D_k = C_kh^k until max(2, d + 1)
-    successive ‖D_k‖_F fall below 2⁻⁵³‖S(t_s)‖_F, after which no later
-    term can rise above that floor.  The steps depend on H and t0 alone,
-    so S at a time is bit-identical whatever other times are asked for.
+    successive ‖D_k‖_F fall below 2⁻⁵³‖Id‖_F, after which no later term
+    can rise above that floor.  The series depends on (G_j, h) alone: on a
+    piece of degree 0, such as a constant H, the G_j and their norms are the
+    same on every step, and a step of the last step's length reuses its
+    series, so a constant H sums one series per step length, not one per
+    step.  Each step applies P to S(t_s) at all its samples in one batched
+    product.  The steps depend on H and t0 alone, so S at a time is
+    bit-identical whatever other times are asked for.
     """
 
     def __init__(self, H: QuadraticHamiltonian, t0: float):
@@ -374,30 +392,39 @@ class _LinearFlow:
     def samples(self, times: np.ndarray):
         """(ts, flows): ts[0] = t0 with Id, then samples up to times[-1] that
         include every output time, with spacing·ρ ≤ ¼: ⌈4hρ⌉ equal parts of
-        each Taylor step and the output times inside it, all from one batched
-        Horner pass of the step's series."""
-        identity = np.eye(self.n2, dtype=complex)[None]
+        each Taylor step and the output times inside it.  A step's flows are
+        P(u)S(t_s), P(u) its step map at the fractions u of the step, all from
+        one batched Horner pass of the map's series and one batched product."""
+        identity = np.eye(self.n2, dtype=complex)
         last = float(times[-1])
-        ts, flows = [np.array([self.t0])], [identity]
-        t, S = self.t0, identity[0]
+        ts, flows = [np.array([self.t0])], [identity[None]]
+        t, S = self.t0, identity
+        G = P = None  # the last step's G_j and series
         while t < last:
+            if not math.isfinite(np.vdot(S, S).real):
+                raise StepSizeUnderflow(f"flow integration failed: S is not finite at t = {t}")
             piece = bisect.bisect_right(self.ends, t)
-            G = self._expansion(piece, t)
-            norms = np.linalg.norm(G, 2, axis=(1, 2))
-            h = _step_length(norms)
-            if h < 10.0 * np.spacing(max(abs(t), abs(last))):  # finer than t resolves
-                raise StepSizeUnderflow(f"flow step {h:.3g} at t = {t} is below the spacing of t")
-            stop = min(t + h, self.ends[piece])
+            expansion = self._expansion(piece, t)
+            if expansion is not G:  # a piece of degree 0 gives the same G_j on every step
+                G, P = expansion, None
+                norms = np.linalg.norm(G, 2, axis=(1, 2))
+                reach = _step_length(norms)
+            if reach < 10.0 * np.spacing(max(abs(t), abs(last))):  # finer than t resolves
+                raise StepSizeUnderflow(
+                    f"flow step {reach:.3g} at t = {t} is below the spacing of t")
+            stop = min(t + reach, self.ends[piece])
             if stop == math.inf:  # H is zero from t on: one exact step to the end
                 stop = last
-            h = stop - t
-            D = _series(G, S, h, t)
-            count = max(1, math.ceil(4.0 * h * _bound(norms, h)))
-            grid = t + h * np.arange(1, count + 1) / count
+            if P is None or stop - t != h:  # equal (G_j, h) sum the same series
+                h = stop - t
+                P = _series(G, h, t)
+                parts = np.arange(1, max(1, math.ceil(4.0 * h * _bound(norms, h))) + 1)
+                fractions = parts / parts[-1]
+            grid = t + h * fractions
             grid[-1] = stop
             upto = min(stop, last)
             step_ts = np.union1d(grid[grid <= upto], times[(times > t) & (times <= upto)])
-            step_flows = _horner(D, (step_ts - t) / h)
+            step_flows = _horner(P, (step_ts - t) / h) @ S
             ts.append(step_ts)
             flows.append(step_flows)
             t, S = stop, step_flows[-1]
@@ -409,7 +436,7 @@ class _LinearFlow:
         if t == t_prev:
             return S_prev
         G = self._expansion(bisect.bisect_right(self.ends, t_prev), t_prev)
-        return _horner(_series(G, S_prev, t - t_prev, t_prev), np.ones(1))[0]
+        return _horner(_series(G, t - t_prev, t_prev), np.ones(1))[0] @ S_prev
 
     def _expansion(self, piece: int, t: float) -> np.ndarray:
         """G_j, j = 0 … d, of ΩH(t + τ) = Σ_j G_jτ^j on the given piece: its
@@ -451,15 +478,16 @@ def _step_length(norms) -> float:
         h = below
 
 
-def _series(G: np.ndarray, S: np.ndarray, h: float, t: float) -> np.ndarray:
-    """D_k = C_kh^k of S(t + τ) = Σ_k D_k(τ/h)^k, highest k first, from
+def _series(G: np.ndarray, h: float, t: float) -> np.ndarray:
+    """D_k = C_kh^k of the step map P(t + τ) = Σ_k D_k(τ/h)^k, with
+    P(t) = Id and S(t + τ) = P(t + τ)S(t), highest k first, from
     (k + 1)D_{k+1} = Σ_j (h^{j+1}G_j)D_{k−j}; it stops once max(2, d + 1)
-    successive ‖D_k‖_F fall below 2⁻⁵³‖S‖_F and raises StepSizeUnderflow for
-    a flow that is not finite.  Each term reaches back d + 1 terms and, as
-    h·ρ ≤ 1, is at most the largest of them over k + 1, so every later term
-    stays below the floor once d + 1 in a row do; fewer would stop too early
-    where the leading G_j vanish (H = t²H₂ from t = 0 has D_1 = D_2 = 0)."""
-    d, m = len(G) - 1, len(S)
+    successive ‖D_k‖_F fall below 2⁻⁵³‖Id‖_F and raises StepSizeUnderflow
+    for a map that is not finite.  Each term reaches back d + 1 terms and,
+    as h·ρ ≤ 1, is at most the largest of them over k + 1, so every later
+    term stays below the floor once d + 1 in a row do; fewer would stop too
+    early where the leading G_j vanish (H = t²H₂ from t = 0 has D_1 = D_2 = 0)."""
+    d, m = len(G) - 1, G.shape[-1]
     window, limit = max(2, d + 1), TAYLOR_TERMS_MAX + d
     scaled = (G * (h ** np.arange(1.0, d + 2.0))[:, None, None]).transpose(1, 0, 2).reshape(m, -1)
     # [h^{j+1}G_j/(k + 1)]_j side by side, one row of blocks per k
@@ -467,10 +495,8 @@ def _series(G: np.ndarray, S: np.ndarray, h: float, t: float) -> np.ndarray:
     # D_k sits at slot limit − k, so D_k … D_{k−d} (zeros below D_0) are one
     # contiguous block
     D = np.zeros((limit + d + 1, m, m), dtype=complex)
-    D[limit] = S
-    floor = 2.0**-106 * np.vdot(S, S).real
-    if not math.isfinite(floor):
-        raise StepSizeUnderflow(f"flow integration failed: S is not finite at t = {t}")
+    D[limit] = np.eye(m)
+    floor = 2.0**-106 * m
     small = 0
     for k in range(limit):
         term = D[limit - k - 1]
@@ -478,7 +504,7 @@ def _series(G: np.ndarray, S: np.ndarray, h: float, t: float) -> np.ndarray:
         small = small + 1 if np.vdot(term, term).real < floor else 0
         if small == window:
             return D[limit - k - 1: limit + 1]
-    raise StepSizeUnderflow(f"flow integration failed: S is not finite after t = {t}")
+    raise StepSizeUnderflow(f"flow integration failed: the step map is not finite after t = {t}")
 
 
 def _horner(D: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -713,13 +739,23 @@ def coefficient_sweep(states: Trajectory, alpha):
     gather per direction over the slots with |k| ≤ |γ| + 1 and one stacked
     matmul per direction over all times.  A slot no step reaches holds an
     exact 0; when σ = 0 these include every k with |α| − |k| odd.
+
+    The steps start from the longest prefix of α's path whose sweep the
+    prefix memo holds for this trajectory: after the sweep of α − e_j, j the
+    last direction of α, the sweep of α takes one step.  The memo keeps the
+    solve and the finished sweeps of the last trajectory seen, by a weak
+    reference, if its stacks are read-only (a Trajectory's are); it holds
+    read-only copies of at most TABLE_MAX entries in all, and a is a new
+    array, which the caller may change.  The result is the same bits in
+    any call order.
     """
-    layout, a = _ladder(states.N, states.M, states.sigma, alpha)
-    return layout[0], a
+    layout, a = _ladder(states, states.N, states.M, states.sigma, alpha)
+    return layout[0], a.copy()
 
 
-def _ladder(N, M, sigma, alpha):
-    """(layout, a) of coefficient_sweep from the stacks N_t, M_t and σ_t.
+def _ladder(owner, N, M, sigma, alpha):
+    """(layout, a) of coefficient_sweep from the stacks N_t, M_t and σ_t of
+    owner, a Trajectory or a PropagatedState; a is read-only.
 
     steps[i, s] holds, for raising step s in direction j at time i, column j
     of N̄ and of D, then σ_j, all divided by √(γ_j+1).  np.take keeps every
@@ -727,18 +763,27 @@ def _ladder(N, M, sigma, alpha):
     whatever the number of times (a fancy-index gather puts the time axis
     last, and numpy's loop for such strides rounds differently): a row of the
     sweep equals the one-row call bit for bit.
+
+    The path raises direction 0 α_0 times, then direction 1, and so on, so
+    after s steps it holds the row of γ, the first s directions of it, and
+    the row of γ fills the first ends[|γ|] slots of every larger layout (the
+    ranks do not depend on the order).  The steps therefore start at the
+    longest such γ whose row _rows_of holds for owner (e₀ at worst) and
+    repeat, with the same shapes, the operations a start from e₀ makes: the
+    result is the same bits in any call order.
     """
     n = N.shape[-1]
     alpha = validate_recursion_index(alpha, n)
     layout = _ladder_layout(n, sum(alpha))
     ends, root, rise, down, up = layout[2:]
     js, scales = _raising_steps(alpha)
-    columns = np.concatenate([np.conj(N), np.linalg.solve(N, M), sigma[:, None]], axis=-2)
-    steps = np.take(columns.swapaxes(-1, -2), js, axis=-2) * scales
+    held = _rows_of(owner, N, M, sigma)
+    start, prefix = held.longest_prefix(alpha)
+    steps = np.take(held.columns.swapaxes(-1, -2), js, axis=-2) * scales
     raising, lowering, shift = steps[..., :n], steps[..., n:-1], steps[..., -1:]
     a = np.zeros((len(N), len(root[0]) + 1), dtype=complex)  # the last slot stays 0
-    a[:, 0] = 1.0
-    for step in range(len(js)):  # from degree `step` to `step` + 1
+    a[:, : ends[start]] = prefix
+    for step in range(start, len(js)):  # from degree `step` to `step` + 1
         hi, mid = ends[step + 1], ends[step]
         gathered = root[:, :hi] * np.take(a, down[:, :hi], axis=1)
         new = (raising[:, step, None] @ gathered)[:, 0]
@@ -748,7 +793,80 @@ def _ladder(N, M, sigma, alpha):
             gathered = rise[:, :lo] * np.take(a, up[:, :lo], axis=1)
             new[:, :lo] -= (lowering[:, step, None] @ gathered)[:, 0]
         a[:, :hi] = new
-    return layout, a[:, :-1]
+    a = a[:, :-1]
+    a.flags.writeable = False
+    held.keep(alpha, a)
+    return layout, a
+
+
+class _Rows:
+    """The columns (conj N, N⁻¹M, σ) of one owner's stacks and the finished
+    ladder rows built from them, by α, all read-only.  The zero α holds 1.0,
+    which fills slot 0 with e₀, where every path starts.  The rows hold at
+    most TABLE_MAX entries, the most that the largest ladder table
+    validate_recursion_index admits may hold: a row that would pass it drops
+    every other row first."""
+
+    def __init__(self, N, M, sigma):
+        self.columns = np.concatenate([np.conj(N), np.linalg.solve(N, M), sigma[:, None]], axis=-2)
+        self.columns.flags.writeable = False
+        self.zero = (0,) * N.shape[-1]
+        self.rows = {self.zero: 1.0}
+        self.entries = 0
+
+    def longest_prefix(self, alpha: tuple):
+        """(|γ|, row of γ) for the longest held γ on α's path, α included:
+        α less one unit of its last nonzero direction, again and again."""
+        rows = self.rows  # keep may replace it meanwhile, never change what it held
+        gamma, j = list(alpha), len(alpha) - 1
+        while (key := tuple(gamma)) not in rows:
+            while not gamma[j]:
+                j -= 1
+            gamma[j] -= 1
+        return sum(gamma), rows[key]
+
+    def keep(self, alpha: tuple, a: np.ndarray) -> None:
+        with _keeping:
+            if alpha in self.rows:
+                return
+            if self.entries + a.size > TABLE_MAX:
+                self.rows, self.entries = {self.zero: 1.0}, 0
+            if a.size <= TABLE_MAX:
+                self.rows[alpha] = a
+                self.entries += a.size
+
+
+_keeping = threading.Lock()  # makes _Rows.keep's test and update one step
+
+
+# The prefix memo: per kind of owner (PropagatedState for
+# hagedorn_coefficients, Trajectory for coefficient_sweep) one slot,
+# (weak reference to the last owner seen, its _Rows).  As in _last_shared,
+# only an owner whose N, M and σ are read-only, such as a Trajectory or its
+# view, enters a slot, and a slot goes when its owner dies.  Each call of a
+# new owner builds its _Rows afresh, so nothing stays warm across owners.
+_last_rows: dict = {}
+
+
+def _rows_of(owner, N, M, sigma) -> _Rows:
+    """owner's _Rows, from its slot when that holds owner."""
+    kind = type(owner)
+    last = _last_rows.get(kind)
+    if last is not None and last[0]() is owner:
+        return last[1]
+    _last_rows.pop(kind, None)  # the old owner's rows go before the new ones are built
+    held = _Rows(N, M, sigma)
+    # an owner built by hand may change its arrays
+    if not (N.flags.writeable or M.flags.writeable or sigma.flags.writeable):
+        _last_rows[kind] = (weakref.ref(owner, _release), held)
+    return held
+
+
+def _release(ref) -> None:
+    """Empty the slot of an owner that died."""
+    for kind, last in list(_last_rows.items()):
+        if last[0] is ref:
+            _last_rows.pop(kind, None)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -770,8 +888,16 @@ def hagedorn_coefficients(state: PropagatedState, alpha) -> HagedornExpansion:
     even when σ = 0, which holds exactly for z₀ = 0.  A displaced packet under
     real H has σ_t of rounding size (about 1e-16), so entries of that size
     can appear at odd |α| − |k|.
+
+    As in coefficient_sweep, the steps start from the longest prefix of α's
+    path that the prefix memo holds, here for the last state seen: every α
+    up to a degree at one state, in graded order, takes one raising step a
+    call.  Only a state whose N, M and σ are read-only, such as a
+    Trajectory's view, enters the memo; a state built by hand with
+    writeable arrays is raised from e₀ on every call.  The memo holds at
+    most TABLE_MAX entries and no array the caller sees; the dict is new.
     """
-    layout, a = _ladder(state.N[None], state.M[None], state.sigma[None], alpha)
+    layout, a = _ladder(state, state.N[None], state.M[None], state.sigma[None], alpha)
     a = a[0]
     kept = a != 0
     return HagedornExpansion(

@@ -424,6 +424,28 @@ def test_driven_route_keeps_the_logdetq_branch_to_rounding():
     assert abs(state.logdetQ - 1j * n * t) < 1e-12
 
 
+def test_constant_hamiltonian_sums_one_series_per_step_length(monkeypatch):
+    # every full step of a constant H has the same G_j; its length h can
+    # differ from the last step's only by the rounding of t + h, so the 37
+    # steps to t = 37 share a few series, and S_t stays the rotation e^{ΩHt}
+    calls = []
+
+    def counted(G, h, t):
+        calls.append(h)
+        return series(G, h, t)
+
+    series = propagation._series
+    monkeypatch.setattr(propagation, "_series", counted)
+    n = 3
+    times = np.linspace(0.0, 37.0, 150)
+    states = propagate(standard_frame(n), np.zeros(2 * n), harmonic(n), times)
+    assert 1 <= len(calls) == len(set(calls)) <= 8
+    c, s = np.cos(times)[:, None, None], np.sin(times)[:, None, None]
+    eye = np.eye(n)
+    exact = np.block([[c * eye, -s * eye], [s * eye, c * eye]])
+    assert np.max(np.abs(states.S - exact)) < 1e-14
+
+
 def test_polynomial_hamiltonian_matches_riccati_and_centre_oracles():
     # β_t = ¼∫tr(G⁻¹Im H)dτ over the independent Riccati metric (Simpson on a
     # dense grid), and z_t, α_t from the centre ODE on a spline of that metric

@@ -5,8 +5,13 @@ the same coefficient tables and norms from the stacked arrays that it wrote
 from one HagedornExpansion per state.
 """
 
+import dataclasses
+import gc
 import itertools
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +20,9 @@ from hagedorn import cli, propagation
 from hagedorn.cli import PRESETS, load_config, run_scenario, standard_frame
 from hagedorn.errors import PositivityLost
 from hagedorn.propagation import (
+    PropagatedState,
     QuadraticHamiltonian,
+    Trajectory,
     amplitude,
     coefficient_sweep,
     hagedorn_coefficients,
@@ -132,6 +139,161 @@ def test_compute_sweeps_once_per_alpha_and_never_per_state(monkeypatch, tmp_path
     assert calls == [(0,), (1,), (2,)]
 
 
+# -- the prefix memo -------------------------------------------------------------
+
+
+def displaced_states(n, seed=5, count=6):
+    H = QuadraticHamiltonian.constant(seeded_matrix(seed, n))
+    center = np.random.default_rng(seed).uniform(-1.0, 1.0, 2 * n)
+    return propagate(standard_frame(n), center, H, np.linspace(0.0, 1.5, count))
+
+
+def by_hand(state):
+    """A copy of state with writeable N, M and σ, which the memo never holds."""
+    return dataclasses.replace(state, N=state.N.copy(), M=state.M.copy(), sigma=state.sigma.copy())
+
+
+def cold(state, alpha) -> dict:
+    """The coefficients raised from e₀, with no held prefix."""
+    return hagedorn_coefficients(by_hand(state), alpha).coefficients
+
+
+def assert_same(got: dict, want: dict):
+    assert list(got) == list(want)
+    assert bits(list(got.values())) == bits(list(want.values()))
+
+
+def held(kind):
+    """The _Rows of the slot for owners of this kind."""
+    return propagation._last_rows[kind][1]
+
+
+def held_entries(rows) -> int:
+    """The entries of the held rows, counted afresh (the zero α holds e₀ as 1.0)."""
+    return sum(row.size for alpha, row in rows.rows.items() if any(alpha))
+
+
+def fresh_trajectory(states):
+    """A trajectory the memo has not seen, with the same stacks."""
+    fields = {f.name: getattr(states, f.name) for f in dataclasses.fields(states) if f.init}
+    copies = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in fields.items()}
+    return Trajectory(**copies)
+
+
+@pytest.mark.parametrize("n, top", [(2, 6), (3, 5)])
+@pytest.mark.parametrize("order", ["graded", "reverse", "random"])
+def test_memo_rows_equal_cold_calls_in_any_order(n, top, order):
+    alphas = sorted(multi_indices(n, top), key=sum)
+    if order == "reverse":
+        alphas.reverse()
+    elif order == "random":
+        np.random.default_rng(17).shuffle(alphas)
+    states = displaced_states(n)
+    for state in (states[2], states[-1]):
+        want = {alpha: cold(state, alpha) for alpha in alphas}  # before the memo's calls
+        for alpha in alphas:
+            assert_same(hagedorn_coefficients(state, alpha).coefficients, want[alpha])
+        assert len(held(PropagatedState).rows) == len(alphas)
+    assert_rows_match(states, alphas)
+    assert_rows_match(displaced_states(n), alphas)
+
+
+def test_memo_gives_a_changed_hand_built_state_the_fresh_answer():
+    state = by_hand(displaced_states(2)[3])
+    before = hagedorn_coefficients(state, (1, 1)).coefficients
+    state.sigma[:] = 0.5 - 0.25j
+    state.M[:] = 2.0 * state.M
+    for alpha in [(1, 1), (1, 2), (2, 2)]:
+        assert_same(hagedorn_coefficients(state, alpha).coefficients, cold(state, alpha))
+    assert bits(list(hagedorn_coefficients(state, (1, 1)).coefficients.values())) != bits(
+        list(before.values()))
+    assert PropagatedState not in propagation._last_rows
+
+
+def test_changing_a_returned_array_or_dict_changes_no_later_call():
+    states = displaced_states(2)
+    want = {alpha: coefficient_sweep(fresh_trajectory(states), alpha)[1]
+            for alpha in [(1, 0), (1, 1), (1, 2)]}
+    for alpha in want:
+        keys, a = coefficient_sweep(states, alpha)
+        assert bits(a) == bits(want[alpha])
+        a[:] = 7.0
+        with pytest.raises(ValueError):
+            keys[0, 0] = 3
+    for alpha in want:
+        assert bits(coefficient_sweep(states, alpha)[1]) == bits(want[alpha])
+    state = states[4]
+    want = {alpha: cold(state, alpha) for alpha in [(1, 1), (1, 2)]}
+    first = hagedorn_coefficients(state, (1, 1))
+    first.coefficients[(0, 0)] = 7.0
+    first.coefficients.clear()
+    for alpha in [(1, 1), (1, 2), (1, 1)]:
+        assert_same(hagedorn_coefficients(state, alpha).coefficients, want[alpha])
+
+
+@pytest.mark.parametrize("cap", [40, 400])
+def test_held_rows_stay_within_the_bound(monkeypatch, cap):
+    monkeypatch.setattr(propagation, "TABLE_MAX", cap)
+    alphas = sorted(multi_indices(3, 4), key=sum)
+    states = displaced_states(3, count=4)
+    want = {alpha: coefficient_sweep(fresh_trajectory(states), alpha)[1] for alpha in alphas}
+    want_one = {alpha: cold(states[1], alpha) for alpha in alphas}
+    for alpha in alphas:
+        assert bits(coefficient_sweep(states, alpha)[1]) == bits(want[alpha])
+        rows = held(Trajectory)
+        assert rows.entries == held_entries(rows) <= cap
+        assert_same(hagedorn_coefficients(states[1], alpha).coefficients, want_one[alpha])
+        rows = held(PropagatedState)
+        assert rows.entries == held_entries(rows) <= cap
+    assert sum(a.size for a in want.values()) > 2 * cap  # the set exceeds the bound
+
+
+def test_slot_releases_a_dead_owner():
+    states = displaced_states(2)
+    coefficient_sweep(states, (2, 1))
+    hagedorn_coefficients(states[1], (2, 1))
+    owners = weakref.ref(states), weakref.ref(states[1])
+    assert {PropagatedState, Trajectory} <= set(propagation._last_rows)
+    del states
+    gc.collect()
+    assert owners[0]() is None and owners[1]() is None
+    assert not {PropagatedState, Trajectory} & set(propagation._last_rows)
+
+
+def test_memo_under_concurrent_callers(monkeypatch):
+    # a shortened switch interval interleaves the threads' calls on one state;
+    # a lost update to the held rows would break their count or an answer
+    monkeypatch.setattr(propagation, "TABLE_MAX", 300)
+    state = displaced_states(3)[2]
+    alphas = sorted(multi_indices(3, 4), key=sum)
+    want = {alpha: cold(state, alpha) for alpha in alphas}
+    failures = []
+
+    def worker(seed):
+        order = list(alphas)
+        np.random.default_rng(seed).shuffle(order)
+        for alpha in order * 3:
+            got = hagedorn_coefficients(state, alpha).coefficients
+            if list(got) != list(want[alpha]) or bits(list(got.values())) != bits(
+                    list(want[alpha].values())):
+                failures.append(alpha)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
+    rows = held(PropagatedState)
+    assert rows.entries == held_entries(rows) <= 300
+
+
 def per_state_table(run, alpha) -> str:
     """coefficients_<α>.csv as the writer built it from one HagedornExpansion
     per state: nonzero coefficients in sorted order of k."""
@@ -165,6 +327,46 @@ SWEEP_CONFIGS = {
     "swanson-fig1-eps-0.7": {**PRESETS["swanson-fig1"], "eps": 0.7},
     "displaced-2-mode-eps-0.7": displaced_two_mode_config(),
 }
+
+
+def per_state_trajectory(run) -> str:
+    """trajectory.csv as the writer built it from the per-state values, one
+    '%.17g' per value."""
+    n = run.all_states.z.shape[1] // 2
+    centre = ["p", "q"] if n == 1 else [f"{c}{i + 1}" for c in "pq" for i in range(n)]
+    header = ["t", "beta", "norm_predicted", "re_action", "im_action", *centre,
+              "det_defect_symplectic", "min_eig_positivity"]
+    lines = [",".join(header)]
+    for i in run.on_grid:
+        state = run.all_states[i]
+        values = [state.t, state.beta, amplitude(state.log_prefactor), state.action.real,
+                  state.action.imag, *state.z.tolist(), state.symplectic_defect,
+                  state.min_positivity]
+        lines.append(",".join("%.17g" % v for v in values))
+    return "\n".join(lines) + "\n"
+
+
+def per_state_norms(config, run) -> str:
+    """norms.csv of a run without oracle from the per-state expansions."""
+    lines = ["t,k,norm_closed_form,norm_general_pipeline,norm_grid_oracle"]
+    for alpha in config.alphas:
+        for i, state in enumerate(run.all_states):
+            closed = run.closed_norms[alpha][i]
+            pipeline = hagedorn_coefficients(state, alpha).norm()
+            lines.append(f"{'%.17g' % state.t},{alpha[0]},{'%.17g' % closed},{'%.17g' % pipeline},")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
+def test_preset_trajectory_and_norm_tables_equal_the_per_state_values(name, tmp_path):
+    config = load_config({**SWEEP_CONFIGS[name], "oracle": {"enabled": False}})
+    assert run_scenario(config, tmp_path) == 0
+    run = cli._compute(config)
+    assert (tmp_path / "trajectory.csv").read_text() == per_state_trajectory(run)
+    norms = tmp_path / "norms.csv"
+    assert norms.exists() == (run.closed_norms is not None)
+    if run.closed_norms is not None:
+        assert norms.read_text() == per_state_norms(config, run)
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
