@@ -5,7 +5,8 @@
 Builds ROW's inputs, makes one untimed call and one timed call, and prints
 the wall time of the timed call in ms.  `bench/run.py --against REV` runs it
 in a fresh interpreter for each of two trees in turn, so it calls only entry
-points that both trees have: `run_scenario` on the `swanson-fig1` preset,
+points that both trees have: `run_scenario` on the `swanson-fig1` preset
+and on the `horizon` preset over a long window,
 `propagate_grid`, `propagate` under a constant, sampled or polynomial H
 and over a long horizon, and `hagedorn_coefficients` for every α up to a
 degree at one state.
@@ -34,6 +35,20 @@ def scenario(oracle: dict):
     """run_scenario on swanson-fig1 with `oracle` as its oracle block,
     artifacts written to a temporary directory."""
     raw = {**copy.deepcopy(PRESETS["swanson-fig1"]), "oracle": oracle}
+
+    def call():
+        with tempfile.TemporaryDirectory() as out:
+            run_scenario(load_config(raw), Path(out))
+
+    return call
+
+
+def horizon_long():
+    """run_scenario on the horizon preset with its window stretched to
+    t = 2000, far past its horizon at t = 0.815, artifacts written to a
+    temporary directory."""
+    raw = {**copy.deepcopy(PRESETS["horizon"]),
+           "times": {"start": 0.0, "stop": 2000.0, "count": 80}}
 
     def call():
         with tempfile.TemporaryDirectory() as out:
@@ -122,6 +137,7 @@ ROWS = {
     "scenario-oracle-short": lambda: scenario({**ORACLE, "times": [0.25, 0.5]}),
     "scenario-oracle-full": lambda: scenario(ORACLE),
     "scenario-no-oracle": lambda: scenario({"enabled": False}),
+    "scenario-horizon-long": horizon_long,
     "march": march,
     **{f"propagate-{kind}-n{n}": (lambda kind=kind, n=n: seeded(kind, n))
        for kind in ("sampled", "polynomial", "constant") for n in (1, 2, 3)},

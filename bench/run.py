@@ -1,7 +1,7 @@
 """Per-call times of `hagedorn_coefficients`, `coefficient_sweep`, `propagate`,
 grid fields, the grid oracle's building blocks, whole `swanson-fig1` runs and
 subprocess runs of every preset and of a driven config, written to
-BENCH_25.json.
+BENCH_26.json.
 
     python3 bench/run.py [--against REV]
 
@@ -12,8 +12,8 @@ Imports the package from ./src of the checkout this script sits in.
   (R = XXᵀ/2n + ½Id, I = 0.05(Y + Yᵀ) for Gaussian X, Y) to t = 1.5, then
   calls `hagedorn_coefficients` for every α with |α| = 4, 6, 8 and 12 at that
   state.  One run of a row is the mean time per call over all those α, at a
-  copy of the state that the prefix memo has not seen, so no α of the run
-  finds a prefix held and every call raises α from e₀.
+  copy of the state that the slot of the per-state calls has not seen, so no
+  α of the run finds a prefix held and every call raises α from e₀.
 - `propagate` by case: the n = 1 Swanson oscillator (ω0 = 1, δ = 0.5) from
   the frame (1; −i), 200 times on [0, 10]; a seeded n = 3 constant H, 150
   times on [0, 3]; a seeded n = 2 H sampled on 7 knots of [0, 3], at 150
@@ -34,16 +34,15 @@ Imports the package from ./src of the checkout this script sits in.
 - `grid_norm` of one field on that 256×256 grid: the mean over 100 calls.
 - `hagedorn_coefficients` for n = 1, |α| ≤ 2 at that Swanson state: one run
   is the mean per call over 600 calls, k = 0, 1, 2 at each of 200 copies of
-  the state that the prefix memo has not seen, so k = 1 and 2 each take one
-  raising step from the row before, as the CLI's tables of one state do.
+  the state that the slot has not seen, so k = 1 and 2 each take one raising
+  step from the row before.
 - The coefficients of every state of a trajectory, two ways: one
   `coefficient_sweep` per α, and one `hagedorn_coefficients` per (α, state)
   on views built before the timing.  Cases: `swanson-fig1`'s 200 states with
   α = 0, 1, 2, and the seeded n = 3 constant H of the `propagate` rows
-  (150 states) with α = 0 and e₁.  One run is all α of a case, on a copy of
-  the trajectory that the prefix memo has not seen: the sweeps share
-  prefixes within a run (α = 2 continues from α = 1), the per-state calls,
-  which move to another state on every call, do not.
+  (150 states) with α = 0 and e₁.  One run is all α of a case.  The sweeps
+  raise every α from e₀ and hold nothing; the per-state calls move to
+  another state on every call, so the slot never holds a prefix for them.
 - Grid oracle, Swanson H on the oracle's 1024-node grid of [−12, 12]: one
   `discretize_hamiltonian` call; one Cayley build with the damping for each
   map (`_cayley_matrix` after clearing the operator's cache): the coarse
@@ -62,8 +61,10 @@ Imports the package from ./src of the checkout this script sits in.
   row shows what the march's BLAS threads leave behind.
 - `run_scenario` on the `swanson-fig1` preset, artifacts written to a
   temporary directory: with its oracle at times (0.25, 0.5), with the
-  preset's full oracle list, and with the oracle off.  One run is one call;
-  these rows take the median of SCENARIO_RUNS runs.
+  preset's full oracle list, and with the oracle off; and on the `horizon`
+  preset with its window stretched to t = 2000, far past its horizon near
+  t = 0.815.  One run is one call; these rows take the median of
+  SCENARIO_RUNS runs.
 - Subprocesses, start-up included, each the wall time of one fresh
   interpreter with ./src on PYTHONPATH: `python -c pass` (the interpreter
   alone), `python -c "import hagedorn"`, `python -c "import hagedorn.cli"`,
@@ -80,7 +81,7 @@ With --against REV the file also holds a `paired` block: REV's tree,
 exported by `git archive` into a temporary directory, and this checkout run
 the rows that call only public entry points, PAIRED_RUNS pairs after one
 warm-up run each, alternating which tree runs first, every run in a fresh
-interpreter with that tree's src on PYTHONPATH.  These are the three
+interpreter with that tree's src on PYTHONPATH.  These are the four
 `run_scenario` rows, the march, `propagate` under a sampled, a polynomial
 and a constant H for n = 1, 2, 3 at 150 times on [0, 3] and under the
 harmonic H for n = 3 at 150 times on [0, 37], `hagedorn_coefficients` for
@@ -137,7 +138,7 @@ from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, grid_norm
 
 import public_rows  # noqa: E402  (bench/, the script's own directory)
 
-OUT = ROOT / "BENCH_25.json"
+OUT = ROOT / "BENCH_26.json"
 MODES = (3, 4)
 ORDERS = (4, 6, 8, 12)
 RUNS = 5
@@ -153,6 +154,7 @@ SCENARIO_CASES = (
     ("swanson-fig1, oracle at t = 0.25, 0.5", "scenario-oracle-short"),
     ("swanson-fig1, full oracle list", "scenario-oracle-full"),
     ("swanson-fig1, no oracle", "scenario-no-oracle"),
+    ("horizon, window to t = 2000, no oracle", "scenario-horizon-long"),
 )
 # propagate rows: (case, bench/public_rows.py row)
 PROPAGATE_CASES = tuple(
@@ -210,7 +212,7 @@ def timed_rows(cases, runs: int = RUNS) -> list:
     """One row per (row fields, function, inputs, divisor): the time of one
     call per input, in ms per run / divisor, over `runs` runs after a warm-up
     run.  inputs() gives the inputs of one run, outside the timed region, so
-    a row can hand each run states that the prefix memo has not seen.  No
+    a row can hand each run states that the slot has not seen.  No
     result is kept alive past its call."""
 
     def run(fn, inputs) -> float:
@@ -227,10 +229,10 @@ def timed_rows(cases, runs: int = RUNS) -> list:
     return rows
 
 
-def at_unseen(owner, alphas) -> list:
-    """(copy, α) for each α, with one new PropagatedState or Trajectory on
-    owner's read-only arrays: an owner that the prefix memo has not seen."""
-    copy = dataclasses.replace(owner)
+def at_unseen(state, alphas) -> list:
+    """(copy, α) for each α, with one new PropagatedState on state's read-only
+    arrays: a state that the slot of the per-state calls has not seen."""
+    copy = dataclasses.replace(state)
     return [(copy, alpha) for alpha in alphas]
 
 
@@ -351,15 +353,14 @@ def trajectory_coefficient_rows() -> list:
             {"what": "coefficients over a trajectory", "how": "hagedorn_coefficients per state",
              "case": case, "per": "run of all alpha"},
             lambda x: [hagedorn_coefficients(st, x[1]) for st in x[0]],
-            lambda states=states, alphas=alphas: [(list(copy), a)
-                                                  for copy, a in at_unseen(states, alphas)],
+            lambda states=states, alphas=alphas: [(list(states), a) for a in alphas],
             1,
         ))
         rows.append((
             {"what": "coefficients over a trajectory", "how": "coefficient_sweep per alpha",
              "case": case, "per": "run of all alpha"},
             lambda x: coefficient_sweep(*x),
-            lambda states=states, alphas=alphas: at_unseen(states, alphas),
+            lambda states=states, alphas=alphas: [(states, a) for a in alphas],
             1,
         ))
     return timed_rows(rows)

@@ -30,9 +30,10 @@ centre (π, ξ) = S_tz₀:
 One scan of λ_min((1/2i)W*ΩW) and arg det W_Q over the flow's samples gives
 both the positivity horizon and the continuous branch of log det Q_t.  The
 samples have spacing·‖ΩH‖₂ ≤ ¼ and always include the output times; the scan
-takes them all in one batched pass.  The horizon is the first sign change,
-refined by a bracketing root-find; breakdown raises PositivityLost with the
-horizon time and the truncated Trajectory.  The branch unwraps arg det W_Q
+checks them in batches as the flow makes them and stops the flow soon after
+the horizon, the first sign change, which a bracketing root-find refines;
+breakdown raises PositivityLost with the horizon time and the truncated
+Trajectory.  The branch unwraps arg det W_Q
 from one sample to the next, one eigenvalue of W_Q(t_prev)⁻¹W_Q(t) at a
 time.  The scan hands W, its Gram matrices and their λ_min at the output
 times to the assembly, which passes every other check the per-state
@@ -49,15 +50,12 @@ appear.  For a displaced packet under real H, σ vanishes in exact arithmetic
 but not in floating point: z_t comes out of a real solve that reproduces
 S_tz₀ only to rounding, so σ_t is noise of about 1e-16 and slots with
 |α| − |k| odd can hold entries of that size.  coefficient_sweep runs the
-recursion once per α over every time of a Trajectory; hagedorn_coefficients
-is its one-row call at one state.  Both start from the longest prefix of
-α's raising path that the prefix memo holds: the finished rows of the last
-Trajectory coefficient_sweep saw, and of the last state
-hagedorn_coefficients saw, each owner held by a weak reference.  Only an
-owner whose N, M and σ are read-only enters the memo, the rows it holds are
-read-only, and they are dropped before they would pass TABLE_MAX entries.
-So every α up to a degree, in graded order, takes one raising step per
-call, and the result is the same bits in any call order.
+recursion once per α over every time of a Trajectory, from e₀, and holds
+nothing.  hagedorn_coefficients is its one-row call at one state; it starts
+from the longest prefix of α's raising path that the module's one slot
+(_Held) holds for the last state seen, so every α up to a degree at one
+state, in graded order, takes one raising step per call, and the result is
+the same bits in any call order.
 log_prefactor (iα_t/ε + β_t), amplitude
 (its e^{Re}) and expansion_norm are the package's one route to the norm.
 
@@ -381,7 +379,10 @@ class _LinearFlow:
             pieces = [(math.inf, 0.0, H.data[0])]
         else:
             knots, stack = H.data
-            slopes = np.diff(stack, axis=0) / np.diff(knots)[:, None, None]
+            with np.errstate(over="ignore"):  # an overflow is caught below, as inf
+                slopes = np.diff(stack, axis=0) / np.diff(knots)[:, None, None]
+            if not np.isfinite(slopes).all():
+                raise StepSizeUnderflow("flow integration failed: a slope of H is not finite")
             pieces = [(knots[0], knots[0], stack[:1])]
             pieces += [(hi, lo, np.stack([a, s]))
                        for lo, hi, a, s in zip(knots[:-1], knots[1:], stack, slopes)]
@@ -390,14 +391,16 @@ class _LinearFlow:
         self.pieces = [(float(origin), om @ coeffs) for _, origin, coeffs in pieces]
 
     def samples(self, times: np.ndarray):
-        """(ts, flows): ts[0] = t0 with Id, then samples up to times[-1] that
-        include every output time, with spacing·ρ ≤ ¼: ⌈4hρ⌉ equal parts of
-        each Taylor step and the output times inside it.  A step's flows are
-        P(u)S(t_s), P(u) its step map at the fractions u of the step, all from
-        one batched Horner pass of the map's series and one batched product."""
+        """Yields (ts, flows) a step at a time: first t0 with Id, then the
+        samples of each Taylor step up to times[-1], which include every
+        output time, with spacing·ρ ≤ ¼: ⌈4hρ⌉ equal parts of the step and the
+        output times inside it.  A step's flows are P(u)S(t_s), P(u) its step
+        map at the fractions u of the step, all from one batched Horner pass
+        of the map's series and one batched product.  A caller that stops
+        early integrates no further."""
         identity = np.eye(self.n2, dtype=complex)
         last = float(times[-1])
-        ts, flows = [np.array([self.t0])], [identity[None]]
+        yield np.array([self.t0]), identity[None]
         t, S = self.t0, identity
         G = P = None  # the last step's G_j and series
         while t < last:
@@ -425,10 +428,8 @@ class _LinearFlow:
             upto = min(stop, last)
             step_ts = np.union1d(grid[grid <= upto], times[(times > t) & (times <= upto)])
             step_flows = _horner(P, (step_ts - t) / h) @ S
-            ts.append(step_ts)
-            flows.append(step_flows)
+            yield step_ts, step_flows
             t, S = stop, step_flows[-1]
-        return np.concatenate(ts), np.concatenate(flows)
 
     def at(self, t: float, t_prev: float, S_prev: np.ndarray) -> np.ndarray:
         """S(t) for t in the sample step that starts at t_prev with S_prev:
@@ -526,28 +527,37 @@ def flow(H: QuadraticHamiltonian, t0: float, t1: float):
         raise DimensionMismatch("t0 and t1 must be finite")
     if t1 < t0:
         raise DimensionMismatch("t1 must be ≥ t0")
-    return _LinearFlow(H, t0).samples(np.array([t1]))[1][-1]
+    *_, (_, flows) = _LinearFlow(H, t0).samples(np.array([t1]))
+    return flows[-1]
 
 
 def _scan(Z0: NormalisedFrame, H: QuadraticHamiltonian, times):
     """(S_t, W, gram, λ_min, log det W_Q, horizon) stacked over the output times:
     W = S_tZ₀, gram = (1/2i)W*ΩW and λ_min its smallest eigenvalue.
 
-    One batched eigvalsh checks every flow sample against gram_margin; the
-    stacks stop before the first failing sample, and the horizon is None when
-    none fails.  log det W_Q carries over from one sample to the next by the
-    principal logs of the eigenvalues of W_Q(t_prev)⁻¹W_Q(t), one batched
+    Batched eigvalsh calls check the samples against gram_margin after 16,
+    32, 64, … of the flow's yields and at its end, and the flow stops after
+    the first batch with a failing sample: a flow of up to 16 yields, as most
+    runs are, is checked once, and a longer one runs at most twice the yields
+    that reach the horizon.  The stacks stop before the first failing
+    sample, and the horizon is None when none fails.  log det W_Q carries over from one sample to the next by
+    the principal logs of the eigenvalues of W_Q(t_prev)⁻¹W_Q(t), one batched
     solve and eigvals summed by cumsum, so it starts on the principal branch
     and stays continuous as long as no eigenvalue turns by π within one step.
     brentq locates the crossing inside the step before the first failing
     sample, on one Taylor step from that sample.
     """
     linear = _LinearFlow(H, 0.0)
-    ts, flows = linear.samples(times)
     n, W0 = Z0.n, Z0.entries
-    W = flows @ W0
-    gram = gram_matrix(W)
-    min_eig, margin = gram_margin(gram)
+    blocks, pending = [], []
+    for count, step in enumerate(linear.samples(times), 1):
+        pending.append(step)
+        if (count & (count - 1) == 0 and count >= 16) or step[0][-1] == times[-1]:
+            blocks.append(_checked_block(pending, W0))
+            pending = []
+            if (blocks[-1][-1] <= 0).any():  # lost: integrate no further
+                break
+    ts, flows, W, gram, min_eig, margin = map(np.concatenate, zip(*blocks))
     failed = np.flatnonzero(margin <= 0)
     good = int(failed[0]) if failed.size else len(ts)
     WQ = W[:good, n:]
@@ -563,6 +573,14 @@ def _scan(Z0: NormalisedFrame, H: QuadraticHamiltonian, times):
             t_prev, float(ts[good]), margin[good - 1], margin[good],
         )
     return flows[ends], W[ends], gram[ends], min_eig[ends], logs[ends], t_star
+
+
+def _checked_block(steps, W0):
+    """(ts, flows, W, gram, λ_min, margin) of a run of the flow's steps, batched."""
+    ts, flows = map(np.concatenate, zip(*steps))
+    W = flows @ W0
+    gram = gram_matrix(W)
+    return (ts, flows, W, gram, *gram_margin(gram))
 
 
 def _crossing(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -633,9 +651,13 @@ def _trajectory(times, S, W, gram, min_positivity, log_det_wq, Z0, z0, eps) -> T
 
     # N is Hermitian positive definite, so det N > 0 and the log is real
     log_det_n = np.linalg.slogdet(N)[1]
-    z, action = _centre_and_action(S, z0, siegel_b(P, Q))
-    # σ_j = −(i/√(2ε)) (S_tZ̄₀e_j)ᵀ Ω (z_t − S_tz₀); exactly 0 when z₀ = 0
-    sigma = -1j / math.sqrt(2 * eps) * (_t(W_bar_flow) @ omega(n) @ (z - S @ z0)[..., None])[..., 0]
+    B = siegel_b(P, Q)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        z, action = _centre_and_action(S, z0, B)
+        # σ_j = −(i/√(2ε)) (S_tZ̄₀e_j)ᵀ Ω (z_t − S_tz₀); exactly 0 when z₀ = 0
+        sigma = -1j / math.sqrt(2 * eps) * (_t(W_bar_flow) @ omega(n) @ (z - S @ z0)[..., None])[..., 0]
+    if not all(np.isfinite(x).all() for x in (z, action, sigma)):
+        raise DimensionMismatch("center is not finite, or so large that the action overflows")
     return Trajectory(
         t=np.array(times[: len(S)], dtype=float),
         S=S,
@@ -737,25 +759,23 @@ def coefficient_sweep(states: Trajectory, alpha):
 
     with D = N_t⁻¹M_t, one batched solve for all times.  Each step is one
     gather per direction over the slots with |k| ≤ |γ| + 1 and one stacked
-    matmul per direction over all times.  A slot no step reaches holds an
-    exact 0; when σ = 0 these include every k with |α| − |k| odd.
-
-    The steps start from the longest prefix of α's path whose sweep the
-    prefix memo holds for this trajectory: after the sweep of α − e_j, j the
-    last direction of α, the sweep of α takes one step.  The memo keeps the
-    solve and the finished sweeps of the last trajectory seen, by a weak
-    reference, if its stacks are read-only (a Trajectory's are); it holds
-    read-only copies of at most TABLE_MAX entries in all, and a is a new
-    array, which the caller may change.  The result is the same bits in
-    any call order.
+    matmul over all times.  A slot no step reaches holds an exact 0; when
+    σ = 0 these include every k with |α| − |k| odd.  Nothing is held between
+    calls, and a is a new array, which the caller may change.
     """
-    layout, a = _ladder(states, states.N, states.M, states.sigma, alpha)
-    return layout[0], a.copy()
+    layout, a = _ladder(_columns(states.N, states.M, states.sigma), alpha)
+    return layout[0], a
 
 
-def _ladder(owner, N, M, sigma, alpha):
-    """(layout, a) of coefficient_sweep from the stacks N_t, M_t and σ_t of
-    owner, a Trajectory or a PropagatedState; a is read-only.
+def _columns(N, M, sigma) -> np.ndarray:
+    """The raising columns (conj N, N⁻¹M, σ) at each time, by one batched solve."""
+    return np.concatenate([np.conj(N), np.linalg.solve(N, M), sigma[:, None]], axis=-2)
+
+
+def _ladder(columns, alpha, held=None):
+    """(layout, a) of coefficient_sweep from the raising columns of N_t, M_t
+    and σ_t; with held, a _Held, from the longest prefix of α's path it holds,
+    and a is kept there, read-only.
 
     steps[i, s] holds, for raising step s in direction j at time i, column j
     of N̄ and of D, then σ_j, all divided by √(γ_j+1).  np.take keeps every
@@ -767,21 +787,19 @@ def _ladder(owner, N, M, sigma, alpha):
     The path raises direction 0 α_0 times, then direction 1, and so on, so
     after s steps it holds the row of γ, the first s directions of it, and
     the row of γ fills the first ends[|γ|] slots of every larger layout (the
-    ranks do not depend on the order).  The steps therefore start at the
-    longest such γ whose row _rows_of holds for owner (e₀ at worst) and
-    repeat, with the same shapes, the operations a start from e₀ makes: the
+    ranks do not depend on the order).  A start at a held γ (e₀ at worst)
+    repeats, with the same shapes, the operations a start from e₀ makes: the
     result is the same bits in any call order.
     """
-    n = N.shape[-1]
+    n = columns.shape[-1]
     alpha = validate_recursion_index(alpha, n)
     layout = _ladder_layout(n, sum(alpha))
     ends, root, rise, down, up = layout[2:]
     js, scales = _raising_steps(alpha)
-    held = _rows_of(owner, N, M, sigma)
-    start, prefix = held.longest_prefix(alpha)
-    steps = np.take(held.columns.swapaxes(-1, -2), js, axis=-2) * scales
+    start, prefix = (0, 1.0) if held is None else held.longest_prefix(alpha)
+    steps = np.take(columns.swapaxes(-1, -2), js, axis=-2) * scales
     raising, lowering, shift = steps[..., :n], steps[..., n:-1], steps[..., -1:]
-    a = np.zeros((len(N), len(root[0]) + 1), dtype=complex)  # the last slot stays 0
+    a = np.zeros((len(columns), len(root[0]) + 1), dtype=complex)  # the last slot stays 0
     a[:, : ends[start]] = prefix
     for step in range(start, len(js)):  # from degree `step` to `step` + 1
         hi, mid = ends[step + 1], ends[step]
@@ -794,79 +812,9 @@ def _ladder(owner, N, M, sigma, alpha):
             new[:, :lo] -= (lowering[:, step, None] @ gathered)[:, 0]
         a[:, :hi] = new
     a = a[:, :-1]
-    a.flags.writeable = False
-    held.keep(alpha, a)
+    if held is not None:
+        held.keep(alpha, a)
     return layout, a
-
-
-class _Rows:
-    """The columns (conj N, N⁻¹M, σ) of one owner's stacks and the finished
-    ladder rows built from them, by α, all read-only.  The zero α holds 1.0,
-    which fills slot 0 with e₀, where every path starts.  The rows hold at
-    most TABLE_MAX entries, the most that the largest ladder table
-    validate_recursion_index admits may hold: a row that would pass it drops
-    every other row first."""
-
-    def __init__(self, N, M, sigma):
-        self.columns = np.concatenate([np.conj(N), np.linalg.solve(N, M), sigma[:, None]], axis=-2)
-        self.columns.flags.writeable = False
-        self.zero = (0,) * N.shape[-1]
-        self.rows = {self.zero: 1.0}
-        self.entries = 0
-
-    def longest_prefix(self, alpha: tuple):
-        """(|γ|, row of γ) for the longest held γ on α's path, α included:
-        α less one unit of its last nonzero direction, again and again."""
-        rows = self.rows  # keep may replace it meanwhile, never change what it held
-        gamma, j = list(alpha), len(alpha) - 1
-        while (key := tuple(gamma)) not in rows:
-            while not gamma[j]:
-                j -= 1
-            gamma[j] -= 1
-        return sum(gamma), rows[key]
-
-    def keep(self, alpha: tuple, a: np.ndarray) -> None:
-        with _keeping:
-            if alpha in self.rows:
-                return
-            if self.entries + a.size > TABLE_MAX:
-                self.rows, self.entries = {self.zero: 1.0}, 0
-            if a.size <= TABLE_MAX:
-                self.rows[alpha] = a
-                self.entries += a.size
-
-
-_keeping = threading.Lock()  # makes _Rows.keep's test and update one step
-
-
-# The prefix memo: per kind of owner (PropagatedState for
-# hagedorn_coefficients, Trajectory for coefficient_sweep) one slot,
-# (weak reference to the last owner seen, its _Rows).  As in _last_shared,
-# only an owner whose N, M and σ are read-only, such as a Trajectory or its
-# view, enters a slot, and a slot goes when its owner dies.  Each call of a
-# new owner builds its _Rows afresh, so nothing stays warm across owners.
-_last_rows: dict = {}
-
-
-def _rows_of(owner, N, M, sigma) -> _Rows:
-    """owner's _Rows, from its slot when that holds owner."""
-    kind = type(owner)
-    last = _last_rows.get(kind)
-    if last is not None and last[0]() is owner:
-        return last[1]
-    _last_rows.pop(kind, None)  # the old owner's rows go before the new ones are built
-    held = _Rows(N, M, sigma)
-    # an owner built by hand may change its arrays
-    if not (N.flags.writeable or M.flags.writeable or sigma.flags.writeable):
-        _last_rows[kind] = (weakref.ref(owner, _release), held)
-    return held
-
-
-def _release(ref) -> None:
-    """Empty the slot of an owner that died."""
-    for kind, last in list(_last_rows.items()):
-        if last[0] is ref:
-            _last_rows.pop(kind, None)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -880,6 +828,67 @@ def _raising_steps(alpha: tuple):
     return js, scales
 
 
+class _Held:
+    """What the per-state calls keep of one state, all read-only: its raising
+    columns, the finished ladder rows by α, and (grid, ground, y) of
+    evolved_state_on_grid on the last grid asked for.  The zero α holds 1.0,
+    which fills slot 0 with e₀, where every path starts.  The rows hold at
+    most TABLE_MAX entries, the most that the largest ladder table
+    validate_recursion_index admits may hold: a row that would pass it drops
+    every other row first."""
+
+    def __init__(self, state: PropagatedState):
+        self.columns = _columns(state.N[None], state.M[None], state.sigma[None])
+        self.columns.flags.writeable = False
+        self.zero = (0,) * state.N.shape[-1]
+        self.rows, self.entries, self.on_grid = {self.zero: 1.0}, 0, None
+
+    def longest_prefix(self, alpha: tuple):
+        """(|γ|, row of γ) for the longest held γ on α's path, α included:
+        α less one unit of its last nonzero direction, again and again."""
+        rows = self.rows  # keep may replace it meanwhile, never change what it held
+        gamma, j = list(alpha), len(alpha) - 1
+        while (key := tuple(gamma)) not in rows:
+            while not gamma[j]:
+                j -= 1
+            gamma[j] -= 1
+        return sum(gamma), rows[key]
+
+    def keep(self, alpha: tuple, a: np.ndarray) -> None:
+        a.flags.writeable = False
+        with _keeping:
+            if alpha in self.rows:
+                return
+            if self.entries + a.size > TABLE_MAX:
+                self.rows, self.entries = {self.zero: 1.0}, 0
+            if a.size <= TABLE_MAX:
+                self.rows[alpha] = a
+                self.entries += a.size
+
+
+_keeping = threading.Lock()  # makes the slot's and _Held.keep's test and update one step
+
+# The one slot: the last state hagedorn_coefficients or evolved_state_on_grid
+# saw, with its _Held.  Only a state whose N, M, σ, z and frame are read-only,
+# such as a Trajectory's view, enters it; the entry goes when its state dies.
+_slot = weakref.WeakKeyDictionary()
+
+
+def _held(state: PropagatedState) -> _Held:
+    """state's _Held: from the slot, or new and put there in place of the last
+    state's; a state built by hand, whose arrays may change, gets one that is
+    not kept."""
+    held = _slot.get(state)
+    if held is None:
+        held = _Held(state)
+        if not any(a.flags.writeable
+                   for a in (state.N, state.M, state.sigma, state.z, state.Z.entries)):
+            with _keeping:
+                _slot.clear()
+                _slot[state] = held
+    return held
+
+
 def hagedorn_coefficients(state: PropagatedState, alpha) -> HagedornExpansion:
     """Activation coefficients a_k of U(t)φ_α over φ_k(Z_t, z_t) at one state.
 
@@ -889,15 +898,14 @@ def hagedorn_coefficients(state: PropagatedState, alpha) -> HagedornExpansion:
     real H has σ_t of rounding size (about 1e-16), so entries of that size
     can appear at odd |α| − |k|.
 
-    As in coefficient_sweep, the steps start from the longest prefix of α's
-    path that the prefix memo holds, here for the last state seen: every α
-    up to a degree at one state, in graded order, takes one raising step a
-    call.  Only a state whose N, M and σ are read-only, such as a
-    Trajectory's view, enters the memo; a state built by hand with
-    writeable arrays is raised from e₀ on every call.  The memo holds at
-    most TABLE_MAX entries and no array the caller sees; the dict is new.
+    The steps start from the longest prefix of α's path held in the slot for
+    the last state seen (see _Held): every α up to a degree at one state, in
+    graded order, takes one raising step a call.  A call at another state,
+    here or in evolved_state_on_grid, drops the rows; a state built by hand
+    with writeable arrays is raised from e₀ on every call.  The dict is new.
     """
-    layout, a = _ladder(state, state.N[None], state.M[None], state.sigma[None], alpha)
+    held = _held(state)
+    layout, a = _ladder(held.columns, alpha, held)
     a = a[0]
     kept = a != 0
     return HagedornExpansion(
@@ -914,50 +922,27 @@ def evolved_state_on_grid(state: PropagatedState, alpha, eps: float, grid: Grid)
     with the continuity-tracked branch of (det Q_t)^{−1/2}.  eps must be the
     state's own ε, which σ_t and the phase were built from; another value
     raises DimensionMismatch.  Every α at one state shares the prefactor
-    times φ₀ and the polynomial argument; both are kept for the last
-    (state, grid) pair seen, so a run of α at one state builds them once.
-    Each call returns a new array.
+    times φ₀ and the argument y = √(2/ε) N_tQ_t⁻¹(x−q_t) + σ_t; the slot of
+    hagedorn_coefficients keeps both for the last state and grid seen, so a
+    run of α at one state builds them once.  Each call returns a new array.
     """
     alpha = validate_recursion_index(alpha, state.Z.n)
     if eps != state.eps:
         raise DimensionMismatch(f"eps {eps} differs from the state's eps {state.eps}")
-    ground, y = _shared_on_grid(state, grid)
+    held = _held(state)
+    on_grid = held.on_grid
+    if on_grid is None or on_grid[0] != grid:
+        held.on_grid = None  # the last grid's fields go before the new ones are built
+        params = WavepacketParams(frame=state.Z, center=state.z, eps=state.eps,
+                                  phase=state.log_prefactor, log_det_q=state.logdetQ)
+        L = state.N @ np.linalg.inv(state.Z.Q)
+        ground, y = _ground_and_argument(params, grid, L, state.sigma)
+        ground.flags.writeable = y.flags.writeable = False
+        held.on_grid = on_grid = (grid, ground, y)
+    _, ground, y = on_grid
     if not any(alpha):
         return ground.copy()
     return _excite(ground, y, poly_recursion(state.Mtilde, alpha), alpha)
-
-
-# One slot: (weak reference to a state, grid, ground field, argument y), the
-# last pair _shared_on_grid built.  Only a state whose arrays are read-only,
-# such as a Trajectory's view, enters it, and a Grid is a frozen value, so
-# the slot answers only for that exact pair; it holds one state's fields at
-# most, whatever the trajectory's length.  It is read once and replaced
-# whole, so concurrent callers can at worst build the same pair twice.
-_last_shared = None
-
-
-def _shared_on_grid(state: PropagatedState, grid: Grid):
-    """The read-only e^{iα_t/ε + β_t} φ₀(Z_t, z_t) and y = √(2/ε) N_tQ_t⁻¹(x−q_t) + σ_t
-    of state on grid, from the slot when it holds this pair."""
-    global _last_shared
-    last = _last_shared
-    if last is not None and last[0]() is state and last[1] == grid:
-        return last[2], last[3]
-    _last_shared = None  # the old pair's fields go before the new ones are built
-    params = WavepacketParams(
-        frame=state.Z,
-        center=state.z,
-        eps=state.eps,
-        phase=state.log_prefactor,
-        log_det_q=state.logdetQ,
-    )
-    L = state.N @ np.linalg.inv(state.Z.Q)
-    ground, y = _ground_and_argument(params, grid, L, state.sigma)
-    ground.flags.writeable = y.flags.writeable = False
-    inputs = (state.z, state.N, state.sigma, state.Z.entries)
-    if not any(a.flags.writeable for a in inputs):  # a state built by hand may change
-        _last_shared = (weakref.ref(state), grid, ground, y)
-    return ground, y
 
 
 def positivity_horizon(Z0: NormalisedFrame, H: QuadraticHamiltonian, t_max: float) -> float:

@@ -61,6 +61,15 @@ def _scale(a: np.ndarray):
     return np.maximum(1.0, _worst(a)) if a.size else np.ones(a.shape[:-2])
 
 
+def _checked_scale(a: np.ndarray, error, what: str):
+    """_scale(a), after raising error where an entry is not finite or above 2^500:
+    past it a check's tolerance, TOL_FRAME·scale², or its sums of 2n products of
+    two entries may overflow."""
+    scale = _scale(a)
+    _reject(~(scale <= 2.0**500), error, f"{what} has an entry too large to check")
+    return scale
+
+
 def _reject(bad, error, message: str, **details) -> None:
     """Raise error(message, **details) if any matrix of a stack is flagged bad,
     naming the first."""
@@ -94,8 +103,9 @@ def check_lagrangian(Z: np.ndarray) -> None:
     """Raise DimensionMismatch unless every frame of Z is isotropic and of full rank."""
     Z = np.asarray(Z, dtype=complex)
     _check_stack_shape(Z)
+    scale = _checked_scale(Z, DimensionMismatch, "frame")
     om = omega(Z.shape[-2] // 2)
-    _reject(_worst(_mT(Z) @ om @ Z) > TOL_FRAME * _scale(Z) ** 2, DimensionMismatch,
+    _reject(_worst(_mT(Z) @ om @ Z) > TOL_FRAME * scale**2, DimensionMismatch,
             "frame is not isotropic: ZᵀΩZ ≠ 0")
     _reject(~(np.linalg.svd(Z, compute_uv=False)[..., -1] > RANK_TOL), DimensionMismatch,
             "frame does not have full column rank")
@@ -105,8 +115,9 @@ def check_normalised(Z: np.ndarray) -> None:
     """Raise DimensionMismatch unless Z*ΩZ = 2i·Id for every frame of Z."""
     Z = np.asarray(Z, dtype=complex)
     _check_stack_shape(Z)
+    scale = _checked_scale(Z, DimensionMismatch, "frame")
     defect = _mH(Z) @ omega(Z.shape[-2] // 2) @ Z - 2j * np.eye(Z.shape[-1])
-    _reject(_worst(defect) > TOL_FRAME * _scale(Z) ** 2, DimensionMismatch,
+    _reject(_worst(defect) > TOL_FRAME * scale**2, DimensionMismatch,
             "frame is not normalised: Z*ΩZ ≠ 2i·Id")
 
 
@@ -116,7 +127,7 @@ def check_metric_pair(G: np.ndarray, J: np.ndarray) -> None:
     if G.ndim < 2 or G.shape[-2] != G.shape[-1] or J.shape != G.shape or G.shape[-1] % 2 != 0:
         raise DimensionMismatch("metric pair needs two equal 2n×2n matrices")
     n2 = G.shape[-1]
-    scale = _scale(G)
+    scale = _checked_scale(G, NotSymplecticMetric, "G")
     om = omega(n2 // 2)
     _reject(_worst(G - _mT(G)) > TOL_FRAME * scale, NotSymplecticMetric, "G is not symmetric")
     _reject(_worst(_mT(G) @ om @ G - om) > TOL_FRAME * scale**2, NotSymplecticMetric,

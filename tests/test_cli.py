@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +326,42 @@ def test_horizon_preset(tmp_path):
     assert manifest["times"]["count"] < manifest["times"]["requested"]
     rows = read_csv(out / "trajectory.csv")
     assert float(rows[-1]["t"]) < expected
+
+
+def test_a_horizon_far_inside_the_window_exits_0(tmp_path):
+    # S overflows near t = 317 under this H, far past its horizon at 0.8608:
+    # the flow stops at the horizon, so the window's end does not matter
+    raw = {
+        "name": "horizon-long", "eps": 1.0,
+        "hamiltonian": {"type": "constant",
+                        "matrix": [[[1.0, 0.5], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.5]]]},
+        "initial": "standard", "center": [0.0, 0.0],
+        "times": {"start": 0.0, "stop": 1000.0, "count": 50},
+        "alphas": [[0]], "expect_horizon": True, "oracle": {"enabled": False},
+    }
+    cfg, out = tmp_path / "long.json", tmp_path / "out"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    assert [c["name"] for c in manifest["checks"] if c["passed"]] == ["symplectic_defect", "horizon"]
+    assert abs(manifest["horizon"]["detected"] - 0.8608) < 1e-4
+
+
+@pytest.mark.parametrize("case", ["centre-action", "sampled-slope"])
+def test_an_overflowing_run_is_a_typed_error(tmp_path, capsys, case):
+    # a centre entry of 1e300 overflows the action's π·ξ; a knot entry at the
+    # largest float overflows the slope of a sampled H
+    if case == "centre-action":
+        raw, error = copy.deepcopy(PRESETS["hermitian-sanity"]), "DimensionMismatch"
+        raw["center"] = [1e300, 0.0]
+    else:
+        config = Path(__file__).with_name("configs") / "driven-sampled.json"
+        raw, error = json.loads(config.read_text()), "StepSizeUnderflow"
+        raw["hamiltonian"]["matrices"][1][0][0] = [sys.float_info.max, 0.0]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(f"{error}: ")
 
 
 def test_squeezed_metric_preset(tmp_path):

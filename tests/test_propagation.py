@@ -258,6 +258,48 @@ def test_propagate_raises_positivity_lost_with_partial_states():
     assert states[-1].t < t_exact
 
 
+# H = diag(1, −1) + 0.5i·Id, [[1, 0.5i], [0.5i, −1]] and (1 + i)·Id lose
+# positivity at t = 0.8608, 0.7603 and 13.82; their flows overflow long after
+PAST_THE_HORIZON = [
+    (np.diag([1.0, -1.0]) + 0.5j * np.eye(2), 5.0, 0.8608),
+    (np.array([[1.0, 0.5j], [0.5j, -1.0]]), 5.0, 0.7603),
+    ((1.0 + 1.0j) * np.eye(2), 50.0, 13.8155),
+]
+
+
+@pytest.mark.parametrize("matrix, short, t_star", PAST_THE_HORIZON)
+def test_a_window_past_the_overflow_stops_at_the_horizon(matrix, short, t_star):
+    # the flow stops at the first sample that loses positivity, so a window
+    # whose S would overflow gives the short window's horizon, bit for bit
+    H = QuadraticHamiltonian.constant(matrix)
+    found = []
+    for last in (short, 1000.0, 1e6):
+        with pytest.raises(PositivityLost) as info:
+            propagate(standard_frame(1), np.zeros(2), H, [last])
+        found.append(info.value.t_star)
+        assert len(info.value.states) == 0
+    assert found == [found[0]] * 3
+    assert abs(found[0] - t_star) < 1e-4
+    assert positivity_horizon(standard_frame(1), H, 1e6) == found[0]
+
+
+def test_the_flow_stops_soon_after_the_horizon(monkeypatch):
+    samples = propagation._LinearFlow.samples
+    ends = []
+
+    def counted(self, times):
+        for step in samples(self, times):
+            ends.append(float(step[0][-1]))
+            yield step
+
+    monkeypatch.setattr(propagation._LinearFlow, "samples", counted)
+    H = QuadraticHamiltonian.constant(PAST_THE_HORIZON[0][0])
+    with pytest.raises(PositivityLost) as info:
+        propagate(standard_frame(1), np.zeros(2), H, np.linspace(0.0, 1000.0, 50))
+    reached = next(k for k, end in enumerate(ends) if end >= info.value.t_star)
+    assert len(ends) <= max(16, 2 * (reached + 1)) and ends[-1] < 20.0  # not on to t = 1000
+
+
 @pytest.mark.parametrize(
     "seed, n, t_max, t_star",
     [(2, 2, 5.0, 3.67120236), (5, 3, 5.0, 4.61969283), (1, 3, 10.0, None), (4, 2, 10.0, None)],

@@ -20,15 +20,15 @@ from hagedorn import cli, propagation
 from hagedorn.cli import PRESETS, load_config, run_scenario, standard_frame
 from hagedorn.errors import PositivityLost
 from hagedorn.propagation import (
-    PropagatedState,
     QuadraticHamiltonian,
-    Trajectory,
     amplitude,
     coefficient_sweep,
+    evolved_state_on_grid,
     hagedorn_coefficients,
     propagate,
 )
 from hagedorn.swanson import SwansonParams
+from hagedorn.wavepackets import Grid
 
 
 def seeded_matrix(seed, n, imag=0.05):
@@ -139,7 +139,7 @@ def test_compute_sweeps_once_per_alpha_and_never_per_state(monkeypatch, tmp_path
     assert calls == [(0,), (1,), (2,)]
 
 
-# -- the prefix memo -------------------------------------------------------------
+# -- the one slot of the per-state calls ----------------------------------------
 
 
 def displaced_states(n, seed=5, count=6):
@@ -149,7 +149,7 @@ def displaced_states(n, seed=5, count=6):
 
 
 def by_hand(state):
-    """A copy of state with writeable N, M and σ, which the memo never holds."""
+    """A copy of state with writeable N, M and σ, which the slot never holds."""
     return dataclasses.replace(state, N=state.N.copy(), M=state.M.copy(), sigma=state.sigma.copy())
 
 
@@ -163,21 +163,20 @@ def assert_same(got: dict, want: dict):
     assert bits(list(got.values())) == bits(list(want.values()))
 
 
-def held(kind):
-    """The _Rows of the slot for owners of this kind."""
-    return propagation._last_rows[kind][1]
+def slot_states() -> list:
+    """The states the slot holds: at most one."""
+    return list(propagation._slot)
+
+
+def held():
+    """The _Held of the one state in the slot."""
+    (entry,) = propagation._slot.values()
+    return entry
 
 
 def held_entries(rows) -> int:
     """The entries of the held rows, counted afresh (the zero α holds e₀ as 1.0)."""
     return sum(row.size for alpha, row in rows.rows.items() if any(alpha))
-
-
-def fresh_trajectory(states):
-    """A trajectory the memo has not seen, with the same stacks."""
-    fields = {f.name: getattr(states, f.name) for f in dataclasses.fields(states) if f.init}
-    copies = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in fields.items()}
-    return Trajectory(**copies)
 
 
 @pytest.mark.parametrize("n, top", [(2, 6), (3, 5)])
@@ -190,15 +189,18 @@ def test_memo_rows_equal_cold_calls_in_any_order(n, top, order):
         np.random.default_rng(17).shuffle(alphas)
     states = displaced_states(n)
     for state in (states[2], states[-1]):
-        want = {alpha: cold(state, alpha) for alpha in alphas}  # before the memo's calls
+        want = {alpha: cold(state, alpha) for alpha in alphas}  # before the slot's calls
         for alpha in alphas:
             assert_same(hagedorn_coefficients(state, alpha).coefficients, want[alpha])
-        assert len(held(PropagatedState).rows) == len(alphas)
+        assert slot_states() == [state]
+        assert len(held().rows) == len(alphas)
     assert_rows_match(states, alphas)
     assert_rows_match(displaced_states(n), alphas)
 
 
 def test_memo_gives_a_changed_hand_built_state_the_fresh_answer():
+    kept = displaced_states(2)[1]
+    hagedorn_coefficients(kept, (1, 0))
     state = by_hand(displaced_states(2)[3])
     before = hagedorn_coefficients(state, (1, 1)).coefficients
     state.sigma[:] = 0.5 - 0.25j
@@ -207,12 +209,12 @@ def test_memo_gives_a_changed_hand_built_state_the_fresh_answer():
         assert_same(hagedorn_coefficients(state, alpha).coefficients, cold(state, alpha))
     assert bits(list(hagedorn_coefficients(state, (1, 1)).coefficients.values())) != bits(
         list(before.values()))
-    assert PropagatedState not in propagation._last_rows
+    assert slot_states() == [kept]  # a state built by hand neither enters nor empties it
 
 
 def test_changing_a_returned_array_or_dict_changes_no_later_call():
     states = displaced_states(2)
-    want = {alpha: coefficient_sweep(fresh_trajectory(states), alpha)[1]
+    want = {alpha: coefficient_sweep(states, alpha)[1].copy()
             for alpha in [(1, 0), (1, 1), (1, 2)]}
     for alpha in want:
         keys, a = coefficient_sweep(states, alpha)
@@ -231,33 +233,60 @@ def test_changing_a_returned_array_or_dict_changes_no_later_call():
         assert_same(hagedorn_coefficients(state, alpha).coefficients, want[alpha])
 
 
+def test_sweep_leaves_the_slot_untouched_and_returns_a_writeable_array():
+    states = displaced_states(2)
+    hagedorn_coefficients(states[1], (1, 1))
+    rows = dict(held().rows)
+    other = displaced_states(2, seed=6)
+    for alpha in [(0, 0), (1, 0), (2, 1), (2, 2)]:
+        keys, a = coefficient_sweep(other, alpha)
+        assert a.flags.writeable
+        a[:] = 0.0
+        assert slot_states() == [states[1]]
+        assert held().rows == rows
+    for view in other:  # the views the sweep's callers may build: none enters
+        assert view not in propagation._slot
+
+
+def test_a_field_call_at_another_state_drops_the_held_rows():
+    states = displaced_states(2)
+    for alpha in [(1, 0), (1, 1), (2, 1)]:
+        hagedorn_coefficients(states[1], alpha)
+    rows = weakref.ref(held().rows[(2, 1)])
+    assert held().on_grid is None
+    grid = Grid(bounds=[(-5.0, 5.0), (-5.0, 5.0)], counts=[32, 32])
+    evolved_state_on_grid(states[2], (1, 1), states.eps, grid)
+    assert slot_states() == [states[2]]
+    assert list(held().rows) == [(0, 0)] and held().on_grid[0] == grid
+    gc.collect()
+    assert rows() is None
+    # and a coefficient call at the state of the field keeps its field
+    hagedorn_coefficients(states[2], (1, 0))
+    assert held().on_grid[0] == grid and list(held().rows) == [(0, 0), (1, 0)]
+
+
 @pytest.mark.parametrize("cap", [40, 400])
 def test_held_rows_stay_within_the_bound(monkeypatch, cap):
     monkeypatch.setattr(propagation, "TABLE_MAX", cap)
-    alphas = sorted(multi_indices(3, 4), key=sum)
-    states = displaced_states(3, count=4)
-    want = {alpha: coefficient_sweep(fresh_trajectory(states), alpha)[1] for alpha in alphas}
-    want_one = {alpha: cold(states[1], alpha) for alpha in alphas}
+    alphas = sorted(multi_indices(3, 5), key=sum)
+    state = displaced_states(3, count=4)[1]
+    want = {alpha: cold(state, alpha) for alpha in alphas}
     for alpha in alphas:
-        assert bits(coefficient_sweep(states, alpha)[1]) == bits(want[alpha])
-        rows = held(Trajectory)
+        assert_same(hagedorn_coefficients(state, alpha).coefficients, want[alpha])
+        rows = held()
         assert rows.entries == held_entries(rows) <= cap
-        assert_same(hagedorn_coefficients(states[1], alpha).coefficients, want_one[alpha])
-        rows = held(PropagatedState)
-        assert rows.entries == held_entries(rows) <= cap
-    assert sum(a.size for a in want.values()) > 2 * cap  # the set exceeds the bound
+    assert sum(math.comb(sum(alpha) + 3, 3) for alpha in alphas) > 2 * cap  # the set exceeds it
 
 
 def test_slot_releases_a_dead_owner():
     states = displaced_states(2)
-    coefficient_sweep(states, (2, 1))
     hagedorn_coefficients(states[1], (2, 1))
     owners = weakref.ref(states), weakref.ref(states[1])
-    assert {PropagatedState, Trajectory} <= set(propagation._last_rows)
+    assert slot_states() == [states[1]]
     del states
     gc.collect()
     assert owners[0]() is None and owners[1]() is None
-    assert not {PropagatedState, Trajectory} & set(propagation._last_rows)
+    assert not propagation._slot
 
 
 def test_memo_under_concurrent_callers(monkeypatch):
@@ -290,7 +319,8 @@ def test_memo_under_concurrent_callers(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not failures
-    rows = held(PropagatedState)
+    assert slot_states() == [state]
+    rows = held()
     assert rows.entries == held_entries(rows) <= 300
 
 

@@ -248,6 +248,36 @@ def test_metric_pair_validation():
         check_metric_pair(np.eye(2), np.eye(2))
 
 
+# -- entries too large to check ---------------------------------------------------
+#
+# Each check compares a product of two entries against TOL_FRAME·max|entry|²,
+# a tolerance that overflows to inf near 1e154 and would pass anything; an
+# entry above 2^500 is rejected instead.
+
+
+def test_lagrangian_check_rejects_entries_too_large_to_check():
+    # not isotropic: ZᵀΩZ holds ±5e300 off the diagonal
+    with pytest.raises(DimensionMismatch, match="too large to check"):
+        LagrangianFrame([[1e300, 0], [0, 1], [0, 5], [1, 0]])
+    check_lagrangian(np.array([[2.0**500], [1.0]]))
+    with pytest.raises(DimensionMismatch, match=r"too large to check \(stack index 1\)"):
+        check_lagrangian(np.stack([STANDARD_1D, np.array([[2.0**501], [1.0]])]))
+
+
+def test_normalised_check_rejects_entries_too_large_to_check():
+    # Z*ΩZ = 2e200i, not 2i
+    with pytest.raises(DimensionMismatch, match="too large to check"):
+        check_normalised(np.array([[1e200j], [1.0]]))
+
+
+def test_metric_check_rejects_entries_too_large_to_check():
+    G = np.diag([1e200, 1.0])  # GᵀΩG = 1e200·Ω
+    with pytest.raises(NotSymplecticMetric, match="too large to check"):
+        check_metric_pair(G, -omega(1) @ G)
+    G = np.diag([2.0**400, 2.0**-400])  # symplectic, and within the bound
+    check_metric_pair(G, -omega(1) @ G)
+
+
 # -- frame from metric -----------------------------------------------------------
 
 def test_frame_from_metric_identity():
