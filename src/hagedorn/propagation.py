@@ -464,6 +464,9 @@ def _step_length(norms) -> float:
     1/ρ at such a point is a step at or below it.  inf when H is zero."""
     if not np.isfinite(norms).all():
         raise StepSizeUnderflow("flow integration failed: ‖ΩH‖₂ is not finite")
+    if any(0.0 < a < np.finfo(float).tiny for a in norms):
+        # 1/a may overflow: a slope over a span near the largest float
+        raise StepSizeUnderflow("flow integration failed: a term of ‖ΩH‖₂ is subnormal")
     # one term alone reaches 1 at each of these, so the root lies below them
     tops = [(1.0 / a) ** (1.0 / (j + 1)) for j, a in enumerate(norms) if a > 0]
     if not tops:

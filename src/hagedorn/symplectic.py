@@ -63,11 +63,26 @@ def _scale(a: np.ndarray):
 
 def _checked_scale(a: np.ndarray, error, what: str):
     """_scale(a), after raising error where an entry is not finite or above 2^500:
-    past it a check's tolerance, TOL_FRAME·scale², or its sums of 2n products of
-    two entries may overflow."""
+    past it a check's sums of 2n products of two entries, or the tolerances
+    of _check_product, may overflow."""
     scale = _scale(a)
     _reject(~(scale <= 2.0**500), error, f"{what} has an entry too large to check")
     return scale
+
+
+def _check_product(a: np.ndarray, b: np.ndarray, identity, error, what: str, message: str):
+    """Raise error(message) unless a @ b equals identity for every matrix of a
+    stack, each entry (j, k) to TOL_FRAME·‖row j of a‖·‖column k of b‖: the
+    size of the products it sums, which bounds its rounding.  Where that
+    tolerance reaches a nonzero entry of the identity, the check could not
+    tell the entry from 0, so error reports the input too large to check."""
+    rows = np.sqrt((np.abs(a) ** 2).sum(axis=-1))
+    columns = np.sqrt((np.abs(b) ** 2).sum(axis=-2))
+    tol = TOL_FRAME * rows[..., :, None] * columns[..., None, :]
+    if np.any(identity):
+        _reject(((identity != 0) & ~(tol < np.abs(identity))).any(axis=(-2, -1)), error,
+                f"{what} has an entry too large to check")
+    _reject(~(np.abs(a @ b - identity) <= tol).all(axis=(-2, -1)), error, message)
 
 
 def _reject(bad, error, message: str, **details) -> None:
@@ -103,10 +118,9 @@ def check_lagrangian(Z: np.ndarray) -> None:
     """Raise DimensionMismatch unless every frame of Z is isotropic and of full rank."""
     Z = np.asarray(Z, dtype=complex)
     _check_stack_shape(Z)
-    scale = _checked_scale(Z, DimensionMismatch, "frame")
-    om = omega(Z.shape[-2] // 2)
-    _reject(_worst(_mT(Z) @ om @ Z) > TOL_FRAME * scale**2, DimensionMismatch,
-            "frame is not isotropic: ZᵀΩZ ≠ 0")
+    _checked_scale(Z, DimensionMismatch, "frame")
+    _check_product(_mT(Z) @ omega(Z.shape[-2] // 2), Z, 0.0, DimensionMismatch, "frame",
+                   "frame is not isotropic: ZᵀΩZ ≠ 0")
     _reject(~(np.linalg.svd(Z, compute_uv=False)[..., -1] > RANK_TOL), DimensionMismatch,
             "frame does not have full column rank")
 
@@ -115,10 +129,9 @@ def check_normalised(Z: np.ndarray) -> None:
     """Raise DimensionMismatch unless Z*ΩZ = 2i·Id for every frame of Z."""
     Z = np.asarray(Z, dtype=complex)
     _check_stack_shape(Z)
-    scale = _checked_scale(Z, DimensionMismatch, "frame")
-    defect = _mH(Z) @ omega(Z.shape[-2] // 2) @ Z - 2j * np.eye(Z.shape[-1])
-    _reject(_worst(defect) > TOL_FRAME * scale**2, DimensionMismatch,
-            "frame is not normalised: Z*ΩZ ≠ 2i·Id")
+    _checked_scale(Z, DimensionMismatch, "frame")
+    _check_product(_mH(Z) @ omega(Z.shape[-2] // 2), Z, 2j * np.eye(Z.shape[-1]),
+                   DimensionMismatch, "frame", "frame is not normalised: Z*ΩZ ≠ 2i·Id")
 
 
 def check_metric_pair(G: np.ndarray, J: np.ndarray) -> None:
@@ -130,11 +143,11 @@ def check_metric_pair(G: np.ndarray, J: np.ndarray) -> None:
     scale = _checked_scale(G, NotSymplecticMetric, "G")
     om = omega(n2 // 2)
     _reject(_worst(G - _mT(G)) > TOL_FRAME * scale, NotSymplecticMetric, "G is not symmetric")
-    _reject(_worst(_mT(G) @ om @ G - om) > TOL_FRAME * scale**2, NotSymplecticMetric,
-            "G is not symplectic: GᵀΩG ≠ Ω")
+    _check_product(_mT(G) @ om, G, om, NotSymplecticMetric, "G",
+                   "G is not symplectic: GᵀΩG ≠ Ω")
     _reject(np.linalg.eigvalsh(G)[..., 0] <= 0, NotSymplecticMetric, "G is not positive definite")
     _reject(_worst(J + om @ G) > TOL_FRAME * scale, NotSymplecticMetric, "J ≠ −ΩG")
-    _reject(_worst(J @ J + np.eye(n2)) > TOL_FRAME * scale**2, NotSymplecticMetric, "J² ≠ −Id")
+    _check_product(J, J, -np.eye(n2), NotSymplecticMetric, "J", "J² ≠ −Id")
 
 
 def gram_margin(gram: np.ndarray):
@@ -276,56 +289,19 @@ def frame_metric(Z: np.ndarray) -> np.ndarray:
     return 0.5 * (G + _mT(G))
 
 
-def _sign_canonical(u: np.ndarray) -> np.ndarray:
-    # Flip so the first significant component (above 1e-12) is positive: deterministic output.
-    for x in u:
-        if abs(x) > 1e-12:
-            return u if x > 0 else -u
-    return u
-
-
 def frame_from_metric(G) -> NormalisedFrame:
-    """Reconstruct a normalised frame with metric G.
+    """The normalised frame Z = G^{−1/2}(Id; −i·Id) with metric G.
 
-    Uses the symplectic eigenbasis: eigenvalues of G come in (λ, 1/λ) pairs
-    with Ω mapping one eigenspace to the other; columns are
-    l_k = u_k/√λ_k − i√λ_k (Ωu_k) for λ_k ≥ 1 in descending order.
+    A symmetric, positive, symplectic G has G⁻¹ = ΩᵀGΩ, so its positive
+    square roots are symplectic too, and G^{−1/2} maps the frame (Id; −i·Id)
+    of metric Id to one of metric G.
     """
     G = np.asarray(G, dtype=float)
     n2 = G.shape[0]
     if G.ndim != 2 or G.shape != (n2, n2) or n2 % 2 != 0:
         raise DimensionMismatch("metric must be a 2n×2n matrix")
     n = n2 // 2
-    om = omega(n)
-    check_metric_pair(G, -om @ G)
+    check_metric_pair(G, -omega(n) @ G)
     vals, vecs = np.linalg.eigh(G)
-
-    # Pick n vectors from the λ ≥ 1 side, largest first.  Within a
-    # near-degenerate group the partner v = Ωu may fall in the same eigenspace
-    # (λ = 1), so re-orthogonalize greedily against everything chosen so far.
-    order = np.argsort(vals)[::-1]
-    chosen: list[tuple[float, np.ndarray]] = []
-    basis: list[np.ndarray] = []  # spans both u_k and v_k picked so far
-    for idx in order:
-        if len(chosen) == n:
-            break
-        lam = float(vals[idx])
-        if lam < 1.0 - 1e-9:
-            break
-        u = vecs[:, idx].copy()
-        for b in basis:
-            u -= (b @ u) * b
-        norm = np.linalg.norm(u)
-        if norm <= 1e-9:
-            continue
-        u = _sign_canonical(u / norm)
-        v = om @ u
-        chosen.append((lam, u))
-        basis.append(u)
-        basis.append(v)
-    if len(chosen) != n:
-        raise NotSymplecticMetric("could not extract n symplectic eigenpairs")
-
-    cols = [u / np.sqrt(lam) - 1j * np.sqrt(lam) * (om @ u) for lam, u in chosen]
-    Z = np.stack(cols, axis=1)
-    return NormalisedFrame(Z)
+    root = (vecs / np.sqrt(vals)) @ vecs.T
+    return NormalisedFrame(root @ np.vstack([np.eye(n), -1j * np.eye(n)]))

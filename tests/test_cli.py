@@ -347,21 +347,41 @@ def test_a_horizon_far_inside_the_window_exits_0(tmp_path):
     assert abs(manifest["horizon"]["detected"] - 0.8608) < 1e-4
 
 
-@pytest.mark.parametrize("case", ["centre-action", "sampled-slope"])
+@pytest.mark.parametrize("case", ["centre-action", "sampled-slope", "subnormal-slope"])
 def test_an_overflowing_run_is_a_typed_error(tmp_path, capsys, case):
     # a centre entry of 1e300 overflows the action's π·ξ; a knot entry at the
-    # largest float overflows the slope of a sampled H
+    # largest float overflows the slope of a sampled H; a last knot time at
+    # the largest float makes the last slope subnormal, and 1 over it overflows
     if case == "centre-action":
         raw, error = copy.deepcopy(PRESETS["hermitian-sanity"]), "DimensionMismatch"
         raw["center"] = [1e300, 0.0]
     else:
         config = Path(__file__).with_name("configs") / "driven-sampled.json"
         raw, error = json.loads(config.read_text()), "StepSizeUnderflow"
-        raw["hamiltonian"]["matrices"][1][0][0] = [sys.float_info.max, 0.0]
+        if case == "sampled-slope":
+            raw["hamiltonian"]["matrices"][1][0][0] = [sys.float_info.max, 0.0]
+        else:
+            raw["hamiltonian"]["times"][-1] = sys.float_info.max
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(raw))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.startswith(f"{error}: ")
+
+
+def test_a_badly_scaled_initial_frame_is_a_bad_frame(tmp_path, capsys):
+    # ZᵀΩZ holds −5e100 against columns of norms 1e100 and 5.1: not isotropic,
+    # although every entry is far below the overflow bound
+    raw = copy.deepcopy(PRESETS["hermitian-sanity"])
+    raw["hamiltonian"] = {"type": "constant",
+                          "matrix": [[float(i == j) for j in range(4)] for i in range(4)]}
+    raw["initial"] = {"entries": [[1e100, 0], [0, 1], [0, 5], [1, 0]]}
+    raw["center"] = [0.0] * 4
+    raw["alphas"] = [[0, 0]]
+    assert [d.code for d in validate_config(raw)] == ["BadFrame"]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "BadFrame" in capsys.readouterr().err
 
 
 def test_squeezed_metric_preset(tmp_path):

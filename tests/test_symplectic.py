@@ -250,9 +250,11 @@ def test_metric_pair_validation():
 
 # -- entries too large to check ---------------------------------------------------
 #
-# Each check compares a product of two entries against TOL_FRAME·max|entry|²,
-# a tolerance that overflows to inf near 1e154 and would pass anything; an
-# entry above 2^500 is rejected instead.
+# Each check compares an entry of a product with TOL_FRAME times the norms of
+# the row and column it pairs.  Such a tolerance overflows to inf near 1e154,
+# so an entry above 2^500 is rejected instead; and where it reaches a nonzero
+# entry of the identity tested (2 for Z*ΩZ = 2i·Id, 1 for GᵀΩG = Ω and
+# J² = −Id), which it could no longer tell from 0, the input is rejected too.
 
 
 def test_lagrangian_check_rejects_entries_too_large_to_check():
@@ -278,12 +280,52 @@ def test_metric_check_rejects_entries_too_large_to_check():
     check_metric_pair(G, -omega(1) @ G)
 
 
+BADLY_SCALED = np.array([[1e100, 0], [0, 1], [0, 5], [1, 0]], dtype=complex)
+
+
+def test_lagrangian_check_scales_each_entry_by_its_two_columns():
+    # ZᵀΩZ holds ±(5e100 − 1) against columns of norms 1e100 and 5.1
+    with pytest.raises(DimensionMismatch, match="not isotropic"):
+        LagrangianFrame(BADLY_SCALED)
+    with pytest.raises(DimensionMismatch, match="not isotropic"):
+        NormalisedFrame(BADLY_SCALED)
+    # isotropic, with columns of norms 1e100 and 1
+    check_lagrangian(np.array([[1e100, 0], [0, 1], [0, 0], [0, 0]], dtype=complex))
+
+
+def test_normalised_check_rejects_a_tolerance_that_reaches_2():
+    # Z*ΩZ is 0 on the diagonal of the first column, not 2i
+    with pytest.raises(DimensionMismatch, match="too large to check"):
+        check_normalised(BADLY_SCALED)
+    # normalised, but TOL_FRAME·|z|² = 2.25 could not tell Z*ΩZ from 0
+    with pytest.raises(DimensionMismatch, match="too large to check"):
+        check_normalised(np.array([[1.5e5j], [1 / 1.5e5]]))
+    check_normalised(np.array([[1e4j], [1e-4]]))
+
+
+def test_metric_check_rejects_a_tolerance_that_reaches_1():
+    # GᵀΩG = 1e100·Ω
+    G = np.diag([1e100, 1.0])
+    with pytest.raises(NotSymplecticMetric, match="too large to check"):
+        check_metric_pair(G, -omega(1) @ G)
+    # symplectic, with ‖g_1‖‖g_2‖ = 1e10: the tolerance of GᵀΩG's entry 1 reaches it
+    G = np.diag([1e10, 1.0])
+    with pytest.raises(NotSymplecticMetric, match="too large to check"):
+        check_metric_pair(G, -omega(1) @ G)
+
+
 # -- frame from metric -----------------------------------------------------------
 
 def test_frame_from_metric_identity():
     frame = frame_from_metric(np.eye(2))
     check_normalised(frame.entries)
     assert np.allclose(frame_metric(frame.entries), np.eye(2), atol=1e-12)
+
+
+def test_frame_from_metric_of_the_identity_is_l0():
+    # G^{−1/2}(Id; −i·Id) with G = Id is the paper's l₀ = (1; −i)
+    assert np.array_equal(frame_from_metric(np.eye(2)).entries, L0.reshape(2, 1))
+    assert np.array_equal(frame_from_metric(np.eye(4)).entries, np.vstack([np.eye(2), -1j * np.eye(2)]))
 
 
 def test_frame_from_metric_squeezed():
