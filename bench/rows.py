@@ -38,6 +38,7 @@ from hagedorn.propagation import (
     propagate,
 )
 from hagedorn.swanson import SwansonParams
+from hagedorn.symplectic import NormalisedFrame
 from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, grid_norm
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -208,6 +209,18 @@ def norms() -> Timed:
             grid_norm(field, GRID_2)
 
     return Timed(call, 100)
+
+
+def normalised_frame() -> Timed:
+    """NormalisedFrame of the n = 3 frame of the mode-mixed state at t = 1.5,
+    its whole check, per call of 1000."""
+    entries = mode_mixed_state(3, 1.5).Z.entries
+
+    def call():
+        for _ in range(1000):
+            NormalisedFrame(entries)
+
+    return Timed(call, 1000)
 
 
 def over_a_trajectory(case: str, per_state: bool) -> Timed:
@@ -401,6 +414,8 @@ ROWS = {
         lambda: fields([swanson_state(0.5), swanson_state(0.25)],
                        Grid(bounds=[(-10.0, 10.0)], counts=[1024]), [(k,) for k in range(9)], 18)),
     "grid-norm-n2": Row("grid_norm", "n=2, 256x256", "call", norms),
+    "frame-normalised-n3": Row("NormalisedFrame", "n=3 mode-mixed frame at t = 1.5", "call",
+                               normalised_frame),
     **{f"trajectory-{case}-{how}": Row(
         "coefficients over a trajectory", f"{label}, {how_label}", "run of all alpha",
         lambda case=case, how=how: over_a_trajectory(case, how == "per-state"))

@@ -27,8 +27,6 @@ from .errors import (
     HagedornError,
     NonDecayingGaussian,
     NonSymmetricH,
-    NotHermitian,
-    NotPositiveDefinite,
     NotPositiveLagrangian,
     NotSymplecticMetric,
     OutsideHorizon,

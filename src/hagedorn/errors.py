@@ -27,14 +27,6 @@ class NotSymplecticMetric(HagedornError):
     """A claimed symplectic metric fails GᵀΩG = Ω, symmetry, or positivity."""
 
 
-class NotHermitian(HagedornError):
-    """A matrix expected to be Hermitian is not, beyond tolerance."""
-
-
-class NotPositiveDefinite(HagedornError):
-    """A Hermitian matrix has an eigenvalue at or below the positivity floor."""
-
-
 class AsymmetricM(HagedornError):
     """The polynomial recursion matrix is not symmetric."""
 

@@ -135,9 +135,9 @@ class MultiPoly:
             raise DimensionMismatch(
                 f"points have {x.shape[-1]} components, polynomial has {self.n}"
             )
-        out = np.empty(x.shape[:-1], dtype=complex)
-        out[...] = _horner(self.array, [x[..., j] for j in range(self.n)])
-        return out
+        value = _horner(self.array, [x[..., j] for j in range(self.n)])
+        # a new array of the point shape unless the polynomial is constant
+        return value if isinstance(value, np.ndarray) else np.full(x.shape[:-1], value, dtype=complex)
 
     def compose_linear(self, A: np.ndarray) -> "MultiPoly":
         """Return p(Ax) for a square matrix A (same variable count) by nested Horner

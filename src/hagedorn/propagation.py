@@ -86,8 +86,7 @@ from .polynomials import TABLE_MAX, poly_recursion, validate_recursion_index
 from .symplectic import (
     TOL_FRAME,
     NormalisedFrame,
-    check_lagrangian,
-    check_metric_pair,
+    check_metric,
     check_normalised,
     frame_metric,
     gram_margin,
@@ -633,17 +632,17 @@ def _trajectory(times, S, W, gram, min_positivity, log_det_wq, Z0, z0, eps) -> T
     """The packet at the first len(S) times from _scan's stacks, one batched call a step.
 
     _scan has tested positivity, with normalise_frame's margin, at every time
-    it kept.  The stack runs once through every other check the per-state
-    route makes (normalise_frame, NormalisedFrame, check_metric_pair on one
-    metric, siegel_matrix), with their tolerances, scales and errors.
+    it kept, so hermitian_inv_sqrt may take the Gram stack as it is.  The
+    stack runs once through every other check the per-state route makes
+    (check_normalised as NormalisedFrame does, check_metric on the metric,
+    siegel_b's condition bound), with their tolerances, scales and errors.
     """
     n = Z0.shape[1]
     N = hermitian_inv_sqrt(gram)
     Z = W @ N
-    check_lagrangian(Z)
     check_normalised(Z)
     G = frame_metric(Z)
-    check_metric_pair(G, -omega(n) @ G)
+    check_metric(G)
 
     W_bar_flow = S @ np.conj(Z0)
     M = 0.25 * (_t(W_bar_flow) @ G @ W_bar_flow)

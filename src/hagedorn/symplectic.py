@@ -6,6 +6,21 @@ z = (p, q) with the momentum block on top, the symplectic form is
 A frame is normalised when Z*ΩZ = 2i·Id; its metric is G = Ωᵀ Re(ZZ*) Ω,
 with J = −ΩG.  Algebra that only the checking side calls lives there: the
 Hermitian pairing in swanson, the projections onto a frame in oracles.
+
+Each structure is checked once, where it enters (Lasser & Lubich, Acta
+Numerica 29 (2020), §3–4):
+
+  check_lagrangian    a 2n×n frame (n ≥ 1) is isotropic, ZᵀΩZ = 0, of full rank
+  check_normalised    the same, sharing one ZᵀΩ and one set of norms, and Z*ΩZ = 2i·Id
+  check_positive_gram the Gram matrix (1/2i) Z*ΩZ has a positive margin (gram_margin)
+  check_metric        G is symmetric, symplectic (GᵀΩG = Ω) and positive definite
+  siegel_b            cond(Q) ≤ COND_MAX; its caller tests Im B ≻ 0
+
+Nothing re-checks what one of these implies.  J = −ΩG is not checked: for
+a symmetric G, J² + Id = Ω(GΩG − Ω) is GᵀΩG − Ω with its rows permuted,
+held by check_metric to the same tolerances, and every G built here is
+symmetrised exactly.  hermitian_inv_sqrt only receives gram_matrix output,
+which is exactly Hermitian and has passed gram_margin's floor.
 """
 
 from __future__ import annotations
@@ -15,14 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotHermitian,
-    NotPositiveDefinite,
-    NotPositiveLagrangian,
-    NotSymplecticMetric,
-    SingularQ,
-)
+from .errors import DimensionMismatch, NotPositiveLagrangian, NotSymplecticMetric, SingularQ
 
 TOL_FRAME = 1e-10
 RANK_TOL = 1e-12
@@ -61,28 +69,32 @@ def _scale(a: np.ndarray):
     return np.maximum(1.0, _worst(a)) if a.size else np.ones(a.shape[:-2])
 
 
-def _checked_scale(a: np.ndarray, error, what: str):
-    """_scale(a), after raising error where an entry is not finite or above 2^500:
+def _check_size(a: np.ndarray, error, what: str) -> None:
+    """Raise error where an entry of a stack is not finite or above 2^500:
     past it a check's sums of 2n products of two entries, or the tolerances
     of _check_product, may overflow."""
-    scale = _scale(a)
-    _reject(~(scale <= 2.0**500), error, f"{what} has an entry too large to check")
-    return scale
+    _require(np.abs(a) <= 2.0**500, error, f"{what} has an entry too large to check")
 
 
-def _check_product(a: np.ndarray, b: np.ndarray, identity, error, what: str, message: str):
-    """Raise error(message) unless a @ b equals identity for every matrix of a
-    stack, each entry (j, k) to TOL_FRAME·‖row j of a‖·‖column k of b‖: the
-    size of the products it sums, which bounds its rounding.  Where that
-    tolerance reaches a nonzero entry of the identity, the check could not
-    tell the entry from 0, so error reports the input too large to check."""
-    rows = np.sqrt((np.abs(a) ** 2).sum(axis=-1))
-    columns = np.sqrt((np.abs(b) ** 2).sum(axis=-2))
+def _norms(a: np.ndarray, axis: int) -> np.ndarray:
+    """The 2-norms of the rows (axis −1) or columns (axis −2) of every matrix of a stack."""
+    return np.sqrt((np.abs(a) ** 2).sum(axis=axis))
+
+
+def _check_product(product: np.ndarray, rows, columns, identity, error, what: str, message: str):
+    """Raise error(message) unless product = a @ b equals identity (None for
+    0) for every matrix of a stack, each entry (j, k) to TOL_FRAME·‖row j of
+    a‖·‖column k of b‖ (rows and columns): the size of the products it sums,
+    which bounds its rounding.  Where that tolerance reaches a nonzero entry
+    of the identity, the check could not tell the entry from 0, so error
+    reports the input too large to check."""
     tol = TOL_FRAME * rows[..., :, None] * columns[..., None, :]
-    if np.any(identity):
-        _reject(((identity != 0) & ~(tol < np.abs(identity))).any(axis=(-2, -1)), error,
-                f"{what} has an entry too large to check")
-    _reject(~(np.abs(a @ b - identity) <= tol).all(axis=(-2, -1)), error, message)
+    if identity is None:
+        _require(np.abs(product) <= tol, error, message)
+        return
+    _require((identity == 0) | (tol < np.abs(identity)), error,
+             f"{what} has an entry too large to check")
+    _require(np.abs(product - identity) <= tol, error, message)
 
 
 def _reject(bad, error, message: str, **details) -> None:
@@ -95,16 +107,26 @@ def _reject(bad, error, message: str, **details) -> None:
         raise error(f"{message} (stack index {int(np.argmax(bad))})", **details)
 
 
+def _require(ok, error, message: str) -> None:
+    """_reject the matrices of a stack that hold an entry not flagged ok."""
+    if not ok.all():
+        _reject(~ok.all(axis=(-2, -1)), error, message)
+
+
+def _shape_error(Z: np.ndarray) -> DimensionMismatch:
+    return DimensionMismatch(f"frame must be a 2n×n matrix, got shape {Z.shape}")
+
+
 def _check_frame_shape(Z: np.ndarray) -> int:
-    Z = np.asarray(Z)
     if Z.ndim != 2:
-        raise DimensionMismatch(f"frame must be a 2n×n matrix, got shape {Z.shape}")
+        raise _shape_error(Z)
     return _check_stack_shape(Z)
 
 
 def _check_stack_shape(Z: np.ndarray) -> int:
-    if Z.ndim < 2 or Z.shape[-2] % 2 != 0 or Z.shape[-1] > Z.shape[-2] // 2:
-        raise DimensionMismatch(f"frame must be a 2n×n matrix, got shape {Z.shape}")
+    """n of a stack of 2n×n frames, n ≥ 1."""
+    if Z.ndim < 2 or Z.shape[-1] < 1 or Z.shape[-2] != 2 * Z.shape[-1]:
+        raise _shape_error(Z)
     return Z.shape[-1]
 
 
@@ -116,38 +138,46 @@ def _check_stack_shape(Z: np.ndarray) -> int:
 
 def check_lagrangian(Z: np.ndarray) -> None:
     """Raise DimensionMismatch unless every frame of Z is isotropic and of full rank."""
-    Z = np.asarray(Z, dtype=complex)
-    _check_stack_shape(Z)
-    _checked_scale(Z, DimensionMismatch, "frame")
-    _check_product(_mT(Z) @ omega(Z.shape[-2] // 2), Z, 0.0, DimensionMismatch, "frame",
+    _check_isotropic(np.asarray(Z, dtype=complex))
+
+
+def _check_isotropic(Z: np.ndarray):
+    """check_lagrangian's shape, scale, isotropy and rank checks, in that
+    order; returns ZᵀΩ with its row norms and the column norms of Z, which
+    check_normalised reuses."""
+    n = _check_stack_shape(Z)
+    _check_size(Z, DimensionMismatch, "frame")
+    ZtO = _mT(Z) @ omega(n)
+    rows, columns = _norms(ZtO, -1), _norms(Z, -2)
+    _check_product(ZtO @ Z, rows, columns, None, DimensionMismatch, "frame",
                    "frame is not isotropic: ZᵀΩZ ≠ 0")
     _reject(~(np.linalg.svd(Z, compute_uv=False)[..., -1] > RANK_TOL), DimensionMismatch,
             "frame does not have full column rank")
+    return ZtO, rows, columns
 
 
 def check_normalised(Z: np.ndarray) -> None:
-    """Raise DimensionMismatch unless Z*ΩZ = 2i·Id for every frame of Z."""
+    """Raise DimensionMismatch unless every frame of Z is isotropic, of full
+    rank and has Z*ΩZ = 2i·Id.  Z*Ω is the conjugate of the isotropy check's
+    ZᵀΩ (Ω is real), so both products share its row norms."""
     Z = np.asarray(Z, dtype=complex)
-    _check_stack_shape(Z)
-    _checked_scale(Z, DimensionMismatch, "frame")
-    _check_product(_mH(Z) @ omega(Z.shape[-2] // 2), Z, 2j * np.eye(Z.shape[-1]),
+    ZtO, rows, columns = _check_isotropic(Z)
+    _check_product(np.conj(ZtO) @ Z, rows, columns, 2j * np.eye(Z.shape[-1]),
                    DimensionMismatch, "frame", "frame is not normalised: Z*ΩZ ≠ 2i·Id")
 
 
-def check_metric_pair(G: np.ndarray, J: np.ndarray) -> None:
-    """Raise NotSymplecticMetric unless every (G, J) is a symmetric, symplectic,
-    positive-definite metric with J = −ΩG and J² = −Id."""
-    if G.ndim < 2 or G.shape[-2] != G.shape[-1] or J.shape != G.shape or G.shape[-1] % 2 != 0:
-        raise DimensionMismatch("metric pair needs two equal 2n×2n matrices")
-    n2 = G.shape[-1]
-    scale = _checked_scale(G, NotSymplecticMetric, "G")
-    om = omega(n2 // 2)
-    _reject(_worst(G - _mT(G)) > TOL_FRAME * scale, NotSymplecticMetric, "G is not symmetric")
-    _check_product(_mT(G) @ om, G, om, NotSymplecticMetric, "G",
+def check_metric(G: np.ndarray) -> None:
+    """Raise NotSymplecticMetric unless every G of a stack is a symmetric,
+    symplectic (GᵀΩG = Ω), positive-definite metric."""
+    if G.ndim < 2 or G.shape[-2] != G.shape[-1] or G.shape[-1] % 2 != 0 or G.shape[-1] < 2:
+        raise DimensionMismatch("metric must be a 2n×2n matrix")
+    _check_size(G, NotSymplecticMetric, "G")
+    om = omega(G.shape[-1] // 2)
+    _reject(_worst(G - _mT(G)) > TOL_FRAME * _scale(G), NotSymplecticMetric, "G is not symmetric")
+    GtO = _mT(G) @ om
+    _check_product(GtO @ G, _norms(GtO, -1), _norms(G, -2), om, NotSymplecticMetric, "G",
                    "G is not symplectic: GᵀΩG ≠ Ω")
     _reject(np.linalg.eigvalsh(G)[..., 0] <= 0, NotSymplecticMetric, "G is not positive definite")
-    _reject(_worst(J + om @ G) > TOL_FRAME * scale, NotSymplecticMetric, "J ≠ −ΩG")
-    _check_product(J, J, -np.eye(n2), NotSymplecticMetric, "J", "J² ≠ −Id")
 
 
 def gram_margin(gram: np.ndarray):
@@ -173,12 +203,14 @@ class LagrangianFrame:
     """A 2n×n isotropic frame of full rank, from an array or another frame."""
 
     entries: np.ndarray
+    _check = staticmethod(check_lagrangian)  # the one check of the entries
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)
         object.__setattr__(self, "entries", entries)
-        _check_frame_shape(entries)
-        check_lagrangian(entries)
+        if entries.ndim != 2:
+            raise _shape_error(entries)
+        self._check(entries)
 
     @property
     def n(self) -> int:
@@ -200,42 +232,26 @@ class LagrangianFrame:
 class NormalisedFrame(LagrangianFrame):
     """A Lagrangian frame with Z*ΩZ = 2i·Id (hence a positive Lagrangian)."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        check_normalised(self.entries)
+    _check = staticmethod(check_normalised)
 
     @classmethod
     def checked(cls, entries: np.ndarray) -> "NormalisedFrame":
-        """The frame over entries that check_lagrangian and check_normalised have
-        already accepted, e.g. one slice of a checked stack; nothing is re-run."""
+        """The frame over entries that check_normalised has already accepted,
+        e.g. one slice of a checked stack; nothing is re-run."""
         frame = object.__new__(cls)
         object.__setattr__(frame, "entries", entries)
         return frame
 
 
-@dataclass(frozen=True, eq=False)
-class SiegelMatrix:
-    """B = PQ⁻¹, complex symmetric; Im B ≻ 0 for positive Lagrangians."""
-
-    B: np.ndarray
-    im_min_eig: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "B", np.asarray(self.B, dtype=complex))
-
-
 def hermitian_inv_sqrt(A: np.ndarray) -> np.ndarray:
-    """The unique Hermitian positive-definite A^{−1/2} of a Hermitian A ≻ 0
-    (of every matrix of a stack)."""
-    A = np.asarray(A, dtype=complex)
-    scale = _scale(A)
-    _reject(_worst(A - _mH(A)) > TOL_FRAME * scale, NotHermitian, "matrix is not Hermitian")
-    A = 0.5 * (A + _mH(A))
+    """The Hermitian positive-definite A^{−1/2} of every matrix of a stack.
+
+    Nothing is checked here.  Each A must be exactly Hermitian with its
+    smallest eigenvalue above POS_TOL·max(1, ‖A‖): both callers pass a
+    gram_matrix that gram_margin (propagation._scan) or check_positive_gram
+    (normalise_frame) has accepted.
+    """
     vals, vecs = np.linalg.eigh(A)
-    bad = vals[..., 0] <= POS_TOL * scale
-    if bad.any():
-        worst = float(vals[..., 0][bad][0])
-        _reject(bad, NotPositiveDefinite, f"smallest eigenvalue {worst:.3e} below floor")
     return (vecs / np.sqrt(vals)[..., None, :]) @ _mH(vecs)
 
 
@@ -269,19 +285,6 @@ def siegel_b(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return 0.5 * (B + _mT(B))
 
 
-def siegel_matrix(Z) -> SiegelMatrix:
-    """B = PQ⁻¹, symmetrized post-hoc; reports the smallest eigenvalue of Im B."""
-    if isinstance(Z, LagrangianFrame):
-        P, Q = Z.P, Z.Q
-    else:
-        entries = np.asarray(Z, dtype=complex)
-        n = _check_frame_shape(entries)
-        P, Q = entries[:n, :], entries[n:, :]
-    B = siegel_b(P, Q)
-    im_min = float(np.linalg.eigvalsh(0.5 * (B - B.conj().T) / 1j)[0])
-    return SiegelMatrix(B=B, im_min_eig=im_min)
-
-
 def frame_metric(Z: np.ndarray) -> np.ndarray:
     """G = Ωᵀ Re(ZZ*) Ω, symmetrized, of a normalised frame's entries (or a stack)."""
     om = omega(Z.shape[-1])
@@ -297,11 +300,10 @@ def frame_from_metric(G) -> NormalisedFrame:
     of metric Id to one of metric G.
     """
     G = np.asarray(G, dtype=float)
-    n2 = G.shape[0]
-    if G.ndim != 2 or G.shape != (n2, n2) or n2 % 2 != 0:
+    if G.ndim != 2:
         raise DimensionMismatch("metric must be a 2n×2n matrix")
-    n = n2 // 2
-    check_metric_pair(G, -omega(n) @ G)
+    check_metric(G)
+    n = G.shape[0] // 2
     vals, vecs = np.linalg.eigh(G)
     root = (vecs / np.sqrt(vals)) @ vecs.T
     return NormalisedFrame(root @ np.vstack([np.eye(n), -1j * np.eye(n)]))

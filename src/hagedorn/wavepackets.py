@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch, NonDecayingGaussian
 from .polynomials import poly_recursion, validate_recursion_index
-from .symplectic import NormalisedFrame, siegel_matrix
+from .symplectic import NormalisedFrame, siegel_b
 from .symplectic import omega  # noqa: F401  perfbench/tracing.py counts it
 
 
@@ -152,10 +152,9 @@ def _ground_and_argument(params: WavepacketParams, grid: Grid, L=None, shift=Non
     """
     n = params.n
     d = _offsets(params, grid)
-    siegel = siegel_matrix(params.frame)
-    if siegel.im_min_eig <= 0:
+    B = siegel_b(params.frame.P, params.frame.Q)
+    if np.linalg.eigvalsh(B.imag)[0] <= 0:
         raise NonDecayingGaussian("Im(PQ⁻¹) is not positive definite")
-    B = siegel.B
     if params.log_det_q is None:
         log_det_q = complex(np.log(complex(np.linalg.det(params.frame.Q))))
     else:

@@ -29,7 +29,7 @@ from hagedorn.symplectic import (
     frame_from_metric,
     frame_metric,
     omega,
-    siegel_matrix,
+    siegel_b,
 )
 from hagedorn.wavepackets import (
     Grid,
@@ -241,8 +241,9 @@ def test_criterion_6_algebraic_properties():
             # the Siegel matrix only sees the spanned subspace
             C = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             C += 2 * np.eye(n)
-            B1 = siegel_matrix(Z).B
-            B2 = siegel_matrix(LagrangianFrame(E @ C)).B
+            gauged = LagrangianFrame(E @ C)
+            B1 = siegel_b(Z.P, Z.Q)
+            B2 = siegel_b(gauged.P, gauged.Q)
             worst_frame = max(worst_frame, float(np.max(np.abs(B1 - B2))))
             S = random_symplectic(rng, n)
             G = S.T @ S

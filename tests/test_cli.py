@@ -384,6 +384,19 @@ def test_a_badly_scaled_initial_frame_is_a_bad_frame(tmp_path, capsys):
     assert "BadFrame" in capsys.readouterr().err
 
 
+def test_a_4x1_initial_frame_is_a_bad_frame(tmp_path, capsys):
+    # normalised and of n = 1 columns, but P and Q would split as 1×1 and 3×1
+    raw = {"hamiltonian": {"type": "constant", "matrix": IDENTITY_2},
+           "initial": {"entries": [[[1, 0]], [[0, 0]], [[0, -1]], [[0, 0]]]},
+           "times": {"start": 0, "stop": 1, "count": 5}}
+    assert [d.code for d in validate_config(raw)] == ["BadFrame"]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "2n×n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_squeezed_metric_preset(tmp_path):
     out = tmp_path / "sq"
     assert main(["run", "--preset", "squeezed-metric", "--out", str(out)]) == 0

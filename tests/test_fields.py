@@ -16,7 +16,7 @@ from hagedorn import propagation
 from hagedorn.errors import DimensionMismatch, NonDecayingGaussian
 from hagedorn.polynomials import poly_recursion
 from hagedorn.propagation import QuadraticHamiltonian, evolved_state_on_grid, propagate
-from hagedorn.symplectic import NormalisedFrame, siegel_matrix
+from hagedorn.symplectic import NormalisedFrame, siegel_b
 from hagedorn.wavepackets import (
     Grid,
     WavepacketParams,
@@ -62,7 +62,7 @@ class MeshReference:
     def __init__(self, params, L, grid, sigma=0.0):
         x = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
         dx = x - params.q
-        B = siegel_matrix(params.frame).B
+        B = siegel_b(params.frame.P, params.frame.Q)
         quad = np.einsum("...i,ij,...j->...", dx, B, dx)
         plane = np.tensordot(dx, params.p, axes=([-1], [0]))
         log_det_q = params.log_det_q

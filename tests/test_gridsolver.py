@@ -27,11 +27,7 @@ from hagedorn.gridsolver import (
 from hagedorn.oracles import number_operator_check
 from hagedorn.propagation import QuadraticHamiltonian, propagate
 from hagedorn.swanson import L0, SwansonParams
-from hagedorn.symplectic import (
-    LagrangianFrame,
-    NormalisedFrame,
-    siegel_matrix,
-)
+from hagedorn.symplectic import LagrangianFrame, NormalisedFrame
 from hagedorn.wavepackets import Grid, WavepacketParams, eval_excited, eval_ground, grid_inner
 
 GRID = Grid(bounds=[(-12.0, 12.0)], counts=[1024])
@@ -375,7 +371,6 @@ def test_convergence_failure_carries_earlier_times(monkeypatch):
     [
         lambda: LagrangianFrame(L0.reshape(2, 1)),
         lambda: NormalisedFrame(L0.reshape(2, 1)),
-        lambda: siegel_matrix(L0_FRAME),
         lambda: WavepacketParams(frame=L0_FRAME, center=np.zeros(2), eps=1.0),
         lambda: QuadraticHamiltonian.constant(DS.matrix()),
         lambda: propagate(
@@ -387,7 +382,6 @@ def test_convergence_failure_carries_earlier_times(monkeypatch):
     ids=[
         "LagrangianFrame",
         "NormalisedFrame",
-        "SiegelMatrix",
         "WavepacketParams",
         "QuadraticHamiltonian",
         "PropagatedState",

@@ -64,6 +64,14 @@ def test_multipoly_arithmetic():
     assert differentiate(p, 0).coeffs == {(1,): 2.0}
     pts = np.array([[0.5], [2.0], [-1.0]])
     assert np.allclose(p.evaluate(pts), [-0.75, 3.0, 0.0])
+    # a constant fills a new, writeable array of the point shape
+    x = np.zeros((4, 3, 2), dtype=complex)
+    values = MultiPoly(np.array([[2.5]])).evaluate(x)
+    assert values.shape == (4, 3) and values.flags.writeable
+    assert np.array_equal(values, np.full((4, 3), 2.5)) and not np.shares_memory(values, x)
+    for poly in (p, MultiPoly(np.array([[0.0, 1.0]]))):
+        values = poly.evaluate(x[..., :poly.n])
+        assert values.shape == (4, 3) and not np.shares_memory(values, x)
 
 
 def test_multipoly_evaluate_shape_check():
