@@ -47,6 +47,9 @@ SEED = 2
 SWANSON_H = SwansonParams(1.0, 0.5).matrix()
 GRID_2 = Grid(bounds=[(-8.0, 8.0), (-8.0, 8.0)], counts=[256, 256])
 ORACLE_GRID = Grid(bounds=[(-12.0, 12.0)], counts=[1024])
+# calls one run of a propagate-* or flow-* row times in a row: a single call
+# of 2-15 ms spreads too widely for a 5-10 % change to show
+CALLS = 20
 
 
 class Timed(NamedTuple):
@@ -119,13 +122,24 @@ def seeded(kind: str, n: int) -> tuple:
     return standard_frame(n), centre, H, np.linspace(0.0, 3.0, 150)
 
 
+def looped(call) -> Timed:
+    """call, CALLS times in a row, per call."""
+
+    def calls():
+        for _ in range(CALLS):
+            call()
+
+    return Timed(calls, CALLS)
+
+
 def propagate_row(*args) -> Timed:
-    """propagate(*args): the rows `propagate-<kind>-n<n>` of `seeded`, the
-    Swanson oscillator from (1; −i) at 200 times on [0, 10], the sampled
-    n = 2 case at the times [0, 3] alone, and the n = 3 standard frame under
-    the harmonic H = Id at 150 times on [0, 37], where t·‖ΩH‖₂ = 37 against
-    at most 2π for the presets and 20 for the seeded cases."""
-    return Timed(lambda: propagate(*args))
+    """propagate(*args), looped: the rows `propagate-<kind>-n<n>` of
+    `seeded`, the Swanson oscillator from (1; −i) at 200 times on [0, 10],
+    the sampled n = 2 case at the times [0, 3] alone, and the n = 3 standard
+    frame under the harmonic H = Id at 150 times on [0, 37], where
+    t·‖ΩH‖₂ = 37 against at most 2π for the presets and 20 for the seeded
+    cases."""
+    return looped(lambda: propagate(*args))
 
 
 def sampled_ends() -> Timed:
@@ -134,9 +148,9 @@ def sampled_ends() -> Timed:
 
 
 def flow_row(H, t: float) -> Timed:
-    """The flow S_t alone, flow(H, 0, t): the Swanson H to t = 10 and the
-    seeded n = 3 polynomial H to t = 3."""
-    return Timed(lambda: flow(H, 0.0, t))
+    """The flow S_t alone, flow(H, 0, t), looped: the Swanson H to t = 10 and
+    the seeded n = 3 polynomial H to t = 3."""
+    return looped(lambda: flow(H, 0.0, t))
 
 
 def cold_coefficients(n: int, order: int) -> Timed:
@@ -324,7 +338,8 @@ def after_a_march() -> Timed:
     """propagate for `swanson-fig1`'s 200 times, just after an untimed march
     of α = 1: the order in which run_scenario and the benchmark's oracle
     workload call them, so the row shows what the march's BLAS threads leave
-    behind."""
+    behind.  It times one call, not CALLS: only the first call after the
+    march meets what the march leaves."""
     args = fig1_args()
     return Timed(lambda: propagate(*args), before=marches([1]))
 

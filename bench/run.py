@@ -1,5 +1,5 @@
 """Times every row of bench/rows.py, each run in a fresh interpreter, and
-writes BENCH_28.json.
+writes BENCH_29.json.
 
     python3 bench/run.py [--against REV]
 
@@ -41,7 +41,7 @@ import scipy  # noqa: E402
 
 import rows  # noqa: E402  (bench/, the script's own directory)
 
-OUT = ROOT / "BENCH_28.json"
+OUT = ROOT / "BENCH_29.json"
 RUNS = 10
 
 

@@ -152,6 +152,8 @@ def discretize_hamiltonian(H, eps: float, grid: Grid) -> DiscretizedOperator:
     H = np.asarray(H, dtype=complex)
     if H.shape != (2, 2):
         raise UnsupportedDimension("only n = 1 (2×2 coefficient matrices) is supported")
+    if not np.isfinite(H).all():
+        raise NonSymmetricH("coefficient matrix must be finite")
     if abs(H[0, 1] - H[1, 0]) > 1e-12 * max(1.0, float(np.max(np.abs(H)))):
         raise NonSymmetricH("coefficient matrix is not symmetric")
     _require_1d(grid)

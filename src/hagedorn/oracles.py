@@ -56,7 +56,7 @@ def evolve_metric_riccati(G0, H: QuadraticHamiltonian, times) -> np.ndarray:
         raise DimensionMismatch("metric must be a 2n×2n matrix")
     n = G0.shape[0] // 2
     om = omega(n)
-    check_metric(G0)
+    G0 = check_metric(G0)
     J0 = -om @ G0
     if H.n != n:
         raise DimensionMismatch("Hamiltonian and metric dimensions differ")

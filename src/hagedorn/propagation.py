@@ -1,9 +1,9 @@
 """Non-Hermitian time evolution of Hagedorn wavepackets.
 
 For a quadratic Hamiltonian the whole packet is an algebraic function of the
-linear flow S_t, Ṡ = ΩH_tS with S_0 = Id.  ΩH is a polynomial in t on each
-smooth piece of H (a sampled H is split at its knots, and a constant H is
-the polynomial of degree 0), so the Taylor coefficients of a step's map P,
+linear flow S_t, Ṡ = ΩH_tS with S_0 = Id.  H is held as the smooth pieces
+the flow integrates (QuadraticHamiltonian), and ΩH is a polynomial in t on
+each, so the Taylor coefficients of a step's map P,
 S(t_s + τ) = P(τ)S(t_s) with P(0) = Id, obey an exact recurrence,
 (k + 1)C_{k+1} = Σ_j G_jC_{k−j}, summed on steps with h·‖ΩH‖₂ ≤ 1 until
 max(2, d + 1) successive terms fall below 2⁻⁵³‖Id‖, d the degree of ΩH in t
@@ -144,15 +144,18 @@ def _check_symmetric(matrices, label: str = "H") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
-    """Time-dependent complex symmetric coefficient matrix H_t.
+    """Time-dependent complex symmetric coefficient matrix H_t, held as the
+    smooth pieces the flow integrates.
 
-    kind "sampled": linear interpolation between sample times; "polynomial":
-    H(t) = Σ_k C_k t^k from a coefficient stack.  A constant H is the
-    polynomial with one coefficient.
+    pieces holds one (end, origin, C) per piece, the ends increasing to inf:
+    from the end of the piece before (−inf for the first) up to its own end,
+    H(t) = Σ_j C_j(t − origin)^j.  A polynomial H, a constant one included,
+    is one piece with origin 0; a sampled H is constant before its first
+    knot, linear from each knot to the next (C = (H_k, slope), origin the
+    knot) and constant from its last knot on.
     """
 
-    kind: str
-    data: tuple = field(repr=False)
+    pieces: tuple
 
     @staticmethod
     def constant(H) -> "QuadraticHamiltonian":
@@ -168,39 +171,52 @@ class QuadraticHamiltonian:
             raise DimensionMismatch("sample times must be finite")
         if np.any(np.diff(times) <= 0):
             raise DimensionMismatch("sample times must be strictly increasing")
-        return QuadraticHamiltonian(kind="sampled", data=(times, stack))
+        with np.errstate(over="ignore"):  # the flow rejects an overflowing slope at its start
+            slopes = np.diff(stack, axis=0) / np.diff(times)[:, None, None]
+        knots = times.tolist()
+        pieces = [(knots[0], knots[0], stack[:1])]
+        pieces += [(hi, lo, np.stack([a, s]))
+                   for lo, hi, a, s in zip(knots[:-1], knots[1:], stack, slopes)]
+        pieces.append((math.inf, knots[-1], stack[-1:]))
+        return QuadraticHamiltonian(tuple(pieces))
 
     @staticmethod
     def polynomial(coefficients) -> "QuadraticHamiltonian":
         stack = _check_symmetric(coefficients, "coefficient")
-        return QuadraticHamiltonian(kind="polynomial", data=(stack,))
+        return QuadraticHamiltonian(((math.inf, 0.0, stack),))
 
     @property
     def n(self) -> int:
-        return self.data[-1].shape[-1] // 2
+        return self.pieces[0][2].shape[-1] // 2
 
     @property
     def is_constant(self) -> bool:
-        return self.kind == "polynomial" and len(self.data[0]) == 1
+        return len(self.pieces) == 1 and len(self.pieces[0][2]) == 1
 
     @property
     def is_real(self) -> bool:
-        """Im H(t) = 0 for every t: every stored matrix is real."""
-        return not np.any(self.data[-1].imag)
+        """Im H(t) = 0 for every t: every coefficient of every piece is real."""
+        return not any(np.any(C.imag) for _, _, C in self.pieces)
 
     def __call__(self, t: float) -> np.ndarray:
-        if self.kind == "sampled":
-            times, stack = self.data
-            t = float(np.clip(t, times[0], times[-1]))
-            idx = int(np.searchsorted(times, t, side="right") - 1)
-            idx = min(max(idx, 0), len(times) - 2)
-            w = (t - times[idx]) / (times[idx + 1] - times[idx])
-            return (1 - w) * stack[idx] + w * stack[idx + 1]
-        stack = self.data[0]
-        out = stack[-1].copy()
-        for k in range(len(stack) - 2, -1, -1):
-            out = out * t + stack[k]
-        return out
+        """H(t), a new array: the value at t of the piece that holds t, by the
+        flow's re-expansion about t (_about)."""
+        return _about(self.pieces, float(t))[1][0].copy()
+
+
+def _about(pieces, t: float):
+    """(end, G) of the piece of an (end, origin, C) list that holds t: its end
+    and G_j, j = 0 … d, of Σ_j C_j(t + τ − origin)^j = Σ_j G_jτ^j, the stack
+    C re-expanded about t by repeated synthetic division (C itself when
+    d = 0 or t is the origin)."""
+    end, origin, G = pieces[bisect.bisect_right(pieces, t, key=lambda piece: piece[0])]
+    shift = t - origin
+    if len(G) > 1 and shift != 0.0:
+        G = G.copy()
+        for low in range(len(G) - 1):
+            for k in range(len(G) - 2, low - 1, -1):
+                G[k] += shift * G[k + 1]
+    return end, G
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,12 +361,10 @@ TAYLOR_TERMS_MAX = 60
 class _LinearFlow:
     """S_t from t0 on, with Ṡ = ΩH_tS and S(t0) = Id.
 
-    H is split into smooth pieces (a sampled H at its knots, constant before
-    the first and after the last; a polynomial H, a constant one included, is
-    one piece), on each of which ΩH(t_s + τ) = Σ_j G_jτ^j is a polynomial of
-    degree d in τ about any t_s.  S(t_s + τ) = P(τ)S(t_s) with the step map
-    P(τ) = Σ_k C_kτ^k, C_0 = Id, whose Taylor coefficients obey the exact
-    recurrence
+    On each of H's pieces (QuadraticHamiltonian), taken times Ω once,
+    ΩH(t_s + τ) = Σ_j G_jτ^j is a polynomial of degree d in τ about any t_s.
+    S(t_s + τ) = P(τ)S(t_s) with the step map P(τ) = Σ_k C_kτ^k, C_0 = Id,
+    whose Taylor coefficients obey the exact recurrence
 
         (k + 1)C_{k+1} = Σ_{j ≤ min(k, d)} G_jC_{k−j},
 
@@ -371,23 +385,10 @@ class _LinearFlow:
     def __init__(self, H: QuadraticHamiltonian, t0: float):
         self.t0 = t0
         self.n2 = 2 * H.n
+        if not all(np.isfinite(C).all() for _, _, C in H.pieces):
+            raise StepSizeUnderflow("flow integration failed: a slope of H is not finite")
         om = omega(H.n)
-        # (end, origin, coefficients of H in powers of t − origin) per piece;
-        # self.pieces keeps Ω times the coefficients
-        if H.kind == "polynomial":
-            pieces = [(math.inf, 0.0, H.data[0])]
-        else:
-            knots, stack = H.data
-            with np.errstate(over="ignore"):  # an overflow is caught below, as inf
-                slopes = np.diff(stack, axis=0) / np.diff(knots)[:, None, None]
-            if not np.isfinite(slopes).all():
-                raise StepSizeUnderflow("flow integration failed: a slope of H is not finite")
-            pieces = [(knots[0], knots[0], stack[:1])]
-            pieces += [(hi, lo, np.stack([a, s]))
-                       for lo, hi, a, s in zip(knots[:-1], knots[1:], stack, slopes)]
-            pieces.append((math.inf, knots[-1], stack[-1:]))
-        self.ends = [float(end) for end, _, _ in pieces]
-        self.pieces = [(float(origin), om @ coeffs) for _, origin, coeffs in pieces]
+        self.pieces = [(end, origin, om @ C) for end, origin, C in H.pieces]  # ΩH's pieces
 
     def samples(self, times: np.ndarray):
         """Yields (ts, flows) a step at a time: first t0 with Id, then the
@@ -405,8 +406,7 @@ class _LinearFlow:
         while t < last:
             if not math.isfinite(np.vdot(S, S).real):
                 raise StepSizeUnderflow(f"flow integration failed: S is not finite at t = {t}")
-            piece = bisect.bisect_right(self.ends, t)
-            expansion = self._expansion(piece, t)
+            end, expansion = _about(self.pieces, t)
             if expansion is not G:  # a piece of degree 0 gives the same G_j on every step
                 G, P = expansion, None
                 norms = np.linalg.norm(G, 2, axis=(1, 2))
@@ -414,7 +414,7 @@ class _LinearFlow:
             if reach < 10.0 * np.spacing(max(abs(t), abs(last))):  # finer than t resolves
                 raise StepSizeUnderflow(
                     f"flow step {reach:.3g} at t = {t} is below the spacing of t")
-            stop = min(t + reach, self.ends[piece])
+            stop = min(t + reach, end)
             if stop == math.inf:  # H is zero from t on: one exact step to the end
                 stop = last
             if P is None or stop - t != h:  # equal (G_j, h) sum the same series
@@ -435,21 +435,8 @@ class _LinearFlow:
         one Taylor step from that sample."""
         if t == t_prev:
             return S_prev
-        G = self._expansion(bisect.bisect_right(self.ends, t_prev), t_prev)
+        G = _about(self.pieces, t_prev)[1]
         return _horner(_series(G, t - t_prev, t_prev), np.ones(1))[0] @ S_prev
-
-    def _expansion(self, piece: int, t: float) -> np.ndarray:
-        """G_j, j = 0 … d, of ΩH(t + τ) = Σ_j G_jτ^j on the given piece: its
-        coefficients re-expanded about t by repeated synthetic division."""
-        origin, G = self.pieces[piece]
-        shift = t - origin
-        if len(G) == 1 or shift == 0.0:
-            return G
-        G = G.copy()
-        for low in range(len(G) - 1):
-            for k in range(len(G) - 2, low - 1, -1):
-                G[k] += shift * G[k + 1]
-        return G
 
 
 def _bound(norms, h: float) -> float:

@@ -13,14 +13,16 @@ Numerica 29 (2020), §3–4):
   check_lagrangian    a 2n×n frame (n ≥ 1) is isotropic, ZᵀΩZ = 0, of full rank
   check_normalised    the same, sharing one ZᵀΩ and one set of norms, and Z*ΩZ = 2i·Id
   check_positive_gram the Gram matrix (1/2i) Z*ΩZ has a positive margin (gram_margin)
-  check_metric        G is symmetric, symplectic (GᵀΩG = Ω) and positive definite
+  check_metric        G is symmetric, and ½(G + Gᵀ), which it returns, is
+                      symplectic (GᵀΩG = Ω) and positive definite
   siegel_b            cond(Q) ≤ COND_MAX; its caller tests Im B ≻ 0
 
 Nothing re-checks what one of these implies.  J = −ΩG is not checked: for
 a symmetric G, J² + Id = Ω(GΩG − Ω) is GᵀΩG − Ω with its rows permuted,
-held by check_metric to the same tolerances, and every G built here is
-symmetrised exactly.  hermitian_inv_sqrt only receives gram_matrix output,
-which is exactly Hermitian and has passed gram_margin's floor.
+held by check_metric to the same tolerances; every G built here is
+symmetrised exactly, and a user's G is used as the ½(G + Gᵀ) checked.
+hermitian_inv_sqrt only receives gram_matrix output, which is exactly
+Hermitian and has passed gram_margin's floor.
 """
 
 from __future__ import annotations
@@ -166,18 +168,21 @@ def check_normalised(Z: np.ndarray) -> None:
                    DimensionMismatch, "frame", "frame is not normalised: Z*ΩZ ≠ 2i·Id")
 
 
-def check_metric(G: np.ndarray) -> None:
-    """Raise NotSymplecticMetric unless every G of a stack is a symmetric,
+def check_metric(G: np.ndarray) -> np.ndarray:
+    """½(G + Gᵀ) of every G of a stack, the matrix eigh and J = −ΩG see;
+    raises NotSymplecticMetric unless G is symmetric and ½(G + Gᵀ) is a
     symplectic (GᵀΩG = Ω), positive-definite metric."""
     if G.ndim < 2 or G.shape[-2] != G.shape[-1] or G.shape[-1] % 2 != 0 or G.shape[-1] < 2:
         raise DimensionMismatch("metric must be a 2n×2n matrix")
     _check_size(G, NotSymplecticMetric, "G")
     om = omega(G.shape[-1] // 2)
     _reject(_worst(G - _mT(G)) > TOL_FRAME * _scale(G), NotSymplecticMetric, "G is not symmetric")
+    G = 0.5 * (G + _mT(G))
     GtO = _mT(G) @ om
     _check_product(GtO @ G, _norms(GtO, -1), _norms(G, -2), om, NotSymplecticMetric, "G",
                    "G is not symplectic: GᵀΩG ≠ Ω")
     _reject(np.linalg.eigvalsh(G)[..., 0] <= 0, NotSymplecticMetric, "G is not positive definite")
+    return G
 
 
 def gram_margin(gram: np.ndarray):
@@ -302,7 +307,7 @@ def frame_from_metric(G) -> NormalisedFrame:
     G = np.asarray(G, dtype=float)
     if G.ndim != 2:
         raise DimensionMismatch("metric must be a 2n×2n matrix")
-    check_metric(G)
+    G = check_metric(G)
     n = G.shape[0] // 2
     vals, vecs = np.linalg.eigh(G)
     root = (vecs / np.sqrt(vals)) @ vecs.T

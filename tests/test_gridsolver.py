@@ -85,6 +85,9 @@ def test_discretize_validates_input():
         discretize_hamiltonian(np.eye(4), 1.0, GRID)
     with pytest.raises(NonSymmetricH):
         discretize_hamiltonian(np.array([[1.0, 0.2], [0.3, 1.0]]), 1.0, GRID)
+    for bad in (np.nan, np.inf):  # rejected before the symmetry test, which inf − inf breaks
+        with pytest.raises(NonSymmetricH, match="finite"):
+            discretize_hamiltonian(np.array([[1.0, bad], [bad, 1.0]]), 1.0, GRID)
     with pytest.raises(UnsupportedDimension):
         discretize_hamiltonian(
             np.eye(2), 1.0, Grid(bounds=[(-6, 6), (-6, 6)], counts=[16, 16])

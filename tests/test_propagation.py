@@ -67,8 +67,9 @@ def test_hamiltonian_kinds_evaluate():
     assert np.allclose(samp(0.25), 0.75 * A + 0.25 * B, atol=1e-15)
     # clamped outside the sample window
     assert np.allclose(samp(2.0), B, atol=0)
-    # a constant H is the polynomial with one coefficient
-    assert QuadraticHamiltonian.constant(H).kind == "polynomial"
+    # a constant H is the polynomial with one coefficient: one piece of degree 0
+    ((end, origin, C),) = QuadraticHamiltonian.constant(H).pieces
+    assert (end, origin) == (math.inf, 0.0) and np.array_equal(C, H[None])
     assert QuadraticHamiltonian.constant(H).is_constant
     assert QuadraticHamiltonian.polynomial([H]).is_constant
     assert not poly.is_constant and not samp.is_constant
@@ -119,12 +120,41 @@ def test_hamiltonian_near_the_float_limit_is_stored_finite_or_rejected(kind):
     symmetric = real + 1j * big * np.array([[1.0, -1.0], [-1.0, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stored = make(symmetric).data[-1][-1]
+        stored = make(symmetric).pieces[-1][2][-1]
         assert np.array_equal(stored, symmetric)
         for antisymmetric in ([[0.0, big], [-big, 0.0]], [[1.0, 1e308], [-1e308, 1.0]]):
             for phase in (1.0, 1.0 + 1.0j):
                 with pytest.raises(NonSymmetricH, match="not symmetric"):
                     make(phase * np.array(antisymmetric))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hamiltonian_is_the_polynomial_the_flow_integrates(monkeypatch, n):
+    # Ω·H(t) is, bit for bit, the G₀ that a flow started at t hands to its
+    # first Taylor series, before, at, between and past the knots; at a knot
+    # a sampled H is its stored matrix
+    first = []
+    series = propagation._series
+
+    def kept(G, h, t):
+        first.append(G[0].copy())
+        return series(G, h, t)
+
+    monkeypatch.setattr(propagation, "_series", kept)
+    knots = np.linspace(0.0, 3.0, 7)
+    sampled = QuadraticHamiltonian.sampled(knots, [seeded_matrix(40 + k, n) for k in range(7)])
+    polynomial = QuadraticHamiltonian.polynomial(
+        [scale * seeded_matrix(50 + k, n) for k, scale in enumerate((1.0, 0.2, 0.05))])
+    times = np.concatenate([knots, np.random.default_rng(n).uniform(-1.0, 4.0, 300)])
+    for H in (sampled, polynomial):
+        differ = 0
+        for t in times:
+            first.clear()
+            flow(H, t, t + 1e-3)
+            differ += not np.array_equal(first[0], omega(n) @ H(t))
+        assert differ == 0
+    stored = [C[0] for _, _, C in sampled.pieces[1:]]
+    assert all(np.array_equal(sampled(t), matrix) for t, matrix in zip(knots, stored, strict=True))
 
 
 @pytest.mark.parametrize("knots", [[0.0, np.nan], [-np.inf, 1.0], [0.0, np.inf]])

@@ -338,6 +338,15 @@ def test_frame_from_metric_squeezed():
     assert np.allclose(frame.entries, [[0.5], [-2j]], atol=1e-12)
 
 
+def test_a_nearly_symmetric_metric_is_used_as_its_symmetric_part():
+    # an antisymmetric part inside check_metric's tolerance passes, and the
+    # frame follows ½(G + Gᵀ), not the lower triangle that eigh would read
+    G = np.diag([4.0, 0.25]) + np.array([[0.0, 4e-11], [-4e-11, 0.0]])
+    assert np.array_equal(check_metric(G), np.diag([4.0, 0.25]))
+    back = frame_metric(frame_from_metric(G).entries)
+    assert np.max(np.abs(back - 0.5 * (G + G.T))) < 1e-15
+
+
 @given(st.integers(0, 10_000), st.sampled_from([1, 2]))
 def test_frame_from_metric_round_trip(seed, n):
     S = random_symplectic(np.random.default_rng(seed), n)
