@@ -46,6 +46,7 @@ from .polynomials import validate_recursion_index
 from .propagation import (
     QuadraticHamiltonian,
     Trajectory,
+    _check_times,
     amplitude,
     coefficient_sweep,
     evolved_state_on_grid,
@@ -208,14 +209,8 @@ def _times(block) -> np.ndarray:
         start, stop, count = _real(block["start"]), _real(block["stop"]), _count(block["count"])
         if count < 2 or not stop > start:
             raise ValueError("need stop > start and count ≥ 2")
-        times = np.linspace(start, stop, count)
-    else:
-        times = np.array(_list(block, _real))
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
-    if times[0] < 0:
-        raise ValueError("times must start at t ≥ 0")
-    return times
+        return _check_times(np.linspace(start, stop, count))
+    return _check_times(_list(block, _real))
 
 
 def _alphas(val, n: int | None) -> tuple:

@@ -8,7 +8,9 @@ class HagedornError(Exception):
 
 
 class DimensionMismatch(HagedornError):
-    """An input has an incompatible shape (odd row count, wrong block size, ...)."""
+    """An input has an incompatible shape (odd row count, wrong block size, ...),
+    is not finite or is out of range (ε, output times), or is a frame that is
+    not normalised; also raised when a packet's centre overflows."""
 
 
 class NotPositiveLagrangian(HagedornError):
@@ -44,7 +46,9 @@ class NonSymmetricH(HagedornError):
 
 
 class StepSizeUnderflow(HagedornError):
-    """The adaptive integrator failed (step size collapsed or blow-up)."""
+    """An integration could not go on: the Taylor flow met a non-finite S,
+    slope or ‖ΩH‖₂ (or a subnormal term of it), or a step below the spacing
+    of t; or an oracle's solve_ivp failed (step size collapsed or blow-up)."""
 
 
 class PositivityLost(HagedornError):

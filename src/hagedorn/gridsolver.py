@@ -81,6 +81,7 @@ from .errors import (
     NonSymmetricH,
     UnsupportedDimension,
 )
+from .propagation import _check_times
 from .wavepackets import Grid, grid_norm
 
 DT_DEFAULT = 1e-3
@@ -275,10 +276,9 @@ def propagate_grid(
     _require_1d(grid)
     if psi0.shape != tuple(grid.counts):
         raise GridMismatch("initial field does not live on the operator's grid")
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    increasing = times.ndim == 1 and times.size > 0 and np.all(np.diff(times) > 0)
-    if not increasing or not np.all(np.isfinite(times)) or times[0] < 0 or not dt > 0:
-        raise DimensionMismatch("need dt > 0 and finite times t ≥ 0, strictly increasing")
+    times = _check_times(np.atleast_1d(t))
+    if not dt > 0:
+        raise DimensionMismatch("need dt > 0")
     if math.isnan(grid_tol):
         raise DimensionMismatch("grid_tol must be a number, not NaN")
 

@@ -31,6 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import AsymmetricM, DimensionMismatch
+from .symplectic import symmetric_part
 
 ALPHA_MAX = 32  # cap on |α| for every multi-index the package accepts
 # cap on the entries of poly_recursion's table, Π(α_j+1)², of the ladder
@@ -213,9 +214,7 @@ def poly_recursion(M: np.ndarray, alpha) -> MultiPoly:
     n = M.shape[0]
     if M.shape != (n, n):
         raise DimensionMismatch("recursion matrix must be square")
-    if np.abs(M - M.T).max() > 1e-10 * max(1.0, float(np.abs(M).max())):
-        raise AsymmetricM("recursion matrix is not symmetric")
-    M = 0.5 * (M + M.T)
+    M = symmetric_part(M, AsymmetricM, "recursion matrix")
     alpha = validate_recursion_index(alpha, n)
 
     shape = tuple(a + 1 for a in alpha)

@@ -84,8 +84,8 @@ from .errors import (
 )
 from .polynomials import TABLE_MAX, poly_recursion, validate_recursion_index
 from .symplectic import (
-    TOL_FRAME,
     NormalisedFrame,
+    _mT,
     check_metric,
     check_normalised,
     frame_metric,
@@ -95,6 +95,7 @@ from .symplectic import (
     normalise_frame,  # noqa: F401  part of this module's namespace; perfbench/tracing.py wraps it
     omega,
     siegel_b,
+    symmetric_part,
 )
 from .wavepackets import Grid, WavepacketParams, _excite, _ground_and_argument
 from .wavepackets import eval_ground  # noqa: F401  perfbench/tracing.py wraps it
@@ -108,38 +109,28 @@ def solve_ivp(*args, **kwargs):  # perfbench/tracing.py wraps it
 
 
 def _check_times(times) -> np.ndarray:
-    """times as a float array, checked to be finite and strictly increasing from t ≥ 0."""
+    """times as a float array, checked to be finite and strictly increasing from
+    t ≥ 0: the one rule for output times, in propagate_grid and the CLI too."""
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
-        raise DimensionMismatch("times must be a strictly increasing sequence")
     if not np.isfinite(times).all():
         raise DimensionMismatch("times must be finite")
+    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
+        raise DimensionMismatch("times must be a strictly increasing sequence")
     if times[0] < 0:
         raise DimensionMismatch("times must start at t ≥ 0")
     return times
 
 
 def _check_symmetric(matrices, label: str = "H") -> np.ndarray:
-    """The stack of the given finite, symmetric 2n×2n matrices, symmetrised.
-
-    The check and the symmetrisation work on ¼H, whose sums and differences
-    stay finite, in modulus too, for every finite H; scaling by a power of 2
-    is exact short of subnormal entries, so the verdict and the stored
-    ½(H + Hᵀ) are those of H itself.
-    """
+    """The stack of the given finite, symmetric 2n×2n matrices (n ≥ 1),
+    symmetrised by symmetric_part."""
     matrices = [np.asarray(m, dtype=complex) for m in matrices]
     if not matrices or any(m.shape != matrices[0].shape for m in matrices):
         raise DimensionMismatch(f"{label} needs at least one matrix, all of one shape")
     H = np.stack(matrices)
-    if H.ndim != 3 or H.shape[1] != H.shape[2] or H.shape[1] % 2 != 0:
+    if H.ndim != 3 or H.shape[1] != H.shape[2] or H.shape[1] % 2 != 0 or H.shape[1] < 2:
         raise NonSymmetricH(f"{label} must be a 2n×2n matrix, got {H.shape[1:]}")
-    if not np.all(np.isfinite(H)):
-        raise NonSymmetricH(f"{label} must be finite")
-    quarter = 0.25 * H
-    scale = np.maximum(0.25, np.max(np.abs(quarter), axis=(1, 2)))
-    if np.any(np.max(np.abs(quarter - _t(quarter)), axis=(1, 2)) > TOL_FRAME * scale):
-        raise NonSymmetricH(f"{label} is not symmetric")
-    return 2.0 * (quarter + _t(quarter))
+    return symmetric_part(H, NonSymmetricH, label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,15 +328,11 @@ def expansion_norm(amp: float, coefficients) -> float:
     return amp * math.sqrt(math.fsum([abs(a) ** 2 for a in coefficients]))
 
 
-def _t(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
-
-
 def symplectic_defect(S: np.ndarray):
     """Max-norm of SᵀΩS − Ω: a float, or an array for a stack of flows."""
     S = np.asarray(S, dtype=complex)
     om = omega(S.shape[-1] // 2)
-    defect = np.max(np.abs(_t(S) @ om @ S - om), axis=(-2, -1))
+    defect = np.max(np.abs(_mT(S) @ om @ S - om), axis=(-2, -1))
     return float(defect) if S.ndim == 2 else defect
 
 
@@ -632,11 +619,11 @@ def _trajectory(times, S, W, gram, min_positivity, log_det_wq, Z0, z0, eps) -> T
     check_metric(G)
 
     W_bar_flow = S @ np.conj(Z0)
-    M = 0.25 * (_t(W_bar_flow) @ G @ W_bar_flow)
-    M = 0.5 * (M + _t(M))
+    M = 0.25 * (_mT(W_bar_flow) @ G @ W_bar_flow)
+    M = 0.5 * (M + _mT(M))
     P, Q = Z[:, :n], Z[:, n:]
     Mtilde = M + N @ np.linalg.solve(Q, np.conj(Q)) @ np.conj(N)
-    Mtilde = 0.5 * (Mtilde + _t(Mtilde))
+    Mtilde = 0.5 * (Mtilde + _mT(Mtilde))
 
     # N is Hermitian positive definite, so det N > 0 and the log is real
     log_det_n = np.linalg.slogdet(N)[1]
@@ -644,7 +631,7 @@ def _trajectory(times, S, W, gram, min_positivity, log_det_wq, Z0, z0, eps) -> T
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
         z, action = _centre_and_action(S, z0, B)
         # σ_j = −(i/√(2ε)) (S_tZ̄₀e_j)ᵀ Ω (z_t − S_tz₀); exactly 0 when z₀ = 0
-        sigma = -1j / math.sqrt(2 * eps) * (_t(W_bar_flow) @ omega(n) @ (z - S @ z0)[..., None])[..., 0]
+        sigma = -1j / math.sqrt(2 * eps) * (_mT(W_bar_flow) @ omega(n) @ (z - S @ z0)[..., None])[..., 0]
     if not all(np.isfinite(x).all() for x in (z, action, sigma)):
         raise DimensionMismatch("center is not finite, or so large that the action overflows")
     return Trajectory(

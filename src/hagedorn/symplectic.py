@@ -13,6 +13,9 @@ Numerica 29 (2020), §3–4):
   check_lagrangian    a 2n×n frame (n ≥ 1) is isotropic, ZᵀΩZ = 0, of full rank
   check_normalised    the same, sharing one ZᵀΩ and one set of norms, and Z*ΩZ = 2i·Id
   check_positive_gram the Gram matrix (1/2i) Z*ΩZ has a positive margin (gram_margin)
+  symmetric_part      a finite X is symmetric to TOL_FRAME·max(1, max|X|); returns
+                      ½(X + Xᵀ).  The one rule for H (propagation._check_symmetric),
+                      G (check_metric) and M (poly_recursion), each with its own error
   check_metric        G is symmetric, and ½(G + Gᵀ), which it returns, is
                       symplectic (GᵀΩG = Ω) and positive definite
   siegel_b            cond(Q) ≤ COND_MAX; its caller tests Im B ≻ 0
@@ -61,14 +64,9 @@ def _mH(a: np.ndarray) -> np.ndarray:
     return _mT(np.conj(a))
 
 
-def _worst(a: np.ndarray):
-    """max |a| of each matrix of a stack (the last two axes)."""
-    return np.abs(a).max(axis=(-2, -1))
-
-
 def _scale(a: np.ndarray):
     # Tolerances are relative to max(1, ‖input‖) for scale robustness, per matrix.
-    return np.maximum(1.0, _worst(a)) if a.size else np.ones(a.shape[:-2])
+    return np.abs(a).max(axis=(-2, -1), initial=1.0)
 
 
 def _check_size(a: np.ndarray, error, what: str) -> None:
@@ -138,6 +136,18 @@ def _check_stack_shape(Z: np.ndarray) -> int:
 # once on a whole trajectory.  Tolerances and scales are per matrix.
 
 
+def symmetric_part(X: np.ndarray, error, what: str) -> np.ndarray:
+    """½(X + Xᵀ) of every matrix of a stack; raises error unless each is finite
+    and symmetric to TOL_FRAME·max(1, max|X|).  Both work on ¼X, whose sums and
+    differences stay finite, in modulus too, for every finite X; scaling by 2⁻²
+    is exact short of subnormal entries, so verdict and result are X's own."""
+    _require(np.isfinite(X), error, f"{what} must be finite")
+    quarter = 0.25 * X
+    tol = TOL_FRAME * np.abs(quarter).max(axis=(-2, -1), initial=0.25, keepdims=True)
+    _require(np.abs(quarter - _mT(quarter)) <= tol, error, f"{what} is not symmetric")
+    return 2.0 * (quarter + _mT(quarter))
+
+
 def check_lagrangian(Z: np.ndarray) -> None:
     """Raise DimensionMismatch unless every frame of Z is isotropic and of full rank."""
     _check_isotropic(np.asarray(Z, dtype=complex))
@@ -176,8 +186,7 @@ def check_metric(G: np.ndarray) -> np.ndarray:
         raise DimensionMismatch("metric must be a 2n×2n matrix")
     _check_size(G, NotSymplecticMetric, "G")
     om = omega(G.shape[-1] // 2)
-    _reject(_worst(G - _mT(G)) > TOL_FRAME * _scale(G), NotSymplecticMetric, "G is not symmetric")
-    G = 0.5 * (G + _mT(G))
+    G = symmetric_part(G, NotSymplecticMetric, "G")
     GtO = _mT(G) @ om
     _check_product(GtO @ G, _norms(GtO, -1), _norms(G, -2), om, NotSymplecticMetric, "G",
                    "G is not symplectic: GᵀΩG ≠ Ω")
@@ -213,8 +222,7 @@ class LagrangianFrame:
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)
         object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2:
-            raise _shape_error(entries)
+        _check_frame_shape(entries)
         self._check(entries)
 
     @property
@@ -311,4 +319,7 @@ def frame_from_metric(G) -> NormalisedFrame:
     n = G.shape[0] // 2
     vals, vecs = np.linalg.eigh(G)
     root = (vecs / np.sqrt(vals)) @ vecs.T
-    return NormalisedFrame(root @ np.vstack([np.eye(n), -1j * np.eye(n)]))
+    try:
+        return NormalisedFrame(root @ np.vstack([np.eye(n), -1j * np.eye(n)]))
+    except DimensionMismatch as exc:  # the metric and frame tolerances do not nest
+        raise NotSymplecticMetric(f"G gives a frame that fails its check: {exc}") from None

@@ -61,9 +61,11 @@ def test_validate_flags_nonsymmetric_hamiltonian():
 
 def test_validate_flags_bad_time_grid():
     raw = copy.deepcopy(PRESETS["hermitian-sanity"])
-    raw["times"] = {"start": 1.0, "stop": 0.0, "count": 10}
-    codes = [d.code for d in validate_config(raw)]
-    assert "BadTimeGrid" in codes
+    # the second block's linspace is [0, 0, 5e-324]: two points coincide
+    for times in ({"start": 1.0, "stop": 0.0, "count": 10}, {"start": 0.0, "stop": 5e-324, "count": 3}):
+        raw["times"] = times
+        codes = [d.code for d in validate_config(raw)]
+        assert "BadTimeGrid" in codes, times
 
 
 def test_validate_command_exit_codes(tmp_path, capsys):

@@ -138,6 +138,10 @@ def test_recursion_rejects_oversized_ladder_table_before_allocating():
 def test_recursion_rejects_asymmetric():
     with pytest.raises(AsymmetricM):
         poly_recursion(np.array([[0.0, 1.0], [0.0, 0.0]]), (1, 1))
+    # a non-finite M is no symmetric matrix either, not an all-NaN polynomial
+    for bad in (np.nan, np.inf):
+        with pytest.raises(AsymmetricM, match="finite"):
+            poly_recursion(np.array([[bad, 0.0], [0.0, 1.0]]), (1, 1))
 
 
 def test_gradient_of_constant_is_zero():

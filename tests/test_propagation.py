@@ -83,8 +83,9 @@ def test_hamiltonian_rejects_bad_input():
         QuadraticHamiltonian.sampled([0.0], [np.eye(2)])
     with pytest.raises(DimensionMismatch):
         QuadraticHamiltonian.sampled([0.0, 0.0], [np.eye(2), np.eye(2)])
-    with pytest.raises(NonSymmetricH):
-        QuadraticHamiltonian.constant(np.eye(3))
+    for shape in [(3, 3), (0, 0)]:
+        with pytest.raises(NonSymmetricH):
+            QuadraticHamiltonian.constant(np.eye(*shape))
     # an empty or mixed-shape stack is a shape fault
     with pytest.raises(DimensionMismatch):
         QuadraticHamiltonian.polynomial([])
@@ -215,7 +216,7 @@ def test_propagate_validates_input():
         propagate(L0_FRAME, ORIGIN, harmonic(2), [0.0])
 
 
-@pytest.mark.parametrize("times", [[0.0, np.nan], [0.0, np.inf], [np.nan]])
+@pytest.mark.parametrize("times", [[0.0, np.nan], [0.0, np.inf], [np.nan], [np.inf, np.inf]])
 def test_propagate_rejects_non_finite_times(times):
     with pytest.raises(DimensionMismatch, match="finite"):
         propagate(L0_FRAME, ORIGIN, DS_HAM, times)

@@ -361,6 +361,12 @@ def test_frame_from_metric_rejects_invalid():
         frame_from_metric(np.diag([2.0, 2.0]))  # not symplectic
     with pytest.raises(NotSymplecticMetric):
         frame_from_metric(np.array([[1.0, 0.2], [0.0, 1.0]]))  # not symmetric
+    # check_metric accepts this G, but the frame built from it fails
+    # check_normalised: a metric fault, reported as one
+    G = np.array([[0.7681475984636619, 1.6390448489587375], [1.6390448489587375, 4.799166234425893]])
+    check_metric(G)
+    with pytest.raises(NotSymplecticMetric, match="normalised"):
+        frame_from_metric(G)
     for shape in [(3, 3), (0, 0), (2, 4), (2,)]:
         with pytest.raises(DimensionMismatch, match="2n×2n"):
             frame_from_metric(np.ones(shape))
