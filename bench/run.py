@@ -105,7 +105,9 @@ def main() -> None:
     result = {
         "what": "ms per call of every row of bench/rows.py, one fresh interpreter per run",
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": np.__version__, "scipy": scipy.__version__},
+                    "numpy": np.__version__, "scipy": scipy.__version__,
+                    **{name: os.environ.get(name) for name in
+                       ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}},
         "runs": RUNS,
     }
     with tempfile.TemporaryDirectory() as parent:

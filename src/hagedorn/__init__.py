@@ -11,7 +11,7 @@ The package root exports the production side, organised bottom-up:
 The checking side and the runner are imported by module and are not loaded
 by `import hagedorn`:
 
-  oracles       Riccati metric and centre ODEs, lowering operator, overlaps
+  oracles       thawed-Gaussian ODE (metric, centre, prefactor), lowering operator, overlaps
   swanson       closed-form gain/loss oscillator reference solution
   gridsolver    independent Crank-Nicolson grid verification
   cli           scenario runner producing CSV/JSON artifacts
@@ -20,7 +20,6 @@ by `import hagedorn`:
 from .errors import (
     AsymmetricM,
     ConfigError,
-    ConsistencyError,
     ConvergenceFailure,
     DimensionMismatch,
     GridMismatch,

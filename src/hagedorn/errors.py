@@ -64,10 +64,6 @@ class PositivityLost(HagedornError):
         self.states = states if states is not None else []
 
 
-class ConsistencyError(HagedornError):
-    """A runtime cross-check between two redundant computations failed."""
-
-
 class OutsideHorizon(HagedornError):
     """A closed-form evaluation was requested at or beyond the positivity horizon."""
 

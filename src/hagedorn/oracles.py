@@ -4,10 +4,12 @@ The production side builds the whole packet from the linear flow S_t.  The
 routes here reach the same quantities another way, so a test can hold the
 one against the other:
 
-- evolve_metric_riccati integrates the G and J Riccati equations of the
-  metric, and center_dynamics the real centre ODE and the action integral,
-  both with RK45 at the fixed rtol = atol = ODE_TOL and restarted at every
-  output time (Lasser & Lubich, Acta Numerica 29 (2020), §4);
+- thawed_gaussian integrates one Gaussian under the quadratic H, its
+  matrix B by a Riccati equation, and reads the metric, the real centre
+  and the whole log prefactor off that one solution, with RK45 at the fixed
+  rtol = atol = ODE_TOL and restarted at every output time (Heller,
+  J. Chem. Phys. 62 (1975); Graefe & Schubert, Phys. Rev. A 83, 060101(R)
+  (2011));
 - apply_lowering applies the lowering operator A(l) to a grid field by
   finite differences, and expansion_overlap gives ⟨φ_β(ZC), φ_α(Z)⟩ from
   its closed-form sum over transport matrices (Hagedorn, Ann. Phys. 269
@@ -31,7 +33,7 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import ConsistencyError, DimensionMismatch, SingularC, StepSizeUnderflow
+from .errors import DimensionMismatch, SingularC, StepSizeUnderflow
 from .errors import UnsupportedDimension
 from .gridsolver import _require_1d, discretize_hamiltonian
 from .polynomials import MultiPoly, validate_multi_index
@@ -42,108 +44,77 @@ from .wavepackets import Grid, WavepacketParams, _offsets, eval_excited, grid_no
 ODE_TOL = 1e-11
 
 
-def evolve_metric_riccati(G0, H: QuadraticHamiltonian, times) -> np.ndarray:
-    """Integrate the G and J Riccati equations independently.
+def thawed_gaussian(Z0, z0, H: QuadraticHamiltonian, times, eps: float = 1.0):
+    """Integrate the Gaussian c·exp((i/ε)(½ x·Bx + b·x)) under Op[½ z·Hz].
 
-    Ġ = ReH ΩG − GΩReH − ImH − GΩImHΩG and the J equation obtained from it by
-    G = ΩJ: J̇ = ΩReH·J − J·ΩReH + ΩImH + J·ΩImH·J, restarted at each output
-    time.  The cross-check J_t = −ΩG_t is enforced to 10×ODE_TOL at every
-    output time.  Returns the metrics G_t, shape (len(times), 2n, 2n), which
-    check_metric accepts as a stack.
+    With H = [[H_pp, H_pq], [H_pqᵀ, H_qq]] in z = (p; q) order,
+    Ḃ = −(BH_ppB + BH_pq + H_pqᵀB + H_qq), ḃ = −(BH_pp + H_pqᵀ)b and
+    d(log c)/dt = −(i/2ε) b·H_pp b − ½ tr(H_ppB + H_pq), from the φ₀(Z₀, z₀)
+    of frame (P₀; Q₀) and centre (p₀, q₀): B₀ = P₀Q₀⁻¹, b₀ = p₀ − B₀q₀ and
+    log c₀ = −(n/4) log(πε) − ½ log det Q₀ + (i/ε)(½ q₀·B₀q₀ − p₀·q₀), with
+    the principal branch of log det Q₀.  B obeys a matrix Riccati equation.
+    The ODE is restarted at each output time.  With X = Re B and Y = Im B it
+    returns, one entry per time:
+
+    - the metrics G = [[Y⁻¹, −Y⁻¹X], [−XY⁻¹, Y + XY⁻¹X]], a stack that
+      check_metric accepts;
+    - the real centres (p, q) with q = −Y⁻¹ Im b and p = Re b + Xq;
+    - the log prefactors log c + (n/4) log(πε) − (i/ε)(½ q·Bq − p·q), which
+      equal the pipeline's log_prefactor − ½ logdetQ.
     """
-    G0 = np.asarray(G0, dtype=float)
-    if G0.ndim != 2 or G0.shape[0] % 2 != 0:
-        raise DimensionMismatch("metric must be a 2n×2n matrix")
-    n = G0.shape[0] // 2
-    om = omega(n)
-    G0 = check_metric(G0)
-    J0 = -om @ G0
+    if not isinstance(Z0, NormalisedFrame):
+        Z0 = NormalisedFrame(Z0)
+    n = Z0.n
     if H.n != n:
-        raise DimensionMismatch("Hamiltonian and metric dimensions differ")
+        raise DimensionMismatch("Hamiltonian and frame dimensions differ")
+    z0 = np.asarray(z0, dtype=float).reshape(-1)
+    if z0.size != 2 * n:
+        raise DimensionMismatch(f"center must have 2n = {2 * n} components")
     times = _check_times(times)
-    n2 = 2 * n
+    if not (math.isfinite(eps) and eps > 0):
+        raise DimensionMismatch("eps must be finite and positive")
+    p0, q0 = z0[:n], z0[n:]
+    B0 = np.linalg.solve(Z0.Q.T, Z0.P.T).T
+    b0 = p0 - B0 @ q0
+    log_c0 = (-0.25 * n * math.log(math.pi * eps)
+              - 0.5 * np.log(complex(np.linalg.det(Z0.Q)))
+              + 1j / eps * (0.5 * q0 @ B0 @ q0 - p0 @ q0))
 
     def rhs(t, y):
-        G = y[: n2 * n2].reshape(n2, n2)
-        J = y[n2 * n2 :].reshape(n2, n2)
-        G = 0.5 * (G + G.T)
+        B, b = y[: n * n].reshape(n, n), y[n * n : -1]
         Ht = H(t)
-        re_h, im_h = Ht.real, Ht.imag
-        dG = re_h @ om @ G - G @ om @ re_h - im_h - G @ om @ im_h @ om @ G
-        dJ = om @ re_h @ J - J @ om @ re_h + om @ im_h + J @ om @ im_h @ J
-        return np.concatenate([dG.reshape(-1), dJ.reshape(-1)])
+        h_pp, h_pq, h_qq = Ht[:n, :n], Ht[:n, n:], Ht[n:, n:]
+        dB = -(B @ h_pp @ B + B @ h_pq + h_pq.T @ B + h_qq)
+        db = -(B @ h_pp + h_pq.T) @ b
+        dlog_c = -0.5j / eps * (b @ h_pp @ b) - 0.5 * np.trace(h_pp @ B + h_pq)
+        return np.concatenate([dB.reshape(-1), db, [dlog_c]])
 
-    y = np.concatenate([G0.reshape(-1), J0.reshape(-1)])
-    out = np.empty((len(times), n2, n2))
+    y = np.concatenate([B0.reshape(-1), b0, [log_c0]])
+    out = np.empty((len(times), y.size), dtype=complex)
     t_prev = 0.0
-    scale = max(1.0, float(np.max(np.abs(G0))))
-    # one run per interval: on the polynomial-H test (n = 2, 401 times) the
-    # metric lands 2.3e-13 off the flow's, one run with t_eval 3.6e-11 (RK45)
-    # or 4.6e-11 (DOP853), against a 1e-12 gate
     for i, t_out in enumerate(times):
         if t_out > t_prev:
             sol = solve_ivp(rhs, (t_prev, float(t_out)), y, method="RK45",
                             rtol=ODE_TOL, atol=ODE_TOL)
             if not sol.success:
-                raise StepSizeUnderflow(f"Riccati integration failed: {sol.message}")
+                raise StepSizeUnderflow(f"Gaussian integration failed: {sol.message}")
             y = sol.y[:, -1]
             t_prev = float(t_out)
-        G = 0.5 * (y[: n2 * n2].reshape(n2, n2) + y[: n2 * n2].reshape(n2, n2).T)
-        J = y[n2 * n2 :].reshape(n2, n2)
-        if np.max(np.abs(J + om @ G)) > 10 * ODE_TOL * scale + 1e-13:
-            raise ConsistencyError("independent J-Riccati drifted away from −ΩG")
-        # The integrated G leaves the symplectic manifold by O(ODE_TOL) per
-        # period; one Newton step of (−J²)^{−1/2} restores J² = −Id (and hence
-        # GΩG = Ω) while moving G only by O(defect²), far below ODE_TOL.
-        J_g = -om @ G
-        X = -J_g @ J_g
-        J_g = J_g @ (1.5 * np.eye(n2) - 0.5 * X)
-        G_proj = om @ J_g
-        out[i] = 0.5 * (G_proj + G_proj.T)
-    check_metric(out)
-    return out
-
-
-def center_dynamics(z0, H: QuadraticHamiltonian, G_path, times):
-    """Integrate ż = ΩReH z + G⁻¹ImH z and the action α_t = ∫(q̇·p − ℋ_τ(z_τ))dτ.
-
-    G_path is a callable t ↦ G.  The ODE is restarted at each output time.
-    Returns (z sequence, complex action sequence), one entry per requested
-    time.
-    """
-    n = H.n
-    z0 = np.asarray(z0, dtype=float).reshape(-1)
-    if z0.size != 2 * n:
-        raise DimensionMismatch(f"center must have 2n = {2 * n} components")
-    if not callable(G_path):
-        raise DimensionMismatch("G_path must be a callable t ↦ G")
-    times = _check_times(times)
-    om = omega(n)
-
-    def rhs(t, y):
-        z = y[: 2 * n]
-        Ht = H(t)
-        re_h, im_h = Ht.real, Ht.imag
-        G = G_path(t)
-        dz = om @ re_h @ z + np.linalg.solve(G, im_h @ z)
-        hamil = 0.5 * complex(z @ Ht @ z)
-        daction = complex(dz[n:] @ z[:n]) - hamil
-        return np.concatenate([dz, [daction.real, daction.imag]])
-
-    y = np.concatenate([z0, [0.0, 0.0]])
-    zs, actions = [], []
-    t_prev = 0.0
-    for t_out in times:
-        if t_out > t_prev:
-            sol = solve_ivp(rhs, (t_prev, float(t_out)), y, method="RK45",
-                            rtol=ODE_TOL, atol=ODE_TOL)
-            if not sol.success:
-                raise StepSizeUnderflow(f"center integration failed: {sol.message}")
-            y = sol.y[:, -1]
-            t_prev = float(t_out)
-        zs.append(y[: 2 * n].copy())
-        actions.append(complex(y[2 * n], y[2 * n + 1]))
-    return zs, actions
+        out[i] = y
+    B = out[:, : n * n].reshape(-1, n, n)
+    # symmetric X and Y make G symmetric and symplectic by construction
+    B = 0.5 * (B + np.swapaxes(B, 1, 2))
+    b, log_c = out[:, n * n : -1], out[:, -1]
+    X, Y = B.real, B.imag
+    Y_inv = np.linalg.inv(Y)
+    Y_inv_X = Y_inv @ X
+    G = np.block([[Y_inv, -Y_inv_X], [-np.swapaxes(Y_inv_X, 1, 2), Y + X @ Y_inv_X]])
+    q = -(Y_inv @ b.imag[..., None])[..., 0]
+    p = b.real + (X @ q[..., None])[..., 0]
+    Bq = (B @ q[..., None])[..., 0]
+    prefactor = (log_c + 0.25 * n * math.log(math.pi * eps)
+                 - 1j / eps * (0.5 * np.sum(q * Bq, axis=1) - np.sum(p * q, axis=1)))
+    return check_metric(G), np.concatenate([p, q], axis=1), prefactor
 
 
 def apply_lowering(params: WavepacketParams, f: np.ndarray, grid: Grid, col: int = 0):

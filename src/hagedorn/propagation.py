@@ -108,14 +108,21 @@ def solve_ivp(*args, **kwargs):  # perfbench/tracing.py wraps it
     return solve_ivp(*args, **kwargs)
 
 
-def _check_times(times) -> np.ndarray:
-    """times as a float array, checked to be finite and strictly increasing from
-    t ≥ 0: the one rule for output times, in propagate_grid and the CLI too."""
+def _increasing_times(times) -> np.ndarray:
+    """times as a float array, checked to be finite, 1-D, non-empty and strictly
+    increasing: the rule for output times and for the knots of a sampled H."""
     times = np.asarray(times, dtype=float)
     if not np.isfinite(times).all():
         raise DimensionMismatch("times must be finite")
     if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
         raise DimensionMismatch("times must be a strictly increasing sequence")
+    return times
+
+
+def _check_times(times) -> np.ndarray:
+    """_increasing_times from t ≥ 0: the one rule for output times, in
+    propagate_grid, the CLI and the oracles too."""
+    times = _increasing_times(times)
     if times[0] < 0:
         raise DimensionMismatch("times must start at t ≥ 0")
     return times
@@ -154,14 +161,10 @@ class QuadraticHamiltonian:
 
     @staticmethod
     def sampled(times, matrices) -> "QuadraticHamiltonian":
-        times = np.asarray(times, dtype=float)
         stack = _check_symmetric(matrices)
-        if times.ndim != 1 or len(times) != len(stack) or len(times) < 2:
+        times = _increasing_times(times)
+        if len(times) != len(stack) or len(times) < 2:
             raise DimensionMismatch("sampled form needs matching times and ≥ 2 matrices")
-        if not np.isfinite(times).all():
-            raise DimensionMismatch("sample times must be finite")
-        if np.any(np.diff(times) <= 0):
-            raise DimensionMismatch("sample times must be strictly increasing")
         with np.errstate(over="ignore"):  # the flow rejects an overflowing slope at its start
             slopes = np.diff(stack, axis=0) / np.diff(times)[:, None, None]
         knots = times.tolist()

@@ -8,11 +8,11 @@ from scipy.linalg import expm
 
 from hagedorn.gridsolver import discretize_hamiltonian, propagate_grid
 from hagedorn.oracles import (
-    evolve_metric_riccati,
     expansion_overlap,
     number_operator_check,
     poly_gradient,
     projections,
+    thawed_gaussian,
 )
 from hagedorn.polynomials import poly_recursion
 from hagedorn.propagation import (
@@ -193,7 +193,7 @@ def test_criterion_4_hermitian_degeneration():
 def test_criterion_5_consistency_triangle():
     times = np.linspace(0.0, PERIOD, 50, endpoint=False)
     states = propagate(L0_FRAME, np.zeros(2), DS_HAM, times)
-    Gs = evolve_metric_riccati(np.eye(2), DS_HAM, times)
+    Gs, _, _ = thawed_gaussian(L0_FRAME, np.zeros(2), DS_HAM, times)
     worst = 0.0
     for t, state, G in zip(times, states, Gs):
         closed = ds_scalars(DS, t).metric

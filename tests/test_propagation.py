@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
 from hagedorn import polynomials, propagation
@@ -19,7 +18,7 @@ from hagedorn.errors import (
     StepSizeUnderflow,
 )
 from hagedorn.gridsolver import discretize_hamiltonian, propagate_grid
-from hagedorn.oracles import center_dynamics, evolve_metric_riccati
+from hagedorn.oracles import thawed_gaussian
 from hagedorn.polynomials import poly_recursion
 from hagedorn.propagation import (
     HagedornExpansion,
@@ -519,24 +518,47 @@ def test_constant_hamiltonian_sums_one_series_per_step_length(monkeypatch):
     assert np.max(np.abs(states.S - exact)) < 1e-14
 
 
-def test_polynomial_hamiltonian_matches_riccati_and_centre_oracles():
-    # β_t = ¼∫tr(G⁻¹Im H)dτ over the independent Riccati metric (Simpson on a
-    # dense grid), and z_t, α_t from the centre ODE on a spline of that metric
-    n = 2
-    H = QuadraticHamiltonian.polynomial(
-        [seeded_matrix(1, n), 0.2 * seeded_matrix(3, n), 0.05 * seeded_matrix(4, n)]
-    )
-    Z0, z0 = standard_frame(n), np.array([0.4, -0.3, 0.2, 0.5])
+def prefactor_sum(states):
+    """log_prefactor − ½ logdetQ of each state: the log of all the scalars the
+    packet carries, which is what thawed_gaussian's log c gives."""
+    return np.array([s.log_prefactor - 0.5 * s.logdetQ for s in states])
+
+
+POLYNOMIAL_H = QuadraticHamiltonian.polynomial(
+    [seeded_matrix(1, 2), 0.2 * seeded_matrix(3, 2), 0.05 * seeded_matrix(4, 2)]
+)
+SAMPLED_H = QuadraticHamiltonian.sampled(
+    [0.0, 0.4, 1.1, 1.7], [seeded_matrix(seed, 2) for seed in (5, 6, 7, 8)]
+)
+Z0_N2, Z0_N3 = [0.4, -0.3, 0.2, 0.5], [0.4, -0.3, 0.2, 0.5, -0.1, 0.3]
+
+
+@pytest.mark.parametrize(
+    "H, z0, eps, G_gate",
+    [
+        (POLYNOMIAL_H, Z0_N2, 1.0, 1e-12),
+        (POLYNOMIAL_H, Z0_N2, 0.5, 1e-12),
+        (QuadraticHamiltonian.constant(seeded_matrix(2, 3)), Z0_N3, 1.0, 1e-12),
+        # RK45 at ODE_TOL leaves the metric 1.1e-11 off the flow's here,
+        # though every knot is an output time and so a restart; DOP853 at
+        # 1e-13 gives 4.9e-15, so the gap is RK45's error, not the oracle's
+        (SAMPLED_H, Z0_N2, 1.0, 1e-10),
+    ],
+    ids=["polynomial", "polynomial-eps-half", "constant-n3", "sampled"],
+)
+def test_driven_hamiltonian_matches_the_thawed_gaussian_oracle(H, z0, eps, G_gate):
+    # G, z_t and the prefactor from one Gaussian ODE; β_t = ¼∫tr(G⁻¹Im H)dτ
+    # over that G by Simpson's rule on a dense grid
+    n = H.n
     times = np.linspace(0.0, 2.0, 401)
-    states = propagate(Z0, z0, H, times)
-    Gs = evolve_metric_riccati(frame_metric(Z0.entries), H, times)
+    states = propagate(standard_frame(n), z0, H, times, eps)
+    Gs, zs, prefactors = thawed_gaussian(standard_frame(n), z0, H, times, eps)
     rate = [0.25 * np.trace(np.linalg.solve(G, H(t).imag)) for t, G in zip(times, Gs)]
     beta = cumulative_simpson(rate, x=times, initial=0.0)
-    assert max(abs(s.beta - b) for s, b in zip(states, beta)) < 5e-10
-    assert max(np.max(np.abs(s.G - G)) for s, G in zip(states, Gs)) < 1e-12
-    zs, actions = center_dynamics(z0, H, CubicSpline(times, Gs, axis=0), times)
-    assert max(np.max(np.abs(z - s.z)) for z, s in zip(zs, states)) < 1e-10
-    assert max(abs(a - s.action) for a, s in zip(actions, states)) < 1e-10
+    assert np.max(np.abs(states.beta - beta)) < 5e-10
+    assert np.max(np.abs(states.G - Gs)) < G_gate
+    assert np.max(np.abs(states.z - zs)) < 1e-10
+    assert np.max(np.abs(prefactor_sum(states) - prefactors)) < 1e-10
 
 
 def test_positivity_horizon_values():
@@ -560,12 +582,12 @@ def test_positivity_horizon_rejects_bad_t_max(t_max):
         positivity_horizon(L0_FRAME, DS_HAM, t_max)
 
 
-# -- metric flow (independent Riccati route) -----------------------------------
+# -- metric and centre (independent Gaussian route) -----------------------------
 
 
 def test_riccati_matches_frame_route_over_a_period(ds_trajectory):
     times, states = ds_trajectory
-    Gs = evolve_metric_riccati(np.eye(2), DS_HAM, times)
+    Gs, _, _ = thawed_gaussian(L0_FRAME, ORIGIN, DS_HAM, times)
     om = omega(1)
     for G, state in zip(Gs, states):
         J = -om @ G
@@ -575,40 +597,27 @@ def test_riccati_matches_frame_route_over_a_period(ds_trajectory):
 
 
 def test_riccati_harmonic_fixed_point():
-    Gs = evolve_metric_riccati(np.eye(2), harmonic(), np.linspace(0.0, 5.0, 20))
-    assert max(np.max(np.abs(G - np.eye(2))) for G in Gs) < 1e-10
+    Gs, _, _ = thawed_gaussian(L0_FRAME, ORIGIN, harmonic(), np.linspace(0.0, 5.0, 20))
+    assert np.max(np.abs(Gs - np.eye(2))) < 1e-10
+
+
+def test_center_matches_propagate():
+    times = np.linspace(0.0, 2.0, 21)
+    states = propagate(L0_FRAME, np.array([0.0, 1.0]), DS_HAM, times)
+    _, zs, prefactors = thawed_gaussian(L0_FRAME, [0.0, 1.0], DS_HAM, times)
+    assert np.max(np.abs(zs - states.z)) < 1e-8
+    assert np.max(np.abs(prefactors - prefactor_sum(states))) < 1e-8
 
 
 def test_riccati_validates_input():
     with pytest.raises(DimensionMismatch):
-        evolve_metric_riccati(np.eye(2), harmonic(2), [0.0, 1.0])
+        thawed_gaussian(L0_FRAME, ORIGIN, harmonic(2), [0.0, 1.0])
+    with pytest.raises(DimensionMismatch):
+        thawed_gaussian(L0_FRAME, [0.0, 1.0, 2.0], DS_HAM, [0.0, 1.0])
+    # an earlier state must not come back labelled with a later time
     for times in ([1.0, 0.5], [], [-0.5, 1.0]):
         with pytest.raises(DimensionMismatch):
-            evolve_metric_riccati(np.eye(2), DS_HAM, times)
-
-
-# -- center dynamics ------------------------------------------------------------
-
-
-def test_center_callable_metric_matches_propagate():
-    times = np.linspace(0.0, 2.0, 21)
-    states = propagate(L0_FRAME, np.array([0.0, 1.0]), DS_HAM, times)
-    zs, actions = center_dynamics([0.0, 1.0], DS_HAM, lambda t: ds_scalars(DS, t).metric, times)
-    for z, a, s in zip(zs, actions, states):
-        assert np.max(np.abs(z - s.z)) < 1e-8
-        assert abs(a - s.action) < 1e-8
-
-
-def test_center_validates_input():
-    with pytest.raises(DimensionMismatch):
-        center_dynamics([0.0, 1.0, 2.0], DS_HAM, lambda t: np.eye(2), [0.0, 1.0])
-    # the metric comes only as a callable
-    with pytest.raises(DimensionMismatch):
-        center_dynamics([0.0, 1.0], DS_HAM, [np.eye(2), np.eye(2)], [0.0, 1.0])
-    # an earlier centre must not come back labelled with a later time
-    for times in ([1.0, 0.5], [], [-0.5, 1.0]):
-        with pytest.raises(DimensionMismatch):
-            center_dynamics([0.0, 1.0], DS_HAM, lambda t: np.eye(2), times)
+            thawed_gaussian(L0_FRAME, ORIGIN, DS_HAM, times)
 
 
 # -- lower-state activation coefficients ----------------------------------------
